@@ -2,7 +2,8 @@
 campaigns, and height scans, with machine-readable reports.
 
 Exit codes: 0 all checks pass; 2 mismatch or failed check; 3 inapplicable
-gates only (nothing asserted); 4 budget exceeded; 5 I/O error.
+gates only (nothing asserted); 4 budget exceeded; 5 invalid input or
+unwritable output.
 """
 
 from __future__ import annotations
@@ -28,20 +29,10 @@ from .families import (
     build_x,
     build_x_d_delta,
 )
-from .heights import DIRECT_BOUND_MAX, height_scan
+from .heights import height_scan
 from .mpoly import MPoly, VarContext
 from .reporting import BudgetExceeded, to_csv, to_json
-from .verify import (
-    run_all_checks,
-    verify_composition,
-    verify_composition_numeric,
-    verify_cox_grading,
-    verify_galois_symmetry,
-    verify_line_factorization,
-    verify_linear_system_dim,
-    verify_membership,
-    verify_singular_locus,
-)
+from .verify import CHECKS, run_all_checks
 
 IDEAL_LABELS = ("Hpm", "Z", "Zpm", "Y", "T", "U")
 
@@ -133,66 +124,21 @@ def _cmd_families_dump(args):
 # verify
 
 
-def _run_single_check(name, n, d, seed):
-    from .families import (build_alpha_beta, build_cremona, build_h,
-                           build_phibar, build_theta)
-    from .mpoly import compose
-
-    if name == "line_factorization":
-        return [verify_line_factorization(n, d)]
-    if name == "membership":
-        return [verify_membership(build_phibar(n, d), build_x(n, d))]
-    if name == "composition_cremona":
-        cr, cr_inv = build_cremona()
-        return [verify_composition(cr, cr_inv)]
-    if name == "composition_alphabeta":
-        alpha, beta = build_alpha_beta(n)
-        return [verify_composition(alpha, beta)]
-    if name == "composition_on_x":
-        h_theta = compose(build_h(n), build_theta(n))
-        h_theta.name = "h.theta"
-        return [verify_composition(h_theta, build_phibar(n, d),
-                                   modulo=build_x(n, d), field=field_create(1009),
-                                   seed=seed)]
-    if name == "composition_roundtrip":
-        h_theta = compose(build_h(n), build_theta(n))
-        h_theta.name = "h.theta"
-        return [verify_composition_numeric(build_phibar(n, d), h_theta,
-                                           field_create(1009), trials=100, seed=seed)]
-    if name == "composition_roundtrip_char2":
-        F32 = field_create(2, 5)
-        data = build_char_two_maps(n, d, F32)
-        return [verify_composition_numeric(data["g"], build_theta(n, F32), F32,
-                                           trials=100, seed=seed)]
-    if name == "singular_locus":
-        if n < 2:
-            print("error: singular_locus needs n >= 2 (violated gate: locus empty at n = 1)",
-                  file=sys.stderr)
-            return None
-        return [verify_singular_locus(n, d, samples=50, seed=seed)]
-    if name == "linear_system_dim":
-        return [verify_linear_system_dim(n, d)]
-    if name == "galois":
-        return [verify_galois_symmetry(n, d)]
-    if name == "galois_generalized":
-        return [verify_galois_symmetry(n, d, generalized=True)]
-    if name == "cox_grading":
-        return [verify_cox_grading(n, d)]
-    print(f"error: unknown check {name!r}", file=sys.stderr)
-    return None
-
-
 def _cmd_verify(args):
     try:
         if args.check == "all":
             records = run_all_checks(args.n, args.d, seed=args.seed)
+        elif args.check in CHECKS:
+            records = [CHECKS[args.check].run(args.n, args.d, args.seed)]
         else:
-            records = _run_single_check(args.check, args.n, args.d, args.seed)
-            if records is None:
-                return 5
+            print(f"error: unknown check {args.check!r}", file=sys.stderr)
+            return 5
     except BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     rc = _emit(records, _config_of(args), args.format, args.out)
     if rc:
         return rc
@@ -262,7 +208,8 @@ def _cmd_heights(args):
         print("error: height scans support n = 1 only (P^3 search space)", file=sys.stderr)
         return 5
     try:
-        records = height_scan(args.d, args.bound, mode=args.mode, shards=args.shards)
+        records = height_scan(args.d, args.bound, mode=args.mode, shards=args.shards,
+                              budget=args.budget)
     except BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 4

@@ -516,20 +516,27 @@ def build_ideal(n, d, which, dom=QQ):
     raise ValueError(f"unknown subscheme label: {which!r}")
 
 
+def _components(*labelled_maps):
+    """(label[i], component) pieces of each (label, rational map) pair."""
+    return [(f"{label}[{i}]", c) for label, rmap in labelled_maps
+            for i, c in enumerate(rmap.components)]
+
+
+def _cox_pieces(cm):
+    return [("S_hat", cm.S_hat), ("D_hat", cm.D_hat), ("F_hat", cm.F_hat)]
+
+
+# family name -> (n, d) -> [(label, polynomial)]; each builds its family once
 FAMILY_BUILDERS = {
     "X": lambda n, d: [("X", build_x(n, d))],
-    "AB": lambda n, d: [("A", build_ab(n, d)[0]), ("B", build_ab(n, d)[1])],
-    "phibar": lambda n, d: [(f"phibar[{i}]", c) for i, c in enumerate(build_phibar(n, d).components)],
-    "theta": lambda n, d: [(f"theta[{i}]", c) for i, c in enumerate(build_theta(n).components)],
-    "h": lambda n, d: [(f"h[{i}]", c) for i, c in enumerate(build_h(n).components)],
-    "cremona": lambda n, d: [(f"cr[{i}]", c) for i, c in enumerate(build_cremona()[0].components)]
-    + [(f"cr_inv[{i}]", c) for i, c in enumerate(build_cremona()[1].components)],
+    "AB": lambda n, d: list(zip(("A", "B"), build_ab(n, d))),
+    "phibar": lambda n, d: _components(("phibar", build_phibar(n, d))),
+    "theta": lambda n, d: _components(("theta", build_theta(n))),
+    "h": lambda n, d: _components(("h", build_h(n))),
+    "cremona": lambda n, d: _components(*zip(("cr", "cr_inv"), build_cremona())),
     "dnm": lambda n, d: list(zip(("D", "N", "M"), build_dnm(n, d))),
-    "alphabeta": lambda n, d: [(f"alpha[{i}]", c) for i, c in enumerate(build_alpha_beta(n)[0].components)]
-    + [(f"beta[{i}]", c) for i, c in enumerate(build_alpha_beta(n)[1].components)],
-    "phitilde": lambda n, d: [(f"phitilde[{i}]", c) for i, c in enumerate(build_phitilde(n, d).components)],
-    "SD": lambda n, d: [("S", build_sd(n, d)[0]), ("D", build_sd(n, d)[1])],
-    "cox": lambda n, d: [("S_hat", build_cox_model(n, d).S_hat),
-                         ("D_hat", build_cox_model(n, d).D_hat),
-                         ("F_hat", build_cox_model(n, d).F_hat)],
+    "alphabeta": lambda n, d: _components(*zip(("alpha", "beta"), build_alpha_beta(n))),
+    "phitilde": lambda n, d: _components(("phitilde", build_phitilde(n, d))),
+    "SD": lambda n, d: list(zip(("S", "D"), build_sd(n, d))),
+    "cox": lambda n, d: _cox_pieces(build_cox_model(n, d)),
 }

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from math import gcd, lcm
 
+from .count import DEFAULT_BUDGET
 from .domains import QQ
 from .families import build_phibar, build_x
 from .kernels import height_chart_size, height_scan_chart
@@ -57,11 +58,21 @@ def integer_root(B, k):
     return t
 
 
-def direct_height_count(d, B, shards=1, bound_max=DIRECT_BOUND_MAX):
-    """Exact number of points of the hypersurface (n = 1) with height <= B,
-    via a scan of reduced representatives in [-B, B]^4."""
+def _refuse_direct_scan(B, bound_max, budget):
+    """Raise BudgetExceeded when a direct scan at bound B is past the cap on
+    B or would visit more than `budget` tuples."""
     if B > bound_max:
         raise BudgetExceeded(f"direct height search capped at B <= {bound_max}")
+    tuples = sum(height_chart_size(B, chart) for chart in range(4))
+    if tuples > budget:
+        raise BudgetExceeded(
+            f"direct height search at B = {B} scans {tuples} tuples, over budget {budget}")
+
+
+def direct_height_count(d, B, shards=1, bound_max=DIRECT_BOUND_MAX, budget=DEFAULT_BUDGET):
+    """Exact number of points of the hypersurface (n = 1) with height <= B,
+    via a scan of reduced representatives in [-B, B]^4."""
+    _refuse_direct_scan(B, bound_max, budget)
     if B <= 0:
         return 0
     total = 0
@@ -128,13 +139,13 @@ def parametrized_height_count(d, B):
     return len(images), skips
 
 
-def height_report(d, B, mode="both", shards=1):
+def height_report(d, B, mode="both", shards=1, budget=DEFAULT_BUDGET):
     """One HeightReport row; reference curves are floats for plotting."""
     t0 = time.perf_counter()
     direct = parametrized = None
     skips = 0
     if mode in ("direct", "both"):
-        direct = direct_height_count(d, B, shards=shards)
+        direct = direct_height_count(d, B, shards=shards, budget=budget)
     if mode in ("param", "both"):
         parametrized, skips = parametrized_height_count(d, B)
     return HeightReport(
@@ -149,10 +160,10 @@ def height_report(d, B, mode="both", shards=1):
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def height_scan(d, bound, mode="both", shards=1):
-    """HeightReport rows for B = 1..bound (CSV-friendly)."""
-    if mode in ("direct", "both") and bound > DIRECT_BOUND_MAX:
-        raise BudgetExceeded(
-            f"direct height search capped at B <= {DIRECT_BOUND_MAX}")
-    return [height_report(d, B, mode=mode, shards=shards)
+def height_scan(d, bound, mode="both", shards=1, budget=DEFAULT_BUDGET):
+    """HeightReport rows for B = 1..bound (CSV-friendly); the largest row's
+    scan is checked against the cap and the budget before any row runs."""
+    if mode in ("direct", "both"):
+        _refuse_direct_scan(bound, DIRECT_BOUND_MAX, budget)
+    return [height_report(d, B, mode=mode, shards=shards, budget=budget)
             for B in range(1, bound + 1)]

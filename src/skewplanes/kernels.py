@@ -1,235 +1,33 @@
-"""Enumeration kernels: fixed-size inner loops for point counting over
+"""Enumeration kernels: vectorized numpy loops for point counting over
 finite fields and bounded-height integer scans.
-
-Two interchangeable backends produce identical counts:
-
-* a numba-jitted backend (default when numba imports), and
-* a vectorized pure-numpy backend.
-
-Set the environment variable ``SKEWPLANES_PURE_NUMPY=1`` (or call
-``force_backend("numpy")``) to run without numba; ``force_backend`` also lets
-benchmarks switch explicitly.
 
 Polynomial systems arrive as flat arrays: `exps` (terms x vars exponent
 matrix), `coeffs` (field-element indices), `offsets` (term ranges per
 polynomial).  Points are decoded from linear indices inside a chart, so a
 chart splits into disjoint shards by index range and counts merge by
-integer addition.
+integer addition.  Both loops work through the index range in blocks of
+`_BLOCK` points.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-        return wrap
-
-
-_FORCED = None
 _BLOCK = 1 << 15
 
 
-def force_backend(name):
-    """Pin the backend to "numba" or "numpy"; None restores auto-selection."""
-    global _FORCED
-    if name not in (None, "numba", "numpy"):
-        raise ValueError("backend must be 'numba', 'numpy', or None")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _FORCED = name
-
-
 def active_backend():
-    if _FORCED is not None:
-        return _FORCED
-    if os.environ.get("SKEWPLANES_PURE_NUMPY", "") not in ("", "0"):
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the engine behind every count and height scan."""
+    return "numpy"
+
+
+def warmup():
+    """No-op: the numpy loops need no one-time compilation.  Kept so timed
+    callers can keep calling it before their first measured run."""
 
 
 # ---------------------------------------------------------------------------
-# prime-field system counting
-
-
-@njit(cache=True)
-def _count_prime_jit(p, exps, coeffs, offsets, chart, start, stop, nvars):
-    count = 0
-    nfree = nvars - chart - 1
-    pt = np.zeros(nvars, np.int64)
-    pt[chart] = 1
-    for idx in range(start, stop):
-        k = idx
-        for j in range(nfree):
-            pt[nvars - 1 - j] = k % p
-            k //= p
-        good = True
-        for i in range(offsets.shape[0] - 1):
-            acc = 0
-            for t in range(offsets[i], offsets[i + 1]):
-                term = coeffs[t]
-                for v in range(nvars):
-                    e = exps[t, v]
-                    if e != 0:
-                        b = pt[v]
-                        if b == 0:
-                            term = 0
-                            break
-                        pw = 1
-                        base = b
-                        ee = e
-                        while ee > 0:
-                            if ee & 1:
-                                pw = (pw * base) % p
-                            base = (base * base) % p
-                            ee >>= 1
-                        term = (term * pw) % p
-                if term != 0:
-                    acc = (acc + term) % p
-            if acc != 0:
-                good = False
-                break
-        if good:
-            count += 1
-    return count
-
-
-def _powmod_vec(base, e, p):
-    out = np.ones_like(base)
-    b = base % p
-    while e > 0:
-        if e & 1:
-            out = (out * b) % p
-        b = (b * b) % p
-        e >>= 1
-    return out
-
-
-def _count_prime_numpy(p, exps, coeffs, offsets, chart, start, stop, nvars):
-    count = 0
-    nfree = nvars - chart - 1
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        idxs = np.arange(lo, hi, dtype=np.int64)
-        pts = np.zeros((hi - lo, nvars), np.int64)
-        pts[:, chart] = 1
-        k = idxs
-        for j in range(nfree):
-            pts[:, nvars - 1 - j] = k % p
-            k = k // p
-        ok = np.ones(hi - lo, bool)
-        for i in range(len(offsets) - 1):
-            acc = np.zeros(hi - lo, np.int64)
-            for t in range(offsets[i], offsets[i + 1]):
-                term = np.full(hi - lo, coeffs[t], np.int64)
-                for v in range(nvars):
-                    e = exps[t, v]
-                    if e:
-                        term = (term * _powmod_vec(pts[:, v], int(e), p)) % p
-                acc = (acc + term) % p
-            ok &= acc == 0
-            if not ok.any():
-                break
-        count += int(ok.sum())
-    return count
-
-
-# ---------------------------------------------------------------------------
-# extension-field system counting via multiplication/addition tables
-
-
-@njit(cache=True)
-def _count_table_jit(q, add_t, mul_t, exps, coeffs, offsets, chart, start, stop, nvars):
-    count = 0
-    nfree = nvars - chart - 1
-    pt = np.zeros(nvars, np.int64)
-    pt[chart] = 1
-    for idx in range(start, stop):
-        k = idx
-        for j in range(nfree):
-            pt[nvars - 1 - j] = k % q
-            k //= q
-        good = True
-        for i in range(offsets.shape[0] - 1):
-            acc = 0
-            for t in range(offsets[i], offsets[i + 1]):
-                term = coeffs[t]
-                for v in range(nvars):
-                    e = exps[t, v]
-                    if e != 0:
-                        b = pt[v]
-                        if b == 0:
-                            term = 0
-                            break
-                        pw = 1
-                        base = b
-                        ee = e
-                        while ee > 0:
-                            if ee & 1:
-                                pw = mul_t[pw, base]
-                            base = mul_t[base, base]
-                            ee >>= 1
-                        term = mul_t[term, pw]
-                if term != 0:
-                    acc = add_t[acc, term]
-            if acc != 0:
-                good = False
-                break
-        if good:
-            count += 1
-    return count
-
-
-def _pow_table_vec(base, e, mul_t):
-    out = np.ones_like(base)
-    b = base.copy()
-    while e > 0:
-        if e & 1:
-            out = mul_t[out, b]
-        b = mul_t[b, b]
-        e >>= 1
-    return out
-
-
-def _count_table_numpy(q, add_t, mul_t, exps, coeffs, offsets, chart, start, stop, nvars):
-    count = 0
-    nfree = nvars - chart - 1
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        idxs = np.arange(lo, hi, dtype=np.int64)
-        pts = np.zeros((hi - lo, nvars), np.int64)
-        pts[:, chart] = 1
-        k = idxs
-        for j in range(nfree):
-            pts[:, nvars - 1 - j] = k % q
-            k = k // q
-        ok = np.ones(hi - lo, bool)
-        for i in range(len(offsets) - 1):
-            acc = np.zeros(hi - lo, np.int64)
-            for t in range(offsets[i], offsets[i + 1]):
-                term = np.full(hi - lo, coeffs[t], np.int64)
-                for v in range(nvars):
-                    e = exps[t, v]
-                    if e:
-                        term = mul_t[term, _pow_table_vec(pts[:, v], int(e), mul_t)]
-                acc = add_t[acc, term]
-            ok &= acc == 0
-            if not ok.any():
-                break
-        count += int(ok.sum())
-    return count
+# system counting over F_q
 
 
 _TABLE_CACHE = {}
@@ -243,7 +41,7 @@ def field_tables(F):
         return _TABLE_CACHE[key]
     q = F.q
     if q > _TABLE_Q_MAX:
-        raise ValueError(f"table backend limited to q <= {_TABLE_Q_MAX}")
+        raise ValueError(f"table arithmetic limited to q <= {_TABLE_Q_MAX}")
     els = [F.element_from_index(i) for i in range(q)]
     add_t = np.zeros((q, q), np.int32)
     mul_t = np.zeros((q, q), np.int32)
@@ -255,85 +53,64 @@ def field_tables(F):
     return add_t, mul_t
 
 
+def _field_ops(F):
+    """Elementwise (add, mul) on arrays of element indices: residues mod p
+    over a prime field, lookups in the cached tables over F_{p^m}."""
+    if F.m == 1:
+        p = F.p
+        return (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p)
+    add_t, mul_t = field_tables(F)
+    return (lambda a, b: add_t[a, b]), (lambda a, b: mul_t[a, b])
+
+
+def _pow_vec(base, e, mul):
+    """base**e elementwise for e >= 1, by square-and-multiply over `mul`."""
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else mul(out, base)
+        e >>= 1
+        if not e:
+            return out
+        base = mul(base, base)
+
+
 def count_system_chart(F, exps, coeffs, offsets, chart, start, stop, nvars):
     """Zeros of the system inside one chart's linear-index range."""
-    backend = active_backend()
-    if F.m == 1:
-        if backend == "numba":
-            return int(_count_prime_jit(F.p, exps, coeffs, offsets, chart,
-                                        start, stop, nvars))
-        return _count_prime_numpy(F.p, exps, coeffs, offsets, chart,
-                                  start, stop, nvars)
-    add_t, mul_t = field_tables(F)
-    if backend == "numba":
-        return int(_count_table_jit(F.q, add_t, mul_t, exps, coeffs, offsets,
-                                    chart, start, stop, nvars))
-    return _count_table_numpy(F.q, add_t, mul_t, exps, coeffs, offsets,
-                              chart, start, stop, nvars)
+    add, mul = _field_ops(F)
+    q = F.q
+    nfree = nvars - chart - 1
+    count = 0
+    for lo in range(start, stop, _BLOCK):
+        size = min(lo + _BLOCK, stop) - lo
+        pts = np.zeros((size, nvars), np.int64)
+        pts[:, chart] = 1
+        k = np.arange(lo, lo + size, dtype=np.int64)
+        for j in range(nfree):
+            k, pts[:, nvars - 1 - j] = np.divmod(k, q)
+        ok = np.ones(size, bool)
+        for i in range(len(offsets) - 1):
+            acc = np.zeros(size, np.int64)
+            for t in range(offsets[i], offsets[i + 1]):
+                term = np.full(size, coeffs[t], np.int64)
+                for v in range(nvars):
+                    e = int(exps[t, v])
+                    if e:
+                        term = mul(term, _pow_vec(pts[:, v], e, mul))
+                acc = add(acc, term)
+            ok &= acc == 0
+            if not ok.any():
+                break
+        count += int(ok.sum())
+    return count
 
 
 # ---------------------------------------------------------------------------
 # bounded-height integer scan on the n = 1 hypersurface in P^3
 
 
-@njit(cache=True)
-def _height_scan_jit(B, d, chart, start, stop):
-    width = 2 * B + 1
-    nfree = 3 - chart
-    count = 0
-    x = np.zeros(4, np.int64)
-    for idx in range(start, stop):
-        k = idx
-        for j in range(nfree):
-            x[3 - j] = (k % width) - B
-            k //= width
-        x[chart] = k + 1
-        g = 0
-        for v in range(chart, 4):
-            a = x[v] if x[v] >= 0 else -x[v]
-            while a != 0:
-                g, a = a, g % a
-        if g != 1:
-            continue
-        acc = 0
-        for i in range(2):
-            a0 = x[2 * i]
-            b0 = x[2 * i + 1]
-            qv = a0 * a0 - a0 * b0 + b0 * b0
-            t = a0 + b0
-            for _ in range(d):
-                t *= qv
-            acc += t
-        if acc == 0:
-            count += 1
-    return count
-
-
-def _height_scan_numpy(B, d, chart, start, stop):
-    width = 2 * B + 1
-    nfree = 3 - chart
-    count = 0
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        idxs = np.arange(lo, hi, dtype=np.int64)
-        x = np.zeros((hi - lo, 4), np.int64)
-        k = idxs
-        for j in range(nfree):
-            x[:, 3 - j] = (k % width) - B
-            k = k // width
-        x[:, chart] = k + 1
-        g = np.gcd.reduce(np.abs(x[:, chart:]), axis=1)
-        acc = np.zeros(hi - lo, np.int64)
-        for i in range(2):
-            a0 = x[:, 2 * i]
-            b0 = x[:, 2 * i + 1]
-            qv = a0 * a0 - a0 * b0 + b0 * b0
-            t = a0 + b0
-            for _ in range(d):
-                t = t * qv
-            acc += t
-        count += int(((g == 1) & (acc == 0)).sum())
-    return count
+def _f_exact(a, b, d):
+    return (a + b) * (a * a - a * b + b * b) ** d
 
 
 def height_chart_size(B, chart):
@@ -342,23 +119,34 @@ def height_chart_size(B, chart):
 
 def height_scan_chart(B, d, chart, start, stop):
     """Reduced representatives on the hypersurface with first nonzero
-    coordinate at `chart`, within a linear-index shard."""
-    if active_backend() == "numba":
-        return int(_height_scan_jit(B, d, chart, start, stop))
-    return _height_scan_numpy(B, d, chart, start, stop)
+    coordinate at `chart`, within a linear-index shard.
 
-
-def warmup():
-    """Trigger one-time JIT compilation so timed runs measure steady state."""
-    if active_backend() != "numba":
-        return
-    exps = np.zeros((1, 2), np.int64)
-    exps[0, 0] = 1
-    coeffs = np.ones(1, np.int64)
-    offsets = np.array([0, 1], np.int64)
-    _count_prime_jit(3, exps, coeffs, offsets, 0, 0, 3, 2)
-    add_t = np.zeros((2, 2), np.int32)
-    mul_t = np.zeros((2, 2), np.int32)
-    add_t[0, 1] = add_t[1, 0] = mul_t[1, 1] = 1
-    _count_table_jit(2, add_t, mul_t, exps, coeffs, offsets, 0, 0, 2, 2)
-    _height_scan_jit(1, 1, 0, 0, 1)
+    f is evaluated in int64 as a filter.  Its arithmetic wraps mod 2^64, a
+    ring homomorphism, so every true zero passes; each survivor is then
+    confirmed in Python ints, which makes the count exact for every B and d.
+    """
+    width = 2 * B + 1
+    nfree = 3 - chart
+    count = 0
+    for lo in range(start, stop, _BLOCK):
+        size = min(lo + _BLOCK, stop) - lo
+        x = np.zeros((size, 4), np.int64)
+        k = np.arange(lo, lo + size, dtype=np.int64)
+        for j in range(nfree):
+            k, r = np.divmod(k, width)
+            x[:, 3 - j] = r - B
+        x[:, chart] = k + 1
+        g = np.gcd.reduce(np.abs(x[:, chart:]), axis=1)
+        acc = np.zeros(size, np.int64)
+        for i in range(2):
+            a0 = x[:, 2 * i]
+            b0 = x[:, 2 * i + 1]
+            qv = a0 * a0 - a0 * b0 + b0 * b0
+            t = a0 + b0
+            for _ in range(d):
+                t = t * qv
+            acc += t
+        for a, b, c, e in x[(g == 1) & (acc == 0)].tolist():
+            if _f_exact(a, b, d) + _f_exact(c, e, d) == 0:
+                count += 1
+    return count

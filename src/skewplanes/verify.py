@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
@@ -478,35 +479,63 @@ def verify_cox_grading(n, d):
 
 
 # ---------------------------------------------------------------------------
-# suite driver
+# check registry and the full suite
+
+
+def _h_theta(n):
+    h_theta = compose(build_h(n), build_theta(n))
+    h_theta.name = "h.theta"
+    return h_theta
+
+
+def _composition_on_x(n, d, seed):
+    return verify_composition(_h_theta(n), build_phibar(n, d), modulo=build_x(n, d),
+                              field=field_create(1009), seed=seed)
+
+
+def _composition_roundtrip(n, d, seed):
+    return verify_composition_numeric(build_phibar(n, d), _h_theta(n), field_create(1009),
+                                      trials=100, seed=seed)
+
+
+def _composition_roundtrip_char2(n, d, seed):
+    F32 = field_create(2, 5)
+    g = build_char_two_maps(n, d, F32)["g"]
+    return verify_composition_numeric(g, build_theta(n, F32), F32, trials=100, seed=seed)
+
+
+class Check(NamedTuple):
+    run: Callable      # (n, d, seed) -> VerificationResult
+    in_suite: Callable  # (n, d) -> bool: whether run_all_checks runs it
+
+
+def _always(n, d):
+    return True
+
+
+# every check by its `verify --check` name, in the suite's record order
+CHECKS = {
+    "line_factorization": Check(lambda n, d, seed: verify_line_factorization(n, d),
+                                lambda n, d: n <= 2 and d <= 2),
+    "membership": Check(lambda n, d, seed: verify_membership(build_phibar(n, d), build_x(n, d)),
+                        _always),
+    "composition_cremona": Check(lambda n, d, seed: verify_composition(*build_cremona()),
+                                 _always),
+    "composition_alphabeta": Check(lambda n, d, seed: verify_composition(*build_alpha_beta(n)),
+                                   _always),
+    "composition_on_x": Check(_composition_on_x, lambda n, d: False),
+    "composition_roundtrip": Check(_composition_roundtrip, _always),
+    "composition_roundtrip_char2": Check(_composition_roundtrip_char2, _always),
+    "linear_system_dim": Check(lambda n, d, seed: verify_linear_system_dim(n, d), _always),
+    "singular_locus": Check(lambda n, d, seed: verify_singular_locus(n, d, samples=50, seed=seed),
+                            lambda n, d: n >= 2),
+    "galois": Check(lambda n, d, seed: verify_galois_symmetry(n, d), _always),
+    "galois_generalized": Check(
+        lambda n, d, seed: verify_galois_symmetry(n, d, generalized=True), _always),
+    "cox_grading": Check(lambda n, d, seed: verify_cox_grading(n, d), _always),
+}
 
 
 def run_all_checks(n, d, seed=42):
     """Every check applicable at (n, d); used by the CLI `verify --check all`."""
-    results = []
-    if n <= 2 and d <= 2:
-        results.append(verify_line_factorization(n, d))
-    X = build_x(n, d)
-    phibar = build_phibar(n, d)
-    results.append(verify_membership(phibar, X))
-    cr, cr_inv = build_cremona()
-    results.append(verify_composition(cr, cr_inv))
-    alpha, beta = build_alpha_beta(n)
-    results.append(verify_composition(alpha, beta))
-    h = build_h(n)
-    theta = build_theta(n)
-    h_theta = compose(h, theta)
-    h_theta.name = "h.theta"
-    results.append(verify_composition_numeric(
-        phibar, h_theta, field_create(1009), trials=100, seed=seed))
-    F32 = field_create(2, 5)
-    char2 = build_char_two_maps(n, d, F32)
-    results.append(verify_composition_numeric(
-        char2["g"], build_theta(n, F32), F32, trials=100, seed=seed))
-    results.append(verify_linear_system_dim(n, d))
-    if n >= 2:
-        results.append(verify_singular_locus(n, d, samples=50, seed=seed))
-    results.append(verify_galois_symmetry(n, d))
-    results.append(verify_galois_symmetry(n, d, generalized=True))
-    results.append(verify_cox_grading(n, d))
-    return results
+    return [check.run(n, d, seed) for check in CHECKS.values() if check.in_suite(n, d)]

@@ -8,6 +8,7 @@ import pytest
 
 from skewplanes.cli import main
 from skewplanes.reporting import strip_timing
+from skewplanes.verify import CHECKS, Check
 
 
 def run_cli(argv, capsys):
@@ -109,13 +110,16 @@ def test_verify_all_passes(capsys):
     assert "[FAIL]" not in out
 
 
-def test_verify_single_check(capsys):
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_verify_single_check(capsys, name):
+    n = "2" if name == "singular_locus" else "1"  # the locus is empty at n = 1
     code, out, _ = run_cli(
-        ["verify", "--check", "line_factorization", "--n", "1", "--d", "1"],
+        ["verify", "--check", name, "--n", n, "--d", "1", "--format", "json"],
         capsys,
     )
     assert code == 0
-    assert "line_factorization" in out
+    records = json.loads(out)["records"]
+    assert len(records) == 1 and records[0]["pass"]
 
 
 def test_verify_unknown_check(capsys):
@@ -139,15 +143,14 @@ def test_verify_budget_exceeded_is_exit_4(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import skewplanes.cli as cli_mod
     from skewplanes.reporting import VerificationResult
 
-    def fake(name, n, d, seed):
-        return [VerificationResult(check="stub", params={}, passed=False,
-                                   witness={"reason": "forced"},
-                                   elapsed_ms=0.0, mode="symbolic")]
+    def fake(n, d, seed):
+        return VerificationResult(check="stub", params={}, passed=False,
+                                  witness={"reason": "forced"},
+                                  elapsed_ms=0.0, mode="symbolic")
 
-    monkeypatch.setattr(cli_mod, "_run_single_check", fake)
+    monkeypatch.setitem(CHECKS, "stub", Check(fake, lambda n, d: False))
     code, out, _ = run_cli(["verify", "--check", "stub"], capsys)
     assert code == 2
     assert "[FAIL]" in out
@@ -325,6 +328,18 @@ def test_heights_budget(capsys):
         ["heights", "--n", "1", "--d", "1", "--bound", "1000"], capsys
     )
     assert code == 4
+
+
+def test_heights_honours_budget_flag(capsys):
+    code, out, err = run_cli(
+        ["heights", "--n", "1", "--d", "1", "--bound", "3", "--budget", "1"], capsys
+    )
+    assert code == 4
+    assert "budget" in err and out == ""
+    # the direct scan at B = 2 visits 2*125 + 2*25 + 2*5 + 2 = 312 tuples
+    argv = ["heights", "--n", "1", "--d", "1", "--bound", "2", "--mode", "direct"]
+    assert run_cli(argv + ["--budget", "312"], capsys)[0] == 0
+    assert run_cli(argv + ["--budget", "311"], capsys)[0] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,29 @@ def test_direct_count_budget():
         direct_height_count(1, 1000)
 
 
+def _matched_value_count(d, B):
+    """Primitive points up to sign with f(x0, x1) = -f(x2, x3) in [-B, B]^4,
+    found by matching f-values of pairs in Python ints."""
+    by_value = {}
+    for a in range(-B, B + 1):
+        for b in range(-B, B + 1):
+            v = (a + b) * (a * a - a * b + b * b) ** d
+            by_value.setdefault(v, []).append((a, b))
+    count = 0
+    for v, pairs in by_value.items():
+        for a, b in pairs:
+            for c, e in by_value.get(-v, ()):
+                if gcd(a, b, c, e) == 1:
+                    count += 1
+    return count // 2
+
+
+def test_direct_count_exact_past_int64():
+    # at d = 9, B = 16 the values of f overflow int64; the count must not wrap
+    assert 2 * 16 * (3 * 16 ** 2) ** 9 >= 2 ** 63
+    assert direct_height_count(9, 16) == _matched_value_count(9, 16) == 957
+
+
 # ---------------------------------------------------------------------------
 # parametrized counts
 
