@@ -64,10 +64,67 @@ def _emit(records, config, fmt, out):
 
 
 def _config_of(args):
-    skip = {"func"}
+    skip = {"func", "system"}
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     cfg["version"] = __version__
     return cfg
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_custom_system(path):
+    """(vars, polys) from a custom-system JSON file, checked against the
+    schema {"vars": [name, ...], "polys": [[[coeff, [exp, ...]], ...], ...]}
+    with one integer exponent in [0, 2^63) per variable."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not {"vars", "polys"} <= doc.keys():
+        raise ValueError(f'{path}: expected an object with keys "vars" and "polys"')
+    names, polys = doc["vars"], doc["polys"]
+    if not (isinstance(names, list) and names and all(isinstance(v, str) for v in names)
+            and len(set(names)) == len(names)):
+        raise ValueError(f'{path}: "vars" must be a non-empty list of distinct names')
+    if not (isinstance(polys, list) and polys and all(isinstance(f, list) for f in polys)):
+        raise ValueError(f'{path}: "polys" must be a non-empty list of term lists')
+    for i, rows in enumerate(polys):
+        for term in rows:
+            if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])
+                    and isinstance(term[1], list) and len(term[1]) == len(names)
+                    and all(_is_int(e) and 0 <= e < 2 ** 63 for e in term[1])):
+                raise ValueError(
+                    f"{path}: polynomial {i}: a term must be [integer coefficient, "
+                    f"{len(names)} integer exponents in [0, 2^63)], got {term!r}")
+    return names, polys
+
+
+def _validate(args):
+    """Check every subcommand's parameters before it runs; returns an error
+    message, or None.  A custom count's system is read here, into
+    `args.system`."""
+    for name in ("n", "d", "shards", "budget", "bound"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            return f"--{name} must be at least 1, got {value}"
+    char = getattr(args, "char", 0)
+    if char:
+        try:
+            prime_power(char)
+        except ValueError as exc:
+            return f"--char {char}: {exc}"
+    if args.command == "count" and args.family == "custom":
+        if args.poly_file is None:
+            return "--poly-file required for custom counts"
+        try:
+            args.system = _read_custom_system(args.poly_file)
+        except (OSError, ValueError) as exc:
+            return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +161,11 @@ def _cmd_families_dump(args):
         if args.delta is None:
             print("error: --delta required for Xdelta", file=sys.stderr)
             return 5
-        f = build_x_d_delta(args.n, args.d, args.delta)
+        try:
+            f = build_x_d_delta(args.n, args.d, args.delta)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 5
         return _write_output(f"Xdelta = {f.to_text()}\n", args.out)
     if name == "pencil":
         data = build_line_pencil(args.n, args.d)
@@ -149,12 +210,11 @@ def _cmd_verify(args):
 # count
 
 
-def _load_custom_polys(path, F):
-    with open(path) as fh:
-        doc = json.load(fh)
-    ctx = VarContext(doc["vars"])
+def _load_custom_polys(system, F):
+    names, rows_list = system
+    ctx = VarContext(names)
     polys = []
-    for rows in doc["polys"]:
+    for rows in rows_list:
         terms = {}
         for coeff, exps in rows:
             terms[tuple(exps)] = F.from_int(coeff)
@@ -177,10 +237,7 @@ def _cmd_count(args):
                 return rc
             return 0 if breakdown["match"] else 2
         if args.family == "custom":
-            if args.poly_file is None:
-                print("error: --poly-file required for custom counts", file=sys.stderr)
-                return 5
-            polys = _load_custom_polys(args.poly_file, F)
+            polys = _load_custom_polys(args.system, F)
             report = count_custom(polys, F, shards=args.shards, budget=args.budget)
         else:
             report = count_family(args.family, args.n, args.d, F, delta=args.delta,
@@ -260,7 +317,8 @@ def build_parser():
     _add_common(ver)
     ver.set_defaults(func=_cmd_verify)
 
-    cnt = sub.add_parser("count", help="brute-force counts vs closed formulas")
+    cnt = sub.add_parser("count", help="exact F_q point counts (block convolution or "
+                                       "chart scan) vs closed formulas")
     cnt.add_argument("--family", required=True,
                      choices=("X", "Y", "Xdelta", "Y0", "custom"))
     cnt.add_argument("--q", type=int, required=True)
@@ -280,6 +338,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = _validate(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 5
     return args.func(args)
 
 

@@ -1,10 +1,16 @@
-"""Brute-force projective point counts over finite fields, the closed-form
-count formulas, and their cross-validation.
+"""Exact projective point counts over finite fields, the closed-form count
+formulas, and their cross-validation.
 
-Enumeration walks affine charts (points normalized so the first nonzero
-coordinate is 1) in deterministic order; charts split into disjoint
-linear-index shards whose partial counts merge by addition, so the total is
-independent of the shard count.
+`count_zeros` runs one of two engines, chosen from the system alone by cost.
+The block engine splits the variables into blocks that share no monomial,
+histograms each block's contribution to the value vector over F_q^r (r
+polynomials), and convolves the histograms over the additive group; the
+affine cone then has H[0] points.  It runs when there are at least two
+blocks and it costs no more than the chart scan.  The chart scan walks
+affine charts (points normalized so the first nonzero coordinate is 1) in
+deterministic order and is the oracle for the block engine.  Both split
+their index ranges into shards whose partial counts or histograms merge by
+addition, so the total is independent of the shard count.
 """
 
 from __future__ import annotations
@@ -16,11 +22,21 @@ import numpy as np
 
 from .domains import QQ, QQXI, sqrt_of_minus_three, root_count_unity
 from .families import build_ab, build_x, build_x_d_delta
-from .kernels import count_system_chart
+from .kernels import (
+    block_histogram,
+    chart_zeros,
+    convolution_at_zero,
+    convolve_histograms,
+    count_system_chart,
+)
 from .mpoly import MPoly, VarContext, multiplicity_at
 from .reporting import BudgetExceeded, CountReport, VerificationResult
 
 DEFAULT_BUDGET = 10 ** 9
+# Largest histogram (q^r entries) the block engine builds.  Its cost bounds
+# q^r only by the budget, and a histogram of 10^9 entries does not fit in
+# memory, so larger systems are scanned, in blocks of constant memory.
+HIST_MAX = 1 << 20
 
 
 def projective_size(q, N):
@@ -101,9 +117,37 @@ def _system_arrays(polys, F):
     return exps, coeffs, np.array(offsets, np.int64)
 
 
-def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET):
-    """Number of normalized projective points where every polynomial
-    vanishes; exact, chart-sharded, shard-count independent."""
+def _variable_blocks(exps):
+    """Connected components of the graph joining two variables when they
+    share a monomial, each a sorted list, ordered by smallest variable."""
+    parent = list(range(exps.shape[1]))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for row in exps:
+        support = np.flatnonzero(row)
+        for v in support[1:]:
+            parent[root(int(v))] = root(int(support[0]))
+    blocks = {}
+    for v in range(len(parent)):
+        blocks.setdefault(root(v), []).append(v)
+    return sorted(blocks.values())
+
+
+def _plan(polys, F):
+    """Check and flatten a homogeneous system, then choose its engine.
+
+    Returns (engine, cost, exps, coeffs, offsets, blocks).  The block engine
+    costs sum_b q^|b| point evaluations plus (#blocks - 2) * q^(2r)
+    convolution cells and a final q^r-term dot product, which gives H[0]
+    alone; the chart scan costs |P^(nvars-1)(F_q)| evaluations.
+    Systems whose histograms would exceed HIST_MAX entries are scanned, and
+    so are systems with a constant term (a nonzero constant polynomial),
+    which leaves the origin off the cone."""
     polys = list(polys)
     if not polys:
         raise ValueError("empty system")
@@ -114,22 +158,67 @@ def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET):
         if not f.is_zero() and not f.is_homogeneous():
             raise ValueError("system polynomials must be homogeneous")
     q = F.q
-    nvars = ctx.nvars
-    if projective_size(q, nvars - 1) > budget:
+    exps, coeffs, offsets = _system_arrays([reduce_poly(f, F) for f in polys], F)
+    blocks = _variable_blocks(exps)
+    scan_cost = projective_size(q, ctx.nvars - 1)
+    r = len(polys)
+    block_cost = (sum(q ** len(b) for b in blocks)
+                  + (len(blocks) - 2) * q ** (2 * r) + q ** r)
+    if (len(blocks) >= 2 and block_cost <= scan_cost and q ** r <= HIST_MAX
+            and exps.any(axis=1).all()):
+        return "blocks", block_cost, exps, coeffs, offsets, blocks
+    return "scan", scan_cost, exps, coeffs, offsets, blocks
+
+
+def count_engine(polys, F):
+    """The engine `count_zeros` runs on this system: "blocks" or "scan"."""
+    return _plan(polys, F)[0]
+
+
+def _shard_ranges(size, shards):
+    step = max(1, -(-size // max(1, shards)))
+    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+
+def _count_blocks(F, exps, coeffs, offsets, blocks, shards):
+    """(N_aff - 1) / (q - 1), with N_aff = H[0] of the convolution of the
+    block histograms; Python ints once q^nvars reaches the int64 range."""
+    q = F.q
+    exact = q ** exps.shape[1] >= 2 ** 63
+    hists = []
+    for block in blocks:
+        rows = np.flatnonzero(exps[:, block].any(axis=1))
+        sub_offsets = np.searchsorted(rows, offsets)
+        sub_exps = exps[np.ix_(rows, block)]
+        hist = sum(block_histogram(F, sub_exps, coeffs[rows], sub_offsets, lo, hi)
+                   for lo, hi in _shard_ranges(q ** len(block), shards))
+        hists.append(hist.astype(object) if exact else hist)
+    total = hists[0]
+    for hist in hists[1:-1]:
+        total = convolve_histograms(F, total, hist)
+    n_aff = convolution_at_zero(F, total, hists[-1]) if len(hists) > 1 else int(total[0])
+    return (n_aff - 1) // (q - 1)
+
+
+def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET):
+    """Number of normalized projective points where every polynomial
+    vanishes; exact and shard-count independent.  `budget` caps the work of
+    the engine that runs (see `_plan`)."""
+    engine, cost, exps, coeffs, offsets, blocks = _plan(polys, F)
+    q = F.q
+    nvars = exps.shape[1]
+    if cost > budget:
+        what = (f"{len(blocks)} variable blocks" if engine == "blocks"
+                else f"P^{nvars - 1}(F_{q})")
         raise BudgetExceeded(
-            f"enumeration of P^{nvars - 1}(F_{q}) exceeds budget {budget}")
-    reduced = [reduce_poly(f, F) for f in polys]
-    exps, coeffs, offsets = _system_arrays(reduced, F)
+            f"engine {engine!r} on {what} costs {cost}, over budget {budget}")
+    if engine == "blocks":
+        return _count_blocks(F, exps, coeffs, offsets, blocks, shards)
     total = 0
     for chart in range(nvars):
-        size = q ** (nvars - 1 - chart)
-        step = max(1, -(-size // max(1, shards)))
-        start = 0
-        while start < size:
-            stop = min(start + step, size)
+        for start, stop in _shard_ranges(q ** (nvars - 1 - chart), shards):
             total += count_system_chart(F, exps, coeffs, offsets,
                                         chart, start, stop, nvars)
-            start = stop
     return total
 
 
@@ -219,7 +308,7 @@ def count_family(family, n, d, F, delta=None, shards=1, budget=DEFAULT_BUDGET):
         field_spec={"p": F.p, "m": F.m, "q": q},
         brute=brute, formula=formula,
         match=None if formula is None else brute == formula,
-        formula_alt=formula_alt, shards=shards,
+        formula_alt=formula_alt, shards=shards, engine=count_engine(polys, F),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
@@ -230,7 +319,7 @@ def count_custom(polys, F, shards=1, budget=DEFAULT_BUDGET, label="custom"):
         family=label, params={"polys": len(polys)},
         field_spec={"p": F.p, "m": F.m, "q": F.q},
         brute=brute, formula=None, match=None, shards=shards,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        engine=count_engine(polys, F), elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def count_x_d_delta(n, d, delta, F, shards=1, budget=DEFAULT_BUDGET):
@@ -279,6 +368,18 @@ def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
 # structure of Y0 = {A = B = 0} in P^2 (n = 1)
 
 
+def projective_zeros(polys, F):
+    """Normalized common zeros of the system, in `enumerate_projective`
+    order, found chart by chart with the vectorized evaluator."""
+    exps, coeffs, offsets = _system_arrays([reduce_poly(f, F) for f in polys], F)
+    nvars = exps.shape[1]
+    if projective_size(F.q, nvars - 1) > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"|P^{nvars - 1}(F_{F.q})| exceeds budget {DEFAULT_BUDGET}")
+    return [tuple(F.element_from_index(c) for c in row)
+            for chart in range(nvars)
+            for row in chart_zeros(F, exps, coeffs, offsets, chart, nvars).tolist()]
+
+
 def normalize_point(F, pt):
     """Scale so the first nonzero coordinate equals 1."""
     for c in pt:
@@ -300,8 +401,7 @@ def count_y0_structure(d, F):
         raise ValueError(f"xi absent or x^2+3 degenerate in {F.name} (need q = 1 mod 6)")
     xi = sqrt_of_minus_three(F)
     A, B = build_ab(1, d, F)
-    pts = [pt for pt in enumerate_projective(F, 2)
-           if A.evaluate(pt) == F.zero and B.evaluate(pt) == F.zero]
+    pts = projective_zeros([A, B], F)
     p_plus = normalize_point(F, (F.zero, xi, F.one))
     p_minus = normalize_point(F, (F.zero, F.neg(xi), F.one))
     mult_plus = multiplicity_at([A, B], p_plus)

@@ -3,15 +3,19 @@ finite fields and bounded-height integer scans.
 
 Polynomial systems arrive as flat arrays: `exps` (terms x vars exponent
 matrix), `coeffs` (field-element indices), `offsets` (term ranges per
-polynomial).  Points are decoded from linear indices inside a chart, so a
-chart splits into disjoint shards by index range and counts merge by
-integer addition.  Both loops work through the index range in blocks of
-`_BLOCK` points.
+polynomial).  Field elements are element indices; a vector over F_q is
+encoded as the base-q number of its entries, the first entry in the lowest
+place.  Points are decoded from linear indices, so an index range splits
+into disjoint shards whose counts or histograms merge by addition.  Every
+evaluation of a system goes through `system_values`, in blocks of `_BLOCK`
+points.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .domains import _prime_divisors
 
 _BLOCK = 1 << 15
 
@@ -27,28 +31,65 @@ def warmup():
 
 
 # ---------------------------------------------------------------------------
-# system counting over F_q
+# field arithmetic on element indices
 
 
 _TABLE_CACHE = {}
 _TABLE_Q_MAX = 1024
 
 
+def _digitwise(p, a, b, sign, size):
+    """Index of a + sign*b in the additive group (Z/p)^D of size p^D, for
+    base-p encodings a and b (arrays, broadcast); with sign = -1 this is
+    subtraction.  Element indices of F_{p^m} and vectors over it use this
+    encoding, so it is their addition."""
+    a = np.asarray(a, np.int64)
+    b = np.asarray(b, np.int64)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.int64)
+    w = 1
+    while w < size:
+        out += (a // w % p + sign * (b // w % p)) % p * w
+        w *= p
+    return out
+
+
+def _primitive_element(F):
+    """The generator of F^* with the smallest element index."""
+    q = F.q
+    primes = _prime_divisors(q - 1)
+    for i in range(1, q):
+        g = F.element_from_index(i)
+        if all(F.pow(g, (q - 1) // r) != F.one for r in primes):
+            return g
+    raise ValueError(f"{F.name} has no primitive element")  # unreachable
+
+
 def field_tables(F):
-    """Dense addition/multiplication tables indexed by element index."""
+    """Dense addition/multiplication tables indexed by element index.
+
+    Addition is digitwise mod p on element indices.  Multiplication goes
+    through discrete logarithms to a primitive element g: exp[k] = g^k takes
+    q - 1 field multiplications, and mul[i, j] = exp[(log i + log j) mod
+    (q - 1)] with row and column 0 set to zero."""
     key = (F.p, F.m)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     q = F.q
     if q > _TABLE_Q_MAX:
         raise ValueError(f"table arithmetic limited to q <= {_TABLE_Q_MAX}")
-    els = [F.element_from_index(i) for i in range(q)]
-    add_t = np.zeros((q, q), np.int32)
-    mul_t = np.zeros((q, q), np.int32)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            add_t[i, j] = F.element_index(F.add(a, b))
-            mul_t[i, j] = F.element_index(F.mul(a, b))
+    idx = np.arange(q, dtype=np.int64)
+    add_t = _digitwise(F.p, idx[:, None], idx[None, :], 1, q).astype(np.int32)
+    g = _primitive_element(F)
+    exp = np.empty(q - 1, np.int64)
+    x = F.one
+    for k in range(q - 1):
+        exp[k] = F.element_index(x)
+        x = F.mul(x, g)
+    log = np.zeros(q, np.int64)
+    log[exp] = np.arange(q - 1)
+    mul_t = exp[(log[:, None] + log[None, :]) % (q - 1)].astype(np.int32)
+    mul_t[0, :] = 0
+    mul_t[:, 0] = 0
     _TABLE_CACHE[key] = (add_t, mul_t)
     return add_t, mul_t
 
@@ -75,34 +116,116 @@ def _pow_vec(base, e, mul):
         base = mul(base, base)
 
 
+# ---------------------------------------------------------------------------
+# system evaluation
+
+
+def _affine_points(q, width, start, stop):
+    """Points of F_q^width with linear indices in [start, stop), as rows of
+    element indices; the last coordinate varies fastest."""
+    pts = np.zeros((stop - start, width), np.int64)
+    k = np.arange(start, stop, dtype=np.int64)
+    for j in range(width):
+        k, pts[:, width - 1 - j] = np.divmod(k, q)
+    return pts
+
+
+def _chart_points(q, nvars, chart, start, stop):
+    """Normalized points of P^{nvars-1} whose first nonzero coordinate (equal
+    to 1) is at `chart`, with linear indices in [start, stop)."""
+    pts = np.zeros((stop - start, nvars), np.int64)
+    pts[:, chart] = 1
+    pts[:, chart + 1:] = _affine_points(q, nvars - 1 - chart, start, stop)
+    return pts
+
+
+def system_values(F, exps, coeffs, offsets, pts):
+    """Values of each polynomial of the flattened system at the rows of
+    `pts` (one column per column of `exps`), yielded one polynomial at a
+    time so that callers can stop early."""
+    add, mul = _field_ops(F)
+    size = len(pts)
+    for i in range(len(offsets) - 1):
+        acc = np.zeros(size, np.int64)
+        for t in range(offsets[i], offsets[i + 1]):
+            term = np.full(size, coeffs[t], np.int64)
+            for v in np.flatnonzero(exps[t]):
+                term = mul(term, _pow_vec(pts[:, v], int(exps[t, v]), mul))
+            acc = add(acc, term)
+        yield acc
+
+
+def _zero_mask(F, exps, coeffs, offsets, pts):
+    ok = np.ones(len(pts), bool)
+    for vals in system_values(F, exps, coeffs, offsets, pts):
+        ok &= vals == 0
+        if not ok.any():
+            break
+    return ok
+
+
 def count_system_chart(F, exps, coeffs, offsets, chart, start, stop, nvars):
     """Zeros of the system inside one chart's linear-index range."""
-    add, mul = _field_ops(F)
-    q = F.q
-    nfree = nvars - chart - 1
     count = 0
     for lo in range(start, stop, _BLOCK):
-        size = min(lo + _BLOCK, stop) - lo
-        pts = np.zeros((size, nvars), np.int64)
-        pts[:, chart] = 1
-        k = np.arange(lo, lo + size, dtype=np.int64)
-        for j in range(nfree):
-            k, pts[:, nvars - 1 - j] = np.divmod(k, q)
-        ok = np.ones(size, bool)
-        for i in range(len(offsets) - 1):
-            acc = np.zeros(size, np.int64)
-            for t in range(offsets[i], offsets[i + 1]):
-                term = np.full(size, coeffs[t], np.int64)
-                for v in range(nvars):
-                    e = int(exps[t, v])
-                    if e:
-                        term = mul(term, _pow_vec(pts[:, v], e, mul))
-                acc = add(acc, term)
-            ok &= acc == 0
-            if not ok.any():
-                break
-        count += int(ok.sum())
+        pts = _chart_points(F.q, nvars, chart, lo, min(lo + _BLOCK, stop))
+        count += int(_zero_mask(F, exps, coeffs, offsets, pts).sum())
     return count
+
+
+def chart_zeros(F, exps, coeffs, offsets, chart, nvars):
+    """Zeros of the system in one whole chart, as rows of element indices
+    in linear-index order."""
+    size = F.q ** (nvars - 1 - chart)
+    found = [np.zeros((0, nvars), np.int64)]
+    for lo in range(0, size, _BLOCK):
+        pts = _chart_points(F.q, nvars, chart, lo, min(lo + _BLOCK, size))
+        found.append(pts[_zero_mask(F, exps, coeffs, offsets, pts)])
+    return np.concatenate(found)
+
+
+# ---------------------------------------------------------------------------
+# block histograms and their convolution over (F_q^r, +)
+
+
+def block_histogram(F, exps, coeffs, offsets, start, stop):
+    """Histogram over F_q^r (r = number of polynomials) of the system's value
+    vector at the points of F_q^k, k = exps.shape[1], with linear indices in
+    [start, stop)."""
+    q = F.q
+    hist = np.zeros(q ** (len(offsets) - 1), np.int64)
+    for lo in range(start, stop, _BLOCK):
+        pts = _affine_points(q, exps.shape[1], lo, min(lo + _BLOCK, stop))
+        key = np.zeros(len(pts), np.int64)
+        for j, vals in enumerate(system_values(F, exps, coeffs, offsets, pts)):
+            key += vals.astype(np.int64) * q ** j
+        values, counts = np.unique(key, return_counts=True)
+        hist[values] += counts
+    return hist
+
+
+def convolve_histograms(F, h1, h2):
+    """(h1 * h2)[k] = sum over i of h1[i] * h2[k - i] in the additive group of
+    F_q^r, gathered over the nonzero entries of the sparser histogram.  The
+    result has the dtype of the inputs: int64, or Python ints in object
+    arrays where int64 could overflow."""
+    if np.count_nonzero(h2) < np.count_nonzero(h1):
+        h1, h2 = h2, h1
+    size = len(h1)
+    k = np.arange(size, dtype=np.int64)
+    nz = np.flatnonzero(h1)
+    out = np.zeros_like(h2)
+    step = max(1, (_BLOCK * 8) // size)
+    for lo in range(0, len(nz), step):
+        i = nz[lo:lo + step]
+        out += h1[i] @ h2[_digitwise(F.p, k[None, :], i[:, None], -1, size)]
+    return out
+
+
+def convolution_at_zero(F, h1, h2):
+    """(h1 * h2)[0] = sum over i of h1[i] * h2[-i], as a Python int."""
+    size = len(h1)
+    return int(h1 @ h2[_digitwise(F.p, 0, np.arange(size), -1, size)])
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ class CountReport:
     match: bool | None          # None when no formula applies
     formula_alt: int | None = None
     shards: int = 1
+    engine: str = "scan"        # "blocks" or "scan": the count_zeros engine
     elapsed_ms: float = 0.0
 
     def as_dict(self):
@@ -76,6 +77,7 @@ class CountReport:
             "formula": self.formula,
             "match": self.match,
             "shards": self.shards,
+            "engine": self.engine,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
         if self.formula_alt is not None:
@@ -88,7 +90,7 @@ class CountReport:
         else:
             status = "PASS" if self.match else "FAIL"
         return (f"[{status}] count {self.family} {self.params} q={self.field_spec.get('q')}"
-                f" brute={self.brute} formula={self.formula}")
+                f" brute={self.brute} formula={self.formula} engine={self.engine}")
 
 
 @dataclass

@@ -286,6 +286,46 @@ def test_count_shards_agree(capsys):
     assert doc1["records"][0]["brute"] == doc8["records"][0]["brute"] == 133
 
 
+BAD_CUSTOM_SYSTEMS = {
+    "no_polys": {"vars": ["x", "y"]},
+    "exponents_too_short": {"vars": ["x", "y", "z"], "polys": [[[1, [3, 0]]]]},
+    "exponent_past_int64": {"vars": ["x", "y"],
+                            "polys": [[[1, [2 ** 70, 0]], [1, [0, 2 ** 70]]]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "custom", "--q", "5", "--poly-file", "no_polys"],
+    ["count", "--family", "custom", "--q", "5", "--poly-file", "exponents_too_short"],
+    ["count", "--family", "custom", "--q", "5", "--poly-file", "exponent_past_int64"],
+    ["count", "--family", "X", "--q", "5", "--n", "-1"],
+    ["count", "--family", "X", "--q", "5", "--n", "0"],
+    ["count", "--family", "X", "--q", "5", "--d", "0"],
+    ["count", "--family", "X", "--q", "5", "--shards", "0"],
+    ["count", "--family", "X", "--q", "5", "--shards", "-3"],
+    ["count", "--family", "X", "--q", "5", "--budget", "0"],
+    ["verify", "--n", "0"],
+    ["heights", "--bound", "0"],
+    ["families", "dump", "--family", "X", "--char", "6"],
+    ["families", "dump", "--family", "Xdelta", "--d", "2", "--delta", "1"],
+])
+def test_bad_input_exits_5(tmp_path, capsys, argv):
+    argv = list(argv)
+    path = None
+    if "--poly-file" in argv:
+        i = argv.index("--poly-file") + 1
+        path = tmp_path / f"{argv[i]}.json"
+        path.write_text(json.dumps(BAD_CUSTOM_SYSTEMS[argv[i]]))
+        argv[i] = str(path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 5
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+    if path is not None:
+        # a schema error names the file it found in
+        assert str(path) in err
+
+
 # ---------------------------------------------------------------------------
 # heights
 

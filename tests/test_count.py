@@ -2,11 +2,14 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
+from skewplanes import count as count_module
 from skewplanes import kernels
 from skewplanes.count import (
     check_projection_bijection,
+    count_engine,
     count_family,
     count_x_d_delta,
     count_y0_structure,
@@ -16,11 +19,13 @@ from skewplanes.count import (
     formula_x2d,
     formula_x2d_alt,
     formula_y,
+    prime_power,
     projective_size,
+    projective_zeros,
     reduce_poly,
 )
 from skewplanes.domains import QQ, QQXI, field_create
-from skewplanes.families import build_ab, build_x, x_context, u_context
+from skewplanes.families import build_ab, build_x, build_x_d_delta, x_context, u_context
 from skewplanes.mpoly import MPoly, VarContext
 from skewplanes.reporting import BudgetExceeded
 
@@ -305,3 +310,98 @@ def test_backends_agree():
 def test_backend_forcing_reports():
     kernels.warmup()
     assert kernels.active_backend() == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# block engine against the chart scan
+
+
+def _both_engines(polys, F):
+    """(block engine, chart scan) on the same flattened system, whichever
+    engine count_zeros would choose."""
+    _, _, exps, coeffs, offsets, blocks = count_module._plan(polys, F)
+    nvars = exps.shape[1]
+    scan = sum(kernels.count_system_chart(F, exps, coeffs, offsets, chart, 0,
+                                          F.q ** (nvars - 1 - chart), nvars)
+               for chart in range(nvars))
+    return count_module._count_blocks(F, exps, coeffs, offsets, blocks, 1), scan
+
+
+def _engine_systems(F):
+    systems = [[build_x(n, d, F)] for n in (1, 2) for d in (1, 2, 3)]
+    systems += [list(build_ab(n, 1, F)) for n in (2, 3)]
+    systems += [[build_x_d_delta(1, 3, delta, F)] for delta in (1, 2)]
+    ctx = VarContext(("x0", "x1", "x2", "e0"))
+    cubic = fermat(("x0", "x1", "x2"), 3, F).substitute(
+        {v: MPoly.variable(ctx, F, v) for v in ("x0", "x1", "x2")})
+    systems.append([cubic + (MPoly.variable(ctx, F, "e0") ** 3).scale(F.from_int(2))])
+    return systems
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_block_engine_matches_chart_scan(q):
+    F = field_create(*prime_power(q))
+    for polys in _engine_systems(F):
+        blocks, scan = _both_engines(polys, F)
+        assert blocks == scan, (q, [f.to_text() for f in polys])
+
+
+def test_block_engine_exact_past_int64():
+    # the affine cones have 11^20 and 11^21 points, past int64
+    F = field_create(11)
+    assert 11 ** 20 > 2 ** 63
+    rep_x = count_family("X", 9, 1, F)
+    rep_y = count_family("Y", 10, 1, F)
+    assert rep_x.engine == rep_y.engine == "blocks"
+    assert rep_x.brute == projective_size(11, 18)
+    assert rep_y.brute == projective_size(11, 18)
+
+
+def test_count_report_names_engine():
+    rep = count_family("X", 1, 1, field_create(7))
+    assert rep.engine == "blocks" and rep.as_dict()["engine"] == "blocks"
+    assert "engine=blocks" in rep.line()
+    # over F_2 the diagonal cubic has four one-variable blocks, which cost
+    # more than the 15 points of P^3(F_2)
+    F2 = field_create(2)
+    assert count_engine([build_x(1, 1, F2)], F2) == "scan"
+    assert count_family("X", 1, 1, F2).as_dict()["engine"] == "scan"
+
+
+def test_histograms_past_cap_are_scanned(monkeypatch):
+    F = field_create(11)
+    X = build_x(1, 2, F)
+    assert count_engine([X], F) == "blocks"
+    monkeypatch.setattr(count_module, "HIST_MAX", 10)
+    assert count_engine([X], F) == "scan"
+    assert count_zeros([X], F) == GRID_EXPECTED[11][1]
+
+
+def test_budget_refusal_names_engine():
+    # X(1, 1) is the diagonal cubic: 4 one-variable blocks, 2 convolutions
+    # of 1009^2 cells and a 1009-term dot product
+    F = field_create(1009)
+    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 2041207"):
+        count_zeros([build_x(1, 1, F)], F, budget=10**6)
+    F2 = field_create(2)
+    with pytest.raises(BudgetExceeded, match="'scan'.*costs 15"):
+        count_zeros([build_x(1, 1, F2)], F2, budget=14)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (5, 2)])
+def test_projective_zeros_match_pointwise_walk(p, m):
+    F = field_create(p, m)
+    A, B = build_ab(1, 2, F)
+    walk = [pt for pt in enumerate_projective(F, 2)
+            if A.evaluate(pt) == F.zero and B.evaluate(pt) == F.zero]
+    assert projective_zeros([A, B], F) == walk
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 64])
+def test_field_tables_match_field_arithmetic(q):
+    F = field_create(*prime_power(q))
+    els = [F.element_from_index(i) for i in range(q)]
+    add_t, mul_t = kernels.field_tables(F)
+    assert add_t.dtype == mul_t.dtype == np.int32
+    assert add_t.tolist() == [[F.element_index(F.add(a, b)) for b in els] for a in els]
+    assert mul_t.tolist() == [[F.element_index(F.mul(a, b)) for b in els] for a in els]
