@@ -2,8 +2,8 @@
 campaigns, and height scans, with machine-readable reports.
 
 Exit codes: 0 all checks pass; 2 mismatch or failed check; 3 inapplicable
-gates only (nothing asserted); 4 budget exceeded; 5 invalid input or
-unwritable output.
+gates only (nothing asserted); 4 budget exceeded; 5 invalid input (a
+command line the parser rejects included) or unwritable output.
 """
 
 from __future__ import annotations
@@ -35,9 +35,14 @@ from .reporting import BudgetExceeded, to_csv, to_json
 from .verify import CHECKS, run_all_checks
 
 IDEAL_LABELS = ("Hpm", "Z", "Zpm", "Y", "T", "U")
+# the largest --n, --d and --delta accepted: the families' symbolic
+# expansions grow quadratically in the degree, and building X at n = 1,
+# d = 256 already takes over a second
+PARAM_MAX = 1000
 
 
 def _write_output(text, path):
+    """Write the report to `path`, or stdout; returns exit code 0."""
     if path is None:
         sys.stdout.write(text)
         return 0
@@ -45,8 +50,7 @@ def _write_output(text, path):
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 5
+        raise ValueError(f"cannot write {path}: {exc}") from None
     return 0
 
 
@@ -104,27 +108,30 @@ def _read_custom_system(path):
 
 
 def _validate(args):
-    """Check every subcommand's parameters before it runs; returns an error
-    message, or None.  A custom count's system is read here, into
+    """Check every subcommand's parameters before it runs; raises ValueError
+    with the message to print.  A custom count's system is read here, into
     `args.system`."""
     for name in ("n", "d", "shards", "budget", "bound"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            return f"--{name} must be at least 1, got {value}"
+            raise ValueError(f"--{name} must be at least 1, got {value}")
+    for name in ("n", "d", "delta"):
+        value = getattr(args, name, None)
+        if value is not None and value > PARAM_MAX:
+            raise ValueError(f"--{name} must be at most {PARAM_MAX}, got {value}")
     char = getattr(args, "char", 0)
     if char:
         try:
             prime_power(char)
         except ValueError as exc:
-            return f"--char {char}: {exc}"
+            raise ValueError(f"--char {char}: {exc}") from None
     if args.command == "count" and args.family == "custom":
         if args.poly_file is None:
-            return "--poly-file required for custom counts"
+            raise ValueError("--poly-file required for custom counts")
         try:
             args.system = _read_custom_system(args.poly_file)
-        except (OSError, ValueError) as exc:
-            return str(exc)
-    return None
+        except OSError as exc:
+            raise ValueError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +154,17 @@ def _cmd_families_dump(args):
             return _write_output("\n".join(lines) + "\n", args.out)
         if name == "X":
             return _write_output(f"X = {build_x(args.n, args.d, F).to_text()}\n", args.out)
-        print(f"error: family {name!r} has no char-2 constructor; use the char2 family",
-              file=sys.stderr)
-        return 5
+        raise ValueError(f"family {name!r} has no char-2 constructor; use the char2 family")
     if char != 0:
         F = field_create(*prime_power(char))
         if name == "X":
             return _write_output(f"X = {build_x(args.n, args.d, F).to_text()}\n", args.out)
-        print(f"error: only the hypersurface itself dumps over char {char}; "
-              "maps are characteristic-0 constructions", file=sys.stderr)
-        return 5
+        raise ValueError(f"only the hypersurface itself dumps over char {char}; "
+                         "maps are characteristic-0 constructions")
     if name == "Xdelta":
         if args.delta is None:
-            print("error: --delta required for Xdelta", file=sys.stderr)
-            return 5
-        try:
-            f = build_x_d_delta(args.n, args.d, args.delta)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 5
+            raise ValueError("--delta required for Xdelta")
+        f = build_x_d_delta(args.n, args.d, args.delta)
         return _write_output(f"Xdelta = {f.to_text()}\n", args.out)
     if name == "pencil":
         data = build_line_pencil(args.n, args.d)
@@ -174,8 +173,7 @@ def _cmd_families_dump(args):
         return _write_output("\n".join(lines) + "\n", args.out)
     builder = FAMILY_BUILDERS.get(name)
     if builder is None:
-        print(f"error: unknown family {name!r}", file=sys.stderr)
-        return 5
+        raise ValueError(f"unknown family {name!r}")
     pieces = builder(args.n, args.d)
     text = "\n".join(f"{label} = {poly.to_text()}" for label, poly in pieces)
     return _write_output(text + "\n", args.out)
@@ -186,23 +184,13 @@ def _cmd_families_dump(args):
 
 
 def _cmd_verify(args):
-    try:
-        if args.check == "all":
-            records = run_all_checks(args.n, args.d, seed=args.seed)
-        elif args.check in CHECKS:
-            records = [CHECKS[args.check].run(args.n, args.d, args.seed)]
-        else:
-            print(f"error: unknown check {args.check!r}", file=sys.stderr)
-            return 5
-    except BudgetExceeded as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    rc = _emit(records, _config_of(args), args.format, args.out)
-    if rc:
-        return rc
+    if args.check == "all":
+        records = run_all_checks(args.n, args.d, seed=args.seed)
+    elif args.check in CHECKS:
+        records = [CHECKS[args.check].run(args.n, args.d, args.seed)]
+    else:
+        raise ValueError(f"unknown check {args.check!r}")
+    _emit(records, _config_of(args), args.format, args.out)
     return 0 if all(r.passed for r in records) else 2
 
 
@@ -223,34 +211,18 @@ def _load_custom_polys(system, F):
 
 
 def _cmd_count(args):
-    try:
-        p, m = prime_power(args.q)
-        F = field_create(p, m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    try:
-        if args.family == "Y0":
-            breakdown = count_y0_structure(args.d, F)
-            rc = _emit([breakdown], _config_of(args), args.format, args.out)
-            if rc:
-                return rc
-            return 0 if breakdown["match"] else 2
-        if args.family == "custom":
-            polys = _load_custom_polys(args.system, F)
-            report = count_custom(polys, F, shards=args.shards, budget=args.budget)
-        else:
-            report = count_family(args.family, args.n, args.d, F, delta=args.delta,
-                                  shards=args.shards, budget=args.budget)
-    except BudgetExceeded as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    rc = _emit([report], _config_of(args), args.format, args.out)
-    if rc:
-        return rc
+    F = field_create(*prime_power(args.q))
+    if args.family == "Y0":
+        breakdown = count_y0_structure(args.d, F, budget=args.budget)
+        _emit([breakdown], _config_of(args), args.format, args.out)
+        return 0 if breakdown["match"] else 2
+    if args.family == "custom":
+        polys = _load_custom_polys(args.system, F)
+        report = count_custom(polys, F, shards=args.shards, budget=args.budget)
+    else:
+        report = count_family(args.family, args.n, args.d, F, delta=args.delta,
+                              shards=args.shards, budget=args.budget)
+    _emit([report], _config_of(args), args.format, args.out)
     if report.match is None:
         return 3
     return 0 if report.match else 2
@@ -262,14 +234,9 @@ def _cmd_count(args):
 
 def _cmd_heights(args):
     if args.n != 1:
-        print("error: height scans support n = 1 only (P^3 search space)", file=sys.stderr)
-        return 5
-    try:
-        records = height_scan(args.d, args.bound, mode=args.mode, shards=args.shards,
-                              budget=args.budget)
-    except BudgetExceeded as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return 4
+        raise ValueError("height scans support n = 1 only (P^3 search space)")
+    records = height_scan(args.d, args.bound, mode=args.mode, shards=args.shards,
+                          budget=args.budget)
     if args.format == "text":
         lines = []
         for r in records:
@@ -284,6 +251,14 @@ def _cmd_heights(args):
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line it rejects as a ValueError, which `main` maps
+    to exit code 5 like every other invalid input."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_common(p, with_nd=True):
     if with_nd:
         p.add_argument("--n", type=int, default=1)
@@ -296,7 +271,7 @@ def _add_common(p, with_nd=True):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewplanes",
         description="Exact constructions, identity verification, point counts, "
                     "and height scans for a family of rational hypersurfaces.")
@@ -336,13 +311,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    error = _validate(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+    try:
+        args = build_parser().parse_args(argv)
+        _validate(args)
+        return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 5
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -356,6 +356,7 @@ def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
     count = count_zeros([g], F, shards=shards, budget=budget)
     expected = projective_size(q, f.ctx.nvars - 1)
     params["count"] = count
+    params["engine"] = count_engine([g], F)
     params["expected"] = expected
     witness = None if count == expected else {"count": count, "expected": expected}
     return VerificationResult(
@@ -368,13 +369,13 @@ def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
 # structure of Y0 = {A = B = 0} in P^2 (n = 1)
 
 
-def projective_zeros(polys, F):
+def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
     """Normalized common zeros of the system, in `enumerate_projective`
     order, found chart by chart with the vectorized evaluator."""
     exps, coeffs, offsets = _system_arrays([reduce_poly(f, F) for f in polys], F)
     nvars = exps.shape[1]
-    if projective_size(F.q, nvars - 1) > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"|P^{nvars - 1}(F_{F.q})| exceeds budget {DEFAULT_BUDGET}")
+    if projective_size(F.q, nvars - 1) > budget:
+        raise BudgetExceeded(f"|P^{nvars - 1}(F_{F.q})| exceeds budget {budget}")
     return [tuple(F.element_from_index(c) for c in row)
             for chart in range(nvars)
             for row in chart_zeros(F, exps, coeffs, offsets, chart, nvars).tolist()]
@@ -389,7 +390,7 @@ def normalize_point(F, pt):
     raise ValueError("zero vector has no projective normalization")
 
 
-def count_y0_structure(d, F):
+def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     """Solve A = B = 0 in P^2 over a field where xi = sqrt(-3) exists and
     x^2 + 3 is separable (q = 1 mod 6): two points [0:±xi:1] whose local
     intersection multiplicity is 2d^2+d, plus the simple points
@@ -401,7 +402,7 @@ def count_y0_structure(d, F):
         raise ValueError(f"xi absent or x^2+3 degenerate in {F.name} (need q = 1 mod 6)")
     xi = sqrt_of_minus_three(F)
     A, B = build_ab(1, d, F)
-    pts = projective_zeros([A, B], F)
+    pts = projective_zeros([A, B], F, budget=budget)
     p_plus = normalize_point(F, (F.zero, xi, F.one))
     p_minus = normalize_point(F, (F.zero, F.neg(xi), F.one))
     mult_plus = multiplicity_at([A, B], p_plus)

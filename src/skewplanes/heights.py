@@ -9,10 +9,14 @@ asymptotic is asserted at desk scale.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
-from .count import DEFAULT_BUDGET
+import numpy as np
+
+from .count import DEFAULT_BUDGET, _shard_ranges
 from .domains import QQ
 from .families import build_phibar, build_x
 from .kernels import height_chart_size, height_scan_chart
@@ -29,16 +33,10 @@ def reduced_representative(coords):
         raise ValueError("zero vector has no projective representative")
     denom = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def height_of(coords):
@@ -58,58 +56,71 @@ def integer_root(B, k):
     return t
 
 
-def _refuse_direct_scan(B, bound_max, budget):
+def _refuse_direct_scan(B, budget):
     """Raise BudgetExceeded when a direct scan at bound B is past the cap on
     B or would visit more than `budget` tuples."""
-    if B > bound_max:
-        raise BudgetExceeded(f"direct height search capped at B <= {bound_max}")
+    if B > DIRECT_BOUND_MAX:
+        raise BudgetExceeded(f"direct height search capped at B <= {DIRECT_BOUND_MAX}")
     tuples = sum(height_chart_size(B, chart) for chart in range(4))
     if tuples > budget:
         raise BudgetExceeded(
             f"direct height search at B = {B} scans {tuples} tuples, over budget {budget}")
 
 
-def direct_height_count(d, B, shards=1, bound_max=DIRECT_BOUND_MAX, budget=DEFAULT_BUDGET):
+def _direct_histogram(d, B, shards, budget):
+    """Points of the hypersurface (n = 1) by height h = 0..B, from one scan
+    of reduced representatives in [-B, B]^4."""
+    _refuse_direct_scan(B, budget)
+    hist = np.zeros(B + 1, np.int64)
+    for chart in range(4):
+        for start, stop in _shard_ranges(height_chart_size(B, chart), shards):
+            hist += height_scan_chart(B, d, chart, start, stop)
+    return hist
+
+
+def direct_height_count(d, B, shards=1, budget=DEFAULT_BUDGET):
     """Exact number of points of the hypersurface (n = 1) with height <= B,
     via a scan of reduced representatives in [-B, B]^4."""
-    _refuse_direct_scan(B, bound_max, budget)
-    if B <= 0:
-        return 0
-    total = 0
-    for chart in range(4):
-        size = height_chart_size(B, chart)
-        step = max(1, -(-size // max(1, shards)))
-        start = 0
-        while start < size:
-            stop = min(start + step, size)
-            total += height_scan_chart(B, d, chart, start, stop)
-            start = stop
-    return total
+    return int(_direct_histogram(d, B, shards, budget).sum())
 
 
 def _projective_int_points(bound):
     """Reduced representatives of P^2(Q) with height <= bound."""
-    if bound < 1:
-        return
+    coords = range(-bound, bound + 1)
     for chart in range(3):
-        nfree = 2 - chart
         for lead in range(1, bound + 1):
-            ranges = [range(-bound, bound + 1)] * nfree
-
-            def rec(prefix, remaining):
-                if not remaining:
-                    yield prefix
-                    return
-                for v in remaining[0]:
-                    yield from rec(prefix + (v,), remaining[1:])
-
-            for tail in rec((), ranges):
+            for tail in product(coords, repeat=2 - chart):
                 pt = (0,) * chart + (lead,) + tail
-                g = 0
-                for v in pt:
-                    g = gcd(g, abs(v))
-                if g == 1:
+                if gcd(*pt) == 1:
                     yield pt
+
+
+def _parametrized_first_rows(d, bound):
+    """First rows of the parametrized column up to `bound`.
+
+    An input of height h is drawn from row h^(2d+2) on, so an image enters
+    at row max(its height, the least such row over its inputs).  Returns
+    (rows, skip_rows): the entry row of each image that enters by `bound`,
+    and the row from which each base-locus input (all components vanish) is
+    skipped.  Every image is checked to lie on the hypersurface exactly."""
+    phibar = build_phibar(1, d)
+    X = build_x(1, d, QQ)
+    k = 2 * d + 2
+    first = {}
+    skip_rows = []
+    for pt in _projective_int_points(integer_root(bound, k)):
+        row = max(abs(v) for v in pt) ** k
+        img = phibar.evaluate(tuple(Fraction(v) for v in pt))
+        if all(v == 0 for v in img):
+            skip_rows.append(row)
+            continue
+        if X.evaluate(img) != 0:
+            raise AssertionError(f"parametrized image off the hypersurface at {pt}")
+        red = reduced_representative(img)
+        row = max(row, max(abs(v) for v in red))
+        if row <= bound and row < first.get(red, bound + 1):
+            first[red] = row
+    return list(first.values()), skip_rows
 
 
 def parametrized_height_count(d, B):
@@ -120,50 +131,54 @@ def parametrized_height_count(d, B):
     skipped and tallied.  Every image is checked to lie on the hypersurface
     exactly before being counted.
     """
-    phibar = build_phibar(1, d)
-    X = build_x(1, d, QQ)
-    ubound = integer_root(B, 2 * d + 2)
-    images = set()
-    skips = 0
-    for pt in _projective_int_points(ubound):
-        fr = tuple(Fraction(v) for v in pt)
-        img = phibar.evaluate(fr)
-        if all(v == 0 for v in img):
-            skips += 1
-            continue
-        if X.evaluate(img) != 0:
-            raise AssertionError(f"parametrized image off the hypersurface at {pt}")
-        red = reduced_representative(img)
-        if max(abs(v) for v in red) <= B:
-            images.add(red)
-    return len(images), skips
+    rows, skip_rows = _parametrized_first_rows(d, B)
+    return len(rows), len(skip_rows)
 
 
-def height_report(d, B, mode="both", shards=1, budget=DEFAULT_BUDGET):
-    """One HeightReport row; reference curves are floats for plotting."""
+def _refuse_parametrized_pass(d, bound, nrows, budget):
+    """Raise BudgetExceeded when a table of `nrows` rows read off the
+    parametrized pass at `bound` costs more than `budget`, one unit per row
+    and per candidate input.  The rows are checked first, so that a huge
+    bound is refused before its root is taken in floating point."""
+    inputs = 0
+    if nrows <= budget:
+        u = integer_root(bound, 2 * d + 2)
+        inputs = sum(u * (2 * u + 1) ** (2 - chart) for chart in range(3))
+    if inputs + nrows > budget:
+        raise BudgetExceeded(f"parametrized height table at B = {bound}: {nrows} rows "
+                             f"and {inputs} candidate inputs, over budget {budget}")
+
+
+def _height_rows(d, bound, first, mode, shards, budget):
+    """HeightReport rows for B = first..bound, all read off one direct scan
+    and one parametrized pass at `bound`; each row's elapsed_ms is the time
+    of both passes.  Reference curves are floats for plotting."""
     t0 = time.perf_counter()
-    direct = parametrized = None
-    skips = 0
+    cumulative = images = skipped = None
     if mode in ("direct", "both"):
-        direct = direct_height_count(d, B, shards=shards, budget=budget)
+        cumulative = np.cumsum(_direct_histogram(d, bound, shards, budget)).tolist()
     if mode in ("param", "both"):
-        parametrized, skips = parametrized_height_count(d, B)
-    return HeightReport(
+        _refuse_parametrized_pass(d, bound, bound - first + 1, budget)
+        images, skipped = (sorted(rows) for rows in _parametrized_first_rows(d, bound))
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return [HeightReport(
         params={"n": 1, "d": d, "mode": mode},
         bound=B,
-        direct=direct,
-        parametrized=parametrized,
+        direct=None if cumulative is None else cumulative[B],
+        parametrized=None if images is None else bisect_right(images, B),
         lower_ref=float(B) ** (3.0 / (2 * d + 2)),
         lower_ref_n1=float(B) ** (3.0 / (2 * d + 1)),
         upper_ref=float(B) ** 6.0,
-        skips=skips,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        skips=0 if skipped is None else bisect_right(skipped, B),
+        elapsed_ms=elapsed_ms) for B in range(first, bound + 1)]
+
+
+def height_report(d, B, mode="both", shards=1, budget=DEFAULT_BUDGET):
+    """The last row of `height_scan(d, B)`, built alone."""
+    return _height_rows(d, B, B, mode, shards, budget)[0]
 
 
 def height_scan(d, bound, mode="both", shards=1, budget=DEFAULT_BUDGET):
-    """HeightReport rows for B = 1..bound (CSV-friendly); the largest row's
-    scan is checked against the cap and the budget before any row runs."""
-    if mode in ("direct", "both"):
-        _refuse_direct_scan(bound, DIRECT_BOUND_MAX, budget)
-    return [height_report(d, B, mode=mode, shards=shards, budget=budget)
-            for B in range(1, bound + 1)]
+    """HeightReport rows for B = 1..bound (CSV-friendly), from one direct
+    scan and one parametrized pass at `bound`."""
+    return _height_rows(d, bound, 1, mode, shards, budget)

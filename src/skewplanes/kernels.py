@@ -242,15 +242,16 @@ def height_chart_size(B, chart):
 
 def height_scan_chart(B, d, chart, start, stop):
     """Reduced representatives on the hypersurface with first nonzero
-    coordinate at `chart`, within a linear-index shard.
+    coordinate at `chart`, within a linear-index shard, as a histogram by
+    height max |x_i| in 0..B.
 
     f is evaluated in int64 as a filter.  Its arithmetic wraps mod 2^64, a
     ring homomorphism, so every true zero passes; each survivor is then
-    confirmed in Python ints, which makes the count exact for every B and d.
+    confirmed in Python ints, which makes the counts exact for every B and d.
     """
     width = 2 * B + 1
     nfree = 3 - chart
-    count = 0
+    hist = np.zeros(B + 1, np.int64)
     for lo in range(start, stop, _BLOCK):
         size = min(lo + _BLOCK, stop) - lo
         x = np.zeros((size, 4), np.int64)
@@ -271,5 +272,5 @@ def height_scan_chart(B, d, chart, start, stop):
             acc += t
         for a, b, c, e in x[(g == 1) & (acc == 0)].tolist():
             if _f_exact(a, b, d) + _f_exact(c, e, d) == 0:
-                count += 1
-    return count
+                hist[max(abs(a), abs(b), abs(c), abs(e))] += 1
+    return hist

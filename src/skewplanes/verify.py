@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .count import projective_zeros
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
     build_ab,
@@ -286,13 +287,8 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13):
     Bf = B.map_domain(F, F.reduce_rational)
     paf = [Af.partial(nm) for nm in names]
     pbf = [Bf.partial(nm) for nm in names]
-    generic = []
-    from .count import enumerate_projective
-    for pt in enumerate_projective(F, 2 * n):
-        if pt[0] == F.zero:
-            continue  # the plane locus sits inside {u0 = 0}
-        if Af.evaluate(pt) == F.zero and Bf.evaluate(pt) == F.zero:
-            generic.append(pt)
+    # the plane locus sits inside {u0 = 0}
+    generic = [pt for pt in projective_zeros([Af, Bf], F) if pt[0] != F.zero]
     if len(generic) < samples:
         witness = {"reason": f"only {len(generic)} generic points available"}
         return _done("singular_locus", params, witness, t0)

@@ -1,12 +1,19 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewplanes.cli import main
+from skewplanes.cli import IDEAL_LABELS, main
+from skewplanes.families import FAMILY_BUILDERS
 from skewplanes.reporting import strip_timing
 from skewplanes.verify import CHECKS, Check
 
@@ -206,6 +213,14 @@ def test_count_y0(capsys):
     assert code == 0
 
 
+def test_count_y0_honours_budget(capsys):
+    # Y0 is found by searching all 57 points of P^2(F_7)
+    argv = ["count", "--family", "Y0", "--d", "1", "--q", "7"]
+    code, out, err = run_cli(argv + ["--budget", "5"], capsys)
+    assert code == 4 and out == "" and "budget" in err
+    assert run_cli(argv + ["--budget", "57"], capsys)[0] == 0
+
+
 def test_count_rejects_bad_q(capsys):
     code, _, err = run_cli(
         ["count", "--family", "X", "--n", "1", "--d", "1", "--q", "6"], capsys
@@ -308,6 +323,13 @@ BAD_CUSTOM_SYSTEMS = {
     ["heights", "--bound", "0"],
     ["families", "dump", "--family", "X", "--char", "6"],
     ["families", "dump", "--family", "Xdelta", "--d", "2", "--delta", "1"],
+    ["count", "--family", "X", "--q", "5", "--d", "1001"],
+    ["heights", "--bound", "3", "--d", "10" * 15],
+    ["families", "dump", "--family", "Xdelta", "--d", "3", "--delta", "1001"],
+    ["count", "--family", "X", "--q", "7", "--n", "abc"],
+    ["count", "--family", "X", "--n", "1"],
+    ["bogus"],
+    ["heights", "--bound", "2", "--out", "."],
 ])
 def test_bad_input_exits_5(tmp_path, capsys, argv):
     argv = list(argv)
@@ -319,11 +341,102 @@ def test_bad_input_exits_5(tmp_path, capsys, argv):
         argv[i] = str(path)
     code, out, err = run_cli(argv, capsys)
     assert code == 5
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert out == ""
     if path is not None:
         # a schema error names the file it found in
         assert str(path) in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["count", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+# argv grammar for the fuzz test: every subcommand, with small valid and
+# invalid integers and garbage strings; budgets stay small so calls are fast
+_GARBAGE = st.sampled_from(["", "abc", "1.5", "0x3", "-", "--", "é", "9" * 30])
+_SMALL = st.one_of(st.integers(-2, 3).map(str), _GARBAGE)
+_POSITIVE = st.one_of(st.sampled_from(["1", "2"]), _SMALL)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2 ** 70) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def _custom_doc(draw):
+    """A custom-system document: mostly schema-shaped, sometimes any JSON."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    nvars = draw(st.integers(0, 4))
+    width = draw(st.sampled_from([nvars, nvars, nvars + 1]))
+    term = st.tuples(st.integers(-5, 5), st.lists(st.integers(-1, 4), min_size=width,
+                                                  max_size=width))
+    doc = {"vars": [f"x{i}" for i in range(nvars)],
+           "polys": draw(st.lists(st.lists(term.map(list), max_size=4), max_size=3))}
+    if draw(st.booleans()):
+        del doc[draw(st.sampled_from(["vars", "polys"]))]
+    return doc
+
+
+def _options(draw, required, optional):
+    argv = []
+    for flag, values in required:
+        argv += [flag, draw(values)]
+    for flag, values in optional:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    fmt = ("--format", st.sampled_from(["json", "csv", "text", "xml"]))
+    budget = ("--budget", st.one_of(st.sampled_from(["1", "60", "5000"]), _SMALL))
+    command = draw(st.sampled_from(["families", "verify", "count", "heights", "junk"]))
+    if command == "families":
+        family = st.sampled_from(sorted(FAMILY_BUILDERS) + list(IDEAL_LABELS)
+                                 + ["Xdelta", "pencil", "char2", "g", "nope"])
+        return ["families", "dump"] + _options(draw, [("--family", family)], [
+            ("--n", st.sampled_from(["-1", "0", "1", "2", "x"])),
+            ("--d", _POSITIVE), ("--delta", _SMALL),
+            ("--char", st.sampled_from(["0", "2", "3", "4", "6", "7", "z"])), fmt])
+    if command == "verify":
+        return ["verify"] + _options(draw, [], [
+            ("--check", st.sampled_from(["all", "nope"] + sorted(CHECKS))),
+            ("--n", st.sampled_from(["-1", "0", "1", "x"])),
+            ("--d", st.sampled_from(["-1", "0", "1", "2", "x"])), ("--seed", _SMALL), fmt])
+    if command == "count":
+        return ["count"] + _options(draw, [
+            ("--family", st.sampled_from(["X", "Y", "Xdelta", "Y0", "custom", "Z"])),
+            ("--q", st.one_of(st.sampled_from(["1", "2", "4", "6", "7", "9", "13"]), _SMALL)),
+        ], [
+            ("--n", _POSITIVE), ("--d", _POSITIVE), ("--delta", _SMALL), ("--shards", _POSITIVE),
+            ("--poly-file", st.just("CUSTOM")), budget, fmt])
+    if command == "heights":
+        return ["heights"] + _options(draw, [("--bound", _POSITIVE)], [
+            ("--n", _POSITIVE), ("--d", _POSITIVE), ("--shards", _POSITIVE),
+            ("--mode", st.sampled_from(["direct", "param", "both", "all"])), budget, fmt])
+    return draw(st.lists(_GARBAGE, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv(), doc=_custom_doc())
+def test_main_fuzz_exits_with_documented_code(argv, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [path if a == "CUSTOM" else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5), argv
 
 
 # ---------------------------------------------------------------------------

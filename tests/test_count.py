@@ -245,9 +245,11 @@ def test_projection_bijection_valid_cases():
     rep = check_projection_bijection(fermat(("x0", "x1", "x2"), 3, F5), 1, 3, F5)
     assert rep.params["applicable"] is True
     assert rep.passed and rep.params["count"] == 31
+    assert rep.params["engine"] == "blocks"
     F7 = field_create(7)
     rep2 = check_projection_bijection(fermat(("x0", "x1"), 5, F7), 2, 5, F7)
     assert rep2.passed and rep2.params["count"] == 8
+    assert rep2.params["engine"] == "scan"
 
 
 def test_projection_bijection_gated_case():

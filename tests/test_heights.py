@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
-from skewplanes.families import build_x
+from skewplanes.families import build_phibar, build_x
 from skewplanes.heights import (
     direct_height_count,
     height_of,
@@ -158,6 +159,14 @@ def test_direct_count_exact_past_int64():
     assert direct_height_count(9, 16) == _matched_value_count(9, 16) == 957
 
 
+def test_direct_rows_of_one_scan_match_oracle():
+    # every row of the table comes from the one scan at B = 16
+    rows = height_scan(9, 16, mode="direct")
+    assert [r.bound for r in rows] == list(range(1, 17))
+    for r in rows:
+        assert r.direct == _matched_value_count(9, r.bound), r.bound
+
+
 # ---------------------------------------------------------------------------
 # parametrized counts
 
@@ -175,6 +184,46 @@ def test_parametrized_images_land_on_x():
     par, skips = parametrized_height_count(1, 50)
     assert par >= 1
     assert skips >= 0
+
+
+def _phibar_images(u):
+    """(images, skips) of phibar (n = 1, d = 1) on the primitive integer
+    points of P^2 with height <= u, evaluated one by one."""
+    phibar = build_phibar(1, 1)
+    images, skips = [], 0
+    for pt in product(range(-u, u + 1), repeat=3):
+        if gcd(*pt) != 1 or next(v for v in pt if v) < 0:
+            continue
+        img = phibar.evaluate(tuple(Fraction(v) for v in pt))
+        if all(v == 0 for v in img):
+            skips += 1
+        else:
+            images.append(reduced_representative(img))
+    return images, skips
+
+
+def test_parametrized_rows_match_per_row_oracle():
+    # row B draws inputs of height <= floor(B^(1/4)); the band changes at
+    # B = 16 and B = 81, and each image enters once its own height is <= B
+    by_band = {u: _phibar_images(u) for u in range(4)}
+    rows = height_scan(1, 100, mode="param")
+    assert [r.bound for r in rows] == list(range(1, 101))
+    for r in rows:
+        images, skips = by_band[integer_root(r.bound, 4)]
+        expected = {img for img in images if max(map(abs, img)) <= r.bound}
+        assert (r.parametrized, r.skips) == (len(expected), skips), r.bound
+        assert r.direct is None
+    for B in (15, 16, 80, 81, 100):
+        assert parametrized_height_count(1, B) == (rows[B - 1].parametrized, rows[B - 1].skips)
+
+
+def test_parametrized_table_budget():
+    # a table at B = 5 costs its 5 rows plus the 13 candidate inputs of height 1
+    assert len(height_scan(1, 5, mode="param", budget=18)) == 5
+    with pytest.raises(BudgetExceeded):
+        height_scan(1, 5, mode="param", budget=17)
+    with pytest.raises(BudgetExceeded):
+        height_scan(1, 10 ** 30, mode="param")
 
 
 def test_parametrized_skips_base_points():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from skewplanes.count import enumerate_projective, projective_zeros
 from skewplanes.domains import QQ, QQXI, field_create
 from skewplanes.families import (
     build_ab,
@@ -148,6 +149,20 @@ def test_singular_locus_samples():
         assert r.passed, (d, r.witness)
         assert r.params["samples"] == 20
         assert r.params["generic_pool"] > 0
+
+
+def test_singular_locus_generic_pool_matches_pointwise_walk():
+    # the pool is drawn from with rng.sample, so it must match the walk in
+    # content and order for the sample to stay the same
+    F = field_create(7)
+    A, B = (f.map_domain(F, F.reduce_rational) for f in build_ab(2, 1, QQ))
+    walk = [pt for pt in enumerate_projective(F, 4) if pt[0] != F.zero
+            and A.evaluate(pt) == F.zero and B.evaluate(pt) == F.zero]
+    pool = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
+    assert pool == walk
+    r = verify_singular_locus(2, 1, generic_field=7)
+    assert r.passed, r.witness
+    assert r.params["generic_pool"] == len(walk)
 
 
 def test_singular_locus_rejects_n1():
