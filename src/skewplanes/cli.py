@@ -18,9 +18,8 @@ from .count import (
     count_family,
     count_custom,
     count_y0_structure,
-    prime_power,
 )
-from .domains import QQ, field_create
+from .domains import QQ, field_create, prime_power
 from .families import (
     FAMILY_BUILDERS,
     build_char_two_maps,

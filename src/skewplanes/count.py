@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .domains import QQ, QQXI, sqrt_of_minus_three, root_count_unity
+from .domains import QQ, QQXI, prime_power, sqrt_of_minus_three, root_count_unity
 from .families import build_ab, build_x, build_x_d_delta
 from .kernels import (
     block_histogram,
@@ -41,27 +41,6 @@ HIST_MAX = 1 << 20
 
 def projective_size(q, N):
     return (q ** (N + 1) - 1) // (q - 1)
-
-
-def prime_power(q):
-    """(p, m) with q = p^m, or raise for invalid q."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = None
-    for cand in range(2, int(q ** 0.5) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return q, 1
-    m = 0
-    r = q
-    while r % p == 0:
-        r //= p
-        m += 1
-    if r != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, m
 
 
 # ---------------------------------------------------------------------------

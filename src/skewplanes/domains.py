@@ -209,17 +209,22 @@ def _is_irreducible(mod, p, m):
     return True
 
 
+def _least_prime_factor(n):
+    """Least prime factor of n >= 2, by trial division up to sqrt(n)."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
 def _prime_divisors(m):
     out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
+    while m > 1:
+        out.append(_least_prime_factor(m))
+        while m % out[-1] == 0:
+            m //= out[-1]
     return out
 
 
@@ -255,15 +260,18 @@ class FieldSpec:
 _MAX_Q = 1 << 31
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def prime_power(q):
+    """(p, m) with q = p^m; raises ValueError for q that is not a prime
+    power, and for q >= _MAX_Q before any trial division."""
+    if q >= _MAX_Q:
+        raise ValueError(f"q = {q} exceeds the supported width ({_MAX_Q})")
+    if q >= 2:
+        p, m = _least_prime_factor(q), 1
+        while p ** m < q:
+            m += 1
+        if p ** m == q:
+            return p, m
+    raise ValueError(f"{q} is not a prime power")
 
 
 class FiniteField(Domain):
@@ -273,12 +281,10 @@ class FiniteField(Domain):
     """
 
     def __init__(self, p, m=1):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("m must be >= 1")
-        if p**m >= _MAX_Q:
-            raise ValueError(f"q = {p}^{m} exceeds the supported width ({_MAX_Q})")
+        if prime_power(p**m) != (p, m):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.m = m
         self.q = p**m

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domains import QQ, QQXI, _is_prime
+from .domains import QQ, QQXI, _least_prime_factor
 from .mpoly import MPoly, RationalMap, VarContext
 
 A_PLUS = (Fraction(1, 2), Fraction(1, 2))    # (1 + xi)/2
@@ -69,7 +69,7 @@ def build_x(n, d, dom=QQ):
 def build_x_d_delta(n, d, delta, dom=QQ):
     """Generalized family of degree delta*(d-1)+1: the alternating form
     sum_j (-1)^j x_{2i}^{d-1-j} x_{2i+1}^j replaces q_i, raised to delta."""
-    if d < 3 or d % 2 == 0 or not _is_prime(d):
+    if d < 3 or d % 2 == 0 or _least_prime_factor(d) != d:
         raise ValueError("d must be an odd prime")
     if delta < 1:
         raise ValueError("delta must be >= 1")

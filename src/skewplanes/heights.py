@@ -1,6 +1,9 @@
-"""Bounded-height rational points on the n = 1 hypersurface in P^3:
-exact direct search over reduced integer representatives, and the count of
-points reached through the degree-(2d+2) parametrization.
+"""Bounded-height rational points on the n = 1 hypersurface in P^3,
+f(x0, x1) + f(x2, x3) = 0 with f(a, b) = (a + b)(a^2 - ab + b^2)^d: the
+exact direct count, from pairs (a, b) matched by f-value, and the count of
+points reached through the degree-(2d+2) parametrization, from phibar with
+integer coefficients.  Both are exact Python-int computations at every d;
+the 4-tuple scan `kernels.height_scan_chart` is the tests' oracle.
 
 The asymptotic growth bounds are reported as reference curves only; nothing
 asymptotic is asserted at desk scale.
@@ -10,30 +13,35 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
 import numpy as np
 
-from .count import DEFAULT_BUDGET, _shard_ranges
-from .domains import QQ
-from .families import build_phibar, build_x
-from .kernels import height_chart_size, height_scan_chart
+from .count import DEFAULT_BUDGET
+from .families import build_phibar
 from .reporting import BudgetExceeded, HeightReport
 
-DIRECT_BOUND_MAX = 60  # ~2*10^8 candidate tuples at the default budget
+# Memory guard of the direct column: its pair counter holds up to
+# (2B + 1)^2 Python ints, 641,601 at B = 400.
+DIRECT_BOUND_MAX = 400
 
 
 def reduced_representative(coords):
     """Canonical integer representative of a rational projective point:
-    denominators cleared, gcd 1, first nonzero coordinate positive."""
-    fracs = [Fraction(c) for c in coords]
-    if all(f == 0 for f in fracs):
-        raise ValueError("zero vector has no projective representative")
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
+    denominators cleared, gcd 1, first nonzero coordinate positive.  Integer
+    coordinates skip the Fraction path."""
+    if all(isinstance(c, int) for c in coords):
+        ints = coords
+    else:
+        fracs = [Fraction(c) for c in coords]
+        denom = lcm(*(f.denominator for f in fracs))
+        ints = [int(f * denom) for f in fracs]
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no projective representative")
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
@@ -45,43 +53,62 @@ def height_of(coords):
 
 
 def integer_root(B, k):
-    """Largest t >= 0 with t^k <= B."""
+    """Largest t >= 0 with t^k <= B, by Newton's method in integers from
+    2^ceil(bits(B)/k), which is above the root."""
     if B < 1:
         return 0
-    t = int(round(B ** (1.0 / k)))
-    while (t + 1) ** k <= B:
-        t += 1
-    while t ** k > B:
-        t -= 1
-    return t
+    t = 1 << -(-B.bit_length() // k)
+    while True:
+        s = ((k - 1) * t + B // t ** (k - 1)) // k
+        if s >= t:
+            return t
+        t = s
+
+
+def _f(a, b, d):
+    return (a + b) * (a * a - a * b + b * b) ** d
 
 
 def _refuse_direct_scan(B, budget):
-    """Raise BudgetExceeded when a direct scan at bound B is past the cap on
-    B or would visit more than `budget` tuples."""
+    """Raise BudgetExceeded when the direct column at bound B is past the
+    memory guard or would walk more than `budget` pairs."""
     if B > DIRECT_BOUND_MAX:
         raise BudgetExceeded(f"direct height search capped at B <= {DIRECT_BOUND_MAX}")
-    tuples = sum(height_chart_size(B, chart) for chart in range(4))
-    if tuples > budget:
+    pairs = (2 * B + 1) ** 2
+    if pairs > budget:
         raise BudgetExceeded(
-            f"direct height search at B = {B} scans {tuples} tuples, over budget {budget}")
+            f"direct height search at B = {B} walks {pairs} pairs, over budget {budget}")
 
 
-def _direct_histogram(d, B, shards, budget):
-    """Points of the hypersurface (n = 1) by height h = 0..B, from one scan
-    of reduced representatives in [-B, B]^4."""
+def _direct_rows(d, B, budget):
+    """Points of the hypersurface (n = 1) with height <= b, for b = 0..B.
+
+    N[h], the number of integer tuples in [-h, h]^4 on the hypersurface (the
+    zero tuple included), grows ring by ring: a pair with value v forms
+    2 c[-v] ordered tuples with the pairs counted before it, and one with
+    itself when v = 0.  A nonzero tuple is g times a primitive one of height
+    <= b // g, so the primitive tuples P[b] = N[b] - 1 - sum over g >= 2 of
+    P[b // g] (Moebius inversion over the gcd); each point has two of them."""
     _refuse_direct_scan(B, budget)
-    hist = np.zeros(B + 1, np.int64)
-    for chart in range(4):
-        for start, stop in _shard_ranges(height_chart_size(B, chart), shards):
-            hist += height_scan_chart(B, d, chart, start, stop)
-    return hist
+    seen = Counter({0: 1})  # the pair (0, 0), which makes the zero tuple
+    total = 1
+    prim = [0]
+    for h in range(1, B + 1):
+        side = range(-h, h + 1)
+        for a, b in ([(t, s) for t in side for s in (-h, h)]
+                     + [(s, t) for s in (-h, h) for t in side[1:-1]]):
+            v = _f(a, b, d)
+            total += 2 * seen[-v] + (v == 0)
+            seen[v] += 1
+        prim.append(total - 1 - sum(prim[h // g] for g in range(2, h + 1)))
+    return [p // 2 for p in prim]
 
 
 def direct_height_count(d, B, shards=1, budget=DEFAULT_BUDGET):
     """Exact number of points of the hypersurface (n = 1) with height <= B,
-    via a scan of reduced representatives in [-B, B]^4."""
-    return int(_direct_histogram(d, B, shards, budget).sum())
+    from the pairs in [-B, B]^2 matched by f-value.  `shards` is accepted
+    and ignored: the pair walk runs in one piece."""
+    return _direct_rows(d, B, budget)[B]
 
 
 def _projective_int_points(bound):
@@ -101,23 +128,29 @@ def _parametrized_first_rows(d, bound):
     An input of height h is drawn from row h^(2d+2) on, so an image enters
     at row max(its height, the least such row over its inputs).  Returns
     (rows, skip_rows): the entry row of each image that enters by `bound`,
-    and the row from which each base-locus input (all components vanish) is
-    skipped.  Every image is checked to lie on the hypersurface exactly."""
-    phibar = build_phibar(1, d)
-    X = build_x(1, d, QQ)
+    and the row from which each base-locus input is skipped.  phibar is
+    evaluated on all inputs at once in Python ints, its coefficients scaled
+    by the lcm of their denominators, which leaves each projective image as
+    it is; every image is checked to lie on the hypersurface exactly."""
     k = 2 * d + 2
+    pts = list(_projective_int_points(integer_root(bound, k)))
+    powers = [[u ** e for e in range(k + 1)] for u in np.array(pts, object).reshape(-1, 3).T]
+    comps = build_phibar(1, d).components
+    denom = lcm(*(c.denominator for comp in comps for c in comp.terms.values()))
+    img = [sum(int(c * denom) * powers[0][e0] * powers[1][e1] * powers[2][e2]
+               for (e0, e1, e2), c in comp.terms.items()) for comp in comps]
+    off = np.flatnonzero(_f(img[0], img[1], d) + _f(img[2], img[3], d) != 0)
+    if len(off):
+        raise AssertionError(f"parametrized image off the hypersurface at {pts[off[0]]}")
     first = {}
     skip_rows = []
-    for pt in _projective_int_points(integer_root(bound, k)):
-        row = max(abs(v) for v in pt) ** k
-        img = phibar.evaluate(tuple(Fraction(v) for v in pt))
-        if all(v == 0 for v in img):
+    for pt, x in zip(pts, zip(*(col.tolist() for col in img))):
+        row = max(map(abs, pt)) ** k
+        if not any(x):
             skip_rows.append(row)
             continue
-        if X.evaluate(img) != 0:
-            raise AssertionError(f"parametrized image off the hypersurface at {pt}")
-        red = reduced_representative(img)
-        row = max(row, max(abs(v) for v in red))
+        red = reduced_representative(x)
+        row = max(row, max(map(abs, red)))
         if row <= bound and row < first.get(red, bound + 1):
             first[red] = row
     return list(first.values()), skip_rows
@@ -125,12 +158,8 @@ def _parametrized_first_rows(d, bound):
 
 def parametrized_height_count(d, B):
     """Points of the hypersurface of height <= B hit by the parametrization
-    from inputs of height <= floor(B^{1/(2d+2)}).
-
-    Returns (count, skips): base-locus inputs (all components vanish) are
-    skipped and tallied.  Every image is checked to lie on the hypersurface
-    exactly before being counted.
-    """
+    from inputs of height <= floor(B^{1/(2d+2)}), and the number of
+    base-locus inputs (all components vanish) skipped: (count, skips)."""
     rows, skip_rows = _parametrized_first_rows(d, B)
     return len(rows), len(skip_rows)
 
@@ -138,25 +167,22 @@ def parametrized_height_count(d, B):
 def _refuse_parametrized_pass(d, bound, nrows, budget):
     """Raise BudgetExceeded when a table of `nrows` rows read off the
     parametrized pass at `bound` costs more than `budget`, one unit per row
-    and per candidate input.  The rows are checked first, so that a huge
-    bound is refused before its root is taken in floating point."""
-    inputs = 0
-    if nrows <= budget:
-        u = integer_root(bound, 2 * d + 2)
-        inputs = sum(u * (2 * u + 1) ** (2 - chart) for chart in range(3))
+    and per candidate input."""
+    u = integer_root(bound, 2 * d + 2)
+    inputs = sum(u * (2 * u + 1) ** (2 - chart) for chart in range(3))
     if inputs + nrows > budget:
         raise BudgetExceeded(f"parametrized height table at B = {bound}: {nrows} rows "
                              f"and {inputs} candidate inputs, over budget {budget}")
 
 
-def _height_rows(d, bound, first, mode, shards, budget):
-    """HeightReport rows for B = first..bound, all read off one direct scan
+def _height_rows(d, bound, first, mode, budget):
+    """HeightReport rows for B = first..bound, all read off one direct pass
     and one parametrized pass at `bound`; each row's elapsed_ms is the time
     of both passes.  Reference curves are floats for plotting."""
     t0 = time.perf_counter()
-    cumulative = images = skipped = None
+    direct = images = skipped = None
     if mode in ("direct", "both"):
-        cumulative = np.cumsum(_direct_histogram(d, bound, shards, budget)).tolist()
+        direct = _direct_rows(d, bound, budget)
     if mode in ("param", "both"):
         _refuse_parametrized_pass(d, bound, bound - first + 1, budget)
         images, skipped = (sorted(rows) for rows in _parametrized_first_rows(d, bound))
@@ -164,7 +190,7 @@ def _height_rows(d, bound, first, mode, shards, budget):
     return [HeightReport(
         params={"n": 1, "d": d, "mode": mode},
         bound=B,
-        direct=None if cumulative is None else cumulative[B],
+        direct=None if direct is None else direct[B],
         parametrized=None if images is None else bisect_right(images, B),
         lower_ref=float(B) ** (3.0 / (2 * d + 2)),
         lower_ref_n1=float(B) ** (3.0 / (2 * d + 1)),
@@ -174,11 +200,13 @@ def _height_rows(d, bound, first, mode, shards, budget):
 
 
 def height_report(d, B, mode="both", shards=1, budget=DEFAULT_BUDGET):
-    """The last row of `height_scan(d, B)`, built alone."""
-    return _height_rows(d, B, B, mode, shards, budget)[0]
+    """The last row of `height_scan(d, B)`, built alone.  `shards` is
+    accepted and ignored: each column runs in one piece."""
+    return _height_rows(d, B, B, mode, budget)[0]
 
 
 def height_scan(d, bound, mode="both", shards=1, budget=DEFAULT_BUDGET):
     """HeightReport rows for B = 1..bound (CSV-friendly), from one direct
-    scan and one parametrized pass at `bound`."""
-    return _height_rows(d, bound, 1, mode, shards, budget)
+    pass and one parametrized pass at `bound`.  `shards` is accepted and
+    ignored: each column runs in one piece."""
+    return _height_rows(d, bound, 1, mode, budget)

@@ -1,5 +1,5 @@
 """Enumeration kernels: vectorized numpy loops for point counting over
-finite fields and bounded-height integer scans.
+finite fields, and the tests' bounded-height scan oracle.
 
 Polynomial systems arrive as flat arrays: `exps` (terms x vars exponent
 matrix), `coeffs` (field-element indices), `offsets` (term ranges per
@@ -21,7 +21,7 @@ _BLOCK = 1 << 15
 
 
 def active_backend():
-    """Name of the engine behind every count and height scan."""
+    """Name of the backend behind every count kernel."""
     return "numpy"
 
 
@@ -229,15 +229,11 @@ def convolution_at_zero(F, h1, h2):
 
 
 # ---------------------------------------------------------------------------
-# bounded-height integer scan on the n = 1 hypersurface in P^3
+# bounded-height scan on the n = 1 hypersurface in P^3: the tests' oracle
 
 
 def _f_exact(a, b, d):
     return (a + b) * (a * a - a * b + b * b) ** d
-
-
-def height_chart_size(B, chart):
-    return B * (2 * B + 1) ** (3 - chart)
 
 
 def height_scan_chart(B, d, chart, start, stop):

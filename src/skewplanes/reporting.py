@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 TIMING_FIELDS = ("elapsed_ms",)
@@ -106,17 +106,7 @@ class HeightReport:
     elapsed_ms: float = 0.0
 
     def as_dict(self):
-        return {
-            "params": self.params,
-            "bound": self.bound,
-            "direct": self.direct,
-            "parametrized": self.parametrized,
-            "lower_ref": self.lower_ref,
-            "lower_ref_n1": self.lower_ref_n1,
-            "upper_ref": self.upper_ref,
-            "skips": self.skips,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
 def strip_timing(obj):

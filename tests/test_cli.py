@@ -236,6 +236,14 @@ def test_count_budget_exceeded(capsys):
     assert code == 4
 
 
+def test_count_refuses_wide_q_before_factoring(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would not end
+    code, out, err = run_cli(
+        ["count", "--family", "X", "--q", str(2 ** 61 - 1)], capsys
+    )
+    assert code == 5 and out == "" and "exceeds the supported width" in err
+
+
 def test_count_custom_requires_poly_file(capsys):
     code, _, err = run_cli(
         ["count", "--family", "custom", "--q", "5"], capsys
@@ -489,10 +497,18 @@ def test_heights_honours_budget_flag(capsys):
     )
     assert code == 4
     assert "budget" in err and out == ""
-    # the direct scan at B = 2 visits 2*125 + 2*25 + 2*5 + 2 = 312 tuples
+    # the direct table at B = 2 walks the (2*2 + 1)^2 = 25 pairs of [-2, 2]^2
     argv = ["heights", "--n", "1", "--d", "1", "--bound", "2", "--mode", "direct"]
-    assert run_cli(argv + ["--budget", "312"], capsys)[0] == 0
-    assert run_cli(argv + ["--budget", "311"], capsys)[0] == 4
+    assert run_cli(argv + ["--budget", "25"], capsys)[0] == 0
+    assert run_cli(argv + ["--budget", "24"], capsys)[0] == 4
+
+
+def test_heights_direct_cap(capsys):
+    argv = ["heights", "--n", "1", "--d", "1", "--mode", "direct", "--format", "csv"]
+    code, out, _ = run_cli(argv + ["--bound", "400"], capsys)
+    assert code == 0 and out.splitlines()[-1].startswith("400,594021,")
+    code, out, err = run_cli(argv + ["--bound", "401"], capsys)
+    assert code == 4 and out == "" and "B <= 400" in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from skewplanes.families import build_phibar, build_x
@@ -17,6 +18,7 @@ from skewplanes.heights import (
     parametrized_height_count,
     reduced_representative,
 )
+from skewplanes.kernels import height_scan_chart
 from skewplanes.reporting import BudgetExceeded
 
 DIRECT_D1 = [9, 21, 45, 69, 117, 165, 237, 285, 381, 429,
@@ -80,6 +82,12 @@ def test_integer_root():
     assert integer_root(15, 4) == 1
     assert integer_root(81, 4) == 3
     assert integer_root(0, 3) == 0
+    for k in (2, 3, 4, 7, 22):
+        t = 10 ** (400 // k) + 12345
+        assert integer_root(t ** k - 1, k) == t - 1
+        assert integer_root(t ** k, k) == t
+        assert integer_root(t ** k + 1, k) == t
+    assert integer_root(10 ** 400, 4) == 10 ** 100
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +167,22 @@ def test_direct_count_exact_past_int64():
     assert direct_height_count(9, 16) == _matched_value_count(9, 16) == 957
 
 
+@pytest.mark.parametrize("d, B", [(1, 20), (2, 16), (3, 12), (9, 20)])
+def test_direct_rows_match_chart_scan(d, B):
+    # the 4-tuple scan of the kernels shares no code with the pair walk
+    hist = sum(height_scan_chart(B, d, chart, 0, B * (2 * B + 1) ** (3 - chart))
+               for chart in range(4))
+    rows = height_scan(d, B, mode="direct")
+    assert [r.direct for r in rows] == np.cumsum(hist)[1:].tolist()
+
+
+@pytest.mark.parametrize("d, B, count", [(1, 40, 6213), (2, 40, 5917), (1, 60, 13869)])
+def test_direct_counts_frozen_past_scan_range(d, B, count):
+    assert direct_height_count(d, B) == count
+
+
 def test_direct_rows_of_one_scan_match_oracle():
-    # every row of the table comes from the one scan at B = 16
+    # every row of the table comes from the one pair walk at B = 16
     rows = height_scan(9, 16, mode="direct")
     assert [r.bound for r in rows] == list(range(1, 17))
     for r in rows:
@@ -186,10 +208,10 @@ def test_parametrized_images_land_on_x():
     assert skips >= 0
 
 
-def _phibar_images(u):
-    """(images, skips) of phibar (n = 1, d = 1) on the primitive integer
-    points of P^2 with height <= u, evaluated one by one."""
-    phibar = build_phibar(1, 1)
+def _phibar_images(d, u):
+    """(images, skips) of phibar (n = 1) on the primitive integer points of
+    P^2 with height <= u, evaluated one by one in Fractions."""
+    phibar = build_phibar(1, d)
     images, skips = [], 0
     for pt in product(range(-u, u + 1), repeat=3):
         if gcd(*pt) != 1 or next(v for v in pt if v) < 0:
@@ -202,19 +224,34 @@ def _phibar_images(u):
     return images, skips
 
 
-def test_parametrized_rows_match_per_row_oracle():
-    # row B draws inputs of height <= floor(B^(1/4)); the band changes at
-    # B = 16 and B = 81, and each image enters once its own height is <= B
-    by_band = {u: _phibar_images(u) for u in range(4)}
-    rows = height_scan(1, 100, mode="param")
-    assert [r.bound for r in rows] == list(range(1, 101))
+def _check_parametrized_rows(d, bound, probes):
+    # row B draws inputs of height <= floor(B^(1/(2d+2))); the band changes
+    # at B = 2^(2d+2) and 3^(2d+2), and each image enters once its own
+    # height is <= B
+    k = 2 * d + 2
+    by_band = {u: _phibar_images(d, u) for u in range(integer_root(bound, k) + 1)}
+    rows = height_scan(d, bound, mode="param")
+    assert [r.bound for r in rows] == list(range(1, bound + 1))
     for r in rows:
-        images, skips = by_band[integer_root(r.bound, 4)]
+        images, skips = by_band[integer_root(r.bound, k)]
         expected = {img for img in images if max(map(abs, img)) <= r.bound}
         assert (r.parametrized, r.skips) == (len(expected), skips), r.bound
         assert r.direct is None
-    for B in (15, 16, 80, 81, 100):
-        assert parametrized_height_count(1, B) == (rows[B - 1].parametrized, rows[B - 1].skips)
+    for B in probes:
+        assert parametrized_height_count(d, B) == (rows[B - 1].parametrized, rows[B - 1].skips)
+
+
+def test_parametrized_rows_match_per_row_oracle():
+    _check_parametrized_rows(1, 100, (15, 16, 80, 81, 100))
+
+
+def test_parametrized_rows_match_per_row_oracle_d2():
+    _check_parametrized_rows(2, 800, (63, 64, 728, 729, 800))
+
+
+@pytest.mark.parametrize("B, expected", [(10 ** 4, (2333, 1)), (10 ** 5, (12373, 1))])
+def test_parametrized_counts_frozen(B, expected):
+    assert parametrized_height_count(1, B) == expected
 
 
 def test_parametrized_table_budget():
@@ -224,6 +261,9 @@ def test_parametrized_table_budget():
         height_scan(1, 5, mode="param", budget=17)
     with pytest.raises(BudgetExceeded):
         height_scan(1, 10 ** 30, mode="param")
+    # the root of a bound past float range is taken in integers
+    with pytest.raises(BudgetExceeded):
+        height_report(1, 10 ** 400, mode="param")
 
 
 def test_parametrized_skips_base_points():
