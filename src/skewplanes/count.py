@@ -30,7 +30,7 @@ from .kernels import (
     count_system_chart,
 )
 from .mpoly import MPoly, VarContext, multiplicity_at
-from .reporting import BudgetExceeded, CountReport, VerificationResult
+from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
 
 DEFAULT_BUDGET = 10 ** 9
 # Largest histogram (q^r entries) the block engine builds.  Its cost bounds
@@ -52,7 +52,7 @@ def enumerate_projective(F, N, budget=DEFAULT_BUDGET):
     remaining coordinates in field-element order, last coordinate fastest."""
     q = F.q
     if projective_size(q, N) > budget:
-        raise BudgetExceeded(f"|P^{N}(F_{q})| exceeds budget {budget}")
+        raise BudgetExceeded(f"|P^{N}(F_{q})| exceeds budget {abbreviate(budget)}")
     for chart in range(N + 1):
         nfree = N - chart
         prefix = (F.zero,) * chart + (F.one,)
@@ -190,7 +190,8 @@ def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET):
         what = (f"{len(blocks)} variable blocks" if engine == "blocks"
                 else f"P^{nvars - 1}(F_{q})")
         raise BudgetExceeded(
-            f"engine {engine!r} on {what} costs {cost}, over budget {budget}")
+            f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
+            f"over budget {abbreviate(budget)}")
     if engine == "blocks":
         return _count_blocks(F, exps, coeffs, offsets, blocks, shards)
     total = 0
@@ -354,7 +355,7 @@ def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
     exps, coeffs, offsets = _system_arrays([reduce_poly(f, F) for f in polys], F)
     nvars = exps.shape[1]
     if projective_size(F.q, nvars - 1) > budget:
-        raise BudgetExceeded(f"|P^{nvars - 1}(F_{F.q})| exceeds budget {budget}")
+        raise BudgetExceeded(f"|P^{nvars - 1}(F_{F.q})| exceeds budget {abbreviate(budget)}")
     return [tuple(F.element_from_index(c) for c in row)
             for chart in range(nvars)
             for row in chart_zeros(F, exps, coeffs, offsets, chart, nvars).tolist()]

@@ -4,14 +4,16 @@ and finite fields F_{p^m} with a deterministic choice of modulus.
 Domains are lightweight objects exposing arithmetic on plain hashable payloads
 (Fraction for Q, pairs of Fractions for Q(xi), ints / int tuples for finite
 fields).  Polynomials carry a domain reference and delegate all coefficient
-work here.
+work here.  For the polynomial product kernel a domain also lifts payloads
+to values over a common scale (integer numerators over Q and Q(xi)) and
+lowers them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class Domain:
@@ -19,6 +21,20 @@ class Domain:
 
     char = 0
     name = "?"
+    # whether lifted values are Python ints, which the polynomial kernel
+    # multiplies inline and reduces mod `char` when it is nonzero; otherwise
+    # it combines them with this domain's add, mul and is_zero
+    int_kernel = False
+
+    def lift(self, cs):
+        """The payloads `cs` as (values, scale): each payload is its value
+        over the common `scale`.  Here the values are the payloads and the
+        scale is 1."""
+        return list(cs), 1
+
+    def lower(self, v, scale):
+        """The payload whose lifted value over `scale` is `v`."""
+        return v
 
     def from_int(self, n):
         raise NotImplementedError
@@ -67,6 +83,16 @@ class Rationals(Domain):
     name = "QQ"
     zero = Fraction(0)
     one = Fraction(1)
+    int_kernel = True
+
+    def lift(self, cs):
+        """Numerators over the lcm of the denominators."""
+        cs = list(cs)
+        scale = lcm(*(c.denominator for c in cs))
+        return [c.numerator * (scale // c.denominator) for c in cs], scale
+
+    def lower(self, v, scale):
+        return Fraction(v, scale)
 
     def from_int(self, n):
         return Fraction(n)
@@ -111,6 +137,20 @@ class QuadExt(Domain):
     def inv(self, a):
         nrm = a[0] * a[0] + 3 * a[1] * a[1]
         return (a[0] / nrm, -a[1] / nrm)
+
+    def is_zero(self, a):
+        return not (a[0] or a[1])
+
+    def lift(self, cs):
+        """Pairs of integers over the lcm of all the denominators; add and
+        mul work on them unchanged."""
+        cs = list(cs)
+        scale = lcm(*(r.denominator for c in cs for r in c))
+        return [(a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+                for a, b in cs], scale
+
+    def lower(self, v, scale):
+        return (Fraction(v[0], scale), Fraction(v[1], scale))
 
     def conj(self, a):
         return (a[0], -a[1])
@@ -300,6 +340,12 @@ class FiniteField(Domain):
             self.zero = (0,) * m
             self.one = (1,) + (0,) * (m - 1)
             self.name = f"GF({p}^{m})"
+        self.int_kernel = m == 1
+        # exp/log tables of the least-index primitive element; until they
+        # are set, and always above _TABLE_Q_MAX, mul runs _poly_mulmod
+        self._exp = self._log = None
+        if m > 1 and self.q <= _TABLE_Q_MAX:
+            self._exp, self._log = exp_log_tables(self)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -320,7 +366,12 @@ class FiniteField(Domain):
     def mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p
-        return self._pad(_poly_mulmod(a, b, self.modulus, self.p))
+        log = self._log
+        if log is None:
+            return self._pad(_poly_mulmod(a, b, self.modulus, self.p))
+        if a == self.zero or b == self.zero:
+            return self.zero
+        return self._exp[(log[a] + log[b]) % (self.q - 1)]
 
     def inv(self, a):
         if self.is_zero(a):
@@ -385,6 +436,42 @@ class FiniteField(Domain):
 def field_create(p, m=1):
     """Construct F_{p^m} with the deterministic modulus."""
     return FiniteField(p, m)
+
+
+# ---------------------------------------------------------------------------
+# discrete-log tables, shared by FiniteField.mul and the count kernels'
+# dense field tables
+
+_TABLE_Q_MAX = 1024
+_EXP_LOG = {}
+
+
+def _primitive_element(F):
+    """The generator of F^* with the smallest element index."""
+    q = F.q
+    primes = _prime_divisors(q - 1)
+    for i in range(1, q):
+        g = F.element_from_index(i)
+        if all(F.pow(g, (q - 1) // r) != F.one for r in primes):
+            return g
+    raise ValueError(f"{F.name} has no primitive element")  # unreachable
+
+
+def exp_log_tables(F):
+    """(exp, log) for the primitive element g of F with the smallest element
+    index: exp[k] = g^k for k < q - 1 and log[exp[k]] = k.  Built once per
+    (p, m) by q - 2 multiplications in F, which run _poly_mulmod while F has
+    no tables yet."""
+    key = (F.p, F.m)
+    if key not in _EXP_LOG:
+        if F.q > _TABLE_Q_MAX:
+            raise ValueError(f"table arithmetic limited to q <= {_TABLE_Q_MAX}")
+        g = _primitive_element(F)
+        exp = [F.one]
+        for _ in range(F.q - 2):
+            exp.append(F.mul(exp[-1], g))
+        _EXP_LOG[key] = exp, {x: k for k, x in enumerate(exp)}
+    return _EXP_LOG[key]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .count import DEFAULT_BUDGET
 from .families import build_phibar
-from .reporting import BudgetExceeded, HeightReport
+from .reporting import BudgetExceeded, HeightReport, abbreviate
 
 # Memory guard of the direct column: its pair counter holds up to
 # (2B + 1)^2 Python ints, 641,601 at B = 400.
@@ -77,7 +77,8 @@ def _refuse_direct_scan(B, budget):
     pairs = (2 * B + 1) ** 2
     if pairs > budget:
         raise BudgetExceeded(
-            f"direct height search at B = {B} walks {pairs} pairs, over budget {budget}")
+            f"direct height search at B = {B} walks {pairs} pairs, "
+            f"over budget {abbreviate(budget)}")
 
 
 def _direct_rows(d, B, budget):
@@ -171,8 +172,9 @@ def _refuse_parametrized_pass(d, bound, nrows, budget):
     u = integer_root(bound, 2 * d + 2)
     inputs = sum(u * (2 * u + 1) ** (2 - chart) for chart in range(3))
     if inputs + nrows > budget:
-        raise BudgetExceeded(f"parametrized height table at B = {bound}: {nrows} rows "
-                             f"and {inputs} candidate inputs, over budget {budget}")
+        raise BudgetExceeded(f"parametrized height table at B = {abbreviate(bound)}: "
+                             f"{abbreviate(nrows)} rows and {abbreviate(inputs)} candidate "
+                             f"inputs, over budget {abbreviate(budget)}")
 
 
 def _height_rows(d, bound, first, mode, budget):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import _prime_divisors
+from .domains import exp_log_tables
 
 _BLOCK = 1 << 15
 
@@ -35,7 +35,6 @@ def warmup():
 
 
 _TABLE_CACHE = {}
-_TABLE_Q_MAX = 1024
 
 
 def _digitwise(p, a, b, sign, size):
@@ -53,38 +52,21 @@ def _digitwise(p, a, b, sign, size):
     return out
 
 
-def _primitive_element(F):
-    """The generator of F^* with the smallest element index."""
-    q = F.q
-    primes = _prime_divisors(q - 1)
-    for i in range(1, q):
-        g = F.element_from_index(i)
-        if all(F.pow(g, (q - 1) // r) != F.one for r in primes):
-            return g
-    raise ValueError(f"{F.name} has no primitive element")  # unreachable
-
-
 def field_tables(F):
     """Dense addition/multiplication tables indexed by element index.
 
     Addition is digitwise mod p on element indices.  Multiplication goes
-    through discrete logarithms to a primitive element g: exp[k] = g^k takes
-    q - 1 field multiplications, and mul[i, j] = exp[(log i + log j) mod
-    (q - 1)] with row and column 0 set to zero."""
+    through the discrete logarithms of `domains.exp_log_tables`:
+    mul[i, j] = exp[(log i + log j) mod (q - 1)] with row and column 0 set
+    to zero.  Both are limited to q <= 1024."""
     key = (F.p, F.m)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     q = F.q
-    if q > _TABLE_Q_MAX:
-        raise ValueError(f"table arithmetic limited to q <= {_TABLE_Q_MAX}")
+    powers, _ = exp_log_tables(F)
     idx = np.arange(q, dtype=np.int64)
     add_t = _digitwise(F.p, idx[:, None], idx[None, :], 1, q).astype(np.int32)
-    g = _primitive_element(F)
-    exp = np.empty(q - 1, np.int64)
-    x = F.one
-    for k in range(q - 1):
-        exp[k] = F.element_index(x)
-        x = F.mul(x, g)
+    exp = np.array([F.element_index(x) for x in powers], np.int64)
     log = np.zeros(q, np.int64)
     log[exp] = np.arange(q - 1)
     mul_t = exp[(log[:, None] + log[None, :]) % (q - 1)].astype(np.int32)

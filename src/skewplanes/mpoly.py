@@ -4,11 +4,22 @@ Terms live in a dict mapping exponent tuples to nonzero coefficient payloads;
 the variable set is fixed by a VarContext.  Printing and leading-term
 selection use graded lexicographic order, so every textual dump is
 deterministic.
+
+Products and substitutions run in one packed-monomial kernel (Johnson 1974;
+Monagan-Pearce 2011): each exponent tuple is packed into one int, exponent i
+in bits [i*w, (i+1)*w), with the field width w chosen per call from the
+largest exponent the call can produce, so a monomial product is one integer
+addition that never carries between fields.  Coefficients enter the kernel
+lifted by their domain (`Domain.lift`): integer numerators over a common
+denominator for Q, integer pairs for Q(xi), residues for F_p, payloads for
+F_{p^m}.  Each output term is reduced and lowered back to a payload once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import lshift
 
 
 class VarContext:
@@ -38,6 +49,78 @@ class VarContext:
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+# -----------------------------------------------------------------------------
+# packed-monomial kernel
+
+
+def _top(p):
+    """The largest exponent in any term of p (0 for constants and zero)."""
+    return max(map(max, p.terms), default=0) if p.ctx.nvars else 0
+
+
+@lru_cache(maxsize=None)
+def _packing(nvars, w):
+    """(pack, unpack) between exponent tuples and ints, with fields of w
+    bits; exponents below 2^w fit."""
+    shifts = tuple(i * w for i in range(nvars))
+    mask = (1 << w) - 1
+
+    def pack(exps):
+        return sum(map(lshift, exps, shifts))
+
+    def unpack(k):
+        return tuple([(k >> s) & mask for s in shifts])
+    return pack, unpack
+
+
+def _lift(p, pack):
+    """p's terms as (packed key -> lifted value, scale)."""
+    values, scale = p.dom.lift(p.terms.values())
+    return dict(zip(map(pack, p.terms), values)), scale
+
+
+def _kmul(a, b, dom):
+    """Product of two packed polynomials with lifted coefficients over `dom`;
+    zero terms are dropped, and int values are reduced mod dom.char."""
+    out = {}
+    terms = list(b.items())
+    if dom.int_kernel:
+        for k1, c1 in a.items():
+            for k2, c2 in terms:
+                k = k1 + k2
+                if k in out:
+                    out[k] += c1 * c2
+                else:
+                    out[k] = c1 * c2
+        return _normalized(out, dom)
+    add, mul = dom.add, dom.mul
+    for k1, c1 in a.items():
+        for k2, c2 in terms:
+            k = k1 + k2
+            if k in out:
+                out[k] = add(out[k], mul(c1, c2))
+            else:
+                out[k] = mul(c1, c2)
+    return _normalized(out, dom)
+
+
+def _normalized(out, dom):
+    """`out` without zero values, int values reduced mod dom.char."""
+    if not dom.int_kernel:
+        return {k: v for k, v in out.items() if not dom.is_zero(v)}
+    p = dom.char
+    if p:
+        return {k: r for k, v in out.items() if (r := v % p)}
+    return {k: v for k, v in out.items() if v}
+
+
+def _lowered(ctx, dom, packed, scale, unpack):
+    """The MPoly of a normalized packed polynomial whose values are over
+    `scale`."""
+    lower = dom.lower
+    return MPoly(ctx, dom, {unpack(k): lower(v, scale) for k, v in packed.items()})
 
 
 class MPoly:
@@ -109,21 +192,11 @@ class MPoly:
         if isinstance(other, int):
             return self.scale(self.dom.from_int(other))
         self._compatible(other)
-        dom = self.dom
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = dom.mul(c1, c2)
-                if e in out:
-                    s = dom.add(out[e], c)
-                    if dom.is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not dom.is_zero(c):
-                    out[e] = c
-        return MPoly(self.ctx, dom, out)
+        top = _top(self) + _top(other)
+        pack, unpack = _packing(self.ctx.nvars, top.bit_length())
+        a, sa = _lift(self, pack)
+        b, sb = _lift(other, pack)
+        return _lowered(self.ctx, self.dom, _kmul(a, b, self.dom), sa * sb, unpack)
 
     __rmul__ = __mul__
 
@@ -263,22 +336,47 @@ class MPoly:
                 images.append(img)
             else:
                 images.append(MPoly.variable(tctx, dom, name))
-        power_cache = {}
+        if not self.terms:
+            return MPoly.zero(tctx, dom)
+        # every image is lifted over one scale S, so a source term c*x^e of
+        # total degree |e| contributes c * S^(D - |e|) * prod P_i^e_i over
+        # S^D, where D is the source's total degree and P_i the lifted images
+        tops = [_top(img) for img in images]
+        top = max(sum(x * t for x, t in zip(e, tops)) for e in self.terms)
+        pack, unpack = _packing(tctx.nvars, top.bit_length())
+        values, S = dom.lift(c for img in images for c in img.terms.values())
+        values = iter(values)
+        powers = {}
+        for i, img in enumerate(images):
+            powers[i, 1] = dict(zip(map(pack, img.terms), values))
 
-        def img_pow(i, e):
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
+        def power(i, e):
+            k = e
+            while (i, k) not in powers:
+                k -= 1
+            for k in range(k + 1, e + 1):
+                powers[i, k] = _kmul(powers[i, k - 1], powers[i, 1], dom)
+            return powers[i, e]
 
-        acc = MPoly.zero(tctx, dom)
-        for exps, c in self.terms.items():
-            term = MPoly.constant(tctx, dom, 1).scale(c)
+        def rescaled(exps, c):
+            f = S ** (D - sum(exps))
+            return c if f == 1 else dom.mul(c, dom.from_int(f))
+
+        D = self.total_degree()
+        coeffs, scale = dom.lift(rescaled(e, c) for e, c in self.terms.items())
+        acc = {}
+        for exps, c in zip(self.terms, coeffs):
+            part = {0: c}
             for i, e in enumerate(exps):
                 if e:
-                    term = term * img_pow(i, e)
-            acc = acc + term
-        return acc
+                    part = _kmul(part, power(i, e), dom)
+            if dom.int_kernel:
+                for k, v in part.items():
+                    acc[k] = acc[k] + v if k in acc else v
+            else:
+                for k, v in part.items():
+                    acc[k] = dom.add(acc[k], v) if k in acc else v
+        return _lowered(tctx, dom, _normalized(acc, dom), scale * S ** D, unpack)
 
     def evaluate(self, point):
         """Value at a full assignment (sequence of payloads, one per variable)."""

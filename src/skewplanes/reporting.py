@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -19,6 +20,20 @@ TIMING_FIELDS = ("elapsed_ms",)
 
 class BudgetExceeded(Exception):
     """Raised when an enumeration or symbolic expansion exceeds its budget."""
+
+
+def abbreviate(n):
+    """An int as its digits, or as ~m.me<exponent> when it has more than 20
+    digits, so that budget messages stay short for any size."""
+    if abs(n) < 10 ** 20:
+        return str(n)
+    m = abs(n)
+    e = int(math.log10(m))
+    e += (10 ** (e + 1) <= m) - (10 ** e > m)
+    mant = round(m / 10 ** e, 1)
+    if mant >= 10:
+        mant, e = 1.0, e + 1
+    return f"~{'-' if n < 0 else ''}{mant}e{e}"
 
 
 @dataclass

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import comb
 from typing import Callable, NamedTuple
 
-from .count import projective_zeros
+from .count import DEFAULT_BUDGET, projective_zeros
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
     build_ab,
@@ -31,7 +32,7 @@ from .families import (
     build_x,
 )
 from .mpoly import MPoly, RationalMap, VarContext, compose, exact_rank
-from .reporting import BudgetExceeded, VerificationResult
+from .reporting import BudgetExceeded, VerificationResult, abbreviate
 
 # full symbolic expansion stays comfortably small up to here; larger
 # parameters should go through the numeric paths
@@ -70,10 +71,15 @@ def verify_line_factorization(n, d):
     return _done("line_factorization", {"n": n, "d": d}, witness, t0)
 
 
-def verify_membership(rmap, hypersurface):
+def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
     """Substitute the map components into the hypersurface polynomial and
     require the exact zero polynomial.  A component-count mismatch is a
-    failure with a witness, not an exception (negative-control friendly)."""
+    failure with a witness, not an exception (negative-control friendly).
+
+    Before substituting, the check is charged the dense monomial count of
+    its residual, C(m - 1 + D, m - 1) for m target variables and
+    D = deg X * deg map, and raises BudgetExceeded when that is over
+    `budget`."""
     t0 = time.perf_counter()
     params = {"map": rmap.name, "components": len(rmap.components)}
     need = hypersurface.ctx.nvars
@@ -84,6 +90,12 @@ def verify_membership(rmap, hypersurface):
     if rmap.dom is not hypersurface.dom:
         witness = {"reason": "map and hypersurface over different domains"}
         return _done("membership", params, witness, t0)
+    m = rmap.ctx.nvars
+    D = (hypersurface.total_degree() or 0) * max(c.total_degree() or 0 for c in rmap.components)
+    cost = comb(m - 1 + D, m - 1)
+    if cost > budget:
+        raise BudgetExceeded(f"membership: residual of degree {D} in {m} variables has up to "
+                             f"{abbreviate(cost)} monomials, over budget {abbreviate(budget)}")
     mapping = dict(zip(hypersurface.ctx.names, rmap.components))
     residual = hypersurface.substitute(mapping)
     witness = None if residual.is_zero() else _poly_witness(residual)
@@ -484,24 +496,24 @@ def _h_theta(n):
     return h_theta
 
 
-def _composition_on_x(n, d, seed):
+def _composition_on_x(n, d, seed, budget):
     return verify_composition(_h_theta(n), build_phibar(n, d), modulo=build_x(n, d),
                               field=field_create(1009), seed=seed)
 
 
-def _composition_roundtrip(n, d, seed):
+def _composition_roundtrip(n, d, seed, budget):
     return verify_composition_numeric(build_phibar(n, d), _h_theta(n), field_create(1009),
                                       trials=100, seed=seed)
 
 
-def _composition_roundtrip_char2(n, d, seed):
+def _composition_roundtrip_char2(n, d, seed, budget):
     F32 = field_create(2, 5)
     g = build_char_two_maps(n, d, F32)["g"]
     return verify_composition_numeric(g, build_theta(n, F32), F32, trials=100, seed=seed)
 
 
 class Check(NamedTuple):
-    run: Callable      # (n, d, seed) -> VerificationResult
+    run: Callable      # (n, d, seed, budget) -> VerificationResult
     in_suite: Callable  # (n, d) -> bool: whether run_all_checks runs it
 
 
@@ -511,27 +523,30 @@ def _always(n, d):
 
 # every check by its `verify --check` name, in the suite's record order
 CHECKS = {
-    "line_factorization": Check(lambda n, d, seed: verify_line_factorization(n, d),
+    "line_factorization": Check(lambda n, d, seed, budget: verify_line_factorization(n, d),
                                 lambda n, d: n <= 2 and d <= 2),
-    "membership": Check(lambda n, d, seed: verify_membership(build_phibar(n, d), build_x(n, d)),
-                        _always),
-    "composition_cremona": Check(lambda n, d, seed: verify_composition(*build_cremona()),
-                                 _always),
-    "composition_alphabeta": Check(lambda n, d, seed: verify_composition(*build_alpha_beta(n)),
-                                   _always),
+    "membership": Check(lambda n, d, seed, budget: verify_membership(
+        build_phibar(n, d), build_x(n, d), budget), _always),
+    "composition_cremona": Check(
+        lambda n, d, seed, budget: verify_composition(*build_cremona()), _always),
+    "composition_alphabeta": Check(
+        lambda n, d, seed, budget: verify_composition(*build_alpha_beta(n)), _always),
     "composition_on_x": Check(_composition_on_x, lambda n, d: False),
     "composition_roundtrip": Check(_composition_roundtrip, _always),
     "composition_roundtrip_char2": Check(_composition_roundtrip_char2, _always),
-    "linear_system_dim": Check(lambda n, d, seed: verify_linear_system_dim(n, d), _always),
-    "singular_locus": Check(lambda n, d, seed: verify_singular_locus(n, d, samples=50, seed=seed),
-                            lambda n, d: n >= 2),
-    "galois": Check(lambda n, d, seed: verify_galois_symmetry(n, d), _always),
+    "linear_system_dim": Check(lambda n, d, seed, budget: verify_linear_system_dim(n, d),
+                               _always),
+    "singular_locus": Check(
+        lambda n, d, seed, budget: verify_singular_locus(n, d, samples=50, seed=seed),
+        lambda n, d: n >= 2),
+    "galois": Check(lambda n, d, seed, budget: verify_galois_symmetry(n, d), _always),
     "galois_generalized": Check(
-        lambda n, d, seed: verify_galois_symmetry(n, d, generalized=True), _always),
-    "cox_grading": Check(lambda n, d, seed: verify_cox_grading(n, d), _always),
+        lambda n, d, seed, budget: verify_galois_symmetry(n, d, generalized=True), _always),
+    "cox_grading": Check(lambda n, d, seed, budget: verify_cox_grading(n, d), _always),
 }
 
 
-def run_all_checks(n, d, seed=42):
-    """Every check applicable at (n, d); used by the CLI `verify --check all`."""
-    return [check.run(n, d, seed) for check in CHECKS.values() if check.in_suite(n, d)]
+def run_all_checks(n, d, seed=42, budget=DEFAULT_BUDGET):
+    """Every check applicable at (n, d); used by the CLI `verify --check all`.
+    `budget` reaches the checks that are charged for their size."""
+    return [check.run(n, d, seed, budget) for check in CHECKS.values() if check.in_suite(n, d)]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,27 @@ def test_verify_single_check(capsys, name):
     assert len(records) == 1 and records[0]["pass"]
 
 
+def test_verify_membership_honours_budget(capsys):
+    # phibar(1, 1) into X(1, 1): a residual of degree 3 * 4 in 3 variables,
+    # C(14, 2) = 91 dense monomials
+    code, out, err = run_cli(["verify", "--n", "1", "--d", "1", "--budget", "1"], capsys)
+    assert code == 4 and out == "" and "membership" in err and "91 monomials" in err
+    argv = ["verify", "--check", "membership", "--n", "1", "--d", "1"]
+    assert run_cli(argv + ["--budget", "91"], capsys)[0] == 0
+    assert run_cli(argv + ["--budget", "90"], capsys)[0] == 4
+    # at (6, 6), C(194, 12) monomials: refused before substituting
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["verify", "--check", "membership", "--n", "6", "--d", "6"], capsys)
+    assert code == 4 and out == "" and "4193002458968329488 monomials" in err
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (1, 3)])
+def test_verify_suites_pass_under_default_budget(capsys, n, d):
+    code, out, _ = run_cli(["verify", "--n", str(n), "--d", str(d)], capsys)
+    assert code == 0 and "[FAIL]" not in out
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(["verify", "--check", "bogus"], capsys)
     assert code == 5
@@ -152,7 +174,7 @@ def test_verify_budget_exceeded_is_exit_4(capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from skewplanes.reporting import VerificationResult
 
-    def fake(n, d, seed):
+    def fake(n, d, seed, budget):
         return VerificationResult(check="stub", params={}, passed=False,
                                   witness={"reason": "forced"},
                                   elapsed_ms=0.0, mode="symbolic")
@@ -501,6 +523,12 @@ def test_heights_honours_budget_flag(capsys):
     argv = ["heights", "--n", "1", "--d", "1", "--bound", "2", "--mode", "direct"]
     assert run_cli(argv + ["--budget", "25"], capsys)[0] == 0
     assert run_cli(argv + ["--budget", "24"], capsys)[0] == 4
+
+
+def test_heights_huge_bound_prints_one_short_line(capsys):
+    code, out, err = run_cli(["heights", "--mode", "param", "--bound", "9" * 30], capsys)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) < 200
 
 
 def test_heights_direct_cap(capsys):

@@ -399,7 +399,7 @@ def test_projective_zeros_match_pointwise_walk(p, m):
     assert projective_zeros([A, B], F) == walk
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 64])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125])
 def test_field_tables_match_field_arithmetic(q):
     F = field_create(*prime_power(q))
     els = [F.element_from_index(i) for i in range(q)]

@@ -11,8 +11,11 @@ from skewplanes.domains import (
     QQ,
     QQXI,
     FiniteField,
+    _poly_mulmod,
+    exp_log_tables,
     field_create,
     minus_three_has_root,
+    prime_power,
     reduce_quadext,
     reduce_rational,
     root_count_unity,
@@ -106,6 +109,35 @@ def test_fields_with_equal_parameters_interchange():
     assert F1.modulus == F2.modulus
     a = F1.element_from_index(5)
     assert F2.mul(a, a) == F1.mul(a, a)
+
+
+TABLE_QS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125]
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_table_mul_matches_poly_mulmod(q):
+    # F_{p^m} up to the table cap multiplies by exp/log lookups; every
+    # product must be the one the polynomial multiplication gives
+    F = field_create(*prime_power(q))
+    assert F._log is not None
+    els = [F.element_from_index(i) for i in range(q)]
+    for a in els:
+        for b in els:
+            assert F.mul(a, b) == F._pad(_poly_mulmod(a, b, F.modulus, F.p)), (a, b)
+
+
+def test_exp_log_tables_shared_and_capped():
+    F, G = field_create(2, 5), field_create(2, 5)
+    assert F._exp is G._exp and F._log is G._log
+    exp, log = exp_log_tables(F)
+    assert len(exp) == len(set(exp)) == 31 and exp[1] == (0, 1, 0, 0, 0)
+    assert all(log[x] == k for k, x in enumerate(exp))
+    big = field_create(2, 11)  # above the cap, mul keeps _poly_mulmod
+    assert big._log is None
+    a, b = big.element_from_index(1234), big.element_from_index(777)
+    assert big.mul(a, b) == big._pad(_poly_mulmod(a, b, big.modulus, 2))
+    with pytest.raises(ValueError, match="q <= 1024"):
+        exp_log_tables(big)
 
 
 # ---------------------------------------------------------------------------

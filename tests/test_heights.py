@@ -19,7 +19,7 @@ from skewplanes.heights import (
     reduced_representative,
 )
 from skewplanes.kernels import height_scan_chart
-from skewplanes.reporting import BudgetExceeded
+from skewplanes.reporting import BudgetExceeded, abbreviate
 
 DIRECT_D1 = [9, 21, 45, 69, 117, 165, 237, 285, 381, 429,
              549, 621, 765, 837, 933, 1053, 1245, 1317, 1557, 1677]
@@ -264,6 +264,17 @@ def test_parametrized_table_budget():
     # the root of a bound past float range is taken in integers
     with pytest.raises(BudgetExceeded):
         height_report(1, 10 ** 400, mode="param")
+
+
+def test_budget_messages_abbreviate_huge_ints():
+    with pytest.raises(BudgetExceeded) as exc:
+        height_report(1, 10 ** 400, mode="param")
+    assert len(str(exc.value)) < 200 and "~1.0e400" in str(exc.value)
+    assert abbreviate(10 ** 20 - 1) == "99999999999999999999"
+    assert abbreviate(10 ** 20) == "~1.0e20"
+    assert abbreviate(10 ** 400 - 1) == "~1.0e400"
+    assert abbreviate(24 * 10 ** 399 + 7) == "~2.4e400"
+    assert abbreviate(3 ** 10000) == "~1.6e4771"  # past int-to-str's digit limit
 
 
 def test_parametrized_skips_base_points():

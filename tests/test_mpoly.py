@@ -97,6 +97,126 @@ def test_pow_matches_repeated_mul():
 
 
 # ---------------------------------------------------------------------------
+# the packed-monomial kernel against the tuple-key loop it replaced
+
+F9 = field_create(3, 2)
+KERNEL_DOMAINS = [QQ, QQXI, F7, F9]
+
+
+def oracle_mul(f, g):
+    """f * g by the tuple-key loop: one domain mul and add per pair of terms."""
+    dom = f.dom
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = dom.mul(c1, c2)
+            out[e] = dom.add(out[e], c) if e in out else c
+    return MPoly(f.ctx, dom, {e: c for e, c in out.items() if not dom.is_zero(c)})
+
+
+def oracle_substitute(f, images, tctx):
+    """f with variable i replaced by images[i], term by term through oracle_mul."""
+    dom = f.dom
+    acc = MPoly.zero(tctx, dom)
+    for exps, c in f.terms.items():
+        term = MPoly.constant(tctx, dom, 1).scale(c)
+        for img, e in zip(images, exps):
+            for _ in range(e):
+                term = oracle_mul(term, img)
+        acc = acc + term
+    return acc
+
+
+def random_payload(dom, rng):
+    if dom is QQ:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+    if dom is QQXI:
+        return tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 13)) for _ in range(2))
+    return dom.element_from_index(rng.randrange(dom.q))
+
+
+def random_dom_poly(ctx, dom, rng, max_deg=3, max_terms=6):
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        c = random_payload(dom, rng)
+        if not dom.is_zero(c):
+            terms[tuple(rng.randrange(max_deg + 1) for _ in ctx.names)] = c
+    return MPoly(ctx, dom, terms)
+
+
+def assert_payload_types(p):
+    for e, c in p.terms.items():
+        assert type(e) is tuple and all(type(x) is int for x in e)
+        if p.dom is QQ:
+            assert type(c) is Fraction
+        elif p.dom is QQXI:
+            assert type(c) is tuple and all(type(x) is Fraction for x in c)
+        elif p.dom.m == 1:
+            assert type(c) is int and 0 < c < p.dom.p
+        else:
+            assert type(c) is tuple and len(c) == p.dom.m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_DOMAINS), st.integers(0, 10**9))
+def test_kernel_product_matches_tuple_loop(dom, seed):
+    rng = random.Random(seed)
+    f = random_dom_poly(XYZ, dom, rng)
+    g = random_dom_poly(XYZ, dom, rng)
+    fg = f * g
+    assert fg.terms == oracle_mul(f, g).terms
+    assert_payload_types(fg)
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS)
+def test_kernel_has_no_fixed_exponent_width(dom):
+    # exponents past 16, 40 and 64 bits pack and unpack exactly
+    for big in (2 ** 16, 2 ** 40, 2 ** 70):
+        f = MPoly(XYZ, dom, {(big, 3, 0): dom.from_int(5),
+                             (0, big + 1, 1): dom.one})
+        g = MPoly(XYZ, dom, {(big - 1, 0, 2): dom.one, (1, 1, big): dom.from_int(2)})
+        fg = f * g
+        assert fg.terms == oracle_mul(f, g).terms
+        assert (2 * big - 1, 3, 2) in fg.terms and (1, big + 2, big + 1) in fg.terms
+        assert (f ** 2).terms == oracle_mul(f, f).terms
+
+
+def test_kernel_products_cancel_to_zero_terms():
+    x = MPoly.variable(XY, QQ, "x")
+    y = MPoly.variable(XY, QQ, "y")
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    half = MPoly.constant(XY, QQ, 1).scale(Fraction(1, 2))
+    assert ((half * x - y) * (x + 2 * y) - half * (x * x) + 2 * (y * y)).is_zero()
+    # (x + y)^p = x^p + y^p: every middle term vanishes mod p
+    for dom in (F7, F9):
+        x = MPoly.variable(XY, dom, "x")
+        y = MPoly.variable(XY, dom, "y")
+        p = dom.p
+        assert ((x + y) ** p).terms == {(p, 0): dom.one, (0, p): dom.one}
+    # (x + xi*y)(x - xi*y) = x^2 + 3y^2: the xi terms cancel
+    x = MPoly.variable(XY, QQXI, "x")
+    y = MPoly.variable(XY, QQXI, "y")
+    xi_y = y.scale(QQXI.xi)
+    assert ((x + xi_y) * (x - xi_y)).terms == {(2, 0): QQXI.one, (0, 2): QQXI.from_int(3)}
+    assert (x * MPoly.zero(XY, QQXI)).is_zero() and (MPoly.zero(XY, QQXI) * x).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_DOMAINS), st.integers(0, 10**9))
+def test_substitute_matches_term_by_term(dom, seed):
+    # sources are not homogeneous and images carry mixed denominators, so the
+    # common scale of the packed sum is exercised
+    rng = random.Random(seed)
+    f = random_dom_poly(XYZ, dom, rng)
+    images = [random_dom_poly(XY, dom, rng, max_deg=2, max_terms=4) for _ in XYZ.names]
+    g = f.substitute(dict(zip(XYZ.names, images)))
+    assert g.ctx == XY
+    assert g.terms == oracle_substitute(f, images, XY).terms
+    assert_payload_types(g)
+
+
+# ---------------------------------------------------------------------------
 # substitution and evaluation
 
 

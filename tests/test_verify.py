@@ -60,6 +60,29 @@ def test_membership_grid():
         assert r.passed, (n, d)
 
 
+def test_membership_higher_degrees():
+    for n, d in [(2, 2), (1, 4)]:
+        r = verify_membership(build_phibar(n, d), build_x(n, d))
+        assert r.passed, (n, d)
+
+
+def test_membership_negative_control_witness_text():
+    # phibar(2, 2) does not land on the degree-3 hypersurface X(2, 1)
+    r = verify_membership(build_phibar(2, 2), build_x(2, 1))
+    assert not r.passed
+    assert r.witness == {"residual": "494 terms",
+                         "leading_term": "((15, 2, 1, 0, 0), Fraction(-18, 1))"}
+
+
+def test_membership_budget():
+    # the residual of phibar(1, 1) into X(1, 1) has degree 3 * 4 in 3
+    # variables: C(14, 2) = 91 dense monomials
+    phibar, X = build_phibar(1, 1), build_x(1, 1)
+    assert verify_membership(phibar, X, budget=91).passed
+    with pytest.raises(BudgetExceeded, match="91 monomials"):
+        verify_membership(phibar, X, budget=90)
+
+
 def test_membership_negative_control_perturbed_coefficient():
     # adding 1 to a single coefficient of the hypersurface must break both
     # the membership identity and the pencil factorization route to it
