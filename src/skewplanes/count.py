@@ -81,13 +81,14 @@ def reduce_poly(f, F, xi_image=None):
 
 
 def _system_arrays(polys, F):
-    """Flatten reduced polynomials into (exps, coeffs, offsets) index arrays."""
+    """Reduce polynomials into F (see `reduce_poly`) and flatten them into
+    (exps, coeffs, offsets) index arrays."""
     nvars = polys[0].ctx.nvars
     exps_rows = []
     coeff_rows = []
     offsets = [0]
     for f in polys:
-        for e, c in sorted(f.terms.items()):
+        for e, c in sorted(reduce_poly(f, F).terms.items()):
             exps_rows.append(e)
             coeff_rows.append(F.element_index(c))
         offsets.append(len(exps_rows))
@@ -137,7 +138,7 @@ def _plan(polys, F):
         if not f.is_zero() and not f.is_homogeneous():
             raise ValueError("system polynomials must be homogeneous")
     q = F.q
-    exps, coeffs, offsets = _system_arrays([reduce_poly(f, F) for f in polys], F)
+    exps, coeffs, offsets = _system_arrays(polys, F)
     blocks = _variable_blocks(exps)
     scan_cost = projective_size(q, ctx.nvars - 1)
     r = len(polys)
@@ -352,7 +353,7 @@ def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
 def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
     """Normalized common zeros of the system, in `enumerate_projective`
     order, found chart by chart with the vectorized evaluator."""
-    exps, coeffs, offsets = _system_arrays([reduce_poly(f, F) for f in polys], F)
+    exps, coeffs, offsets = _system_arrays(polys, F)
     nvars = exps.shape[1]
     if projective_size(F.q, nvars - 1) > budget:
         raise BudgetExceeded(f"|P^{nvars - 1}(F_{F.q})| exceeds budget {abbreviate(budget)}")

@@ -1,5 +1,6 @@
-"""Enumeration kernels: vectorized numpy loops for point counting over
-finite fields, and the tests' bounded-height scan oracle.
+"""Enumeration kernels: vectorized numpy loops for point counting and
+sampled verification over finite fields, and the tests' bounded-height scan
+oracle.
 
 Polynomial systems arrive as flat arrays: `exps` (terms x vars exponent
 matrix), `coeffs` (field-element indices), `offsets` (term ranges per
@@ -7,8 +8,9 @@ polynomial).  Field elements are element indices; a vector over F_q is
 encoded as the base-q number of its entries, the first entry in the lowest
 place.  Points are decoded from linear indices, so an index range splits
 into disjoint shards whose counts or histograms merge by addition.  Every
-evaluation of a system goes through `system_values`, in blocks of `_BLOCK`
-points.
+evaluation of a system goes through `system_values`: the count engines call
+it in blocks of `_BLOCK` points, the sampled checks of `verify` once on all
+their samples, whose value rows they compare with `proportional_rows`.
 """
 
 from __future__ import annotations
@@ -135,6 +137,18 @@ def system_values(F, exps, coeffs, offsets, pts):
                 term = mul(term, _pow_vec(pts[:, v], int(exps[t, v]), mul))
             acc = add(acc, term)
         yield acc
+
+
+def proportional_rows(F, a, b):
+    """For each row of the equal-shape arrays of element indices `a` and
+    `b`, whether the two value vectors are proportional: every 2x2 minor
+    a_i b_j - a_j b_i is zero, tested as a_i b_j == a_j b_i on indices."""
+    _, mul = _field_ops(F)
+    ok = np.ones(len(a), bool)
+    for i in range(a.shape[1]):
+        for j in range(i + 1, a.shape[1]):
+            ok &= mul(a[:, i], b[:, j]) == mul(a[:, j], b[:, i])
+    return ok
 
 
 def _zero_mask(F, exps, coeffs, offsets, pts):

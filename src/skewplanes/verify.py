@@ -5,7 +5,10 @@ of the distinguished linear system.
 
 All symbolic checks are exact (the difference must be the zero polynomial);
 nothing here is tolerance-based.  Sampled checks draw from seeded generators
-and are bit-reproducible for a fixed seed.
+and are bit-reproducible for a fixed seed.  Their samples over F_q are
+evaluated all at once by `kernels.system_values`, the evaluator of the count
+engines; the singular-locus samples over Q(xi) are evaluated exactly with
+`MPoly.evaluate`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
 
-from .count import DEFAULT_BUDGET, projective_zeros
+import numpy as np
+
+from .count import DEFAULT_BUDGET, _system_arrays, projective_zeros
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
     build_ab,
@@ -31,7 +36,8 @@ from .families import (
     build_theta,
     build_x,
 )
-from .mpoly import MPoly, RationalMap, VarContext, compose, exact_rank
+from .kernels import proportional_rows, system_values
+from .mpoly import MPoly, VarContext, compose, exact_rank
 from .reporting import BudgetExceeded, VerificationResult, abbreviate
 
 # full symbolic expansion stays comfortably small up to here; larger
@@ -170,65 +176,49 @@ def verify_composition(f, g, modulo=None, field=None, trials=100, seed=42):
     return _done("composition", params, None, t0)
 
 
-def _sample_point(rng, F, nvars):
+def _sample_point(rng, q, nvars):
+    """Element indices of a random nonzero vector of F_q^nvars."""
     while True:
-        pt = tuple(F.element_from_index(rng.randrange(F.q)) for _ in range(nvars))
-        if any(x != F.zero for x in pt):
+        pt = [rng.randrange(q) for _ in range(nvars)]
+        if any(pt):
             return pt
 
 
-def _proj_equal(F, a, b):
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if F.sub(F.mul(a[i], b[j]), F.mul(a[j], b[i])) != F.zero:
-                return False
-    return True
+def _values(polys, F, pts):
+    """Values of the polynomials, reduced into F, at the rows of `pts`, as
+    the columns of an array of element indices."""
+    exps, coeffs, offsets = _system_arrays(polys, F)
+    return np.stack(list(system_values(F, exps, coeffs, offsets, pts)), axis=1)
 
 
-def verify_composition_numeric(f, g, F, trials=100, seed=42, via=None):
+def _element_strs(F, row):
+    return [str(F.element_from_index(i)) for i in row.tolist()]
+
+
+def verify_composition_numeric(f, g, F, trials=100, seed=42):
     """Sample source points, push through g∘f, and require projective
-    equality with the input.  Points where either map vanishes entirely are
-    skipped and tallied; all samples degenerating is a failure."""
+    equality with the input.  Both maps are evaluated once on all samples
+    through the kernels' evaluator.  Samples before the first failing one
+    where either map vanishes entirely are skipped and tallied; all samples
+    degenerating is a failure."""
     t0 = time.perf_counter()
     params = {"f": f.name, "g": g.name, "field": F.name,
               "trials": trials, "seed": seed}
-    if f.dom is F:
-        fF, gF = f, g
-    else:
-        conv = F.reduce_rational if f.dom is QQ else None
-        if conv is None:
-            raise ValueError("numeric composition needs maps over Q or over the field itself")
-        fF = f.map_domain(F, conv)
-        gF = g.map_domain(F, conv)
-    viaF = None
-    if via is not None:
-        viaF = via if via.dom is F else via.map_domain(F, F.reduce_rational)
     rng = random.Random(seed)
-    nv = (viaF.ctx if viaF is not None else fF.ctx).nvars
-    skips = 0
-    checked = 0
-    for _ in range(trials):
-        pt = _sample_point(rng, F, nv)
-        if viaF is not None:
-            pt = viaF.evaluate(pt)
-            if all(x == F.zero for x in pt):
-                skips += 1
-                continue
-        mid = fF.evaluate(pt)
-        if all(x == F.zero for x in mid):
-            skips += 1
-            continue
-        out = gF.evaluate(mid)
-        if all(x == F.zero for x in out):
-            skips += 1
-            continue
-        if not _proj_equal(F, pt, out):
-            witness = {"point": [str(x) for x in pt], "image": [str(x) for x in out]}
-            params["skips"] = skips
-            return _done("composition_numeric", params, witness, t0, mode="numeric")
-        checked += 1
-    params["skips"] = skips
-    params["checked"] = checked
+    nv = f.ctx.nvars
+    pts = np.array([_sample_point(rng, F.q, nv) for _ in range(trials)],
+                   np.int64).reshape(trials, nv)
+    mid = _values(f.components, F, pts)
+    out = _values(g.components, F, mid)
+    skip = ~mid.any(axis=1) | ~out.any(axis=1)
+    bad = ~skip & ~proportional_rows(F, pts, out)
+    if bad.any():
+        k = int(np.argmax(bad))
+        params["skips"] = int(skip[:k].sum())
+        witness = {"point": _element_strs(F, pts[k]), "image": _element_strs(F, out[k])}
+        return _done("composition_numeric", params, witness, t0, mode="numeric")
+    params["skips"] = int(skip.sum())
+    params["checked"] = checked = trials - params["skips"]
     witness = None if checked > 0 else {"reason": "all samples degenerate; field too small"}
     return _done("composition_numeric", params, witness, t0, mode="numeric")
 
@@ -266,10 +256,14 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13):
     For d = 1 the locus is the conjugate plane pair (uniform sign pattern);
     for d > 1 it is the whole plane union (mixed signs included).  Locus
     samples are exact over Q(xi); generic points are drawn from a full
-    enumeration of Y over a prime field containing xi.
+    enumeration of Y over a prime field containing xi, and their minors
+    are evaluated there through the kernels' evaluator.
     """
     if n < 2:
         raise ValueError("singular-locus check needs n >= 2 (locus is empty for n = 1)")
+    F = field_create(generic_field)
+    if sqrt_of_minus_three(F) is None:
+        raise ValueError(f"generic points need xi = sqrt(-3), which {F.name} lacks")
     t0 = time.perf_counter()
     params = {"n": n, "d": d, "samples": samples, "seed": seed,
               "generic_field": generic_field}
@@ -292,33 +286,18 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13):
                     witness = {"reason": "nonzero minor on the singular locus",
                                "sample": k, "signs": signs, "minor": (i, j)}
                     return _done("singular_locus", params, witness, t0)
-    # generic points: enumerate Y over a xi-containing prime field
-    F = field_create(generic_field)
-    sqrt_of_minus_three(F)  # raises if xi is absent
-    Af = A.map_domain(F, F.reduce_rational)
-    Bf = B.map_domain(F, F.reduce_rational)
-    paf = [Af.partial(nm) for nm in names]
-    pbf = [Bf.partial(nm) for nm in names]
     # the plane locus sits inside {u0 = 0}
-    generic = [pt for pt in projective_zeros([Af, Bf], F) if pt[0] != F.zero]
+    generic = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
     if len(generic) < samples:
         witness = {"reason": f"only {len(generic)} generic points available"}
         return _done("singular_locus", params, witness, t0)
-    for k, pt in enumerate(rng.sample(generic, samples)):
-        va = [p.evaluate(pt) for p in paf]
-        vb = [p.evaluate(pt) for p in pbf]
-        ok = False
-        for i in range(len(names)):
-            if ok:
-                break
-            for j in range(i + 1, len(names)):
-                if F.sub(F.mul(va[i], vb[j]), F.mul(va[j], vb[i])) != F.zero:
-                    ok = True
-                    break
-        if not ok:
-            witness = {"reason": "all minors vanish at a generic point of Y",
-                       "point": [str(x) for x in pt]}
-            return _done("singular_locus", params, witness, t0)
+    pts = np.array([[F.element_index(c) for c in pt] for pt in rng.sample(generic, samples)],
+                   np.int64).reshape(samples, len(names))
+    flat = proportional_rows(F, _values(pa, F, pts), _values(pb, F, pts))
+    if flat.any():
+        witness = {"reason": "all minors vanish at a generic point of Y",
+                   "point": _element_strs(F, pts[int(np.argmax(flat))])}
+        return _done("singular_locus", params, witness, t0)
     params["generic_pool"] = len(generic)
     return _done("singular_locus", params, None, t0)
 
@@ -345,29 +324,14 @@ def _v_coordinates(n):
 
 
 def _plane_conditions(g, trans_vars, order):
-    """Coefficients of all transverse partials of total order <= `order`,
-    restricted to the coordinate plane (transverse variables set to 0)."""
-    dom = g.dom
-
-    def multi_indices(k, rem):
-        if k == len(trans_vars):
-            yield ()
-            return
-        for e in range(rem + 1):
-            for rest in multi_indices(k + 1, rem - e):
-                yield (e,) + rest
-
-    out = {}
-    for mi in multi_indices(0, order):
-        h = g
-        for var, e in zip(trans_vars, mi):
-            for _ in range(e):
-                h = h.partial(var)
-        for var in trans_vars:
-            h = h.set_var(var, dom.zero)
-        for exps, coeff in h.terms.items():
-            out[(mi, exps)] = coeff
-    return out
+    """The terms of g of degree <= `order` in the transverse variables, by
+    exponent tuple.  g vanishes to order > `order` along the coordinate
+    plane {trans_vars = 0} exactly when there are none: each is, up to the
+    factor prod mi! for its transverse exponents mi (nonzero in
+    characteristic 0), the restriction to the plane of one transverse
+    partial of g of order <= `order`."""
+    idx = [g.ctx.index[v] for v in trans_vars]
+    return {e: c for e, c in g.terms.items() if sum(e[i] for i in idx) <= order}
 
 
 def verify_linear_system_dim(n, d):
@@ -408,9 +372,8 @@ def verify_linear_system_dim(n, d):
     for i, comp in enumerate(phibar.components):
         cv = comp.map_domain(dom, conv).substitute(sub)
         row = condition_row(cv)
-        bad = [k for k, v in row.items() if v != dom.zero]
-        if bad:
-            witness = {"reason": f"parametrization component {i} violates {len(bad)} conditions"}
+        if row:
+            witness = {"reason": f"parametrization component {i} violates {len(row)} conditions"}
             return _done("linear_system_dim", params, witness, t0)
     return _done("linear_system_dim", params, None, t0)
 

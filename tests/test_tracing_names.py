@@ -1,0 +1,60 @@
+"""The benchmark's tracer and worker reach into skewplanes by name; every
+name they use must still resolve after a refactor."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing():
+    # by file path, without calling install(): nothing gets wrapped
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(modname, attr):
+    mod = importlib.import_module(f"skewplanes.{modname}")
+    if attr.endswith("*"):
+        return any(name.startswith(attr[:-1]) and inspect.isfunction(value)
+                   and value.__module__ == mod.__name__
+                   for name, value in vars(mod).items())
+    obj = mod
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+        if obj is None:
+            return False
+    return callable(obj)
+
+
+def test_traced_names_resolve():
+    tracing = _load_tracing()
+    targets = [t for pairs in tracing.SPANS.values() for t in pairs]
+    targets += list(tracing.YIELD_COUNTERS.values())
+    missing = [t for t in targets if not _resolves(*t)]
+    assert not missing, missing
+
+
+@pytest.mark.parametrize("name", ["count_system_chart", "height_scan_chart"])
+def test_scanned_kernels_take_start_and_stop(name):
+    # the tracer counts points scanned as stop - start
+    from skewplanes import kernels
+    params = inspect.signature(getattr(kernels, name)).parameters
+    assert "start" in params and "stop" in params
+
+
+@pytest.mark.parametrize("modname, attr", [
+    ("kernels", "warmup"), ("kernels", "active_backend"),
+    ("heights", "height_report"), ("heights", "parametrized_height_count"),
+    ("verify", "verify_membership"),
+    ("families", "build_phibar"), ("families", "build_x"),
+])
+def test_worker_names_exist(modname, attr):
+    assert _resolves(modname, attr)
+    assert f"{modname}.{attr}(" in (PERFBENCH / "worker.py").read_text()

@@ -16,9 +16,11 @@ from skewplanes.families import (
     build_alpha_beta,
     build_phitilde,
 )
-from skewplanes.mpoly import MPoly, RationalMap, compose
+from skewplanes.mpoly import MPoly, RationalMap, VarContext, compose
 from skewplanes.reporting import BudgetExceeded, strip_timing
 from skewplanes.verify import (
+    _h_theta,
+    _plane_conditions,
     galois_swap,
     run_all_checks,
     verify_composition,
@@ -156,6 +158,46 @@ def test_composition_numeric_char_two():
     assert r.params["skips"] < 10
 
 
+def _h_over_f32():
+    F32 = field_create(2, 5)
+    h = build_h(1).map_domain(F32, F32.reduce_rational)
+    return h, h, F32
+
+
+# outputs of the per-point evaluator the array evaluator replaced:
+# (maps, trials, seed, passed, skips, checked, witness)
+PINNED_NUMERIC = {
+    "phibar-theta-F1009": (
+        lambda: (build_phibar(1, 1), build_theta(1), field_create(1009)), 100, 3,
+        False, 0, None, {"point": ["243", "606", "557"], "image": ["608", "598", "29"]}),
+    "phibar-theta-F5": (
+        lambda: (build_phibar(1, 1), build_theta(1), field_create(5)), 40, 1,
+        False, 1, None, {"point": ["2", "0", "3"], "image": ["1", "2", "4"]}),
+    "h-h-F32": (
+        _h_over_f32, 50, 7,
+        False, 0, None,
+        {"point": ["(0, 0, 1, 0, 1)", "(1, 0, 0, 1, 0)", "(1, 0, 0, 1, 1)"],
+         "image": ["(0, 0, 0, 0, 0)", "(1, 0, 0, 1, 0)", "(1, 0, 0, 1, 0)"]}),
+    "phibar-htheta-F7": (
+        lambda: (build_phibar(1, 1), _h_theta(1), field_create(7)), 30, 3,
+        True, 5, 25, None),
+    "phibar2-htheta-F5": (
+        lambda: (build_phibar(2, 1), _h_theta(2), field_create(5)), 40, 11,
+        True, 13, 27, None),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_NUMERIC)
+def test_composition_numeric_pinned(case):
+    maps, trials, seed, passed, skips, checked, witness = PINNED_NUMERIC[case]
+    f, g, F = maps()
+    r = verify_composition_numeric(f, g, F, trials=trials, seed=seed)
+    assert r.passed is passed
+    assert r.params["skips"] == skips
+    assert r.params.get("checked") == checked
+    assert r.witness == witness
+
+
 def test_composition_detects_wrong_pair():
     cr, cri = build_cremona()
     r = verify_composition(cr, cr)  # cr is not its own inverse
@@ -193,8 +235,28 @@ def test_singular_locus_rejects_n1():
         verify_singular_locus(1, 1)
 
 
+def test_singular_locus_rejects_field_without_xi():
+    # -3 is not a square mod 11, so F_11 has no xi
+    with pytest.raises(ValueError, match=r"GF\(11\)"):
+        verify_singular_locus(2, 1, generic_field=11)
+
+
 # ---------------------------------------------------------------------------
 # linear system dimension
+
+
+def test_plane_conditions_read_order_off_terms():
+    # along the plane {t0 = t1 = 0}, order d = 2
+    ctx = VarContext(["t0", "t1", "w0", "w1"])
+    t0, t1, w0, w1 = (MPoly.variable(ctx, QQ, nm) for nm in ctx.names)
+    trans, d = ["t0", "t1"], 2
+    # every term has degree >= d + 1 in (t0, t1); the mixed ones need both
+    exact = t0 ** 3 * w0 + t0 ** 2 * t1 * w1 + t0 * t1 ** 2 * w0 + t1 ** 3 * w1 + t0 ** 4
+    assert _plane_conditions(exact, trans, d) == {}
+    assert _plane_conditions(exact, trans, d + 1) == {
+        e: c for e, c in exact.terms.items() if e != (4, 0, 0, 0)}
+    low = exact + (t0 * t1 * w0 * w1).scale(QQ.from_int(5))
+    assert _plane_conditions(low, trans, d) == {(1, 1, 1, 1): QQ.from_int(5)}
 
 
 def test_linear_system_dim_grid():
