@@ -43,6 +43,12 @@ def projective_size(q, N):
     return (q ** (N + 1) - 1) // (q - 1)
 
 
+def charge_projective(q, N, budget):
+    """Raise BudgetExceeded when P^N(F_q) has more than `budget` points."""
+    if projective_size(q, N) > budget:
+        raise BudgetExceeded(f"|P^{N}(F_{q})| exceeds budget {abbreviate(budget)}")
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -51,8 +57,7 @@ def enumerate_projective(F, N, budget=DEFAULT_BUDGET):
     """Normalized points of P^N(F_q): charts by first-nonzero index ascending,
     remaining coordinates in field-element order, last coordinate fastest."""
     q = F.q
-    if projective_size(q, N) > budget:
-        raise BudgetExceeded(f"|P^{N}(F_{q})| exceeds budget {abbreviate(budget)}")
+    charge_projective(q, N, budget)
     for chart in range(N + 1):
         nfree = N - chart
         prefix = (F.zero,) * chart + (F.one,)
@@ -355,8 +360,7 @@ def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
     order, found chart by chart with the vectorized evaluator."""
     exps, coeffs, offsets = _system_arrays(polys, F)
     nvars = exps.shape[1]
-    if projective_size(F.q, nvars - 1) > budget:
-        raise BudgetExceeded(f"|P^{nvars - 1}(F_{F.q})| exceeds budget {abbreviate(budget)}")
+    charge_projective(F.q, nvars - 1, budget)
     return [tuple(F.element_from_index(c) for c in row)
             for chart in range(nvars)
             for row in chart_zeros(F, exps, coeffs, offsets, chart, nvars).tolist()]

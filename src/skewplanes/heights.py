@@ -2,8 +2,10 @@
 f(x0, x1) + f(x2, x3) = 0 with f(a, b) = (a + b)(a^2 - ab + b^2)^d: the
 exact direct count, from pairs (a, b) matched by f-value, and the count of
 points reached through the degree-(2d+2) parametrization, from phibar with
-integer coefficients.  Both are exact Python-int computations at every d;
-the 4-tuple scan `kernels.height_scan_chart` is the tests' oracle.
+integer coefficients.  Both are exact Python-int computations at every d.
+The direct column's memory guard weighs its stored values by bit length, so
+it tightens as d grows.  The 4-tuple scan `kernels.height_scan_chart` is the
+tests' oracle.
 
 The asymptotic growth bounds are reported as reference curves only; nothing
 asymptotic is asserted at desk scale.
@@ -24,9 +26,10 @@ from .count import DEFAULT_BUDGET
 from .families import build_phibar
 from .reporting import BudgetExceeded, HeightReport, abbreviate
 
-# Memory guard of the direct column: its pair counter holds up to
-# (2B + 1)^2 Python ints, 641,601 at B = 400.
-DIRECT_BOUND_MAX = 400
+# Memory guard of the direct column: its pair counter holds up to (2B + 1)^2
+# ints no longer than 2B * (3B^2)^d, the largest |f| on [-B, B]^2; pairs times
+# that bit length is capped at its value at B = 400, d = 1.
+DIRECT_BITS_MAX = 641_601 * 29
 
 
 def reduced_representative(coords):
@@ -69,12 +72,16 @@ def _f(a, b, d):
     return (a + b) * (a * a - a * b + b * b) ** d
 
 
-def _refuse_direct_scan(B, budget):
+def _refuse_direct_scan(B, d, budget):
     """Raise BudgetExceeded when the direct column at bound B is past the
     memory guard or would walk more than `budget` pairs."""
-    if B > DIRECT_BOUND_MAX:
-        raise BudgetExceeded(f"direct height search capped at B <= {DIRECT_BOUND_MAX}")
     pairs = (2 * B + 1) ** 2
+    # at B >= 1 that |f| has more than d bits: testing pairs * d first
+    # refuses a huge d before its power is built
+    if pairs * d > DIRECT_BITS_MAX or (
+            pairs * (2 * B * (3 * B * B) ** d).bit_length() > DIRECT_BITS_MAX):
+        raise BudgetExceeded(f"direct height search at B = {B}, d = {d} is over its memory "
+                             f"guard, which allows B <= 400 at d = 1")
     if pairs > budget:
         raise BudgetExceeded(
             f"direct height search at B = {B} walks {pairs} pairs, "
@@ -90,7 +97,7 @@ def _direct_rows(d, B, budget):
     itself when v = 0.  A nonzero tuple is g times a primitive one of height
     <= b // g, so the primitive tuples P[b] = N[b] - 1 - sum over g >= 2 of
     P[b // g] (Moebius inversion over the gcd); each point has two of them."""
-    _refuse_direct_scan(B, budget)
+    _refuse_direct_scan(B, d, budget)
     seen = Counter({0: 1})  # the pair (0, 0), which makes the zero tuple
     total = 1
     prim = [0]

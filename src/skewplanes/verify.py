@@ -4,11 +4,11 @@ roundtrips, singular loci, Galois symmetry, Cox grading, and the dimension
 of the distinguished linear system.
 
 All symbolic checks are exact (the difference must be the zero polynomial);
-nothing here is tolerance-based.  Sampled checks draw from seeded generators
-and are bit-reproducible for a fixed seed.  Their samples over F_q are
-evaluated all at once by `kernels.system_values`, the evaluator of the count
-engines; the singular-locus samples over Q(xi) are evaluated exactly with
-`MPoly.evaluate`.
+nothing here is tolerance-based.  The singular locus is checked exactly over
+Q(xi), one plane at a time, by substitution.  Sampled checks run over F_q
+only: they draw from seeded generators, are bit-reproducible for a fixed
+seed, and evaluate all their samples at once with `kernels.system_values`,
+the evaluator of the count engines.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .count import DEFAULT_BUDGET, _system_arrays, projective_zeros
+from .count import DEFAULT_BUDGET, _system_arrays, charge_projective, projective_zeros
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
     build_ab,
@@ -133,14 +134,14 @@ def _scalar_identity_witness(comps, ctx, dom):
     return s, None
 
 
-def verify_composition(f, g, modulo=None, field=None, trials=100, seed=42):
+def verify_composition(f, g, modulo=None):
     """g∘f == identity up to a scalar polynomial factor.
 
     With `modulo` (a hypersurface polynomial in the source variables) the
     identity is only birational on the hypersurface: the cross minors
-    c_i*v_j - c_j*v_i must each be exact multiples of it.  If the cofactor
-    division fails the check falls back to seeded numeric sampling and says
-    so in its mode.
+    c_i*v_j - c_j*v_i must each be exact multiples of it.  Division by one
+    polynomial is exact, so a minor it does not divide is outside the ideal
+    of the hypersurface and fails the check.
     """
     t0 = time.perf_counter()
     params = {"f": f.name, "g": g.name}
@@ -165,13 +166,8 @@ def verify_composition(f, g, modulo=None, field=None, trials=100, seed=42):
             if minor.is_zero():
                 continue
             if minor.try_div(modulo) is None:
-                if field is None:
-                    witness = {"reason": f"minor ({i},{j}) is not a multiple of the hypersurface"}
-                    return _done("composition", params, witness, t0)
-                numeric = verify_composition_numeric(f, g, field, trials=trials, seed=seed)
-                numeric.params.update(params)
-                numeric.params["fallback"] = "cofactor search failed; sampled instead"
-                return numeric
+                witness = {"reason": f"minor ({i},{j}) is not a multiple of the hypersurface"}
+                return _done("composition", params, witness, t0)
     params["modulo_degree"] = modulo.total_degree()
     return _done("composition", params, None, t0)
 
@@ -227,70 +223,64 @@ def verify_composition_numeric(f, g, F, trials=100, seed=42):
 # singular locus
 
 
-def _z_locus_point(rng, n, uniform_sign):
-    """A point of the plane-pair locus in P^{2n} over Q(xi): u0 = 0 and
-    u_{2i+1} = s_i*xi*u_{2i+2}.  `uniform_sign` restricts to the two
-    conjugate planes (all s_i equal)."""
-    xi = QQXI.xi
-    while True:
-        cs = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        if any(cs):
-            break
-    if uniform_sign:
-        s = rng.choice((1, -1))
-        signs = [s] * n
-    else:
-        signs = [rng.choice((1, -1)) for _ in range(n)]
-    pt = [QQXI.zero]
-    for c, s in zip(cs, signs):
-        sx = xi if s == 1 else QQXI.neg(xi)
-        pt.append(QQXI.mul(sx, QQXI.from_rational(c)))
-        pt.append(QQXI.from_rational(c))
-    return tuple(pt), signs
+def _plane_minor(pa, pb, signs):
+    """The first minor (i, j) of the Jacobian rows pa, pb (polynomials over
+    Q(xi) in u0..u_{2n}) that is not identically zero on the plane u0 = 0,
+    u_{2k+1} = s_k*xi*u_{2k+2} for the signs s_k, or None when all are."""
+    ctx, dom = pa[0].ctx, pa[0].dom
+    sub = {"u0": MPoly.zero(ctx, dom)}
+    for k, s in enumerate(signs):
+        sx = dom.xi if s == 1 else dom.neg(dom.xi)
+        sub[f"u{2 * k + 1}"] = MPoly.variable(ctx, dom, f"u{2 * k + 2}").scale(sx)
+    va = [p.substitute(sub) for p in pa]
+    vb = [p.substitute(sub) for p in pb]
+    for i, j in combinations(range(len(va)), 2):
+        if not (va[i] * vb[j] - va[j] * vb[i]).is_zero():
+            return i, j
+    return None
 
 
-def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13):
+def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEFAULT_BUDGET):
     """Jacobian minors of (A, B) vanish on the claimed singular locus and
     are nonzero at generic points of Y = {A = B = 0}.
 
-    For d = 1 the locus is the conjugate plane pair (uniform sign pattern);
-    for d > 1 it is the whole plane union (mixed signs included).  Locus
-    samples are exact over Q(xi); generic points are drawn from a full
-    enumeration of Y over a prime field containing xi, and their minors
-    are evaluated there through the kernels' evaluator.
+    The locus lies in {u0 = 0}: for d = 1 it is the conjugate plane pair
+    u_{2k+1} = s*xi*u_{2k+2} (one sign s for every k); for d > 1 it is the
+    union of the planes of all 2^n sign patterns.  Each plane is checked
+    exactly over Q(xi): the partials are restricted to it by substitution and
+    every minor must be the zero polynomial.  Generic points are drawn from a
+    full enumeration of Y over a prime field where xi exists and differs from
+    -xi, and their minors are evaluated there through the kernels'
+    evaluator.  The enumeration is charged to `budget` before any work.
     """
     if n < 2:
         raise ValueError("singular-locus check needs n >= 2 (locus is empty for n = 1)")
     F = field_create(generic_field)
-    if sqrt_of_minus_three(F) is None:
-        raise ValueError(f"generic points need xi = sqrt(-3), which {F.name} lacks")
+    xi = sqrt_of_minus_three(F)
+    if xi is None or xi == F.neg(xi):
+        raise ValueError(f"generic points need xi = sqrt(-3) with xi != -xi, "
+                         f"which {F.name} lacks")
+    charge_projective(F.q, 2 * n, budget)
     t0 = time.perf_counter()
     params = {"n": n, "d": d, "samples": samples, "seed": seed,
               "generic_field": generic_field}
-    rng = random.Random(seed)
     A, B = build_ab(n, d, QQ)
-    conv = QQXI.from_rational
-    Ax = A.map_domain(QQXI, conv)
-    Bx = B.map_domain(QQXI, conv)
-    names = Ax.ctx.names
-    pa = [Ax.partial(nm) for nm in names]
-    pb = [Bx.partial(nm) for nm in names]
-    for k in range(samples):
-        pt, signs = _z_locus_point(rng, n, uniform_sign=(d == 1))
-        va = [p.evaluate(pt) for p in pa]
-        vb = [p.evaluate(pt) for p in pb]
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                m = QQXI.sub(QQXI.mul(va[i], vb[j]), QQXI.mul(va[j], vb[i]))
-                if m != QQXI.zero:
-                    witness = {"reason": "nonzero minor on the singular locus",
-                               "sample": k, "signs": signs, "minor": (i, j)}
-                    return _done("singular_locus", params, witness, t0)
+    names = A.ctx.names
+    pa, pb = ([P.partial(nm).map_domain(QQXI, QQXI.from_rational) for nm in names]
+              for P in (A, B))
+    planes = [(s,) * n for s in (1, -1)] if d == 1 else product((1, -1), repeat=n)
+    for signs in planes:
+        minor = _plane_minor(pa, pb, signs)
+        if minor is not None:
+            witness = {"reason": "nonzero minor on the singular locus",
+                       "signs": list(signs), "minor": list(minor)}
+            return _done("singular_locus", params, witness, t0)
     # the plane locus sits inside {u0 = 0}
-    generic = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
+    generic = [pt for pt in projective_zeros([A, B], F, budget) if pt[0] != F.zero]
     if len(generic) < samples:
         witness = {"reason": f"only {len(generic)} generic points available"}
         return _done("singular_locus", params, witness, t0)
+    rng = random.Random(seed)
     pts = np.array([[F.element_index(c) for c in pt] for pt in rng.sample(generic, samples)],
                    np.int64).reshape(samples, len(names))
     flat = proportional_rows(F, _values(pa, F, pts), _values(pb, F, pts))
@@ -459,11 +449,6 @@ def _h_theta(n):
     return h_theta
 
 
-def _composition_on_x(n, d, seed, budget):
-    return verify_composition(_h_theta(n), build_phibar(n, d), modulo=build_x(n, d),
-                              field=field_create(1009), seed=seed)
-
-
 def _composition_roundtrip(n, d, seed, budget):
     return verify_composition_numeric(build_phibar(n, d), _h_theta(n), field_create(1009),
                                       trials=100, seed=seed)
@@ -494,13 +479,15 @@ CHECKS = {
         lambda n, d, seed, budget: verify_composition(*build_cremona()), _always),
     "composition_alphabeta": Check(
         lambda n, d, seed, budget: verify_composition(*build_alpha_beta(n)), _always),
-    "composition_on_x": Check(_composition_on_x, lambda n, d: False),
+    "composition_on_x": Check(lambda n, d, seed, budget: verify_composition(
+        _h_theta(n), build_phibar(n, d), modulo=build_x(n, d)), lambda n, d: False),
     "composition_roundtrip": Check(_composition_roundtrip, _always),
     "composition_roundtrip_char2": Check(_composition_roundtrip_char2, _always),
     "linear_system_dim": Check(lambda n, d, seed, budget: verify_linear_system_dim(n, d),
                                _always),
     "singular_locus": Check(
-        lambda n, d, seed, budget: verify_singular_locus(n, d, samples=50, seed=seed),
+        lambda n, d, seed, budget: verify_singular_locus(n, d, samples=50, seed=seed,
+                                                         budget=budget),
         lambda n, d: n >= 2),
     "galois": Check(lambda n, d, seed, budget: verify_galois_symmetry(n, d), _always),
     "galois_generalized": Check(

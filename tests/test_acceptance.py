@@ -206,7 +206,7 @@ def test_c08_singular_locus_sampling():
         r = verify_singular_locus(2, d, samples=50, seed=0)
         good = r.passed and r.params["samples"] == 50
         ok = ok and good
-        rows.append(f"(2,{d}): 50 Z-samples vanish, 50 generic nonzero -> "
+        rows.append(f"(2,{d}): minors zero on every locus plane, 50 generic nonzero -> "
                     f"{'ok' if good else r.witness}")
     _report(8, "singular locus sampling", ok, "; ".join(rows))
     assert ok

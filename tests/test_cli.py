@@ -145,6 +145,14 @@ def test_verify_membership_honours_budget(capsys):
     assert time.perf_counter() - t0 < 10
 
 
+def test_verify_singular_locus_honours_budget(capsys):
+    # the generic half enumerates P^4(F_13): 30941 points
+    argv = ["verify", "--check", "singular_locus", "--n", "2", "--d", "1"]
+    code, out, err = run_cli(argv + ["--budget", "1"], capsys)
+    assert code == 4 and out == "" and "P^4(F_13)" in err
+    assert run_cli(argv + ["--budget", "30941"], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("n,d", [(2, 1), (1, 3)])
 def test_verify_suites_pass_under_default_budget(capsys, n, d):
     code, out, _ = run_cli(["verify", "--n", str(n), "--d", str(d)], capsys)
@@ -537,6 +545,15 @@ def test_heights_direct_cap(capsys):
     assert code == 0 and out.splitlines()[-1].startswith("400,594021,")
     code, out, err = run_cli(argv + ["--bound", "401"], capsys)
     assert code == 4 and out == "" and "B <= 400" in err
+
+
+def test_heights_direct_guard_weighs_d(capsys):
+    # 641,601 pairs whose values reach about 19,000 bits at d = 1000
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["heights", "--n", "1", "--d", "1000", "--mode", "direct",
+                              "--bound", "400"], capsys)
+    assert code == 4 and out == "" and "d = 1000" in err
+    assert time.perf_counter() - t0 < 10
 
 
 # ---------------------------------------------------------------------------

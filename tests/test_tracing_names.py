@@ -1,12 +1,16 @@
-"""The benchmark's tracer and worker reach into skewplanes by name; every
-name they use must still resolve after a refactor."""
+"""The benchmark's tracer and worker reach into skewplanes by name, and its
+workloads expect the verify suite's check names; every name they use must
+still resolve after a refactor."""
 
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from skewplanes.verify import run_all_checks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +62,21 @@ def test_scanned_kernels_take_start_and_stop(name):
 def test_worker_names_exist(modname, attr):
     assert _resolves(modname, attr)
     assert f"{modname}.{attr}(" in (PERFBENCH / "worker.py").read_text()
+
+
+def _load_workloads(monkeypatch):
+    # workloads.py imports its sibling oracles.py by bare name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (1, 3)])
+def test_suite_checks_match_the_benchmark(monkeypatch, n, d):
+    # the verify workload compares each suite's check names with these
+    workloads = _load_workloads(monkeypatch)
+    got = Counter(r.check for r in run_all_checks(n, d))
+    assert got == workloads._suite_checks(n, d)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import skewplanes.verify as verify_mod
 from skewplanes.count import enumerate_projective, projective_zeros
 from skewplanes.domains import QQ, QQXI, field_create
 from skewplanes.families import (
@@ -21,6 +22,7 @@ from skewplanes.reporting import BudgetExceeded, strip_timing
 from skewplanes.verify import (
     _h_theta,
     _plane_conditions,
+    _plane_minor,
     galois_swap,
     run_all_checks,
     verify_composition,
@@ -134,6 +136,14 @@ def test_composition_on_x_modulo_ideal():
     assert r.params.get("modulo_degree") == 2 * d + 1
 
 
+def test_composition_on_x_wrong_hypersurface_fails():
+    # phibar(1, 2) inverts h.theta on X(1, 2), not on X(1, 1); a minor that
+    # X(1, 1) does not divide is a failure, not a cue to sample
+    r = verify_composition(_h_theta(1), build_phibar(1, 2), modulo=build_x(1, 1))
+    assert not r.passed and r.mode == "symbolic"
+    assert r.witness == {"reason": "minor (0,1) is not a multiple of the hypersurface"}
+
+
 def test_composition_numeric_roundtrip():
     n, d = 1, 1
     F = field_create(1009)
@@ -239,6 +249,62 @@ def test_singular_locus_rejects_field_without_xi():
     # -3 is not a square mod 11, so F_11 has no xi
     with pytest.raises(ValueError, match=r"GF\(11\)"):
         verify_singular_locus(2, 1, generic_field=11)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_singular_locus_rejects_characteristic_two_and_three(p):
+    # x^2 + 3 has a double root there, so xi = -xi
+    with pytest.raises(ValueError, match=rf"GF\({p}\)"):
+        verify_singular_locus(2, 1, generic_field=p)
+
+
+def _jacobian_rows(n, d):
+    A, B = build_ab(n, d, QQ)
+    return ([P.partial(nm).map_domain(QQXI, QQXI.from_rational) for nm in A.ctx.names]
+            for P in (A, B))
+
+
+def test_plane_minor_mixed_signs_negative_control():
+    # at d = 1 only the two conjugate planes are singular
+    pa, pb = _jacobian_rows(2, 1)
+    assert _plane_minor(pa, pb, (1, 1)) is None
+    assert _plane_minor(pa, pb, (-1, -1)) is None
+    assert _plane_minor(pa, pb, (1, -1)) == (1, 3)
+    assert _plane_minor(pa, pb, (-1, 1)) is not None
+
+
+@pytest.mark.parametrize("d, planes", [
+    (1, [(1, 1), (-1, -1)]),
+    (2, [(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+])
+def test_singular_locus_checks_every_plane(monkeypatch, d, planes):
+    seen = []
+
+    def spy(pa, pb, signs):
+        seen.append(tuple(signs))
+        return _plane_minor(pa, pb, signs)
+    monkeypatch.setattr(verify_mod, "_plane_minor", spy)
+    r = verify_singular_locus(2, d)
+    assert r.passed, r.witness
+    assert seen == planes
+
+
+def test_singular_locus_witness_names_plane_and_minor(monkeypatch):
+    # Y at d = 1 is singular only on the conjugate pair, so checking it on
+    # every plane, as for d > 1, fails at the first mixed sign pattern
+    monkeypatch.setattr(verify_mod, "build_ab", lambda n, d, dom: build_ab(n, 1, dom))
+    r = verify_singular_locus(2, 2)
+    assert not r.passed
+    assert r.witness == {"reason": "nonzero minor on the singular locus",
+                         "signs": [1, -1], "minor": [1, 3]}
+
+
+def test_singular_locus_charges_budget_before_any_work(monkeypatch):
+    def locus_half(*args):
+        raise AssertionError("locus half ran")
+    monkeypatch.setattr(verify_mod, "_plane_minor", locus_half)
+    with pytest.raises(BudgetExceeded, match=r"P\^4\(F_13\)\| exceeds budget 30940"):
+        verify_singular_locus(2, 1, budget=30940)
 
 
 # ---------------------------------------------------------------------------
