@@ -9,6 +9,7 @@ command line the parser rejects included) or unwritable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -269,7 +270,10 @@ def _add_common(p, with_nd=True):
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and kept: building it
+    costs about 2 ms, and parsing leaves it unchanged."""
     parser = _Parser(
         prog="skewplanes",
         description="Exact constructions, identity verification, point counts, "

@@ -6,7 +6,11 @@ The block engine splits the variables into blocks that share no monomial,
 histograms each block's contribution to the value vector over F_q^r (r
 polynomials), and convolves the histograms over the additive group; the
 affine cone then has H[0] points.  It runs when there are at least two
-blocks and it costs no more than the chart scan.  The chart scan walks
+blocks and it costs no more than the chart scan.  For one polynomial
+(r = 1) it runs in line-orbit mode: a block's form is homogeneous, so it is
+evaluated once per line, and its histogram and every partial convolution
+are constant on the cosets of the e-th powers (see `_count_blocks`).  The
+cost model of `_plan` is the same in both modes.  The chart scan walks
 affine charts (points normalized so the first nonzero coordinate is 1) in
 deterministic order and is the oracle for the block engine.  Both split
 their index ranges into shards whose partial counts or histograms merge by
@@ -27,7 +31,10 @@ from .kernels import (
     chart_zeros,
     convolution_at_zero,
     convolve_histograms,
+    convolve_invariant,
     count_system_chart,
+    line_orbit_counts,
+    orbit_histogram,
 )
 from .mpoly import MPoly, VarContext, multiplicity_at
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
@@ -167,28 +174,48 @@ def _shard_ranges(size, shards):
 
 def _count_blocks(F, exps, coeffs, offsets, blocks, shards):
     """(N_aff - 1) / (q - 1), with N_aff = H[0] of the convolution of the
-    block histograms; Python ints once q^nvars reaches the int64 range."""
+    block histograms; Python ints once q^nvars reaches the int64 range.
+
+    A one-polynomial system (r = 1) is homogeneous of some degree e, and so
+    is each block's part of it: its histogram comes from one point per line
+    (`line_orbit_counts`), and is constant on the cosets of (F_q^*)^e, of
+    index s = gcd(e, q - 1), and so is every partial convolution, which is
+    computed at 1 + s points (`convolve_invariant`)."""
     q = F.q
     exact = q ** exps.shape[1] >= 2 ** 63
+    one_form = len(offsets) == 2
+    # read for r = 1 only: e is the degree of any term (in Python ints, as
+    # exponents may reach 2^63), and 1 for the zero polynomial, whose
+    # histograms are zero off 0
+    s = gcd(sum(map(int, exps[0])) if len(exps) else 1, q - 1)
     hists = []
     for block in blocks:
         rows = np.flatnonzero(exps[:, block].any(axis=1))
         sub_offsets = np.searchsorted(rows, offsets)
         sub_exps = exps[np.ix_(rows, block)]
-        hist = sum(block_histogram(F, sub_exps, coeffs[rows], sub_offsets, lo, hi)
-                   for lo, hi in _shard_ranges(q ** len(block), shards))
+        if one_form:
+            lines = projective_size(q, len(block) - 1)
+            hist = orbit_histogram(F, sum(
+                line_orbit_counts(F, sub_exps, coeffs[rows], sub_offsets, s, lo, hi)
+                for lo, hi in _shard_ranges(lines, shards)))
+        else:
+            hist = sum(block_histogram(F, sub_exps, coeffs[rows], sub_offsets, lo, hi)
+                       for lo, hi in _shard_ranges(q ** len(block), shards))
         hists.append(hist.astype(object) if exact else hist)
     total = hists[0]
     for hist in hists[1:-1]:
-        total = convolve_histograms(F, total, hist)
+        total = (convolve_invariant(F, total, hist, s) if one_form
+                 else convolve_histograms(F, total, hist))
     n_aff = convolution_at_zero(F, total, hists[-1]) if len(hists) > 1 else int(total[0])
     return (n_aff - 1) // (q - 1)
 
 
-def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET):
+def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET, with_engine=False):
     """Number of normalized projective points where every polynomial
     vanishes; exact and shard-count independent.  `budget` caps the work of
-    the engine that runs (see `_plan`)."""
+    the engine that runs (see `_plan`).  With `with_engine`, returns
+    (count, engine name), so a report names its engine without a second
+    plan."""
     engine, cost, exps, coeffs, offsets, blocks = _plan(polys, F)
     q = F.q
     nvars = exps.shape[1]
@@ -199,13 +226,12 @@ def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET):
             f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
             f"over budget {abbreviate(budget)}")
     if engine == "blocks":
-        return _count_blocks(F, exps, coeffs, offsets, blocks, shards)
-    total = 0
-    for chart in range(nvars):
-        for start, stop in _shard_ranges(q ** (nvars - 1 - chart), shards):
-            total += count_system_chart(F, exps, coeffs, offsets,
-                                        chart, start, stop, nvars)
-    return total
+        total = _count_blocks(F, exps, coeffs, offsets, blocks, shards)
+    else:
+        total = sum(count_system_chart(F, exps, coeffs, offsets, chart, start, stop, nvars)
+                    for chart in range(nvars)
+                    for start, stop in _shard_ranges(q ** (nvars - 1 - chart), shards))
+    return (total, engine) if with_engine else total
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +314,24 @@ def count_family(family, n, d, F, delta=None, shards=1, budget=DEFAULT_BUDGET):
             formula = None
     else:
         raise ValueError(f"unknown family {family!r}")
-    brute = count_zeros(polys, F, shards=shards, budget=budget)
+    brute, engine = count_zeros(polys, F, shards=shards, budget=budget, with_engine=True)
     return CountReport(
         family=family, params=params,
         field_spec={"p": F.p, "m": F.m, "q": q},
         brute=brute, formula=formula,
         match=None if formula is None else brute == formula,
-        formula_alt=formula_alt, shards=shards, engine=count_engine(polys, F),
+        formula_alt=formula_alt, shards=shards, engine=engine,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def count_custom(polys, F, shards=1, budget=DEFAULT_BUDGET, label="custom"):
     t0 = time.perf_counter()
-    brute = count_zeros(polys, F, shards=shards, budget=budget)
+    brute, engine = count_zeros(polys, F, shards=shards, budget=budget, with_engine=True)
     return CountReport(
         family=label, params={"polys": len(polys)},
         field_spec={"p": F.p, "m": F.m, "q": F.q},
         brute=brute, formula=None, match=None, shards=shards,
-        engine=count_engine(polys, F), elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        engine=engine, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def count_x_d_delta(n, d, delta, F, shards=1, budget=DEFAULT_BUDGET):
@@ -339,10 +365,10 @@ def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
     ctx2 = VarContext(tuple(f.ctx.names) + (new_name,))
     mapping = {nm: MPoly.variable(ctx2, F, nm) for nm in f.ctx.names}
     g = fF.substitute(mapping) + (MPoly.variable(ctx2, F, new_name) ** D).scale(F.from_int(a))
-    count = count_zeros([g], F, shards=shards, budget=budget)
+    count, engine = count_zeros([g], F, shards=shards, budget=budget, with_engine=True)
     expected = projective_size(q, f.ctx.nvars - 1)
     params["count"] = count
-    params["engine"] = count_engine([g], F)
+    params["engine"] = engine
     params["expected"] = expected
     witness = None if count == expected else {"count": count, "expected": expected}
     return VerificationResult(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+
+import numpy as np
 
 
 class Domain:
@@ -439,11 +441,11 @@ def field_create(p, m=1):
 
 
 # ---------------------------------------------------------------------------
-# discrete-log tables, shared by FiniteField.mul and the count kernels'
-# dense field tables
+# discrete-log tables, shared by FiniteField.mul and the count kernels
 
 _TABLE_Q_MAX = 1024
 _EXP_LOG = {}
+_INDEX_EXP_LOG = {}
 
 
 def _primitive_element(F):
@@ -472,6 +474,35 @@ def exp_log_tables(F):
             exp.append(F.mul(exp[-1], g))
         _EXP_LOG[key] = exp, {x: k for k, x in enumerate(exp)}
     return _EXP_LOG[key]
+
+
+def index_exp_log(F):
+    """(exp, log) as int64 arrays over element indices, for the same
+    primitive element g as `exp_log_tables`: exp[k] is the index of g^k for
+    k < q - 1, and log[exp[k]] = k (log[0] = 0 stands for no logarithm).
+    Built once per (p, m) in O(q): over F_{p^m} from `exp_log_tables`, so
+    q <= _TABLE_Q_MAX there; over F_p as a numpy outer product of g^i and
+    g^(jw), w = isqrt(p - 1) + 1, with no cap, so the caller bounds q."""
+    key = (F.p, F.m)
+    if key not in _INDEX_EXP_LOG:
+        q = F.q
+        if F.m == 1:
+            g = _primitive_element(F)
+            w = isqrt(q - 1) + 1
+            low = [1]
+            for _ in range(w - 1):
+                low.append(low[-1] * g % q)
+            high = [1]
+            for _ in range(w - 1):
+                high.append(high[-1] * low[-1] * g % q)
+            exp = (np.array(high, np.int64)[:, None] * np.array(low, np.int64)
+                   % q).ravel()[:q - 1]
+        else:
+            exp = np.array([F.element_index(x) for x in exp_log_tables(F)[0]], np.int64)
+        log = np.zeros(q, np.int64)
+        log[exp] = np.arange(q - 1)
+        _INDEX_EXP_LOG[key] = exp, log
+    return _INDEX_EXP_LOG[key]
 
 
 # ---------------------------------------------------------------------------

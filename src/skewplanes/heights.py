@@ -3,9 +3,9 @@ f(x0, x1) + f(x2, x3) = 0 with f(a, b) = (a + b)(a^2 - ab + b^2)^d: the
 exact direct count, from pairs (a, b) matched by f-value, and the count of
 points reached through the degree-(2d+2) parametrization, from phibar with
 integer coefficients.  Both are exact Python-int computations at every d.
-The direct column's memory guard weighs its stored values by bit length, so
-it tightens as d grows.  The 4-tuple scan `kernels.height_scan_chart` is the
-tests' oracle.
+The direct column's memory guard weighs each stored value as a fixed cost
+plus its bit length, so it tightens as d grows.  The 4-tuple scan
+`kernels.height_scan_chart` is the tests' oracle.
 
 The asymptotic growth bounds are reported as reference curves only; nothing
 asymptotic is asserted at desk scale.
@@ -27,9 +27,12 @@ from .families import build_phibar
 from .reporting import BudgetExceeded, HeightReport, abbreviate
 
 # Memory guard of the direct column: its pair counter holds up to (2B + 1)^2
-# ints no longer than 2B * (3B^2)^d, the largest |f| on [-B, B]^2; pairs times
-# that bit length is capped at its value at B = 400, d = 1.
-DIRECT_BITS_MAX = 641_601 * 29
+# ints no longer than 2B * (3B^2)^d, the largest |f| on [-B, B]^2.  Each entry
+# weighs DIRECT_ENTRY_BITS, a fixed cost in the units of one bit of an int
+# (about 77 bytes: the counter's slot and the int's header), plus that bit
+# length; the total is capped at its value at B = 400, d = 1.
+DIRECT_ENTRY_BITS = 576
+DIRECT_BITS_MAX = 641_601 * (DIRECT_ENTRY_BITS + 29)
 
 
 def reduced_representative(coords):
@@ -76,10 +79,10 @@ def _refuse_direct_scan(B, d, budget):
     """Raise BudgetExceeded when the direct column at bound B is past the
     memory guard or would walk more than `budget` pairs."""
     pairs = (2 * B + 1) ** 2
-    # at B >= 1 that |f| has more than d bits: testing pairs * d first
-    # refuses a huge d before its power is built
-    if pairs * d > DIRECT_BITS_MAX or (
-            pairs * (2 * B * (3 * B * B) ** d).bit_length() > DIRECT_BITS_MAX):
+    # at B >= 1 that |f| has more than d bits: testing d first refuses a huge
+    # d before its power is built
+    if pairs * (DIRECT_ENTRY_BITS + d) > DIRECT_BITS_MAX or pairs * (
+            DIRECT_ENTRY_BITS + (2 * B * (3 * B * B) ** d).bit_length()) > DIRECT_BITS_MAX:
         raise BudgetExceeded(f"direct height search at B = {B}, d = {d} is over its memory "
                              f"guard, which allows B <= 400 at d = 1")
     if pairs > budget:

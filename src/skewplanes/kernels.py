@@ -11,13 +11,21 @@ into disjoint shards whose counts or histograms merge by addition.  Every
 evaluation of a system goes through `system_values`: the count engines call
 it in blocks of `_BLOCK` points, the sampled checks of `verify` once on all
 their samples, whose value rows they compare with `proportional_rows`.
+
+A block of one homogeneous form has a line-orbit mode: `line_orbit_counts`
+evaluates it once per normalized point of projective space and counts the
+values by discrete logarithm mod s, `orbit_histogram` expands those counts
+to its histogram over F_q, and `convolve_invariant` convolves histograms
+that are constant on the cosets of the e-th powers at 1 + s points.  The
+full-histogram kernels `block_histogram` and `convolve_histograms` serve
+systems of several polynomials and are the tests' oracles for this mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domains import exp_log_tables
+from .domains import index_exp_log
 
 _BLOCK = 1 << 15
 
@@ -58,19 +66,16 @@ def field_tables(F):
     """Dense addition/multiplication tables indexed by element index.
 
     Addition is digitwise mod p on element indices.  Multiplication goes
-    through the discrete logarithms of `domains.exp_log_tables`:
+    through the discrete logarithms of `domains.index_exp_log`:
     mul[i, j] = exp[(log i + log j) mod (q - 1)] with row and column 0 set
-    to zero.  Both are limited to q <= 1024."""
+    to zero.  Over F_{p^m} both are limited to q <= 1024."""
     key = (F.p, F.m)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     q = F.q
-    powers, _ = exp_log_tables(F)
+    exp, log = index_exp_log(F)
     idx = np.arange(q, dtype=np.int64)
     add_t = _digitwise(F.p, idx[:, None], idx[None, :], 1, q).astype(np.int32)
-    exp = np.array([F.element_index(x) for x in powers], np.int64)
-    log = np.zeros(q, np.int64)
-    log[exp] = np.arange(q - 1)
     mul_t = exp[(log[:, None] + log[None, :]) % (q - 1)].astype(np.int32)
     mul_t[0, :] = 0
     mul_t[:, 0] = 0
@@ -222,6 +227,68 @@ def convolution_at_zero(F, h1, h2):
     """(h1 * h2)[0] = sum over i of h1[i] * h2[-i], as a Python int."""
     size = len(h1)
     return int(h1 @ h2[_digitwise(F.p, 0, np.arange(size), -1, size)])
+
+
+# ---------------------------------------------------------------------------
+# line orbits of one form and convolution of coset-invariant histograms
+
+
+def line_orbit_counts(F, exps, coeffs, offsets, s, start, stop):
+    """[z, c_0, ..., c_{s-1}] for one form, evaluated once per normalized
+    point of P^{k-1}(F_q), k = exps.shape[1], with line indices in
+    [start, stop): z of those points are zeros of the form, and c_i take a
+    nonzero value whose discrete logarithm is i mod s.  Line indices run
+    through the charts in `_chart_points` order, chart 0 first, so a split
+    of the range merges by addition."""
+    q, k = F.q, exps.shape[1]
+    _, log = index_exp_log(F)
+    counts = np.zeros(1 + s, np.int64)
+    first = 0
+    for chart in range(k):
+        size = q ** (k - 1 - chart)
+        lo, hi = max(start - first, 0), min(stop - first, size)
+        for at in range(lo, hi, _BLOCK):
+            pts = _chart_points(q, k, chart, at, min(at + _BLOCK, hi))
+            vals = next(system_values(F, exps, coeffs, offsets, pts))
+            nonzero = vals[vals != 0]
+            counts[0] += len(vals) - len(nonzero)
+            counts[1:] += np.bincount(log[nonzero] % s, minlength=s)
+        first += size
+    return counts
+
+
+def orbit_histogram(F, counts):
+    """Histogram over F_q of a form of degree e on F_q^k, from its
+    `line_orbit_counts` with s = gcd(e, q - 1).  As f(tp) = t^e f(p), the
+    line through a point of value v != 0 takes each value of the coset
+    v (F_q^*)^e s times, and a line of zeros adds q - 1 zeros to the
+    origin's: H[0] = 1 + (q - 1) z and H[v] = s c_(log v mod s)."""
+    q, s = F.q, len(counts) - 1
+    _, log = index_exp_log(F)
+    hist = np.empty(q, np.int64)
+    hist[0] = 1 + (q - 1) * counts[0]
+    hist[1:] = s * counts[1:][log[1:] % s]
+    return hist
+
+
+def convolve_invariant(F, h1, h2, s):
+    """`convolve_histograms` over F_q for histograms constant on the cosets
+    of (F_q^*)^e, s = gcd(e, q - 1), whose convolution is constant on them
+    too: it is computed at 0 and at one representative g^j of each coset
+    (j < s), 1 + s dot products of length q, and expanded through
+    log mod s.  The result has the dtype of the inputs."""
+    q = F.q
+    exp, log = index_exp_log(F)
+    reps = np.concatenate(([0], exp[:s]))
+    k = np.arange(q, dtype=np.int64)
+    step = max(1, (_BLOCK * 8) // q)
+    at = np.concatenate([
+        h2[_digitwise(F.p, reps[lo:lo + step, None], k[None, :], -1, q)] @ h1
+        for lo in range(0, len(reps), step)])
+    out = np.empty_like(h1)
+    out[0] = at[0]
+    out[1:] = at[1:][log[1:] % s]
+    return out
 
 
 # ---------------------------------------------------------------------------

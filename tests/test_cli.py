@@ -339,6 +339,30 @@ def test_count_shards_agree(capsys):
     assert doc1["records"][0]["brute"] == doc8["records"][0]["brute"] == 133
 
 
+def test_count_x_n3_large_prime_by_line_orbits(capsys):
+    # X(3, 1) over F_10007: 10007 = 5 mod 6 and gcd(3, 10006) = 1, so the
+    # count is |P^6|; each block is evaluated on 10008 lines, not 10007^2 points
+    code, out, _ = run_cli(["count", "--family", "X", "--n", "3", "--d", "1",
+                            "--q", "10007", "--format", "json"], capsys)
+    rec = json.loads(out)["records"][0]
+    assert code == 0 and rec["engine"] == "blocks"
+    assert rec["brute"] == rec["formula"] == (10007 ** 7 - 1) // 10006
+
+
+def test_parser_reused_across_calls(capsys):
+    # the parser is built once per process: no option leaks into the next call
+    argv = ["count", "--family", "X", "--q", "7", "--format", "json"]
+    code, out, _ = run_cli(argv + ["--shards", "3"], capsys)
+    assert code == 0 and json.loads(out)["records"][0]["shards"] == 3
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["records"][0]["shards"] == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+    code, out, err = run_cli(["count", "--family", "X", "--q"], capsys)
+    assert code == 5 and out == "" and "--q" in err
+
+
 BAD_CUSTOM_SYSTEMS = {
     "no_polys": {"vars": ["x", "y"]},
     "exponents_too_short": {"vars": ["x", "y", "z"], "polys": [[[1, [3, 0]]]]},

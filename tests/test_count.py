@@ -407,3 +407,78 @@ def test_field_tables_match_field_arithmetic(q):
     assert add_t.dtype == mul_t.dtype == np.int32
     assert add_t.tolist() == [[F.element_index(F.add(a, b)) for b in els] for a in els]
     assert mul_t.tolist() == [[F.element_index(F.mul(a, b)) for b in els] for a in els]
+
+
+# ---------------------------------------------------------------------------
+# line-orbit mode of the block engine against the full block histograms
+
+
+def _one_form_blocks(f, F):
+    """(s, [(exps, coeffs, offsets) of each block]) for one form, cut as
+    `_count_blocks` cuts it."""
+    _, _, exps, coeffs, offsets, blocks = count_module._plan([f], F)
+    s = gcd(sum(map(int, exps[0])), F.q - 1)
+    out = []
+    for block in blocks:
+        rows = np.flatnonzero(exps[:, block].any(axis=1))
+        out.append((exps[np.ix_(rows, block)], coeffs[rows], np.searchsorted(rows, offsets)))
+    return s, out
+
+
+def _orbit_histogram(F, arrays, s, shards):
+    sub_exps, sub_coeffs, sub_offsets = arrays
+    lines = projective_size(F.q, sub_exps.shape[1] - 1)
+    return kernels.orbit_histogram(F, sum(
+        kernels.line_orbit_counts(F, sub_exps, sub_coeffs, sub_offsets, s, lo, hi)
+        for lo, hi in count_module._shard_ranges(lines, shards)))
+
+
+def _assert_orbit_histograms(f, F):
+    s, blocks = _one_form_blocks(f, F)
+    for arrays in blocks:
+        full = kernels.block_histogram(F, *arrays, 0, F.q ** arrays[0].shape[1])
+        for shards in (1, 3):
+            assert _orbit_histogram(F, arrays, s, shards).tolist() == full.tolist(), shards
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_line_orbit_histogram_matches_block_histogram(q, d):
+    F = field_create(*prime_power(q))
+    _assert_orbit_histograms(build_x(1, d, F), F)
+
+
+@pytest.mark.parametrize("q", [7, 13, 16, 25])
+def test_line_orbit_histogram_on_xdelta(q):
+    F = field_create(*prime_power(q))
+    for delta in (1, 2):
+        _assert_orbit_histograms(build_x_d_delta(1, 3, delta, F), F)
+
+
+@pytest.mark.parametrize("q", [4, 7, 13])
+def test_line_orbit_termless_block(q):
+    # e0 occurs in no term: its block takes the value 0 on all of F_q
+    F = field_create(*prime_power(q))
+    ctx = VarContext(("x0", "x1", "x2", "e0"))
+    f = fermat(("x0", "x1", "x2"), 3, F).substitute(
+        {v: MPoly.variable(ctx, F, v) for v in ("x0", "x1", "x2")})
+    s, blocks = _one_form_blocks(f, F)
+    assert len(blocks) == 4 and not len(blocks[3][0])
+    _assert_orbit_histograms(f, F)
+    assert _orbit_histogram(F, blocks[3], s, 1).tolist() == [q] + [0] * (q - 1)
+    assert count_engine([f], F) == "blocks"
+    assert count_zeros([f], F) == count_zeros([fermat(("x0", "x1", "x2"), 3, F)], F) * q + 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q,d", [(7, 1), (13, 1), (13, 2), (16, 2), (25, 1), (27, 1)])
+def test_invariant_convolution_matches_convolve_histograms(q, d, n):
+    F = field_create(*prime_power(q))
+    s, blocks = _one_form_blocks(build_x(n, d, F), F)
+    hists = [kernels.block_histogram(F, *arrays, 0, q ** arrays[0].shape[1])
+             for arrays in blocks]
+    full = invariant = hists[0]
+    for hist in hists[1:]:
+        full = kernels.convolve_histograms(F, full, hist)
+        invariant = kernels.convolve_invariant(F, invariant, hist, s)
+        assert invariant.tolist() == full.tolist()

@@ -14,6 +14,7 @@ from skewplanes.domains import (
     _poly_mulmod,
     exp_log_tables,
     field_create,
+    index_exp_log,
     minus_three_has_root,
     prime_power,
     reduce_quadext,
@@ -138,6 +139,21 @@ def test_exp_log_tables_shared_and_capped():
     assert big.mul(a, b) == big._pad(_poly_mulmod(a, b, big.modulus, 2))
     with pytest.raises(ValueError, match="q <= 1024"):
         exp_log_tables(big)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 25, 64, 1031, 65537])
+def test_index_exp_log_matches_field_powers(q):
+    # prime fields get index arrays past the table cap; every field uses the
+    # primitive element of exp_log_tables
+    F = field_create(*prime_power(q))
+    exp, log = index_exp_log(F)
+    assert index_exp_log(F)[1] is log
+    assert sorted(exp.tolist()) == list(range(1, q)) and log[exp].tolist() == list(range(q - 1))
+    g = F.element_from_index(int(exp[1 % (q - 1)]))
+    step = [F.element_index(F.mul(F.element_from_index(x), g)) for x in exp.tolist()]
+    assert step == exp[1:].tolist() + exp[:1].tolist()
+    if q <= 1024:
+        assert exp.tolist() == [F.element_index(x) for x in exp_log_tables(F)[0]]
 
 
 # ---------------------------------------------------------------------------

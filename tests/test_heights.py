@@ -144,6 +144,12 @@ def test_direct_count_budget():
         direct_height_count(1, 1000)
 
 
+def test_direct_guard_admits_cheap_tables_at_large_d():
+    # 2401 pairs of about 10,800 bits: each entry's fixed cost is weighed
+    # with its bits, so the guard does not refuse this small table
+    assert height_report(1000, 24, mode="direct").direct == 2157
+
+
 def _matched_value_count(d, B):
     """Primitive points up to sign with f(x0, x1) = -f(x2, x3) in [-B, B]^4,
     found by matching f-values of pairs in Python ints."""
