@@ -60,10 +60,8 @@ def _emit(records, config, fmt, out):
     elif fmt == "csv":
         text = to_csv(records)
     else:
-        lines = []
-        for r in records:
-            lines.append(r.line() if hasattr(r, "line") else json.dumps(r, sort_keys=True, default=str))
-        text = "\n".join(lines) + "\n"
+        text = "".join((r.line() if hasattr(r, "line") else json.dumps(r, sort_keys=True, default=str))
+                       + "\n" for r in records)
     return _write_output(text, out)
 
 
@@ -237,13 +235,6 @@ def _cmd_heights(args):
         raise ValueError("height scans support n = 1 only (P^3 search space)")
     records = height_scan(args.d, args.bound, mode=args.mode, shards=args.shards,
                           budget=args.budget)
-    if args.format == "text":
-        lines = []
-        for r in records:
-            lines.append(f"B={r.bound} direct={r.direct} param={r.parametrized} "
-                         f"lower~{r.lower_ref:.2f} lower_n1~{r.lower_ref_n1:.2f} "
-                         f"upper~{r.upper_ref:.0f}")
-        return _write_output("\n".join(lines) + "\n", args.out)
     return _emit(records, _config_of(args), args.format, args.out)
 
 

@@ -2,19 +2,13 @@
 formulas, and their cross-validation.
 
 `count_zeros` runs one of two engines, chosen from the system alone by cost.
-The block engine splits the variables into blocks that share no monomial,
-histograms each block's contribution to the value vector over F_q^r (r
-polynomials), and convolves the histograms over the additive group; the
-affine cone then has H[0] points.  It runs when there are at least two
-blocks and it costs no more than the chart scan.  For one polynomial
-(r = 1) it runs in line-orbit mode: a block's form is homogeneous, so it is
-evaluated once per line, and its histogram and every partial convolution
-are constant on the cosets of the e-th powers (see `_count_blocks`).  The
-cost model of `_plan` is the same in both modes.  The chart scan walks
-affine charts (points normalized so the first nonzero coordinate is 1) in
-deterministic order and is the oracle for the block engine.  Both split
-their index ranges into shards whose partial counts or histograms merge by
-addition, so the total is independent of the shard count.
+The block engine splits the variables into blocks that share no monomial
+and counts r forms of one degree from the members c.f of their pencil,
+each block once per line (`_count_blocks`).  It runs when there are two
+blocks or more and it costs no more than the chart scan, its oracle, which
+walks affine charts (points normalized so the first nonzero coordinate is
+1) in order.  Both engines split their index ranges into shards whose
+partial counts add, so the total is independent of the shard count.
 """
 
 from __future__ import annotations
@@ -27,10 +21,8 @@ import numpy as np
 from .domains import QQ, QQXI, prime_power, sqrt_of_minus_three, root_count_unity
 from .families import build_ab, build_x, build_x_d_delta
 from .kernels import (
-    block_histogram,
     chart_zeros,
     convolution_at_zero,
-    convolve_histograms,
     convolve_invariant,
     count_system_chart,
     line_orbit_counts,
@@ -40,9 +32,8 @@ from .mpoly import MPoly, VarContext, multiplicity_at
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
 
 DEFAULT_BUDGET = 10 ** 9
-# Largest histogram (q^r entries) the block engine builds.  Its cost bounds
-# q^r only by the budget, and a histogram of 10^9 entries does not fit in
-# memory, so larger systems are scanned, in blocks of constant memory.
+# Bound on q^r, about the cells of a block's pencil histograms.  The cost
+# bounds them only by the budget, and 10^9 cells do not fit in memory.
 HIST_MAX = 1 << 20
 
 
@@ -133,13 +124,13 @@ def _variable_blocks(exps):
 def _plan(polys, F):
     """Check and flatten a homogeneous system, then choose its engine.
 
-    Returns (engine, cost, exps, coeffs, offsets, blocks).  The block engine
-    costs sum_b q^|b| point evaluations plus (#blocks - 2) * q^(2r)
-    convolution cells and a final q^r-term dot product, which gives H[0]
-    alone; the chart scan costs |P^(nvars-1)(F_q)| evaluations.
-    Systems whose histograms would exceed HIST_MAX entries are scanned, and
-    so are systems with a constant term (a nonzero constant polynomial),
-    which leaves the origin off the cone."""
+    Returns (engine, cost, exps, coeffs, offsets, blocks, s), with
+    s = gcd(e, q - 1) when every nonzero form has degree e, else None.  With
+    C = |P^(r-1)(F_q)| and L = sum_b |P^(|b|-1)(F_q)| lines, the block engine
+    costs (r + C) * L evaluations plus C * ((#blocks - 2) * (1 + s) + 1) * q
+    convolution cells; the chart scan costs |P^(nvars-1)(F_q)| evaluations.
+    Forms of several degrees, q^r > HIST_MAX or a constant term (which
+    leaves the origin off the cone) send a system to the scan."""
     polys = list(polys)
     if not polys:
         raise ValueError("empty system")
@@ -149,17 +140,20 @@ def _plan(polys, F):
             raise ValueError("system polynomials in mixed contexts")
         if not f.is_zero() and not f.is_homogeneous():
             raise ValueError("system polynomials must be homogeneous")
-    q = F.q
+    q, r = F.q, len(polys)
     exps, coeffs, offsets = _system_arrays(polys, F)
     blocks = _variable_blocks(exps)
+    # Python ints, as exponents may reach 2^63; zero forms alone take e = 1
+    degrees = {sum(map(int, exps[lo])) for lo, hi in zip(offsets, offsets[1:]) if lo < hi} or {1}
+    s = gcd(min(degrees), q - 1) if len(degrees) == 1 else None
     scan_cost = projective_size(q, ctx.nvars - 1)
-    r = len(polys)
-    block_cost = (sum(q ** len(b) for b in blocks)
-                  + (len(blocks) - 2) * q ** (2 * r) + q ** r)
-    if (len(blocks) >= 2 and block_cost <= scan_cost and q ** r <= HIST_MAX
-            and exps.any(axis=1).all()):
-        return "blocks", block_cost, exps, coeffs, offsets, blocks
-    return "scan", scan_cost, exps, coeffs, offsets, blocks
+    if len(blocks) >= 2 and s is not None and q ** r <= HIST_MAX and exps.any(axis=1).all():
+        pencil = projective_size(q, r - 1)
+        lines = sum(projective_size(q, len(b) - 1) for b in blocks)
+        cost = (r + pencil) * lines + pencil * ((len(blocks) - 2) * (1 + s) + 1) * q
+        if cost <= scan_cost:
+            return "blocks", cost, exps, coeffs, offsets, blocks, s
+    return "scan", scan_cost, exps, coeffs, offsets, blocks, s
 
 
 def count_engine(polys, F):
@@ -172,42 +166,42 @@ def _shard_ranges(size, shards):
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
-def _count_blocks(F, exps, coeffs, offsets, blocks, shards):
-    """(N_aff - 1) / (q - 1), with N_aff = H[0] of the convolution of the
-    block histograms; Python ints once q^nvars reaches the int64 range.
+def _block_system(exps, coeffs, offsets, block):
+    """(exps, coeffs, offsets) of the system's terms in the block's
+    variables, restricted to its columns."""
+    rows = np.flatnonzero(exps[:, block].any(axis=1))
+    return exps[rows][:, block], coeffs[rows], np.searchsorted(rows, offsets)
 
-    A one-polynomial system (r = 1) is homogeneous of some degree e, and so
-    is each block's part of it: its histogram comes from one point per line
-    (`line_orbit_counts`), and is constant on the cosets of (F_q^*)^e, of
-    index s = gcd(e, q - 1), and so is every partial convolution, which is
-    computed at 1 + s points (`convolve_invariant`)."""
-    q = F.q
-    exact = q ** exps.shape[1] >= 2 ** 63
-    one_form = len(offsets) == 2
-    # read for r = 1 only: e is the degree of any term (in Python ints, as
-    # exponents may reach 2^63), and 1 for the zero polynomial, whose
-    # histograms are zero off 0
-    s = gcd(sum(map(int, exps[0])) if len(exps) else 1, q - 1)
-    hists = []
-    for block in blocks:
-        rows = np.flatnonzero(exps[:, block].any(axis=1))
-        sub_offsets = np.searchsorted(rows, offsets)
-        sub_exps = exps[np.ix_(rows, block)]
-        if one_form:
-            lines = projective_size(q, len(block) - 1)
-            hist = orbit_histogram(F, sum(
-                line_orbit_counts(F, sub_exps, coeffs[rows], sub_offsets, s, lo, hi)
-                for lo, hi in _shard_ranges(lines, shards)))
-        else:
-            hist = sum(block_histogram(F, sub_exps, coeffs[rows], sub_offsets, lo, hi)
-                       for lo, hi in _shard_ranges(q ** len(block), shards))
-        hists.append(hist.astype(object) if exact else hist)
-    total = hists[0]
-    for hist in hists[1:-1]:
-        total = (convolve_invariant(F, total, hist, s) if one_form
-                 else convolve_histograms(F, total, hist))
-    n_aff = convolution_at_zero(F, total, hists[-1]) if len(hists) > 1 else int(total[0])
-    return (n_aff - 1) // (q - 1)
+
+def _count_blocks(F, exps, coeffs, offsets, blocks, s, shards):
+    """(N - 1) / (q - 1) for N common zeros of the r forms on the affine
+    cone.  Over all c in F_q^r, N_aff(c.f) counts a common zero q^r times
+    and any other point q^(r-1) times, and c and tc cut the same zeros, so
+    q^nvars + (q - 1) sum_[c] N_aff(c.f) = q^r N + q^(r-1) (q^nvars - N).
+
+    N_aff(c.f) = H[0] of the convolution of c.f's block histograms.  Each
+    block's part of c.f has degree e, so its histogram comes from one point
+    per line and is constant on the cosets of (F_q^*)^e, of index s, as is
+    every partial convolution.  Histograms hold Python ints once q^nvars
+    reaches the int64 range, and the sum over [c] is in Python ints."""
+    q, nvars, r = F.q, exps.shape[1], len(offsets) - 1
+    exact = q ** nvars >= 2 ** 63
+
+    def histograms(block):
+        sub, lines = _block_system(exps, coeffs, offsets, block), projective_size(q, len(block) - 1)
+        hist = orbit_histogram(F, sum(line_orbit_counts(F, *sub, s, lo, hi)
+                                      for lo, hi in _shard_ranges(lines, shards)))
+        return hist.astype(object) if exact else hist
+
+    hists = map(histograms, blocks)
+    total = next(hists)
+    for _ in blocks[1:-1]:
+        total = convolve_invariant(F, total, next(hists), s)
+    n_aff = convolution_at_zero(F, total, next(hists)) if len(blocks) > 1 else total[:, 0]
+    cone, rem = divmod(q ** nvars + (q - 1) * sum(map(int, n_aff)) - q ** (r - 1 + nvars),
+                       q ** r - q ** (r - 1))
+    assert rem == 0 and (cone - 1) % (q - 1) == 0
+    return (cone - 1) // (q - 1)
 
 
 def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET, with_engine=False):
@@ -216,7 +210,7 @@ def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET, with_engine=False):
     the engine that runs (see `_plan`).  With `with_engine`, returns
     (count, engine name), so a report names its engine without a second
     plan."""
-    engine, cost, exps, coeffs, offsets, blocks = _plan(polys, F)
+    engine, cost, exps, coeffs, offsets, blocks, s = _plan(polys, F)
     q = F.q
     nvars = exps.shape[1]
     if cost > budget:
@@ -226,7 +220,7 @@ def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET, with_engine=False):
             f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
             f"over budget {abbreviate(budget)}")
     if engine == "blocks":
-        total = _count_blocks(F, exps, coeffs, offsets, blocks, shards)
+        total = _count_blocks(F, exps, coeffs, offsets, blocks, s, shards)
     else:
         total = sum(count_system_chart(F, exps, coeffs, offsets, chart, start, stop, nvars)
                     for chart in range(nvars)
@@ -317,7 +311,7 @@ def count_family(family, n, d, F, delta=None, shards=1, budget=DEFAULT_BUDGET):
     brute, engine = count_zeros(polys, F, shards=shards, budget=budget, with_engine=True)
     return CountReport(
         family=family, params=params,
-        field_spec={"p": F.p, "m": F.m, "q": q},
+        field_spec=F.spec.as_dict(),
         brute=brute, formula=formula,
         match=None if formula is None else brute == formula,
         formula_alt=formula_alt, shards=shards, engine=engine,
@@ -329,7 +323,7 @@ def count_custom(polys, F, shards=1, budget=DEFAULT_BUDGET, label="custom"):
     brute, engine = count_zeros(polys, F, shards=shards, budget=budget, with_engine=True)
     return CountReport(
         family=label, params={"polys": len(polys)},
-        field_spec={"p": F.p, "m": F.m, "q": F.q},
+        field_spec=F.spec.as_dict(),
         brute=brute, formula=None, match=None, shards=shards,
         engine=engine, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
@@ -416,33 +410,29 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     pts = projective_zeros([A, B], F, budget=budget)
     p_plus = normalize_point(F, (F.zero, xi, F.one))
     p_minus = normalize_point(F, (F.zero, F.neg(xi), F.one))
-    mult_plus = multiplicity_at([A, B], p_plus)
-    mult_minus = multiplicity_at([A, B], p_minus)
-    simple = [pt for pt in pts if pt not in (p_plus, p_minus)]
+    points = (p_plus, p_minus)
+    mults = [multiplicity_at([A, B], pt) for pt in points]
+    simple = [pt for pt in pts if pt not in points]
     for pt in simple:
         # simple points all lie on {u2 = 0} with u0^{2d+1} = -u1^{2d+1}
         if pt[2] != F.zero:
             raise AssertionError(f"unexpected solution off u2 = 0: {pt}")
-    root_count = root_count_unity(F, 2 * d + 1)
-    split = root_count == 2 * d + 1
-    weighted = mult_plus["multiplicity"] + mult_minus["multiplicity"] + len(simple)
+    split = root_count_unity(F, 2 * d + 1) == 2 * d + 1
+    weighted = sum(m["multiplicity"] for m in mults) + len(simple)
     return {
         "d": d,
-        "field": {"p": F.p, "m": F.m, "q": q},
-        "multiple_points": [
-            {"point": [F.fmt(c) for c in p_plus], "multiplicity": mult_plus["multiplicity"],
-             "orders": mult_plus["orders"]},
-            {"point": [F.fmt(c) for c in p_minus], "multiplicity": mult_minus["multiplicity"],
-             "orders": mult_minus["orders"]},
-        ],
+        "field": F.spec.as_dict(),
+        "multiple_points": [{"point": [F.fmt(c) for c in pt], "multiplicity": m["multiplicity"],
+                             "orders": m["orders"]} for pt, m in zip(points, mults)],
         "expected_multiplicity": 2 * d * d + d,
         "simple_points": len(simple),
         "expected_simple": 2 * d + 1,
         "split": split,
         "weighted_total": weighted,
         "closed_form_total": 4 * d * d + 4 * d + 1,
+        # a shared tangent means the product of orders may overcount
         "match": split and weighted == 4 * d * d + 4 * d + 1
-        and mult_plus["multiplicity"] == 2 * d * d + d
-        and mult_minus["multiplicity"] == 2 * d * d + d,
+        and all(m["multiplicity"] == 2 * d * d + d and m["shared_tangent"] is False
+                for m in mults),
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
     }

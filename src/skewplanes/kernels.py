@@ -9,19 +9,20 @@ encoded as the base-q number of its entries, the first entry in the lowest
 place.  Points are decoded from linear indices, so an index range splits
 into disjoint shards whose counts or histograms merge by addition.  Every
 evaluation of a system goes through `system_values`: the count engines call
-it in blocks of `_BLOCK` points, the sampled checks of `verify` once on all
-their samples, whose value rows they compare with `proportional_rows`.
+it on at most `_BLOCK` points at a time, the sampled checks of `verify` once
+on all their samples, whose value rows they compare with `proportional_rows`.
 
-A block of one homogeneous form has a line-orbit mode: `line_orbit_counts`
-evaluates it once per normalized point of projective space and counts the
-values by discrete logarithm mod s, `orbit_histogram` expands those counts
-to its histogram over F_q, and `convolve_invariant` convolves histograms
-that are constant on the cosets of the e-th powers at 1 + s points.  The
-full-histogram kernels `block_histogram` and `convolve_histograms` serve
-systems of several polynomials and are the tests' oracles for this mode.
+The block engine's kernels take a batch axis, one row per member c.f of
+the pencil of r forms of degree e: `line_orbit_counts` evaluates the forms
+once per line and bins each row's values by discrete logarithm mod s, and
+`orbit_histogram` and `convolve_invariant` build and convolve histograms
+constant on the cosets of the e-th powers (tests' oracles: `block_histogram`
+and `convolve_histograms` over F_q^r).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -186,7 +187,86 @@ def chart_zeros(F, exps, coeffs, offsets, chart, nvars):
 
 
 # ---------------------------------------------------------------------------
-# block histograms and their convolution over (F_q^r, +)
+# line orbits of a pencil of forms, and coset-invariant convolution
+
+
+def _line_points(q, k, start, stop):
+    """Normalized points of P^{k-1}(F_q) with line indices in [start, stop):
+    the charts in `_chart_points` order, chart 0 first."""
+    parts = []
+    for chart in range(k):
+        first, size = (q ** k - q ** (k - chart)) // (q - 1), q ** (k - 1 - chart)
+        lo = min(max(start - first, 0), size)
+        parts.append(_chart_points(q, k, chart, lo, max(lo, min(stop - first, size))))
+    return np.concatenate(parts)
+
+
+def line_orbit_counts(F, exps, coeffs, offsets, s, start, stop):
+    """[z, c_0, ..., c_{s-1}] for each member c.f of the pencil of the
+    system's r forms, c through P^{r-1}(F_q) in line-index order, over the
+    points of P^{k-1}(F_q), k = exps.shape[1], with line indices in
+    [start, stop): z are zeros of c.f, and c_i take a nonzero value whose
+    discrete logarithm is i mod s.  A split of the range merges by addition."""
+    q, r = F.q, len(offsets) - 1
+    add, mul = _field_ops(F)
+    _, log = index_exp_log(F)
+    pencil = _line_points(q, r, 0, (q ** r - 1) // (q - 1))
+    rows = np.arange(0, len(pencil) * (1 + s), 1 + s)[:, None]
+    width = max(1, min(_BLOCK, (_BLOCK * 8) // len(pencil)))
+    counts = np.zeros(rows.size * (1 + s), np.int64)
+    for at in range(start, stop, width):
+        pts = _line_points(q, exps.shape[1], at, min(at + width, stop))
+        vals = functools.reduce(add, map(mul, pencil.T[:, :, None],
+                                         system_values(F, exps, coeffs, offsets, pts)))
+        key = rows + np.where(vals != 0, 1 + log[vals] % s, 0)
+        counts += np.bincount(key.ravel(), minlength=counts.size)
+    return counts.reshape(len(pencil), 1 + s)
+
+
+def orbit_histogram(F, counts):
+    """Histograms over F_q of forms of degree e, one row per row of their
+    `line_orbit_counts` with s = gcd(e, q - 1).  As f(tp) = t^e f(p), the
+    line through a point of value v != 0 takes each value of the coset
+    v (F_q^*)^e s times, and a line of zeros adds q - 1 zeros to the
+    origin's: H[0] = 1 + (q - 1) z and H[v] = s c_(log v mod s)."""
+    q, s = F.q, counts.shape[1] - 1
+    _, log = index_exp_log(F)
+    hist = s * counts[:, 1 + log % s]
+    hist[:, 0] = 1 + (q - 1) * counts[:, 0]
+    return hist
+
+
+def convolve_invariant(F, h1, h2, s):
+    """Row by row, `convolve_histograms` over F_q for histograms constant on
+    the cosets of (F_q^*)^e, s = gcd(e, q - 1), whose convolution is
+    constant on them too: it is computed at 0 and at one representative g^j
+    of each coset (j < s), 1 + s dot products of length q a row, and
+    expanded through log mod s.  The result has the dtype of the inputs."""
+    q = F.q
+    exp, log = index_exp_log(F)
+    reps = np.concatenate(([0], exp[:s]))
+    k = np.arange(q, dtype=np.int64)
+    at = np.empty((len(h1), 1 + s), h1.dtype)
+    step = max(1, (_BLOCK * 8) // q)
+    for lo in range(0, 1 + s, step):
+        idx = _digitwise(F.p, reps[lo:lo + step, None], k[None, :], -1, q)
+        rows = max(1, (_BLOCK * 8) // idx.size)
+        for row in range(0, len(h1), rows):
+            at[row:row + rows, lo:lo + step] = (
+                h2[row:row + rows, idx] @ h1[row:row + rows, :, None])[..., 0]
+    out = at[:, 1 + log % s]
+    out[:, 0] = at[:, 0]
+    return out
+
+
+def convolution_at_zero(F, h1, h2):
+    """Row by row, (h1 * h2)[0] = sum over i of h1[i] * h2[-i]."""
+    size = h1.shape[1]
+    return (h1 * h2[:, _digitwise(F.p, 0, np.arange(size), -1, size)]).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# full block histograms over (F_q^r, +): the tests' oracles
 
 
 def block_histogram(F, exps, coeffs, offsets, start, stop):
@@ -220,74 +300,6 @@ def convolve_histograms(F, h1, h2):
     for lo in range(0, len(nz), step):
         i = nz[lo:lo + step]
         out += h1[i] @ h2[_digitwise(F.p, k[None, :], i[:, None], -1, size)]
-    return out
-
-
-def convolution_at_zero(F, h1, h2):
-    """(h1 * h2)[0] = sum over i of h1[i] * h2[-i], as a Python int."""
-    size = len(h1)
-    return int(h1 @ h2[_digitwise(F.p, 0, np.arange(size), -1, size)])
-
-
-# ---------------------------------------------------------------------------
-# line orbits of one form and convolution of coset-invariant histograms
-
-
-def line_orbit_counts(F, exps, coeffs, offsets, s, start, stop):
-    """[z, c_0, ..., c_{s-1}] for one form, evaluated once per normalized
-    point of P^{k-1}(F_q), k = exps.shape[1], with line indices in
-    [start, stop): z of those points are zeros of the form, and c_i take a
-    nonzero value whose discrete logarithm is i mod s.  Line indices run
-    through the charts in `_chart_points` order, chart 0 first, so a split
-    of the range merges by addition."""
-    q, k = F.q, exps.shape[1]
-    _, log = index_exp_log(F)
-    counts = np.zeros(1 + s, np.int64)
-    first = 0
-    for chart in range(k):
-        size = q ** (k - 1 - chart)
-        lo, hi = max(start - first, 0), min(stop - first, size)
-        for at in range(lo, hi, _BLOCK):
-            pts = _chart_points(q, k, chart, at, min(at + _BLOCK, hi))
-            vals = next(system_values(F, exps, coeffs, offsets, pts))
-            nonzero = vals[vals != 0]
-            counts[0] += len(vals) - len(nonzero)
-            counts[1:] += np.bincount(log[nonzero] % s, minlength=s)
-        first += size
-    return counts
-
-
-def orbit_histogram(F, counts):
-    """Histogram over F_q of a form of degree e on F_q^k, from its
-    `line_orbit_counts` with s = gcd(e, q - 1).  As f(tp) = t^e f(p), the
-    line through a point of value v != 0 takes each value of the coset
-    v (F_q^*)^e s times, and a line of zeros adds q - 1 zeros to the
-    origin's: H[0] = 1 + (q - 1) z and H[v] = s c_(log v mod s)."""
-    q, s = F.q, len(counts) - 1
-    _, log = index_exp_log(F)
-    hist = np.empty(q, np.int64)
-    hist[0] = 1 + (q - 1) * counts[0]
-    hist[1:] = s * counts[1:][log[1:] % s]
-    return hist
-
-
-def convolve_invariant(F, h1, h2, s):
-    """`convolve_histograms` over F_q for histograms constant on the cosets
-    of (F_q^*)^e, s = gcd(e, q - 1), whose convolution is constant on them
-    too: it is computed at 0 and at one representative g^j of each coset
-    (j < s), 1 + s dot products of length q, and expanded through
-    log mod s.  The result has the dtype of the inputs."""
-    q = F.q
-    exp, log = index_exp_log(F)
-    reps = np.concatenate(([0], exp[:s]))
-    k = np.arange(q, dtype=np.int64)
-    step = max(1, (_BLOCK * 8) // q)
-    at = np.concatenate([
-        h2[_digitwise(F.p, reps[lo:lo + step, None], k[None, :], -1, q)] @ h1
-        for lo in range(0, len(reps), step)])
-    out = np.empty_like(h1)
-    out[0] = at[0]
-    out[1:] = at[1:][log[1:] % s]
     return out
 
 

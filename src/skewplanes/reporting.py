@@ -123,6 +123,11 @@ class HeightReport:
     def as_dict(self):
         return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
 
+    def line(self):
+        return (f"B={self.bound} direct={self.direct} param={self.parametrized} "
+                f"lower~{self.lower_ref:.2f} lower_n1~{self.lower_ref_n1:.2f} "
+                f"upper~{self.upper_ref:.0f}")
+
 
 def strip_timing(obj):
     """Recursively drop timing fields; used to compare reports for determinism."""

@@ -243,6 +243,18 @@ def test_count_y0(capsys):
     assert code == 0
 
 
+def test_count_y0_refuses_shared_tangent(capsys, monkeypatch):
+    # a shared tangent means the product of orders may overcount
+    from skewplanes import count as count_module
+
+    real = count_module.multiplicity_at
+    monkeypatch.setattr(count_module, "multiplicity_at",
+                        lambda gens, pt: {**real(gens, pt), "shared_tangent": True})
+    code, out, _ = run_cli(["count", "--family", "Y0", "--d", "1", "--q", "7",
+                            "--format", "json"], capsys)
+    assert code == 2 and json.loads(out)["records"][0]["match"] is False
+
+
 def test_count_y0_honours_budget(capsys):
     # Y0 is found by searching all 57 points of P^2(F_7)
     argv = ["count", "--family", "Y0", "--d", "1", "--q", "7"]
@@ -347,6 +359,16 @@ def test_count_x_n3_large_prime_by_line_orbits(capsys):
     rec = json.loads(out)["records"][0]
     assert code == 0 and rec["engine"] == "blocks"
     assert rec["brute"] == rec["formula"] == (10007 ** 7 - 1) // 10006
+
+
+def test_count_y_pencil_at_large_prime(capsys):
+    # Y(2, 1) over F_233 is counted from the 234 members of its pencil;
+    # P^4(F_233) has 2.9 * 10^9 points, over the default budget
+    code, out, _ = run_cli(["count", "--family", "Y", "--n", "2", "--d", "1",
+                            "--q", "233", "--format", "json"], capsys)
+    rec = json.loads(out)["records"][0]
+    assert code == 0 and rec["engine"] == "blocks"
+    assert rec["brute"] == rec["formula"] == 54523
 
 
 def test_parser_reused_across_calls(capsys):

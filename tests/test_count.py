@@ -1,7 +1,5 @@
 """Tests for exact point counting over finite fields."""
 
-from math import gcd
-
 import numpy as np
 import pytest
 
@@ -106,10 +104,11 @@ def test_count_zeros_rejects_inhomogeneous():
 
 
 def test_count_zeros_budget():
+    # the block engine charges X(1, 1) over F_1009 9089 (see below)
     F = field_create(1009)
     f = build_x(1, 1, F)
     with pytest.raises(BudgetExceeded):
-        count_zeros([f], F, budget=10**6)
+        count_zeros([f], F, budget=9088)
 
 
 def test_count_shard_invariance():
@@ -249,7 +248,13 @@ def test_projection_bijection_valid_cases():
     F7 = field_create(7)
     rep2 = check_projection_bijection(fermat(("x0", "x1"), 5, F7), 2, 5, F7)
     assert rep2.passed and rep2.params["count"] == 8
-    assert rep2.params["engine"] == "scan"
+    # three one-line blocks cost 2 * 3 + 3 * 7 = 27 of the 57 points of P^2(F_7);
+    # over F_2 they cost 2 * 3 + 3 * 2 = 12 of 7
+    assert rep2.params["engine"] == "blocks"
+    F2 = field_create(2)
+    rep3 = check_projection_bijection(fermat(("x0", "x1"), 3, F2), 1, 3, F2)
+    assert rep3.passed and rep3.params["count"] == 3
+    assert rep3.params["engine"] == "scan"
 
 
 def test_projection_bijection_gated_case():
@@ -320,13 +325,18 @@ def test_backend_forcing_reports():
 
 def _both_engines(polys, F):
     """(block engine, chart scan) on the same flattened system, whichever
-    engine count_zeros would choose."""
-    _, _, exps, coeffs, offsets, blocks = count_module._plan(polys, F)
+    engine count_zeros would choose.  A system of forms of several degrees
+    must go to the chart scan, and count_zeros stands in for the block
+    engine."""
+    engine, _, exps, coeffs, offsets, blocks, s = count_module._plan(polys, F)
     nvars = exps.shape[1]
     scan = sum(kernels.count_system_chart(F, exps, coeffs, offsets, chart, 0,
                                           F.q ** (nvars - 1 - chart), nvars)
                for chart in range(nvars))
-    return count_module._count_blocks(F, exps, coeffs, offsets, blocks, 1), scan
+    if s is None:
+        assert engine == "scan"
+        return count_zeros(polys, F), scan
+    return count_module._count_blocks(F, exps, coeffs, offsets, blocks, s, 1), scan
 
 
 def _engine_systems(F):
@@ -337,6 +347,13 @@ def _engine_systems(F):
     cubic = fermat(("x0", "x1", "x2"), 3, F).substitute(
         {v: MPoly.variable(ctx, F, v) for v in ("x0", "x1", "x2")})
     systems.append([cubic + (MPoly.variable(ctx, F, "e0") ** 3).scale(F.from_int(2))])
+    # three forms of degree 3 on Y's blocks, and two forms of degrees 3 and 2
+    A, B = build_ab(2, 1, F)
+    u = [MPoly.variable(A.ctx, F, f"u{i}") for i in range(5)]
+    systems.append([A, B, u[0] ** 3 + (u[1] ** 3).scale(F.from_int(2)) + u[3] * u[4] ** 2])
+    X = build_x(1, 1, F)
+    systems.append([X, sum((MPoly.variable(X.ctx, F, f"x{i}") ** 2 for i in range(1, 4)),
+                           MPoly.variable(X.ctx, F, "x0") ** 2)])
     return systems
 
 
@@ -380,11 +397,14 @@ def test_histograms_past_cap_are_scanned(monkeypatch):
 
 
 def test_budget_refusal_names_engine():
-    # X(1, 1) is the diagonal cubic: 4 one-variable blocks, 2 convolutions
-    # of 1009^2 cells and a 1009-term dot product
+    # X(1, 1) is the diagonal cubic: 4 one-variable blocks of one line each,
+    # evaluated and combined for the pencil of one form (2 * 4), 2
+    # convolutions of 1 + s = 4 cells of length 1009 and a 1009-term dot
+    # product: 8 + 9 * 1009
     F = field_create(1009)
-    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 2041207"):
-        count_zeros([build_x(1, 1, F)], F, budget=10**6)
+    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 9089"):
+        count_zeros([build_x(1, 1, F)], F, budget=9088)
+    assert count_zeros([build_x(1, 1, F)], F, budget=9089) == formula_x2d(1009, 1)
     F2 = field_create(2)
     with pytest.raises(BudgetExceeded, match="'scan'.*costs 15"):
         count_zeros([build_x(1, 1, F2)], F2, budget=14)
@@ -413,46 +433,49 @@ def test_field_tables_match_field_arithmetic(q):
 # line-orbit mode of the block engine against the full block histograms
 
 
-def _one_form_blocks(f, F):
-    """(s, [(exps, coeffs, offsets) of each block]) for one form, cut as
-    `_count_blocks` cuts it."""
-    _, _, exps, coeffs, offsets, blocks = count_module._plan([f], F)
-    s = gcd(sum(map(int, exps[0])), F.q - 1)
-    out = []
-    for block in blocks:
-        rows = np.flatnonzero(exps[:, block].any(axis=1))
-        out.append((exps[np.ix_(rows, block)], coeffs[rows], np.searchsorted(rows, offsets)))
-    return s, out
+def _pencil_blocks(polys, F):
+    """(s, pencil, blocks, [(exps, coeffs, offsets) of each block]) for a
+    system of forms of one degree, cut as `_count_blocks` cuts it."""
+    _, _, exps, coeffs, offsets, blocks, s = count_module._plan(polys, F)
+    subs = [count_module._block_system(exps, coeffs, offsets, b) for b in blocks]
+    pencil = [[F.element_index(c) for c in pt] for pt in enumerate_projective(F, len(polys) - 1)]
+    return s, pencil, blocks, subs
 
 
-def _orbit_histogram(F, arrays, s, shards):
-    sub_exps, sub_coeffs, sub_offsets = arrays
-    lines = projective_size(F.q, sub_exps.shape[1] - 1)
+def _orbit_histograms(F, arrays, s, shards):
+    lines = projective_size(F.q, arrays[0].shape[1] - 1)
     return kernels.orbit_histogram(F, sum(
-        kernels.line_orbit_counts(F, sub_exps, sub_coeffs, sub_offsets, s, lo, hi)
+        kernels.line_orbit_counts(F, *arrays, s, lo, hi)
         for lo, hi in count_module._shard_ranges(lines, shards)))
 
 
-def _assert_orbit_histograms(f, F):
-    s, blocks = _one_form_blocks(f, F)
-    for arrays in blocks:
-        full = kernels.block_histogram(F, *arrays, 0, F.q ** arrays[0].shape[1])
-        for shards in (1, 3):
-            assert _orbit_histogram(F, arrays, s, shards).tolist() == full.tolist(), shards
+def _assert_orbit_histograms(polys, F):
+    """Each batch row of each block's orbit histograms is the full
+    histogram of that pencil member c.f in the block's variables."""
+    s, pencil, blocks, subs = _pencil_blocks(polys, F)
+    zero = MPoly.zero(polys[0].ctx, F)
+    for block, arrays in zip(blocks, subs):
+        batches = [_orbit_histograms(F, arrays, s, shards) for shards in (1, 3)]
+        for c, *rows in zip(pencil, *batches):
+            member = sum((f.scale(F.element_from_index(ci)) for f, ci in zip(polys, c)), zero)
+            sub = count_module._block_system(*count_module._system_arrays([member], F), block)
+            full = kernels.block_histogram(F, *sub, 0, F.q ** len(block))
+            assert [row.tolist() for row in rows] == [full.tolist()] * 2, c
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
 def test_line_orbit_histogram_matches_block_histogram(q, d):
     F = field_create(*prime_power(q))
-    _assert_orbit_histograms(build_x(1, d, F), F)
+    _assert_orbit_histograms([build_x(1, d, F)], F)
+    _assert_orbit_histograms(list(build_ab(2, d, F)), F)
 
 
 @pytest.mark.parametrize("q", [7, 13, 16, 25])
 def test_line_orbit_histogram_on_xdelta(q):
     F = field_create(*prime_power(q))
     for delta in (1, 2):
-        _assert_orbit_histograms(build_x_d_delta(1, 3, delta, F), F)
+        _assert_orbit_histograms([build_x_d_delta(1, 3, delta, F)], F)
 
 
 @pytest.mark.parametrize("q", [4, 7, 13])
@@ -462,10 +485,10 @@ def test_line_orbit_termless_block(q):
     ctx = VarContext(("x0", "x1", "x2", "e0"))
     f = fermat(("x0", "x1", "x2"), 3, F).substitute(
         {v: MPoly.variable(ctx, F, v) for v in ("x0", "x1", "x2")})
-    s, blocks = _one_form_blocks(f, F)
+    s, _, _, blocks = _pencil_blocks([f], F)
     assert len(blocks) == 4 and not len(blocks[3][0])
-    _assert_orbit_histograms(f, F)
-    assert _orbit_histogram(F, blocks[3], s, 1).tolist() == [q] + [0] * (q - 1)
+    _assert_orbit_histograms([f], F)
+    assert _orbit_histograms(F, blocks[3], s, 1).tolist() == [[q] + [0] * (q - 1)]
     assert count_engine([f], F) == "blocks"
     assert count_zeros([f], F) == count_zeros([fermat(("x0", "x1", "x2"), 3, F)], F) * q + 1
 
@@ -474,11 +497,11 @@ def test_line_orbit_termless_block(q):
 @pytest.mark.parametrize("q,d", [(7, 1), (13, 1), (13, 2), (16, 2), (25, 1), (27, 1)])
 def test_invariant_convolution_matches_convolve_histograms(q, d, n):
     F = field_create(*prime_power(q))
-    s, blocks = _one_form_blocks(build_x(n, d, F), F)
+    s, _, _, blocks = _pencil_blocks([build_x(n, d, F)], F)
     hists = [kernels.block_histogram(F, *arrays, 0, q ** arrays[0].shape[1])
              for arrays in blocks]
-    full = invariant = hists[0]
+    full, invariant = hists[0], hists[0][None]
     for hist in hists[1:]:
         full = kernels.convolve_histograms(F, full, hist)
-        invariant = kernels.convolve_invariant(F, invariant, hist, s)
-        assert invariant.tolist() == full.tolist()
+        invariant = kernels.convolve_invariant(F, invariant, hist[None], s)
+        assert invariant[0].tolist() == full.tolist()
