@@ -9,10 +9,16 @@ blocks or more and it costs no more than the chart scan, its oracle, which
 walks affine charts (points normalized so the first nonzero coordinate is
 1) in order.  Both engines split their index ranges into shards whose
 partial counts add, so the total is independent of the shard count.
+
+Zeros as points come from a chart scan (`projective_zeros`, which Y0 uses)
+or, on the chart x0 = 1 of a system whose other variables form blocks, by
+rank from the blocks' histograms with no scan (`FirstChartZeros`, which
+`verify` samples Y's generic points from).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from math import gcd
 
@@ -21,12 +27,18 @@ import numpy as np
 from .domains import QQ, QQXI, prime_power, sqrt_of_minus_three, root_count_unity
 from .families import build_ab, build_x, build_x_d_delta
 from .kernels import (
+    _BLOCK,
+    _affine_points,
+    _digitwise,
     chart_zeros,
     convolution_at_zero,
+    convolve_histograms,
     convolve_invariant,
     count_system_chart,
     line_orbit_counts,
     orbit_histogram,
+    pencil_lines,
+    system_values,
 )
 from .mpoly import MPoly, VarContext, multiplicity_at
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
@@ -186,10 +198,11 @@ def _count_blocks(F, exps, coeffs, offsets, blocks, s, shards):
     reaches the int64 range, and the sum over [c] is in Python ints."""
     q, nvars, r = F.q, exps.shape[1], len(offsets) - 1
     exact = q ** nvars >= 2 ** 63
+    pencil = pencil_lines(F, r, s)
 
     def histograms(block):
         sub, lines = _block_system(exps, coeffs, offsets, block), projective_size(q, len(block) - 1)
-        hist = orbit_histogram(F, sum(line_orbit_counts(F, *sub, s, lo, hi)
+        hist = orbit_histogram(F, sum(line_orbit_counts(F, *sub, *pencil, s, lo, hi)
                                       for lo, hi in _shard_ranges(lines, shards)))
         return hist.astype(object) if exact else hist
 
@@ -372,7 +385,7 @@ def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# structure of Y0 = {A = B = 0} in P^2 (n = 1)
+# common zeros as points: a chart scan, and ranks on the chart x0 = 1
 
 
 def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
@@ -384,6 +397,101 @@ def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
     return [tuple(F.element_from_index(c) for c in row)
             for chart in range(nvars)
             for row in chart_zeros(F, exps, coeffs, offsets, chart, nvars).tolist()]
+
+
+class FirstChartZeros:
+    """The common zeros of a system with x0 = 1, ranked in
+    `enumerate_projective` order without a scan, for systems whose variables
+    past x0 form contiguous blocks that share no monomial with x0 or with
+    each other (ValueError otherwise).
+
+    On that chart the system's value vector is c + sum_k v_k(x_k), with c
+    its value at (1, 0, ..., 0) and v_k that of block k's terms at the
+    block's point x_k, so the zeros are the tuples of block points whose
+    values sum to t = -c in (F_q^r, +).  With H_k the histogram of v_k over
+    the q^|b_k| points of block k, S_k = H_k * ... * H_(m-1) and S_m the
+    unit at 0, the zeros whose block-0 point is x number S_1[t - v_0(x)].
+    The scan's order is lex in the blocks' points, block 0 most
+    significant, so a rank is unranked block by block: the cumulative sums
+    of S_(k+1)[t - v_k(x)] over block k's points in lex order pick its point,
+    whose value then leaves the target.  Counts are Python ints in object
+    arrays once q^(nvars - 1) reaches the int64 range."""
+
+    def __init__(self, polys, F):
+        exps, coeffs, offsets = _system_arrays(polys, F)
+        blocks = _variable_blocks(exps)
+        if blocks[0] != [0] or any(b != list(range(b[0], b[-1] + 1)) for b in blocks):
+            raise ValueError("the variables past x0 must form contiguous blocks free of x0")
+        self.F, self.blocks, self.r = F, blocks[1:], len(offsets) - 1
+        self._system = exps, coeffs, offsets
+
+    def cost(self, samples):
+        """The work of the pool and of unranking `samples` ranks, in cells:
+        the L = sum_k q^|b_k| block points, (m - 1) q^r histogram cells and
+        (m - 2) q^2r convolution cells for m blocks, and the unranking
+        cells, q^|b_0| for the pool and L per rank."""
+        q, m = self.F.q, len(self.blocks)
+        sizes = [q ** len(b) for b in self.blocks] or [0]
+        cells = max(m - 1, 0) * q ** self.r + max(m - 2, 0) * q ** (2 * self.r)
+        return sum(sizes) + cells + sizes[0] + samples * sum(sizes)
+
+    @functools.cached_property
+    def _tables(self):
+        """(points, values, suffix, target): each block's points in lex order
+        and their value vectors v_k as base-q keys, S_1, ..., S_m, and t."""
+        F, (exps, coeffs, offsets) = self.F, self._system
+        q, size = F.q, F.q ** self.r
+        dtype = object if q ** (exps.shape[1] - 1) >= 2 ** 63 else np.int64
+
+        def keys(system, pts):
+            return sum(v * q ** j for j, v in enumerate(system_values(F, *system, pts)))
+
+        origin = np.eye(1, exps.shape[1], dtype=np.int64)
+        target = int(_digitwise(F.p, 0, keys(self._system, origin), -1, size)[0])
+        points = [_affine_points(q, len(b), 0, q ** len(b)) for b in self.blocks]
+        values = [keys(_block_system(exps, coeffs, offsets, b), pts)
+                  for b, pts in zip(self.blocks, points)]
+        suffix = [np.zeros(size, dtype)]
+        suffix[0][0] = 1
+        for v in values[:0:-1]:
+            hist = np.bincount(v, minlength=size).astype(dtype)
+            suffix.append(hist if len(suffix) == 1 else convolve_histograms(F, hist, suffix[-1]))
+        return points, values, suffix[::-1], target
+
+    @functools.cached_property
+    def pool(self):
+        """The number of zeros: S_0[t] = sum over block 0's points x of
+        S_1[t - v_0(x)]."""
+        points, values, suffix, target = self._tables
+        if not values:
+            return int(target == 0)
+        return int(suffix[0][_digitwise(self.F.p, target, values[0], -1, self.F.q ** self.r)]
+                   .sum())
+
+    def unrank(self, ranks):
+        """The zeros of the given ranks (each below `pool`), in order, as rows
+        of element indices."""
+        points, values, suffix, target = self._tables
+        ranks = np.array(ranks, suffix[0].dtype)
+        out = np.zeros((len(ranks), self._system[0].shape[1]), np.int64)
+        out[:, 0] = 1
+        step = max(1, (_BLOCK * 8) // max(map(len, points), default=1))
+        for lo in range(0, len(ranks), step):
+            rank = ranks[lo:lo + step]
+            t, at = np.full(len(rank), target), np.arange(len(rank))
+            for block, pts, v, S in zip(self.blocks, points, values, suffix):
+                rest = _digitwise(self.F.p, t[:, None], v[None, :], -1, self.F.q ** self.r)
+                weight = S[rest]
+                cum = np.cumsum(weight, axis=1)
+                pick = (cum <= rank[:, None]).sum(axis=1)
+                rank = rank - (cum[at, pick] - weight[at, pick])
+                t = rest[at, pick]
+                out[lo:lo + step, block] = pts[pick]
+        return out
+
+
+# ---------------------------------------------------------------------------
+# structure of Y0 = {A = B = 0} in P^2 (n = 1)
 
 
 def normalize_point(F, pt):

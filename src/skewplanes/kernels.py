@@ -13,11 +13,13 @@ it on at most `_BLOCK` points at a time, the sampled checks of `verify` once
 on all their samples, whose value rows they compare with `proportional_rows`.
 
 The block engine's kernels take a batch axis, one row per member c.f of
-the pencil of r forms of degree e: `line_orbit_counts` evaluates the forms
-once per line and bins each row's values by discrete logarithm mod s, and
-`orbit_histogram` and `convolve_invariant` build and convolve histograms
-constant on the cosets of the e-th powers (tests' oracles: `block_histogram`
-and `convolve_histograms` over F_q^r).
+the pencil of r forms of degree e (`pencil_lines`, built once per count):
+`line_orbit_counts` evaluates the forms once per line and bins each row's
+values by discrete logarithm mod s, and `orbit_histogram` and
+`convolve_invariant` build and convolve histograms constant on the cosets
+of the e-th powers (tests' oracles: `block_histogram` and
+`convolve_histograms` over F_q^r).  `convolve_histograms` also forms the
+suffix convolutions from which `count.FirstChartZeros` unranks zeros.
 """
 
 from __future__ import annotations
@@ -201,21 +203,26 @@ def _line_points(q, k, start, stop):
     return np.concatenate(parts)
 
 
-def line_orbit_counts(F, exps, coeffs, offsets, s, start, stop):
+def pencil_lines(F, r, s):
+    """(pencil, rows) for `line_orbit_counts`: the points c of P^{r-1}(F_q)
+    in line-index order, and the offset of each one's row of 1 + s counts."""
+    pencil = _line_points(F.q, r, 0, (F.q ** r - 1) // (F.q - 1))
+    return pencil, np.arange(0, len(pencil) * (1 + s), 1 + s)[:, None]
+
+
+def line_orbit_counts(F, exps, coeffs, offsets, pencil, rows, s, start, stop):
     """[z, c_0, ..., c_{s-1}] for each member c.f of the pencil of the
-    system's r forms, c through P^{r-1}(F_q) in line-index order, over the
-    points of P^{k-1}(F_q), k = exps.shape[1], with line indices in
-    [start, stop): z are zeros of c.f, and c_i take a nonzero value whose
-    discrete logarithm is i mod s.  A split of the range merges by addition."""
-    q, r = F.q, len(offsets) - 1
+    system's r forms, c through the rows of `pencil` (see `pencil_lines`,
+    which also gives `rows`), over the points of P^{k-1}(F_q),
+    k = exps.shape[1], with line indices in [start, stop): z are zeros of
+    c.f, and c_i take a nonzero value whose discrete logarithm is i mod s.
+    A split of the range merges by addition."""
     add, mul = _field_ops(F)
     _, log = index_exp_log(F)
-    pencil = _line_points(q, r, 0, (q ** r - 1) // (q - 1))
-    rows = np.arange(0, len(pencil) * (1 + s), 1 + s)[:, None]
     width = max(1, min(_BLOCK, (_BLOCK * 8) // len(pencil)))
     counts = np.zeros(rows.size * (1 + s), np.int64)
     for at in range(start, stop, width):
-        pts = _line_points(q, exps.shape[1], at, min(at + width, stop))
+        pts = _line_points(F.q, exps.shape[1], at, min(at + width, stop))
         vals = functools.reduce(add, map(mul, pencil.T[:, :, None],
                                          system_values(F, exps, coeffs, offsets, pts)))
         key = rows + np.where(vals != 0, 1 + log[vals] % s, 0)
@@ -266,7 +273,8 @@ def convolution_at_zero(F, h1, h2):
 
 
 # ---------------------------------------------------------------------------
-# full block histograms over (F_q^r, +): the tests' oracles
+# full block histograms over (F_q^r, +): the tests' oracles, and the
+# convolution `count.FirstChartZeros` unranks through
 
 
 def block_histogram(F, exps, coeffs, offsets, start, stop):

@@ -13,13 +13,17 @@ addition that never carries between fields.  Coefficients enter the kernel
 lifted by their domain (`Domain.lift`): integer numerators over a common
 denominator for Q, integer pairs for Q(xi), residues for F_p, payloads for
 F_{p^m}.  Each output term is reduced and lowered back to a payload once.
+A product with a one-term operand skips the kernel: it shifts exponents and
+scales coefficients.  Exact division (`try_div`) takes the remainder's
+leading terms from a heap, as Monagan-Pearce divide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import lshift
+from heapq import heapify, heappop, heappush
+from operator import add, lshift, neg, sub
 
 
 class VarContext:
@@ -49,6 +53,12 @@ class VarContext:
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _heap_key(exps):
+    """A key that orders monomials by descending grlex in a min-heap, with
+    the monomial last."""
+    return (-sum(exps), tuple(map(neg, exps)), exps)
 
 
 # -----------------------------------------------------------------------------
@@ -192,6 +202,8 @@ class MPoly:
         if isinstance(other, int):
             return self.scale(self.dom.from_int(other))
         self._compatible(other)
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            return self._monomial_product(other)
         top = _top(self) + _top(other)
         pack, unpack = _packing(self.ctx.nvars, top.bit_length())
         a, sa = _lift(self, pack)
@@ -199,6 +211,17 @@ class MPoly:
         return _lowered(self.ctx, self.dom, _kmul(a, b, self.dom), sa * sb, unpack)
 
     __rmul__ = __mul__
+
+    def _monomial_product(self, other):
+        """self * other when one of them has one term: the other's exponents
+        shifted by it and its coefficients scaled, with no kernel round trip.
+        A field has no zero divisors, so no term cancels."""
+        if len(other.terms) != 1:
+            self, other = other, self
+        (e0, c0), = other.terms.items()
+        mul = self.dom.mul
+        return MPoly(self.ctx, self.dom, {tuple(map(add, e, e0)): mul(c, c0)
+                                          for e, c in self.terms.items()})
 
     def scale(self, c):
         dom = self.dom
@@ -447,23 +470,46 @@ class MPoly:
     # -- exact division ---------------------------------------------------------
 
     def try_div(self, g):
-        """Exact quotient self / g, or None when g does not divide self."""
+        """Exact quotient self / g, or None when g does not divide self.
+
+        Division with a heap (Monagan-Pearce 2011): the remainder is one dict
+        updated in place, and its leading term comes from a grlex max-heap of
+        its monomials, so a step touches only the other terms of g.  A
+        monomial cancelled and later re-added has a stale heap entry, which
+        is skipped when popped; every monomial a step adds is below the one
+        it removes, so entries of one monomial pop together."""
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         self._compatible(g)
         dom = self.dom
         ge, gc = g.leading_term()
         gc_inv = dom.inv(gc)
-        rem = MPoly(self.ctx, dom, dict(self.terms))
+        tail = [(e, c) for e, c in g.terms.items() if e != ge]
+        rem = dict(self.terms)
+        heap = [_heap_key(e) for e in rem]
+        heapify(heap)
         quot = {}
-        while rem.terms:
-            re_, rc = rem.leading_term()
-            qe = tuple(a - b for a, b in zip(re_, ge))
-            if any(x < 0 for x in qe):
+        while heap:
+            key = heappop(heap)
+            rc = rem.pop(key[2], None)
+            if rc is None:
+                continue
+            qe = tuple(map(sub, key[2], ge))
+            if min(qe, default=0) < 0:
                 return None
-            qc = dom.mul(rc, gc_inv)
-            quot[qe] = qc
-            rem = rem - MPoly(self.ctx, dom, {qe: qc}) * g
+            qc = quot[qe] = dom.mul(rc, gc_inv)
+            for e, c in tail:
+                m = tuple(map(add, qe, e))
+                v = dom.mul(qc, c)
+                if m in rem:
+                    left = dom.sub(rem[m], v)
+                    if dom.is_zero(left):
+                        del rem[m]
+                    else:
+                        rem[m] = left
+                else:
+                    rem[m] = dom.neg(v)
+                    heappush(heap, _heap_key(m))
         return MPoly(self.ctx, dom, quot)
 
     # -- printing ---------------------------------------------------------------

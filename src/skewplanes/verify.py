@@ -8,12 +8,15 @@ nothing here is tolerance-based.  The singular locus is checked exactly over
 Q(xi), one plane at a time, by substitution.  Sampled checks run over F_q
 only: they draw from seeded generators, are bit-reproducible for a fixed
 seed, and evaluate all their samples at once with `kernels.system_values`,
-the evaluator of the count engines.
+the evaluator of the count engines.  The singular locus's generic points
+are drawn by rank and unranked from the histograms of Y's pair blocks
+(`count.FirstChartZeros`), in the order of a full scan, so no scan runs.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .count import DEFAULT_BUDGET, _system_arrays, charge_projective, projective_zeros
+from .count import DEFAULT_BUDGET, FirstChartZeros, _system_arrays
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
     build_ab,
@@ -240,6 +243,20 @@ def _plane_minor(pa, pb, signs):
     return None
 
 
+def _sample_ranks(rng, pool, samples):
+    """rng.sample(range(pool), samples).  It draws from the population's
+    length alone, so these are the indices it would pick from a list of
+    `pool` points.  Past sys.maxsize, where a range has no len, the draws of
+    its set-based branch are repeated: rng.randrange(pool), skipping
+    repeats."""
+    if pool <= sys.maxsize:
+        return rng.sample(range(pool), samples)
+    picked = {}
+    while len(picked) < samples:
+        picked.setdefault(rng.randrange(pool))
+    return list(picked)
+
+
 def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEFAULT_BUDGET):
     """Jacobian minors of (A, B) vanish on the claimed singular locus and
     are nonzero at generic points of Y = {A = B = 0}.
@@ -248,23 +265,35 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
     u_{2k+1} = s*xi*u_{2k+2} (one sign s for every k); for d > 1 it is the
     union of the planes of all 2^n sign patterns.  Each plane is checked
     exactly over Q(xi): the partials are restricted to it by substitution and
-    every minor must be the zero polynomial.  Generic points are drawn from a
-    full enumeration of Y over a prime field where xi exists and differs from
-    -xi, and their minors are evaluated there through the kernels'
-    evaluator.  The enumeration is charged to `budget` before any work.
+    every minor must be the zero polynomial.  Generic points are the zeros
+    of Y with u0 = 1 over a prime field where xi exists and differs from
+    -xi: `samples` of them, drawn by rank in the order of a full scan, are
+    unranked from the histograms of Y's pair blocks
+    (`count.FirstChartZeros`), and their minors are evaluated there through
+    the kernels' evaluator.  The minors of every plane, and the sampler's
+    block points and cells, are charged to `budget` before any other work.
     """
     if n < 2:
         raise ValueError("singular-locus check needs n >= 2 (locus is empty for n = 1)")
+    if samples < 1:
+        raise ValueError(f"singular-locus check needs samples >= 1, got {samples}")
     F = field_create(generic_field)
     xi = sqrt_of_minus_three(F)
     if xi is None or xi == F.neg(xi):
         raise ValueError(f"generic points need xi = sqrt(-3) with xi != -xi, "
                          f"which {F.name} lacks")
-    charge_projective(F.q, 2 * n, budget)
     t0 = time.perf_counter()
+    A, B = build_ab(n, d, QQ)
+    generic = FirstChartZeros([A, B], F)
+    minors = (2 if d == 1 else 2 ** n) * comb(2 * n + 1, 2)
+    cells = generic.cost(samples)
+    if minors + cells > budget:
+        raise BudgetExceeded(
+            f"singular_locus: {abbreviate(minors)} plane minors and {abbreviate(cells)} "
+            f"sampler cells over {F.name} cost {abbreviate(minors + cells)}, "
+            f"over budget {abbreviate(budget)}")
     params = {"n": n, "d": d, "samples": samples, "seed": seed,
               "generic_field": generic_field}
-    A, B = build_ab(n, d, QQ)
     names = A.ctx.names
     pa, pb = ([P.partial(nm).map_domain(QQXI, QQXI.from_rational) for nm in names]
               for P in (A, B))
@@ -276,19 +305,16 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
                        "signs": list(signs), "minor": list(minor)}
             return _done("singular_locus", params, witness, t0)
     # the plane locus sits inside {u0 = 0}
-    generic = [pt for pt in projective_zeros([A, B], F, budget) if pt[0] != F.zero]
-    if len(generic) < samples:
-        witness = {"reason": f"only {len(generic)} generic points available"}
+    if generic.pool < samples:
+        witness = {"reason": f"only {generic.pool} generic points available"}
         return _done("singular_locus", params, witness, t0)
-    rng = random.Random(seed)
-    pts = np.array([[F.element_index(c) for c in pt] for pt in rng.sample(generic, samples)],
-                   np.int64).reshape(samples, len(names))
+    pts = generic.unrank(_sample_ranks(random.Random(seed), generic.pool, samples))
     flat = proportional_rows(F, _values(pa, F, pts), _values(pb, F, pts))
     if flat.any():
         witness = {"reason": "all minors vanish at a generic point of Y",
                    "point": _element_strs(F, pts[int(np.argmax(flat))])}
         return _done("singular_locus", params, witness, t0)
-    params["generic_pool"] = len(generic)
+    params["generic_pool"] = generic.pool
     return _done("singular_locus", params, None, t0)
 
 

@@ -146,11 +146,24 @@ def test_verify_membership_honours_budget(capsys):
 
 
 def test_verify_singular_locus_honours_budget(capsys):
-    # the generic half enumerates P^4(F_13): 30941 points
+    # at (2, 1): 2 planes of C(5, 2) minors, and the generic-point sampler
+    # over F_13 with 338 block points, 169 histogram cells and
+    # 169 + 50 * 338 unranking cells
     argv = ["verify", "--check", "singular_locus", "--n", "2", "--d", "1"]
-    code, out, err = run_cli(argv + ["--budget", "1"], capsys)
-    assert code == 4 and out == "" and "P^4(F_13)" in err
-    assert run_cli(argv + ["--budget", "30941"], capsys)[0] == 0
+    code, out, err = run_cli(argv + ["--budget", "17595"], capsys)
+    assert code == 4 and out == ""
+    assert "20 plane minors and 17576 sampler cells over GF(13) cost 17596" in err
+    assert run_cli(argv + ["--budget", "17596"], capsys)[0] == 0
+
+
+def test_verify_singular_locus_at_n4(capsys):
+    # P^8(F_13) has 8.8 * 10^8 points; the generic points are unranked
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["verify", "--check", "singular_locus", "--n", "4", "--d", "1",
+                            "--format", "json"], capsys)
+    assert code == 0 and time.perf_counter() - t0 < 10
+    (record,) = json.loads(out)["records"]
+    assert record["pass"] and record["params"]["generic_pool"] == 5079360
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (1, 3)])

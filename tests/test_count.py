@@ -435,17 +435,23 @@ def test_field_tables_match_field_arithmetic(q):
 
 def _pencil_blocks(polys, F):
     """(s, pencil, blocks, [(exps, coeffs, offsets) of each block]) for a
-    system of forms of one degree, cut as `_count_blocks` cuts it."""
+    system of forms of one degree, cut as `_count_blocks` cuts it, with the
+    pencil as `kernels.pencil_lines` gives it: its points, built here from
+    `enumerate_projective`, and the offsets of their rows of counts."""
     _, _, exps, coeffs, offsets, blocks, s = count_module._plan(polys, F)
     subs = [count_module._block_system(exps, coeffs, offsets, b) for b in blocks]
-    pencil = [[F.element_index(c) for c in pt] for pt in enumerate_projective(F, len(polys) - 1)]
+    points = np.array([[F.element_index(c) for c in pt]
+                       for pt in enumerate_projective(F, len(polys) - 1)], np.int64)
+    pencil = points, np.arange(len(points))[:, None] * (1 + s)
+    assert [a.tolist() for a in kernels.pencil_lines(F, len(polys), s)] == \
+        [a.tolist() for a in pencil]
     return s, pencil, blocks, subs
 
 
-def _orbit_histograms(F, arrays, s, shards):
+def _orbit_histograms(F, arrays, s, shards, pencil):
     lines = projective_size(F.q, arrays[0].shape[1] - 1)
     return kernels.orbit_histogram(F, sum(
-        kernels.line_orbit_counts(F, *arrays, s, lo, hi)
+        kernels.line_orbit_counts(F, *arrays, *pencil, s, lo, hi)
         for lo, hi in count_module._shard_ranges(lines, shards)))
 
 
@@ -455,8 +461,8 @@ def _assert_orbit_histograms(polys, F):
     s, pencil, blocks, subs = _pencil_blocks(polys, F)
     zero = MPoly.zero(polys[0].ctx, F)
     for block, arrays in zip(blocks, subs):
-        batches = [_orbit_histograms(F, arrays, s, shards) for shards in (1, 3)]
-        for c, *rows in zip(pencil, *batches):
+        batches = [_orbit_histograms(F, arrays, s, shards, pencil) for shards in (1, 3)]
+        for c, *rows in zip(pencil[0].tolist(), *batches):
             member = sum((f.scale(F.element_from_index(ci)) for f, ci in zip(polys, c)), zero)
             sub = count_module._block_system(*count_module._system_arrays([member], F), block)
             full = kernels.block_histogram(F, *sub, 0, F.q ** len(block))
@@ -485,10 +491,10 @@ def test_line_orbit_termless_block(q):
     ctx = VarContext(("x0", "x1", "x2", "e0"))
     f = fermat(("x0", "x1", "x2"), 3, F).substitute(
         {v: MPoly.variable(ctx, F, v) for v in ("x0", "x1", "x2")})
-    s, _, _, blocks = _pencil_blocks([f], F)
+    s, pencil, _, blocks = _pencil_blocks([f], F)
     assert len(blocks) == 4 and not len(blocks[3][0])
     _assert_orbit_histograms([f], F)
-    assert _orbit_histograms(F, blocks[3], s, 1).tolist() == [[q] + [0] * (q - 1)]
+    assert _orbit_histograms(F, blocks[3], s, 1, pencil).tolist() == [[q] + [0] * (q - 1)]
     assert count_engine([f], F) == "blocks"
     assert count_zeros([f], F) == count_zeros([fermat(("x0", "x1", "x2"), 3, F)], F) * q + 1
 

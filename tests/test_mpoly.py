@@ -159,11 +159,17 @@ def assert_payload_types(p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(KERNEL_DOMAINS), st.integers(0, 10**9))
-def test_kernel_product_matches_tuple_loop(dom, seed):
+@given(st.sampled_from(KERNEL_DOMAINS), st.integers(0, 10**9), st.sampled_from([None, 0, 1]))
+def test_kernel_product_matches_tuple_loop(dom, seed, one_term):
+    # one_term: which operand, if any, is cut down to one term
     rng = random.Random(seed)
     f = random_dom_poly(XYZ, dom, rng)
     g = random_dom_poly(XYZ, dom, rng)
+    if one_term is not None:
+        c = random_payload(dom, rng)
+        one = MPoly(XYZ, dom, {} if dom.is_zero(c) else
+                    {tuple(rng.randrange(4) for _ in XYZ.names): c})
+        f, g = (one, g) if one_term == 0 else (f, one)
     fg = f * g
     assert fg.terms == oracle_mul(f, g).terms
     assert_payload_types(fg)
@@ -413,6 +419,25 @@ def test_total_degree_and_homogeneous_flags():
 # exact division
 
 
+def oracle_try_div(f, g):
+    """f / g by the loop `MPoly.try_div` used before its heap: the whole
+    remainder rebuilt, and rescanned for its leading term, at every step."""
+    dom = f.dom
+    ge, gc = g.leading_term()
+    gc_inv = dom.inv(gc)
+    rem = MPoly(f.ctx, dom, dict(f.terms))
+    quot = {}
+    while rem.terms:
+        re_, rc = rem.leading_term()
+        qe = tuple(a - b for a, b in zip(re_, ge))
+        if any(x < 0 for x in qe):
+            return None
+        qc = dom.mul(rc, gc_inv)
+        quot[qe] = qc
+        rem = rem - oracle_mul(MPoly(f.ctx, dom, {qe: qc}), g)
+    return MPoly(f.ctx, dom, quot)
+
+
 def test_try_div_recovers_factor():
     rng = random.Random(11)
     for _ in range(25):
@@ -429,6 +454,39 @@ def test_try_div_rejects_non_multiple():
     y = MPoly.variable(XY, QQ, "y")
     assert (x * x + y).try_div(x + y) is None
     assert (x * x - y * y).try_div(x - y) == x + y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_DOMAINS), st.integers(0, 10**9))
+def test_heap_division_matches_oracle(dom, seed):
+    rng = random.Random(seed)
+    f = random_dom_poly(XYZ, dom, rng)
+    g = random_dom_poly(XYZ, dom, rng)
+    h = random_dom_poly(XYZ, dom, rng, max_terms=2)
+    if g.is_zero():
+        g = MPoly.constant(XYZ, dom, 1)
+    quot = (f * g).try_div(g)
+    assert quot == f and quot == oracle_try_div(f * g, g)
+    assert_payload_types(quot)
+    # a remainder h makes most dividends non-multiples; the oracle decides
+    assert (f * g + h).try_div(g) == oracle_try_div(f * g + h, g)
+    zero = MPoly.zero(XYZ, dom)
+    assert zero.try_div(g) == zero == oracle_try_div(zero, g)
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS)
+def test_heap_division_edge_cases(dom):
+    x, y, z = (MPoly.variable(XYZ, dom, nm) for nm in XYZ.names)
+    # g's leading monomial x^3 exceeds every monomial of f in x
+    f, g = x * x * y + z ** 4, x ** 3 + y
+    assert f.try_div(g) is None and oracle_try_div(f, g) is None
+    # leading terms divide at first, then a lower term does not
+    assert (g * (x + z) + z ** 2).try_div(g) is None
+    # terms cancel and come back: (x + y)(x - y) * (x^2 + y^2) / (x - y)
+    p = (x + y) * (x - y) * (x * x + y * y)
+    assert p.try_div(x - y) == (x + y) * (x * x + y * y) == oracle_try_div(p, x - y)
+    with pytest.raises(ZeroDivisionError):
+        f.try_div(MPoly.zero(XYZ, dom))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for the symbolic and sampled verification checks."""
 
+import random
+import sys
+
+import numpy as np
 import pytest
 
 import skewplanes.verify as verify_mod
-from skewplanes.count import enumerate_projective, projective_zeros
+from skewplanes.count import FirstChartZeros, count_zeros, enumerate_projective, projective_zeros
 from skewplanes.domains import QQ, QQXI, field_create
 from skewplanes.families import (
     build_ab,
@@ -19,10 +23,13 @@ from skewplanes.families import (
 )
 from skewplanes.mpoly import MPoly, RationalMap, VarContext, compose
 from skewplanes.reporting import BudgetExceeded, strip_timing
+from skewplanes.kernels import proportional_rows
 from skewplanes.verify import (
     _h_theta,
     _plane_conditions,
     _plane_minor,
+    _sample_ranks,
+    _values,
     galois_swap,
     run_all_checks,
     verify_composition,
@@ -226,18 +233,150 @@ def test_singular_locus_samples():
         assert r.params["generic_pool"] > 0
 
 
+def _first_chart_walk(F, A, B, N):
+    """The zeros of A and B with first coordinate 1, by a pointwise walk of
+    `enumerate_projective` through `MPoly.evaluate`, as rows of indices."""
+    walk = []
+    for pt in enumerate_projective(F, N):
+        if pt[0] == F.zero:
+            break
+        if A.evaluate(pt) == F.zero and B.evaluate(pt) == F.zero:
+            walk.append([F.element_index(c) for c in pt])
+    return walk
+
+
 def test_singular_locus_generic_pool_matches_pointwise_walk():
-    # the pool is drawn from with rng.sample, so it must match the walk in
-    # content and order for the sample to stay the same
+    # the samples are drawn by rank, so unranking every rank must give the
+    # walk in content and order for the sample to stay the scan's
     F = field_create(7)
-    A, B = (f.map_domain(F, F.reduce_rational) for f in build_ab(2, 1, QQ))
-    walk = [pt for pt in enumerate_projective(F, 4) if pt[0] != F.zero
-            and A.evaluate(pt) == F.zero and B.evaluate(pt) == F.zero]
+    for n in (2, 3):
+        A, B = (f.map_domain(F, F.reduce_rational) for f in build_ab(n, 1, QQ))
+        walk = _first_chart_walk(F, A, B, 2 * n)
+        generic = FirstChartZeros(build_ab(n, 1, QQ), F)
+        assert generic.pool == len(walk)
+        assert generic.unrank(range(generic.pool)).tolist() == walk
+        if n == 2:
+            pool = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
+            assert [[F.element_index(c) for c in pt] for pt in pool] == walk
+        r = verify_singular_locus(n, 1, generic_field=7)
+        assert r.passed, r.witness
+        assert r.params["generic_pool"] == len(walk)
+
+
+@pytest.mark.parametrize("q,n,d", [(7, 2, 1), (7, 2, 2), (7, 3, 1), (13, 2, 1), (13, 2, 3)])
+def test_singular_locus_sample_is_rng_sample_of_scan_pool(monkeypatch, q, n, d):
+    # the scan's list of generic points, sampled as the check sampled it
+    F = field_create(q)
+    A, B = build_ab(n, d, QQ)
+    pool = [[F.element_index(c) for c in pt] for pt in projective_zeros([A, B], F)
+            if pt[0] != F.zero]
+    generic = FirstChartZeros([A, B], F)
+    assert generic.pool == len(pool)
+    seen = []
+
+    def spy(F, a, b):
+        seen.append(a)
+        return proportional_rows(F, a, b)
+    monkeypatch.setattr(verify_mod, "proportional_rows", spy)
+    for seed in (0, 1, 5, 42):
+        sample = random.Random(seed).sample(pool, 20)
+        assert generic.unrank(_sample_ranks(random.Random(seed), len(pool), 20)).tolist() \
+            == sample
+        seen.clear()
+        r = verify_singular_locus(n, d, samples=20, seed=seed, generic_field=q)
+        assert r.passed, r.witness
+        grad = _values([A.partial(nm) for nm in A.ctx.names], F, np.array(sample, np.int64))
+        assert seen[0].tolist() == grad.tolist()
+
+
+def test_singular_locus_witness_is_the_scan_samples_point(monkeypatch):
+    # a failing sample names the point rng.sample drew from the scan's pool
+    F = field_create(7)
+    A, B = build_ab(2, 2, QQ)
     pool = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
-    assert pool == walk
-    r = verify_singular_locus(2, 1, generic_field=7)
-    assert r.passed, r.witness
-    assert r.params["generic_pool"] == len(walk)
+
+    def flag_third(F, a, b):
+        flat = proportional_rows(F, a, b)
+        flat[2] = True
+        return flat
+    monkeypatch.setattr(verify_mod, "proportional_rows", flag_third)
+    for seed in (1, 5, 42):
+        r = verify_singular_locus(2, 2, seed=seed, generic_field=7)
+        point = random.Random(seed).sample(pool, 50)[2]
+        assert r.witness == {"reason": "all minors vanish at a generic point of Y",
+                             "point": [str(c) for c in point]}
+
+
+def _distinct_draws(seed, pool, k):
+    """rng.randrange(pool) until k distinct values, in order of first draw."""
+    rng = random.Random(seed)
+    picked = []
+    while len(picked) < k:
+        j = rng.randrange(pool)
+        if j not in picked:
+            picked.append(j)
+    return picked
+
+
+def test_sample_ranks_past_the_ssize_range():
+    # rng.sample of a large population repeats distinct draws of randrange:
+    # that is rng.sample below sys.maxsize, and _sample_ranks past it
+    for seed in (0, 3):
+        assert random.Random(seed).sample(range(sys.maxsize), 30) == \
+            _distinct_draws(seed, sys.maxsize, 30) == \
+            _sample_ranks(random.Random(seed), sys.maxsize, 30)
+        for pool in (sys.maxsize + 1, 10 ** 30):
+            assert _sample_ranks(random.Random(seed), pool, 30) == _distinct_draws(seed, pool, 30)
+
+
+def _pool_from_counts(n, F):
+    """count(Y) - count(Y with u0 = 0), both from the block engine."""
+    A, B = build_ab(n, 1, F)
+    tctx = VarContext(A.ctx.names[1:])
+    sub = {nm: MPoly.variable(tctx, F, nm) for nm in tctx.names}
+    sub["u0"] = MPoly.zero(tctx, F)
+    return count_zeros([A, B], F) - count_zeros([A.substitute(sub), B.substitute(sub)], F)
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_first_chart_zeros_at_large_n(n):
+    # at n = 9, 13^18 passes 2^63 and the counts are Python ints
+    F = field_create(13)
+    A, B = build_ab(n, 1, QQ)
+    generic = FirstChartZeros([A, B], F)
+    assert generic.pool == _pool_from_counts(n, F)
+    if n == 4:
+        assert generic.pool == 5079360
+    ranks = sorted({0, 1, generic.pool // 3, generic.pool // 2, generic.pool - 1})
+    pts = generic.unrank(ranks)
+    assert not _values([A, B], F, pts).any() and (pts[:, 0] == 1).all()
+    assert [tuple(p) for p in pts.tolist()] == sorted(set(tuple(p) for p in pts.tolist()))
+
+
+def test_first_chart_zeros_refuses_other_systems():
+    F = field_create(7)
+    ctx = VarContext(("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = (MPoly.variable(ctx, F, nm) for nm in ctx.names)
+    with pytest.raises(ValueError, match="contiguous blocks free of x0"):
+        FirstChartZeros([x0 * x1 + x2 * x3], F)
+    with pytest.raises(ValueError, match="contiguous blocks free of x0"):
+        FirstChartZeros([x0 ** 2 + x1 * x3 + x2 ** 2], F)
+    # contiguous blocks, one of a variable in no term, are unranked in the
+    # scan's order
+    ctx = VarContext(("x0", "x1", "x2", "x3", "x4"))
+    x0, x1, x2, x3 = (MPoly.variable(ctx, F, nm) for nm in ctx.names[:4])
+    f = x0 ** 2 + x1 * x2 - x3 ** 2
+    generic = FirstChartZeros([f], F)
+    walk = [[F.element_index(c) for c in pt] for pt in projective_zeros([f], F)
+            if pt[0] != F.zero]
+    assert generic.pool == len(walk) == 56 * 7
+    assert generic.unrank(range(generic.pool)).tolist() == walk
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_singular_locus_refuses_no_samples(samples):
+    with pytest.raises(ValueError, match=rf"samples >= 1, got {samples}"):
+        verify_singular_locus(2, 1, samples=samples)
 
 
 def test_singular_locus_rejects_n1():
@@ -303,8 +442,14 @@ def test_singular_locus_charges_budget_before_any_work(monkeypatch):
     def locus_half(*args):
         raise AssertionError("locus half ran")
     monkeypatch.setattr(verify_mod, "_plane_minor", locus_half)
-    with pytest.raises(BudgetExceeded, match=r"P\^4\(F_13\)\| exceeds budget 30940"):
-        verify_singular_locus(2, 1, budget=30940)
+    # two planes of C(5, 2) minors; two pair blocks of 169 points, one
+    # 169-cell histogram, no convolution, and 169 + 50 * 338 unranking cells
+    with pytest.raises(BudgetExceeded, match=r"20 plane minors and 17576 sampler cells "
+                                             r"over GF\(13\) cost 17596, over budget 17595"):
+        verify_singular_locus(2, 1, budget=17595)
+    # 2^40 planes of C(81, 2) minors at d = 2
+    with pytest.raises(BudgetExceeded, match=rf"^singular_locus: {2 ** 40 * 3240} plane minors"):
+        verify_singular_locus(40, 2)
 
 
 # ---------------------------------------------------------------------------
