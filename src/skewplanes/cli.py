@@ -197,14 +197,17 @@ def _cmd_verify(args):
 
 
 def _load_custom_polys(system, F):
+    """The system's polynomials over F: terms with one exponent vector add
+    up, and terms whose coefficient vanishes in F are dropped."""
     names, rows_list = system
     ctx = VarContext(names)
     polys = []
     for rows in rows_list:
         terms = {}
         for coeff, exps in rows:
-            terms[tuple(exps)] = F.from_int(coeff)
-        polys.append(MPoly(ctx, F, terms))
+            key = tuple(exps)
+            terms[key] = F.add(terms.get(key, F.zero), F.from_int(coeff))
+        polys.append(MPoly(ctx, F, {e: c for e, c in terms.items() if not F.is_zero(c)}))
     return polys
 
 
@@ -216,10 +219,10 @@ def _cmd_count(args):
         return 0 if breakdown["match"] else 2
     if args.family == "custom":
         polys = _load_custom_polys(args.system, F)
-        report = count_custom(polys, F, shards=args.shards, budget=args.budget)
+        report = count_custom(polys, F, budget=args.budget)
     else:
         report = count_family(args.family, args.n, args.d, F, delta=args.delta,
-                              shards=args.shards, budget=args.budget)
+                              budget=args.budget)
     _emit([report], _config_of(args), args.format, args.out)
     if report.match is None:
         return 3
@@ -233,8 +236,7 @@ def _cmd_count(args):
 def _cmd_heights(args):
     if args.n != 1:
         raise ValueError("height scans support n = 1 only (P^3 search space)")
-    records = height_scan(args.d, args.bound, mode=args.mode, shards=args.shards,
-                          budget=args.budget)
+    records = height_scan(args.d, args.bound, mode=args.mode, budget=args.budget)
     return _emit(records, _config_of(args), args.format, args.out)
 
 
@@ -250,15 +252,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _add_common(p, with_nd=True):
-    if with_nd:
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--d", type=int, default=1)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+# the flags several subcommands share; each subparser adds the ones it reads
+_SHARED_FLAGS = {
+    "--n": {"type": int, "default": 1},
+    "--d": {"type": int, "default": 1},
+    # count and heights check it is at least 1 and ignore it: every count
+    # runs in one piece
+    "--shards": {"type": int, "default": 1, "help": "accepted and ignored"},
+    "--budget": {"type": int, "default": DEFAULT_BUDGET},
+    "--out": {"default": None},
+    "--format": {"choices": ("json", "csv", "text"), "default": "text"},
+}
+
+
+def _add_shared(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 @functools.cache
@@ -278,12 +287,13 @@ def build_parser():
     dump.add_argument("--family", required=True)
     dump.add_argument("--delta", type=int, default=None)
     dump.add_argument("--char", type=int, default=0)
-    _add_common(dump)
+    _add_shared(dump, "--n", "--d", "--out")
     dump.set_defaults(func=_cmd_families_dump)
 
     ver = sub.add_parser("verify", help="run symbolic/numeric identity checks")
     ver.add_argument("--check", default="all")
-    _add_common(ver)
+    ver.add_argument("--seed", type=int, default=42)
+    _add_shared(ver, "--n", "--d", "--budget", "--out", "--format")
     ver.set_defaults(func=_cmd_verify)
 
     cnt = sub.add_parser("count", help="exact F_q point counts (block convolution or "
@@ -293,13 +303,13 @@ def build_parser():
     cnt.add_argument("--q", type=int, required=True)
     cnt.add_argument("--delta", type=int, default=None)
     cnt.add_argument("--poly-file", default=None)
-    _add_common(cnt)
+    _add_shared(cnt, "--n", "--d", "--shards", "--budget", "--out", "--format")
     cnt.set_defaults(func=_cmd_count)
 
     hts = sub.add_parser("heights", help="bounded-height point counts (n = 1)")
     hts.add_argument("--bound", type=int, required=True)
     hts.add_argument("--mode", choices=("direct", "param", "both"), default="both")
-    _add_common(hts)
+    _add_shared(hts, "--n", "--d", "--shards", "--budget", "--out", "--format")
     hts.set_defaults(func=_cmd_heights)
     return parser
 

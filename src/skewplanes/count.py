@@ -7,8 +7,7 @@ and counts r forms of one degree from the members c.f of their pencil,
 each block once per line (`_count_blocks`).  It runs when there are two
 blocks or more and it costs no more than the chart scan, its oracle, which
 walks affine charts (points normalized so the first nonzero coordinate is
-1) in order.  Both engines split their index ranges into shards whose
-partial counts add, so the total is independent of the shard count.
+1) in order.
 
 Zeros as points come from a chart scan (`projective_zeros`, which Y0 uses)
 or, on the chart x0 = 1 of a system whose other variables form blocks, by
@@ -168,16 +167,6 @@ def _plan(polys, F):
     return "scan", scan_cost, exps, coeffs, offsets, blocks, s
 
 
-def count_engine(polys, F):
-    """The engine `count_zeros` runs on this system: "blocks" or "scan"."""
-    return _plan(polys, F)[0]
-
-
-def _shard_ranges(size, shards):
-    step = max(1, -(-size // max(1, shards)))
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-
-
 def _block_system(exps, coeffs, offsets, block):
     """(exps, coeffs, offsets) of the system's terms in the block's
     variables, restricted to its columns."""
@@ -185,7 +174,7 @@ def _block_system(exps, coeffs, offsets, block):
     return exps[rows][:, block], coeffs[rows], np.searchsorted(rows, offsets)
 
 
-def _count_blocks(F, exps, coeffs, offsets, blocks, s, shards):
+def _count_blocks(F, exps, coeffs, offsets, blocks, s):
     """(N - 1) / (q - 1) for N common zeros of the r forms on the affine
     cone.  Over all c in F_q^r, N_aff(c.f) counts a common zero q^r times
     and any other point q^(r-1) times, and c and tc cut the same zeros, so
@@ -201,9 +190,9 @@ def _count_blocks(F, exps, coeffs, offsets, blocks, s, shards):
     pencil = pencil_lines(F, r, s)
 
     def histograms(block):
-        sub, lines = _block_system(exps, coeffs, offsets, block), projective_size(q, len(block) - 1)
-        hist = orbit_histogram(F, sum(line_orbit_counts(F, *sub, *pencil, s, lo, hi)
-                                      for lo, hi in _shard_ranges(lines, shards)))
+        lines = projective_size(q, len(block) - 1)
+        hist = orbit_histogram(F, line_orbit_counts(
+            F, *_block_system(exps, coeffs, offsets, block), *pencil, s, 0, lines))
         return hist.astype(object) if exact else hist
 
     hists = map(histograms, blocks)
@@ -217,12 +206,11 @@ def _count_blocks(F, exps, coeffs, offsets, blocks, s, shards):
     return (cone - 1) // (q - 1)
 
 
-def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET, with_engine=False):
-    """Number of normalized projective points where every polynomial
-    vanishes; exact and shard-count independent.  `budget` caps the work of
-    the engine that runs (see `_plan`).  With `with_engine`, returns
-    (count, engine name), so a report names its engine without a second
-    plan."""
+def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
+    """Exact number of normalized projective points where every polynomial
+    vanishes.  `budget` caps the work of the engine that runs (see `_plan`).
+    With `with_engine`, returns (count, engine name), so a report names its
+    engine without a second plan."""
     engine, cost, exps, coeffs, offsets, blocks, s = _plan(polys, F)
     q = F.q
     nvars = exps.shape[1]
@@ -233,11 +221,11 @@ def count_zeros(polys, F, shards=1, budget=DEFAULT_BUDGET, with_engine=False):
             f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
             f"over budget {abbreviate(budget)}")
     if engine == "blocks":
-        total = _count_blocks(F, exps, coeffs, offsets, blocks, s, shards)
+        total = _count_blocks(F, exps, coeffs, offsets, blocks, s)
     else:
-        total = sum(count_system_chart(F, exps, coeffs, offsets, chart, start, stop, nvars)
-                    for chart in range(nvars)
-                    for start, stop in _shard_ranges(q ** (nvars - 1 - chart), shards))
+        total = sum(count_system_chart(F, exps, coeffs, offsets, chart, 0,
+                                       q ** (nvars - 1 - chart), nvars)
+                    for chart in range(nvars))
     return (total, engine) if with_engine else total
 
 
@@ -293,7 +281,7 @@ def formula_y(q, n, d):
 # family count reports
 
 
-def count_family(family, n, d, F, delta=None, shards=1, budget=DEFAULT_BUDGET):
+def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
     t0 = time.perf_counter()
     q = F.q
     params = {"n": n, "d": d}
@@ -321,35 +309,31 @@ def count_family(family, n, d, F, delta=None, shards=1, budget=DEFAULT_BUDGET):
             formula = None
     else:
         raise ValueError(f"unknown family {family!r}")
-    brute, engine = count_zeros(polys, F, shards=shards, budget=budget, with_engine=True)
+    brute, engine = count_zeros(polys, F, budget=budget, with_engine=True)
     return CountReport(
         family=family, params=params,
         field_spec=F.spec.as_dict(),
         brute=brute, formula=formula,
         match=None if formula is None else brute == formula,
-        formula_alt=formula_alt, shards=shards, engine=engine,
+        formula_alt=formula_alt, engine=engine,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def count_custom(polys, F, shards=1, budget=DEFAULT_BUDGET, label="custom"):
+def count_custom(polys, F, budget=DEFAULT_BUDGET, label="custom"):
     t0 = time.perf_counter()
-    brute, engine = count_zeros(polys, F, shards=shards, budget=budget, with_engine=True)
+    brute, engine = count_zeros(polys, F, budget=budget, with_engine=True)
     return CountReport(
         family=label, params={"polys": len(polys)},
         field_spec=F.spec.as_dict(),
-        brute=brute, formula=None, match=None, shards=shards,
-        engine=engine, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
-
-
-def count_x_d_delta(n, d, delta, F, shards=1, budget=DEFAULT_BUDGET):
-    return count_family("Xdelta", n, d, F, delta=delta, shards=shards, budget=budget)
+        brute=brute, formula=None, match=None, engine=engine,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
 # projection bijection (adjoining a·x_{N+1}^D)
 
 
-def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
+def check_projection_bijection(f, a, D, F, budget=DEFAULT_BUDGET):
     """Count {f + a*x_new^D = 0} in P^{N+1} and compare with |P^N|.
 
     When gcd(D, q-1) != 1 the statement does not apply; the result reports
@@ -372,7 +356,7 @@ def check_projection_bijection(f, a, D, F, shards=1, budget=DEFAULT_BUDGET):
     ctx2 = VarContext(tuple(f.ctx.names) + (new_name,))
     mapping = {nm: MPoly.variable(ctx2, F, nm) for nm in f.ctx.names}
     g = fF.substitute(mapping) + (MPoly.variable(ctx2, F, new_name) ** D).scale(F.from_int(a))
-    count, engine = count_zeros([g], F, shards=shards, budget=budget, with_engine=True)
+    count, engine = count_zeros([g], F, budget=budget, with_engine=True)
     expected = projective_size(q, f.ctx.nvars - 1)
     params["count"] = count
     params["engine"] = engine

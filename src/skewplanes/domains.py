@@ -584,17 +584,3 @@ def root_count_unity(F, D):
         expected = gcd(F.q - 1, D)
         assert count == expected, (count, expected)
     return count
-
-
-# ---------------------------------------------------------------------------
-# reduction of characteristic-zero payloads into finite fields
-
-
-def reduce_rational(F, r):
-    """Image of a Fraction in F; raises if the denominator vanishes mod p."""
-    return F.reduce_rational(r)
-
-
-def reduce_quadext(F, a, xi_image=None):
-    """Image of a + b*xi in F, sending xi to a chosen root of x^2 + 3."""
-    return F.reduce_quadext(a, xi_image)

@@ -115,10 +115,9 @@ def _direct_rows(d, B, budget):
     return [p // 2 for p in prim]
 
 
-def direct_height_count(d, B, shards=1, budget=DEFAULT_BUDGET):
+def direct_height_count(d, B, budget=DEFAULT_BUDGET):
     """Exact number of points of the hypersurface (n = 1) with height <= B,
-    from the pairs in [-B, B]^2 matched by f-value.  `shards` is accepted
-    and ignored: the pair walk runs in one piece."""
+    from the pairs in [-B, B]^2 matched by f-value."""
     return _direct_rows(d, B, budget)[B]
 
 
@@ -213,12 +212,11 @@ def _height_rows(d, bound, first, mode, budget):
 
 def height_report(d, B, mode="both", shards=1, budget=DEFAULT_BUDGET):
     """The last row of `height_scan(d, B)`, built alone.  `shards` is
-    accepted and ignored: each column runs in one piece."""
+    accepted and ignored, only because the benchmark's worker passes it."""
     return _height_rows(d, B, B, mode, budget)[0]
 
 
-def height_scan(d, bound, mode="both", shards=1, budget=DEFAULT_BUDGET):
+def height_scan(d, bound, mode="both", budget=DEFAULT_BUDGET):
     """HeightReport rows for B = 1..bound (CSV-friendly), from one direct
-    pass and one parametrized pass at `bound`.  `shards` is accepted and
-    ignored: each column runs in one piece."""
+    pass and one parametrized pass at `bound`."""
     return _height_rows(d, bound, 1, mode, budget)

@@ -6,11 +6,12 @@ Polynomial systems arrive as flat arrays: `exps` (terms x vars exponent
 matrix), `coeffs` (field-element indices), `offsets` (term ranges per
 polynomial).  Field elements are element indices; a vector over F_q is
 encoded as the base-q number of its entries, the first entry in the lowest
-place.  Points are decoded from linear indices, so an index range splits
-into disjoint shards whose counts or histograms merge by addition.  Every
-evaluation of a system goes through `system_values`: the count engines call
-it on at most `_BLOCK` points at a time, the sampled checks of `verify` once
-on all their samples, whose value rows they compare with `proportional_rows`.
+place.  Points are decoded from linear indices, and each kernel walks one
+index range [start, stop); the counts or histograms of disjoint ranges add.
+Every evaluation of a system goes through `system_values`: the count
+engines call it on at most `_BLOCK` points at a time, the sampled checks of
+`verify` once on all their samples, whose value rows they compare with
+`proportional_rows`.
 
 The block engine's kernels take a batch axis, one row per member c.f of
 the pencil of r forms of degree e (`pencil_lines`, built once per count):
@@ -321,8 +322,8 @@ def _f_exact(a, b, d):
 
 def height_scan_chart(B, d, chart, start, stop):
     """Reduced representatives on the hypersurface with first nonzero
-    coordinate at `chart`, within a linear-index shard, as a histogram by
-    height max |x_i| in 0..B.
+    coordinate at `chart`, within the linear-index range [start, stop), as
+    a histogram by height max |x_i| in 0..B.
 
     f is evaluated in int64 as a filter.  Its arithmetic wraps mod 2^64, a
     ring homomorphism, so every true zero passes; each survivor is then

@@ -79,7 +79,6 @@ class CountReport:
     formula: int | None
     match: bool | None          # None when no formula applies
     formula_alt: int | None = None
-    shards: int = 1
     engine: str = "scan"        # "blocks" or "scan": the count_zeros engine
     elapsed_ms: float = 0.0
 
@@ -91,7 +90,6 @@ class CountReport:
             "brute": self.brute,
             "formula": self.formula,
             "match": self.match,
-            "shards": self.shards,
             "engine": self.engine,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }

@@ -17,7 +17,6 @@ from skewplanes import kernels
 from skewplanes.count import (
     check_projection_bijection,
     count_family,
-    count_x_d_delta,
     count_y0_structure,
     count_zeros,
     formula_x2d,
@@ -96,7 +95,7 @@ def test_c02_high_dimension_counts():
     c5 = count_zeros([build_x(2, 1, F5)], F5)
     F11 = field_create(11)
     t1 = time.perf_counter()
-    c11 = count_zeros([build_x(2, 1, F11)], F11, shards=4)
+    c11 = count_zeros([build_x(2, 1, F11)], F11)
     dt11 = time.perf_counter() - t1
     ok = c5 == 781 and c11 == 16105 and dt11 <= 30.0
     _report(2, "high-dimension counts", ok,
@@ -255,7 +254,7 @@ def test_c10_x_d_delta_counts():
         F = field_create(q)
         delta_deg = delta * (d - 1) + 1
         assert gcd(d, q - 1) == 1 and gcd(delta_deg, q - 1) == 1
-        rep = count_x_d_delta(n, d, delta, F)
+        rep = count_family("Xdelta", n, d, F, delta=delta)
         good = rep.brute == expected == projective_size(q, 2 * n) and rep.match
         ok = ok and good
         rows.append(f"(n={n},d={d},delta={delta},q={q}) -> {rep.brute} "

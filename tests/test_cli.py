@@ -322,6 +322,20 @@ def test_count_custom_poly_file(tmp_path, capsys):
     assert "9" in out or "3" in out
 
 
+@pytest.mark.parametrize("terms,brute", [
+    # x0 - x0 is the zero form: every point of P^2(F_5)
+    ([[1, [1, 0, 0]], [-1, [1, 0, 0]]], 31),
+    # 5 x0 vanishes over F_5, leaving the smooth conic x0^2 + x2^2
+    ([[1, [2, 0, 0]], [1, [0, 0, 2]], [5, [1, 0, 0]]], 11),
+])
+def test_count_custom_adds_terms_and_drops_zero_coefficients(tmp_path, capsys, terms, brute):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"vars": ["x0", "x1", "x2"], "polys": [terms]}))
+    code, out, _ = run_cli(["count", "--family", "custom", "--q", "5",
+                            "--poly-file", str(path), "--format", "json"], capsys)
+    assert code == 3 and json.loads(out)["records"][0]["brute"] == brute
+
+
 def test_count_json_format(capsys):
     code, out, _ = run_cli(
         ["count", "--family", "X", "--n", "1", "--d", "2", "--q", "7",
@@ -355,15 +369,6 @@ def test_count_out_file(tmp_path, capsys):
     assert doc["records"][0]["brute"] == 31
 
 
-def test_count_shards_agree(capsys):
-    argv = ["count", "--family", "X", "--n", "1", "--d", "1", "--q", "11",
-            "--format", "json"]
-    _, out1, _ = run_cli(argv, capsys)
-    _, out8, _ = run_cli(argv + ["--shards", "8"], capsys)
-    doc1, doc8 = json.loads(out1), json.loads(out8)
-    assert doc1["records"][0]["brute"] == doc8["records"][0]["brute"] == 133
-
-
 def test_count_x_n3_large_prime_by_line_orbits(capsys):
     # X(3, 1) over F_10007: 10007 = 5 mod 6 and gcd(3, 10006) = 1, so the
     # count is |P^6|; each block is evaluated on 10008 lines, not 10007^2 points
@@ -387,10 +392,10 @@ def test_count_y_pencil_at_large_prime(capsys):
 def test_parser_reused_across_calls(capsys):
     # the parser is built once per process: no option leaks into the next call
     argv = ["count", "--family", "X", "--q", "7", "--format", "json"]
-    code, out, _ = run_cli(argv + ["--shards", "3"], capsys)
-    assert code == 0 and json.loads(out)["records"][0]["shards"] == 3
+    code, out, _ = run_cli(argv + ["--budget", "5000"], capsys)
+    assert code == 0 and json.loads(out)["config"]["budget"] == 5000
     code, out, _ = run_cli(argv, capsys)
-    assert code == 0 and json.loads(out)["records"][0]["shards"] == 1
+    assert code == 0 and json.loads(out)["config"]["budget"] == 10 ** 9
     with pytest.raises(SystemExit) as exc:
         main(["count", "--help"])
     assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
@@ -445,6 +450,42 @@ def test_bad_input_exits_5(tmp_path, capsys, argv):
         assert str(path) in err
 
 
+# the flags each subcommand reads; `--shards` is accepted and ignored
+FLAGS = {
+    "families dump": ("--family", "--delta", "--char", "--n", "--d", "--out"),
+    "verify": ("--check", "--n", "--d", "--seed", "--budget", "--out", "--format"),
+    "count": ("--family", "--q", "--delta", "--poly-file", "--n", "--d", "--shards",
+              "--budget", "--out", "--format"),
+    "heights": ("--bound", "--mode", "--n", "--d", "--shards", "--budget", "--out",
+                "--format"),
+}
+# a run of each subcommand that takes a few milliseconds
+QUICK = {
+    "families dump": ["families", "dump", "--family", "X"],
+    "verify": ["verify", "--check", "cox_grading"],
+    "count": ["count", "--family", "X", "--q", "5"],
+    "heights": ["heights", "--bound", "2", "--mode", "direct"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("families dump", "--seed", "1"), ("families dump", "--shards", "1"),
+    ("families dump", "--budget", "1"), ("families dump", "--format", "text"),
+    ("verify", "--shards", "1"), ("count", "--seed", "1"), ("heights", "--seed", "1"),
+])
+def test_unread_flags_are_rejected(capsys, command, flag, value):
+    code, out, err = run_cli(QUICK[command] + [flag, value], capsys)
+    assert code == 5 and out == "" and flag in err
+
+
+@pytest.mark.parametrize("command", ["verify", "count", "heights"])
+def test_json_config_holds_own_flags(capsys, command):
+    code, out, _ = run_cli(QUICK[command] + ["--format", "json"], capsys)
+    assert code in (0, 3)
+    keys = {flag[2:].replace("-", "_") for flag in FLAGS[command]}
+    assert set(json.loads(out)["config"]) == keys | {"command", "version"}
+
+
 def test_help_exits_0(capsys):
     for argv in (["--help"], ["count", "--help"]):
         with pytest.raises(SystemExit) as exc:
@@ -453,8 +494,8 @@ def test_help_exits_0(capsys):
         assert "usage:" in capsys.readouterr().out
 
 
-# argv grammar for the fuzz test: every subcommand, with small valid and
-# invalid integers and garbage strings; budgets stay small so calls are fast
+# argv grammar for the fuzz test: every subcommand with flags it reads, with
+# small valid and invalid integers and garbage strings; budgets stay small so calls are fast
 _GARBAGE = st.sampled_from(["", "abc", "1.5", "0x3", "-", "--", "é", "9" * 30])
 _SMALL = st.one_of(st.integers(-2, 3).map(str), _GARBAGE)
 _POSITIVE = st.one_of(st.sampled_from(["1", "2"]), _SMALL)
@@ -502,12 +543,13 @@ def _argv(draw):
         return ["families", "dump"] + _options(draw, [("--family", family)], [
             ("--n", st.sampled_from(["-1", "0", "1", "2", "x"])),
             ("--d", _POSITIVE), ("--delta", _SMALL),
-            ("--char", st.sampled_from(["0", "2", "3", "4", "6", "7", "z"])), fmt])
+            ("--char", st.sampled_from(["0", "2", "3", "4", "6", "7", "z"]))])
     if command == "verify":
         return ["verify"] + _options(draw, [], [
             ("--check", st.sampled_from(["all", "nope"] + sorted(CHECKS))),
             ("--n", st.sampled_from(["-1", "0", "1", "x"])),
-            ("--d", st.sampled_from(["-1", "0", "1", "2", "x"])), ("--seed", _SMALL), fmt])
+            ("--d", st.sampled_from(["-1", "0", "1", "2", "x"])), ("--seed", _SMALL),
+            budget, fmt])
     if command == "count":
         return ["count"] + _options(draw, [
             ("--family", st.sampled_from(["X", "Y", "Xdelta", "Y0", "custom", "Z"])),

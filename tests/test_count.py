@@ -7,9 +7,7 @@ from skewplanes import count as count_module
 from skewplanes import kernels
 from skewplanes.count import (
     check_projection_bijection,
-    count_engine,
     count_family,
-    count_x_d_delta,
     count_y0_structure,
     count_zeros,
     enumerate_projective,
@@ -111,14 +109,6 @@ def test_count_zeros_budget():
         count_zeros([f], F, budget=9088)
 
 
-def test_count_shard_invariance():
-    F = field_create(7)
-    X = build_x(1, 1, F)
-    base = count_zeros([X], F, shards=1)
-    for shards in (2, 3, 8, 64):
-        assert count_zeros([X], F, shards=shards) == base
-
-
 def test_hyperplane_slice_consistency():
     # covering P^4 by the pencil x0 = a*x1 (a in F_q) plus {x1 = 0} counts
     # X once everywhere except the common locus {x0 = x1 = 0}, hit q+1 times
@@ -197,7 +187,7 @@ def test_count_family_y_ungated():
 def test_count_x_d_delta_full_space():
     # gcd(Delta, q - 1) = 1 forces the count |P^{2n}|
     F = field_create(5)
-    rep = count_x_d_delta(1, 3, 1, F)
+    rep = count_family("Xdelta", 1, 3, F, delta=1)
     assert rep.brute == projective_size(5, 2) == 31
     assert rep.match is True
 
@@ -336,7 +326,7 @@ def _both_engines(polys, F):
     if s is None:
         assert engine == "scan"
         return count_zeros(polys, F), scan
-    return count_module._count_blocks(F, exps, coeffs, offsets, blocks, s, 1), scan
+    return count_module._count_blocks(F, exps, coeffs, offsets, blocks, s), scan
 
 
 def _engine_systems(F):
@@ -383,16 +373,16 @@ def test_count_report_names_engine():
     # over F_2 the diagonal cubic has four one-variable blocks, which cost
     # more than the 15 points of P^3(F_2)
     F2 = field_create(2)
-    assert count_engine([build_x(1, 1, F2)], F2) == "scan"
+    assert count_module._plan([build_x(1, 1, F2)], F2)[0] == "scan"
     assert count_family("X", 1, 1, F2).as_dict()["engine"] == "scan"
 
 
 def test_histograms_past_cap_are_scanned(monkeypatch):
     F = field_create(11)
     X = build_x(1, 2, F)
-    assert count_engine([X], F) == "blocks"
+    assert count_module._plan([X], F)[0] == "blocks"
     monkeypatch.setattr(count_module, "HIST_MAX", 10)
-    assert count_engine([X], F) == "scan"
+    assert count_module._plan([X], F)[0] == "scan"
     assert count_zeros([X], F) == GRID_EXPECTED[11][1]
 
 
@@ -448,11 +438,14 @@ def _pencil_blocks(polys, F):
     return s, pencil, blocks, subs
 
 
-def _orbit_histograms(F, arrays, s, shards, pencil):
+def _orbit_histograms(F, arrays, s, pieces, pencil):
+    """The orbit histograms from the lines cut into `pieces` consecutive
+    ranges, whose counts add."""
     lines = projective_size(F.q, arrays[0].shape[1] - 1)
+    cuts = [lines * i // pieces for i in range(pieces + 1)]
     return kernels.orbit_histogram(F, sum(
         kernels.line_orbit_counts(F, *arrays, *pencil, s, lo, hi)
-        for lo, hi in count_module._shard_ranges(lines, shards)))
+        for lo, hi in zip(cuts, cuts[1:])))
 
 
 def _assert_orbit_histograms(polys, F):
@@ -461,7 +454,7 @@ def _assert_orbit_histograms(polys, F):
     s, pencil, blocks, subs = _pencil_blocks(polys, F)
     zero = MPoly.zero(polys[0].ctx, F)
     for block, arrays in zip(blocks, subs):
-        batches = [_orbit_histograms(F, arrays, s, shards, pencil) for shards in (1, 3)]
+        batches = [_orbit_histograms(F, arrays, s, pieces, pencil) for pieces in (1, 3)]
         for c, *rows in zip(pencil[0].tolist(), *batches):
             member = sum((f.scale(F.element_from_index(ci)) for f, ci in zip(polys, c)), zero)
             sub = count_module._block_system(*count_module._system_arrays([member], F), block)
@@ -495,7 +488,7 @@ def test_line_orbit_termless_block(q):
     assert len(blocks) == 4 and not len(blocks[3][0])
     _assert_orbit_histograms([f], F)
     assert _orbit_histograms(F, blocks[3], s, 1, pencil).tolist() == [[q] + [0] * (q - 1)]
-    assert count_engine([f], F) == "blocks"
+    assert count_module._plan([f], F)[0] == "blocks"
     assert count_zeros([f], F) == count_zeros([fermat(("x0", "x1", "x2"), 3, F)], F) * q + 1
 
 

@@ -17,8 +17,6 @@ from skewplanes.domains import (
     index_exp_log,
     minus_three_has_root,
     prime_power,
-    reduce_quadext,
-    reduce_rational,
     root_count_unity,
     smallest_irreducible,
     sqrt_of_minus_three,
@@ -304,21 +302,21 @@ def test_element_index_roundtrip():
 
 def test_reduce_rational():
     F = field_create(7)
-    assert reduce_rational(F, Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
+    assert F.reduce_rational(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
     with pytest.raises(ZeroDivisionError):
-        reduce_rational(F, Fraction(1, 14))
+        F.reduce_rational(Fraction(1, 14))
 
 
 def test_reduce_quadext():
     F = field_create(7)
     xi = sqrt_of_minus_three(F)
-    a = reduce_quadext(F, (Fraction(1), Fraction(1)))
+    a = F.reduce_quadext((Fraction(1), Fraction(1)))
     assert a == F.add(F.one, xi)
     F5 = field_create(5)
     with pytest.raises(ValueError):
-        reduce_quadext(F5, (Fraction(0), Fraction(1)))
+        F5.reduce_quadext((Fraction(0), Fraction(1)))
     # rational part alone reduces fine even where -3 is not a square
-    assert reduce_quadext(F5, (Fraction(2), Fraction(0))) == 2
+    assert F5.reduce_quadext((Fraction(2), Fraction(0))) == 2
 
 
 def test_reduce_quadext_respects_chosen_root():
@@ -326,7 +324,7 @@ def test_reduce_quadext_respects_chosen_root():
     r = sqrt_of_minus_three(F)
     other = (13 - r) % 13
     a = (Fraction(0), Fraction(1))
-    assert reduce_quadext(F, a, xi_image=other) == other
+    assert F.reduce_quadext(a, xi_image=other) == other
 
 
 def test_domain_payload_shapes():

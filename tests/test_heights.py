@@ -133,12 +133,6 @@ def test_direct_counts_monotone():
         prev = cur
 
 
-def test_direct_count_shard_invariance():
-    a = direct_height_count(1, 6, shards=1)
-    b = direct_height_count(1, 6, shards=5)
-    assert a == b
-
-
 def test_direct_count_budget():
     with pytest.raises(BudgetExceeded):
         direct_height_count(1, 1000)
