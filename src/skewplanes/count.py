@@ -23,7 +23,8 @@ from math import gcd
 
 import numpy as np
 
-from .domains import QQ, QQXI, prime_power, sqrt_of_minus_three, root_count_unity
+from .domains import (QQ, QQXI, exp_log_cells, prime_power, root_count_unity,
+                      sqrt_of_minus_three)
 from .families import build_ab, build_x, build_x_d_delta
 from .kernels import (
     _BLOCK,
@@ -208,15 +209,19 @@ def _count_blocks(F, exps, coeffs, offsets, blocks, s):
 
 def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
     """Exact number of normalized projective points where every polynomial
-    vanishes.  `budget` caps the work of the engine that runs (see `_plan`).
-    With `with_engine`, returns (count, engine name), so a report names its
+    vanishes.  `budget` caps the work of the engine that runs (see `_plan`)
+    plus the cells of the field's exp/log table when the engine reads it:
+    the block engine always, the chart scan over F_{p^m}.  With
+    `with_engine`, returns (count, engine name), so a report names its
     engine without a second plan."""
     engine, cost, exps, coeffs, offsets, blocks, s = _plan(polys, F)
     q = F.q
     nvars = exps.shape[1]
+    what = f"{len(blocks)} variable blocks" if engine == "blocks" else f"P^{nvars - 1}(F_{q})"
+    if engine == "blocks" or F.m > 1:
+        cost += exp_log_cells(q)
+        what += " and the field's exp/log table"
     if cost > budget:
-        what = (f"{len(blocks)} variable blocks" if engine == "blocks"
-                else f"P^{nvars - 1}(F_{q})")
         raise BudgetExceeded(
             f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
             f"over budget {abbreviate(budget)}")
@@ -497,6 +502,9 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     q = F.q
     if q % 6 != 1:
         raise ValueError(f"xi absent or x^2+3 degenerate in {F.name} (need q = 1 mod 6)")
+    # the search of P^2 below is charged before xi, whose exp/log table it
+    # pays for, is read
+    charge_projective(q, 2, budget)
     xi = sqrt_of_minus_three(F)
     A, B = build_ab(1, d, F)
     pts = projective_zeros([A, B], F, budget=budget)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -343,11 +343,6 @@ class FiniteField(Domain):
             self.one = (1,) + (0,) * (m - 1)
             self.name = f"GF({p}^{m})"
         self.int_kernel = m == 1
-        # exp/log tables of the least-index primitive element; until they
-        # are set, and always above _TABLE_Q_MAX, mul runs _poly_mulmod
-        self._exp = self._log = None
-        if m > 1 and self.q <= _TABLE_Q_MAX:
-            self._exp, self._log = exp_log_tables(self)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -368,12 +363,7 @@ class FiniteField(Domain):
     def mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p
-        log = self._log
-        if log is None:
-            return self._pad(_poly_mulmod(a, b, self.modulus, self.p))
-        if a == self.zero or b == self.zero:
-            return self.zero
-        return self._exp[(log[a] + log[b]) % (self.q - 1)]
+        return self._pad(_poly_mulmod(a, b, self.modulus, self.p))
 
     def inv(self, a):
         if self.is_zero(a):
@@ -441,11 +431,9 @@ def field_create(p, m=1):
 
 
 # ---------------------------------------------------------------------------
-# discrete-log tables, shared by FiniteField.mul and the count kernels
+# the discrete-log table of element indices, read by the count kernels
 
-_TABLE_Q_MAX = 1024
-_EXP_LOG = {}
-_INDEX_EXP_LOG = {}
+_LOG_TABLES = {}
 
 
 def _primitive_element(F):
@@ -459,50 +447,53 @@ def _primitive_element(F):
     raise ValueError(f"{F.name} has no primitive element")  # unreachable
 
 
-def exp_log_tables(F):
-    """(exp, log) for the primitive element g of F with the smallest element
-    index: exp[k] = g^k for k < q - 1 and log[exp[k]] = k.  Built once per
-    (p, m) by q - 2 multiplications in F, which run _poly_mulmod while F has
-    no tables yet."""
-    key = (F.p, F.m)
-    if key not in _EXP_LOG:
-        if F.q > _TABLE_Q_MAX:
-            raise ValueError(f"table arithmetic limited to q <= {_TABLE_Q_MAX}")
-        g = _primitive_element(F)
-        exp = [F.one]
-        for _ in range(F.q - 2):
-            exp.append(F.mul(exp[-1], g))
-        _EXP_LOG[key] = exp, {x: k for k, x in enumerate(exp)}
-    return _EXP_LOG[key]
+def _times(F, x, h, out):
+    """Write into `out` the indices of h * a for the elements a of index x
+    (int64 arrays).  Over F_{p^m}, multiplication by h is F_p-linear on
+    base-p digits: the digits of a, a block of rows at a time so that no
+    len(x) * m array is held, times the matrix whose row i holds the digits
+    of h t^i."""
+    p, m = F.p, F.m
+    if m == 1:
+        np.multiply(x, h, out=out)
+        np.remainder(out, p, out=out)
+        return
+    digits = p ** np.arange(m, dtype=np.int64)
+    rows = np.array([F.mul(h, F.element_from_index(p ** i)) for i in range(m)], np.int64)
+    step = 1 << 15
+    for lo in range(0, len(x), step):
+        out[lo:lo + step] = (x[lo:lo + step, None] // digits % p) @ rows % p @ digits
+
+
+def exp_log_cells(q):
+    """The cells of `index_exp_log`'s arrays for F_q."""
+    return 5 * q - 3
 
 
 def index_exp_log(F):
-    """(exp, log) as int64 arrays over element indices, for the same
-    primitive element g as `exp_log_tables`: exp[k] is the index of g^k for
-    k < q - 1, and log[exp[k]] = k (log[0] = 0 stands for no logarithm).
-    Built once per (p, m) in O(q): over F_{p^m} from `exp_log_tables`, so
-    q <= _TABLE_Q_MAX there; over F_p as a numpy outer product of g^i and
-    g^(jw), w = isqrt(p - 1) + 1, with no cap, so the caller bounds q."""
+    """(exp, log) as int64 arrays over element indices, for the generator g
+    of F^* with the smallest element index.  With n = q - 1, exp[k] is the
+    index of g^k for k < 2n and 0 from 2n to 4n; log[i] is the discrete
+    logarithm of element i, in [0, n), and log[0] = 2n.  So the product of
+    elements of indices a and b is exp[log[a] + log[b]], zero included.
+    Built once per (p, m) in O(q) memory by doubling the powers of g:
+    exp[k:2k] = exp[:k] * g^k."""
     key = (F.p, F.m)
-    if key not in _INDEX_EXP_LOG:
-        q = F.q
-        if F.m == 1:
-            g = _primitive_element(F)
-            w = isqrt(q - 1) + 1
-            low = [1]
-            for _ in range(w - 1):
-                low.append(low[-1] * g % q)
-            high = [1]
-            for _ in range(w - 1):
-                high.append(high[-1] * low[-1] * g % q)
-            exp = (np.array(high, np.int64)[:, None] * np.array(low, np.int64)
-                   % q).ravel()[:q - 1]
-        else:
-            exp = np.array([F.element_index(x) for x in exp_log_tables(F)[0]], np.int64)
-        log = np.zeros(q, np.int64)
-        log[exp] = np.arange(q - 1)
-        _INDEX_EXP_LOG[key] = exp, log
-    return _INDEX_EXP_LOG[key]
+    if key not in _LOG_TABLES:
+        n = F.q - 1
+        exp = np.zeros(4 * n + 1, np.int64)
+        exp[0] = 1
+        k, h = 1, _primitive_element(F)
+        while k < n:
+            size = min(k, n - k)
+            _times(F, exp[:size], h, exp[k:k + size])
+            k, h = k + size, F.mul(h, h)
+        exp[n:2 * n] = exp[:n]
+        log = np.empty(n + 1, np.int64)
+        log[exp[:n]] = np.arange(n)
+        log[0] = 2 * n
+        _LOG_TABLES[key] = exp, log
+    return _LOG_TABLES[key]
 
 
 # ---------------------------------------------------------------------------
@@ -553,26 +544,24 @@ def _sqrt_prime(F, a):
         r = m_
 
 
-_SCAN_LIMIT = 1 << 20
-
-
 def sqrt_of_minus_three(F):
     """A root of x^2 + 3 in F, or None.  Of the two roots the one with the
-    smaller element index is returned, so the choice is deterministic."""
-    target = F.from_int(-3)
+    smaller element index is returned, so the choice is deterministic.  Over
+    F_{p^m} with -3 = g^k (see `index_exp_log`), the roots are +-g^(k/2)
+    when k is even, and there are none when it is odd."""
     if F.m == 1:
         r = _sqrt_prime(F, (-3) % F.p)
         if r is None:
             return None
         return min(r, (-r) % F.p)
-    if F.q > _SCAN_LIMIT:
-        raise ValueError(f"square-root scan not supported for q = {F.q}")
-    best = None
-    for a in F.elements():
-        if F.mul(a, a) == target:
-            if best is None or F.element_index(a) < F.element_index(best):
-                best = a
-    return best
+    if F.p == 3:
+        return F.zero
+    exp, log = index_exp_log(F)
+    k = int(log[F.element_index(F.from_int(-3))])
+    if k % 2:
+        return None
+    root = F.element_from_index(int(exp[k // 2]))
+    return min(root, F.neg(root), key=F.element_index)
 
 
 def root_count_unity(F, D):

@@ -356,14 +356,6 @@ class CoxModel:
     irrelevant_parts: tuple
     expected_multidegree: tuple
 
-    def summary(self):
-        return {
-            "variables": list(self.ctx.names),
-            "grading": {k: list(v) for k, v in self.grading.items()},
-            "multidegree": list(self.expected_multidegree),
-            "irrelevant_components": [list(p) for p in self.irrelevant_parts],
-        }
-
 
 def build_cox_model(n, d):
     """Cox-ring model of the blown-up ambient space: strict transforms

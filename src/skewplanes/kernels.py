@@ -48,16 +48,15 @@ def warmup():
 # field arithmetic on element indices
 
 
-_TABLE_CACHE = {}
-
-
 def _digitwise(p, a, b, sign, size):
     """Index of a + sign*b in the additive group (Z/p)^D of size p^D, for
     base-p encodings a and b (arrays, broadcast); with sign = -1 this is
-    subtraction.  Element indices of F_{p^m} and vectors over it use this
-    encoding, so it is their addition."""
+    subtraction, and at p = 2 both are xor.  Element indices of F_{p^m} and
+    vectors over it use this encoding, so it is their addition."""
     a = np.asarray(a, np.int64)
     b = np.asarray(b, np.int64)
+    if p == 2:
+        return a ^ b
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.int64)
     w = 1
     while w < size:
@@ -67,34 +66,14 @@ def _digitwise(p, a, b, sign, size):
 
 
 def field_tables(F):
-    """Dense addition/multiplication tables indexed by element index.
-
-    Addition is digitwise mod p on element indices.  Multiplication goes
-    through the discrete logarithms of `domains.index_exp_log`:
-    mul[i, j] = exp[(log i + log j) mod (q - 1)] with row and column 0 set
-    to zero.  Over F_{p^m} both are limited to q <= 1024."""
-    key = (F.p, F.m)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    q = F.q
-    exp, log = index_exp_log(F)
-    idx = np.arange(q, dtype=np.int64)
-    add_t = _digitwise(F.p, idx[:, None], idx[None, :], 1, q).astype(np.int32)
-    mul_t = exp[(log[:, None] + log[None, :]) % (q - 1)].astype(np.int32)
-    mul_t[0, :] = 0
-    mul_t[:, 0] = 0
-    _TABLE_CACHE[key] = (add_t, mul_t)
-    return add_t, mul_t
-
-
-def _field_ops(F):
     """Elementwise (add, mul) on arrays of element indices: residues mod p
-    over a prime field, lookups in the cached tables over F_{p^m}."""
+    over a prime field.  Over F_{p^m}, add is `_digitwise` and mul reads the
+    one table of `domains.index_exp_log`: a * b = exp[log a + log b]."""
+    p, q = F.p, F.q
     if F.m == 1:
-        p = F.p
         return (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p)
-    add_t, mul_t = field_tables(F)
-    return (lambda a, b: add_t[a, b]), (lambda a, b: mul_t[a, b])
+    exp, log = index_exp_log(F)
+    return (lambda a, b: _digitwise(p, a, b, 1, q)), (lambda a, b: exp[log[a] + log[b]])
 
 
 def _pow_vec(base, e, mul):
@@ -136,7 +115,7 @@ def system_values(F, exps, coeffs, offsets, pts):
     """Values of each polynomial of the flattened system at the rows of
     `pts` (one column per column of `exps`), yielded one polynomial at a
     time so that callers can stop early."""
-    add, mul = _field_ops(F)
+    add, mul = field_tables(F)
     size = len(pts)
     for i in range(len(offsets) - 1):
         acc = np.zeros(size, np.int64)
@@ -152,7 +131,7 @@ def proportional_rows(F, a, b):
     """For each row of the equal-shape arrays of element indices `a` and
     `b`, whether the two value vectors are proportional: every 2x2 minor
     a_i b_j - a_j b_i is zero, tested as a_i b_j == a_j b_i on indices."""
-    _, mul = _field_ops(F)
+    _, mul = field_tables(F)
     ok = np.ones(len(a), bool)
     for i in range(a.shape[1]):
         for j in range(i + 1, a.shape[1]):
@@ -218,7 +197,7 @@ def line_orbit_counts(F, exps, coeffs, offsets, pencil, rows, s, start, stop):
     k = exps.shape[1], with line indices in [start, stop): z are zeros of
     c.f, and c_i take a nonzero value whose discrete logarithm is i mod s.
     A split of the range merges by addition."""
-    add, mul = _field_ops(F)
+    add, mul = field_tables(F)
     _, log = index_exp_log(F)
     width = max(1, min(_BLOCK, (_BLOCK * 8) // len(pencil)))
     counts = np.zeros(rows.size * (1 + s), np.int64)

@@ -270,8 +270,11 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
     -xi: `samples` of them, drawn by rank in the order of a full scan, are
     unranked from the histograms of Y's pair blocks
     (`count.FirstChartZeros`), and their minors are evaluated there through
-    the kernels' evaluator.  The minors of every plane, and the sampler's
-    block points and cells, are charged to `budget` before any other work.
+    the kernels' evaluator.  Before any other work, `budget` is charged the
+    sampler's block points and cells, and on every plane each term of each
+    partial (the substitution) and |dA_i||dB_j| + |dA_j||dB_i| coefficient
+    products for each minor (i, j), from the term counts of the partials,
+    which restriction to a plane does not raise.
     """
     if n < 2:
         raise ValueError("singular-locus check needs n >= 2 (locus is empty for n = 1)")
@@ -285,18 +288,19 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
     t0 = time.perf_counter()
     A, B = build_ab(n, d, QQ)
     generic = FirstChartZeros([A, B], F)
-    minors = (2 if d == 1 else 2 ** n) * comb(2 * n + 1, 2)
+    pa, pb = ([P.partial(nm) for nm in A.ctx.names] for P in (A, B))
+    sa, sb = ([len(p.terms) for p in ps] for ps in (pa, pb))
+    products = (2 if d == 1 else 2 ** n) * (
+        sum(sa) * sum(sb) - sum(a * b for a, b in zip(sa, sb)) + sum(sa) + sum(sb))
     cells = generic.cost(samples)
-    if minors + cells > budget:
+    if products + cells > budget:
         raise BudgetExceeded(
-            f"singular_locus: {abbreviate(minors)} plane minors and {abbreviate(cells)} "
-            f"sampler cells over {F.name} cost {abbreviate(minors + cells)}, "
-            f"over budget {abbreviate(budget)}")
+            f"singular_locus: {abbreviate(products)} coefficient products on the planes and "
+            f"{abbreviate(cells)} sampler cells over {F.name} cost "
+            f"{abbreviate(products + cells)}, over budget {abbreviate(budget)}")
     params = {"n": n, "d": d, "samples": samples, "seed": seed,
               "generic_field": generic_field}
-    names = A.ctx.names
-    pa, pb = ([P.partial(nm).map_domain(QQXI, QQXI.from_rational) for nm in names]
-              for P in (A, B))
+    pa, pb = ([p.map_domain(QQXI, QQXI.from_rational) for p in ps] for ps in (pa, pb))
     planes = [(s,) * n for s in (1, -1)] if d == 1 else product((1, -1), repeat=n)
     for signs in planes:
         minor = _plane_minor(pa, pb, signs)

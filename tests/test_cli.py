@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewplanes import domains
 from skewplanes.cli import IDEAL_LABELS, main
+from skewplanes.count import formula_x2d
 from skewplanes.families import FAMILY_BUILDERS
 from skewplanes.reporting import strip_timing
 from skewplanes.verify import CHECKS, Check
@@ -146,14 +148,32 @@ def test_verify_membership_honours_budget(capsys):
 
 
 def test_verify_singular_locus_honours_budget(capsys):
-    # at (2, 1): 2 planes of C(5, 2) minors, and the generic-point sampler
-    # over F_13 with 338 block points, 169 histogram cells and
-    # 169 + 50 * 338 unranking cells
+    # at (2, 1): 316 coefficient products on the 2 planes, and the
+    # generic-point sampler over F_13 with 338 block points, 169 histogram
+    # cells and 169 + 50 * 338 unranking cells
     argv = ["verify", "--check", "singular_locus", "--n", "2", "--d", "1"]
-    code, out, err = run_cli(argv + ["--budget", "17595"], capsys)
+    code, out, err = run_cli(argv + ["--budget", "17891"], capsys)
     assert code == 4 and out == ""
-    assert "20 plane minors and 17576 sampler cells over GF(13) cost 17596" in err
-    assert run_cli(argv + ["--budget", "17596"], capsys)[0] == 0
+    assert "316 coefficient products on the planes and 17576 sampler cells over GF(13) " \
+           "cost 17892" in err
+    assert run_cli(argv + ["--budget", "17892"], capsys)[0] == 0
+
+
+def test_verify_singular_locus_refuses_n20_d2(capsys):
+    # 2^20 planes of about 4 * 10^4 coefficient products each: refused at
+    # once, where the plane minors alone fit the default budget
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["verify", "--check", "singular_locus", "--n", "20", "--d", "2"],
+                             capsys)
+    assert code == 4 and out == "" and "singular_locus" in err
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+def test_verify_singular_locus_fits_default_budget(capsys, n, d):
+    code, _, _ = run_cli(["verify", "--check", "singular_locus", "--n", str(n), "--d", str(d)],
+                         capsys)
+    assert code == 0
 
 
 def test_verify_singular_locus_at_n4(capsys):
@@ -387,6 +407,27 @@ def test_count_y_pencil_at_large_prime(capsys):
     rec = json.loads(out)["records"][0]
     assert code == 0 and rec["engine"] == "blocks"
     assert rec["brute"] == rec["formula"] == 54523
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("q", [2048, 2187, 2401, 3125, 4096])
+def test_count_x_over_extension_fields_past_1024(capsys, q, d):
+    code, out, _ = run_cli(["count", "--family", "X", "--n", "1", "--d", str(d),
+                            "--q", str(q), "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["records"][0]["brute"] == formula_x2d(q, d)
+    if (q, d) == (2048, 1):
+        assert formula_x2d(q, d) == 4196353
+
+
+def test_count_custom_charges_the_table_before_building_it(tmp_path, capsys):
+    # one variable: P^0 has one point, but the exp/log table of GF(2^30)
+    # has 5 * 2^30 - 3 cells
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"vars": ["x"], "polys": [[[1, [1]]]]}))
+    code, out, err = run_cli(["count", "--family", "custom", "--q", str(2 ** 30),
+                              "--poly-file", str(path)], capsys)
+    assert code == 4 and out == "" and f"costs {5 * 2 ** 30 - 2}" in err
+    assert (2, 30) not in domains._LOG_TABLES
 
 
 def test_parser_reused_across_calls(capsys):

@@ -102,11 +102,11 @@ def test_count_zeros_rejects_inhomogeneous():
 
 
 def test_count_zeros_budget():
-    # the block engine charges X(1, 1) over F_1009 9089 (see below)
+    # the block engine charges X(1, 1) over F_1009 14131 (see below)
     F = field_create(1009)
     f = build_x(1, 1, F)
     with pytest.raises(BudgetExceeded):
-        count_zeros([f], F, budget=9088)
+        count_zeros([f], F, budget=14130)
 
 
 def test_hyperplane_slice_consistency():
@@ -390,11 +390,13 @@ def test_budget_refusal_names_engine():
     # X(1, 1) is the diagonal cubic: 4 one-variable blocks of one line each,
     # evaluated and combined for the pencil of one form (2 * 4), 2
     # convolutions of 1 + s = 4 cells of length 1009 and a 1009-term dot
-    # product: 8 + 9 * 1009
+    # product: 8 + 9 * 1009, plus the 5 * 1009 - 3 cells of the exp/log
+    # table the block engine reads
     F = field_create(1009)
-    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 9089"):
-        count_zeros([build_x(1, 1, F)], F, budget=9088)
-    assert count_zeros([build_x(1, 1, F)], F, budget=9089) == formula_x2d(1009, 1)
+    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 14131"):
+        count_zeros([build_x(1, 1, F)], F, budget=14130)
+    assert count_zeros([build_x(1, 1, F)], F, budget=14131) == formula_x2d(1009, 1)
+    # the chart scan over a prime field reads no table
     F2 = field_create(2)
     with pytest.raises(BudgetExceeded, match="'scan'.*costs 15"):
         count_zeros([build_x(1, 1, F2)], F2, budget=14)
@@ -409,14 +411,20 @@ def test_projective_zeros_match_pointwise_walk(p, m):
     assert projective_zeros([A, B], F) == walk
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125])
+@pytest.mark.parametrize("q", [4, 7, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125,
+                               2 ** 11, 3 ** 7, 7 ** 4, 2 ** 16])
 def test_field_tables_match_field_arithmetic(q):
+    # on every pair up to q = 125, on 20 000 seeded pairs past it
     F = field_create(*prime_power(q))
-    els = [F.element_from_index(i) for i in range(q)]
-    add_t, mul_t = kernels.field_tables(F)
-    assert add_t.dtype == mul_t.dtype == np.int32
-    assert add_t.tolist() == [[F.element_index(F.add(a, b)) for b in els] for a in els]
-    assert mul_t.tolist() == [[F.element_index(F.mul(a, b)) for b in els] for a in els]
+    if q <= 125:
+        a, b = (x.ravel() for x in np.indices((q, q)))
+    else:
+        a, b = np.random.default_rng(q).integers(0, q, (2, 20000))
+    add, mul = kernels.field_tables(F)
+    pairs = [(F.element_from_index(i), F.element_from_index(j))
+             for i, j in zip(a.tolist(), b.tolist())]
+    assert add(a, b).tolist() == [F.element_index(F.add(x, y)) for x, y in pairs]
+    assert mul(a, b).tolist() == [F.element_index(F.mul(x, y)) for x, y in pairs]
 
 
 # ---------------------------------------------------------------------------

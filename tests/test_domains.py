@@ -1,6 +1,7 @@
 """Tests for the exact scalar domains: Q, Q(xi), and F_{p^m}."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from skewplanes.domains import (
     QQXI,
     FiniteField,
     _poly_mulmod,
-    exp_log_tables,
     field_create,
     index_exp_log,
     minus_three_has_root,
@@ -115,43 +115,28 @@ TABLE_QS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125]
 
 @pytest.mark.parametrize("q", TABLE_QS)
 def test_table_mul_matches_poly_mulmod(q):
-    # F_{p^m} up to the table cap multiplies by exp/log lookups; every
-    # product must be the one the polynomial multiplication gives
+    # every product must be the one the polynomial multiplication gives
     F = field_create(*prime_power(q))
-    assert F._log is not None
     els = [F.element_from_index(i) for i in range(q)]
     for a in els:
         for b in els:
             assert F.mul(a, b) == F._pad(_poly_mulmod(a, b, F.modulus, F.p)), (a, b)
 
 
-def test_exp_log_tables_shared_and_capped():
-    F, G = field_create(2, 5), field_create(2, 5)
-    assert F._exp is G._exp and F._log is G._log
-    exp, log = exp_log_tables(F)
-    assert len(exp) == len(set(exp)) == 31 and exp[1] == (0, 1, 0, 0, 0)
-    assert all(log[x] == k for k, x in enumerate(exp))
-    big = field_create(2, 11)  # above the cap, mul keeps _poly_mulmod
-    assert big._log is None
-    a, b = big.element_from_index(1234), big.element_from_index(777)
-    assert big.mul(a, b) == big._pad(_poly_mulmod(a, b, big.modulus, 2))
-    with pytest.raises(ValueError, match="q <= 1024"):
-        exp_log_tables(big)
-
-
-@pytest.mark.parametrize("q", [2, 3, 7, 25, 64, 1031, 65537])
+@pytest.mark.parametrize("q", [2, 3, 7, 25, 64, 1031, 2048, 2187, 65536, 65537])
 def test_index_exp_log_matches_field_powers(q):
-    # prime fields get index arrays past the table cap; every field uses the
-    # primitive element of exp_log_tables
+    # exp runs through the powers of a generator g twice and then through
+    # zeros, which log 0 points into; every field has one cached pair
     F = field_create(*prime_power(q))
     exp, log = index_exp_log(F)
-    assert index_exp_log(F)[1] is log
-    assert sorted(exp.tolist()) == list(range(1, q)) and log[exp].tolist() == list(range(q - 1))
-    g = F.element_from_index(int(exp[1 % (q - 1)]))
-    step = [F.element_index(F.mul(F.element_from_index(x), g)) for x in exp.tolist()]
-    assert step == exp[1:].tolist() + exp[:1].tolist()
-    if q <= 1024:
-        assert exp.tolist() == [F.element_index(x) for x in exp_log_tables(F)[0]]
+    assert index_exp_log(field_create(*prime_power(q)))[1] is log
+    n = q - 1
+    assert sorted(exp[:n].tolist()) == list(range(1, q)) and log[exp[:n]].tolist() == list(range(n))
+    assert (exp[n:2 * n] == exp[:n]).all() and not exp[2 * n:].any() and log[0] == 2 * n
+    g = F.element_from_index(int(exp[1 % n]))
+    ks = range(n) if q <= 1031 else random.Random(q).sample(range(n), 500)
+    step = [F.element_index(F.mul(F.element_from_index(int(exp[k])), g)) for k in ks]
+    assert step == [int(exp[k + 1]) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +231,14 @@ def test_sqrt_of_minus_three_examples():
     r = sqrt_of_minus_three(field_create(5, 2))
     F25 = field_create(5, 2)
     assert r is not None and F25.mul(r, r) == F25.from_int(-3)
+    # past the exhaustive oracle's range, read off the log table
+    for p, m in [(2, 11), (3, 7), (7, 4), (5, 5), (5, 6), (2, 16)]:
+        F = field_create(p, m)
+        r = sqrt_of_minus_three(F)
+        assert (r is not None) == minus_three_has_root(p, m), (p, m)
+        if r is not None:
+            assert F.mul(r, r) == F.from_int(-3)
+            assert F.element_index(r) <= F.element_index(F.neg(r))
 
 
 def test_sqrt_of_minus_three_matches_exhaustive_scan():

@@ -1,11 +1,12 @@
-"""README's "Library quick start" block runs as written, and its CLI flag
-lists match the parser."""
+"""README's "Library quick start" block and CLI examples run as written,
+and its CLI flag lists match the parser."""
 
 import argparse
 import pathlib
 import re
+import shlex
 
-from skewplanes.cli import build_parser
+from skewplanes.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +39,17 @@ def test_readme_flag_lists_match_parser():
               - {"-h", "--help"}
               for name, sub in _subcommands(build_parser()).items()}
     assert listed == parsed
+
+
+def test_readme_cli_examples_run(capsys):
+    # every example but the custom count, which needs a system file, exits
+    # 0 (all checks pass) or 3 (no closed formula applies)
+    text = README.read_text()
+    start = text.index("## Command-line interface")
+    block = re.search(r"```sh\n(.*?)```", text[start:], re.S).group(1)
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("skewplanes ") and "--poly-file" not in line]
+    assert len(examples) >= 10
+    for argv in examples:
+        assert main(argv) in (0, 3), argv
+        capsys.readouterr()

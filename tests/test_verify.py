@@ -442,13 +442,17 @@ def test_singular_locus_charges_budget_before_any_work(monkeypatch):
     def locus_half(*args):
         raise AssertionError("locus half ran")
     monkeypatch.setattr(verify_mod, "_plane_minor", locus_half)
-    # two planes of C(5, 2) minors; two pair blocks of 169 points, one
-    # 169-cell histogram, no convolution, and 169 + 50 * 338 unranking cells
-    with pytest.raises(BudgetExceeded, match=r"20 plane minors and 17576 sampler cells "
-                                             r"over GF\(13\) cost 17596, over budget 17595"):
-        verify_singular_locus(2, 1, budget=17595)
-    # 2^40 planes of C(81, 2) minors at d = 2
-    with pytest.raises(BudgetExceeded, match=rf"^singular_locus: {2 ** 40 * 3240} plane minors"):
+    # at (2, 1) the partials of A and of B have 1, 3, 3, 3, 3 terms: on each
+    # of the two planes 13 * 13 - 37 products over the ten minors and 26
+    # substituted terms; two pair blocks of 169 points, one 169-cell
+    # histogram, no convolution, and 169 + 50 * 338 unranking cells
+    with pytest.raises(BudgetExceeded, match=r"316 coefficient products on the planes and "
+                                             r"17576 sampler cells over GF\(13\) cost 17892, "
+                                             r"over budget 17891"):
+        verify_singular_locus(2, 1, budget=17891)
+    # 2^40 planes at d = 2, where the partials have 1 and 80 * 5 terms
+    with pytest.raises(BudgetExceeded, match=rf"^singular_locus: {2 ** 40 * (401 ** 2 - 2001 + 802)} "
+                                             "coefficient products"):
         verify_singular_locus(40, 2)
 
 
