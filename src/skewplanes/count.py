@@ -219,7 +219,7 @@ def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
     nvars = exps.shape[1]
     what = f"{len(blocks)} variable blocks" if engine == "blocks" else f"P^{nvars - 1}(F_{q})"
     if engine == "blocks" or F.m > 1:
-        cost += exp_log_cells(q)
+        cost += exp_log_cells(F)
         what += " and the field's exp/log table"
     if cost > budget:
         raise BudgetExceeded(

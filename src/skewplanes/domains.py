@@ -17,6 +17,8 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .reporting import BudgetExceeded
+
 
 class Domain:
     """Base class; subclasses set `char`, `name`, `zero`, `one`."""
@@ -434,6 +436,10 @@ def field_create(p, m=1):
 # the discrete-log table of element indices, read by the count kernels
 
 _LOG_TABLES = {}
+# Bound on the cells of one field's exp/log table, 8 bytes each: 2^25 cells
+# allow q up to about 6.7 * 10^6 over F_{p^m}.  The budget bounds them only
+# by their number, and 10^9 cells do not fit in memory.
+TABLE_MAX = 1 << 25
 
 
 def _primitive_element(F):
@@ -465,30 +471,37 @@ def _times(F, x, h, out):
         out[lo:lo + step] = (x[lo:lo + step, None] // digits % p) @ rows % p @ digits
 
 
-def exp_log_cells(q):
-    """The cells of `index_exp_log`'s arrays for F_q."""
-    return 5 * q - 3
+def exp_log_cells(F):
+    """The cells of `index_exp_log`'s arrays for F."""
+    return 2 * F.q - 1 if F.m == 1 else 5 * F.q - 3
 
 
 def index_exp_log(F):
     """(exp, log) as int64 arrays over element indices, for the generator g
     of F^* with the smallest element index.  With n = q - 1, exp[k] is the
-    index of g^k for k < 2n and 0 from 2n to 4n; log[i] is the discrete
-    logarithm of element i, in [0, n), and log[0] = 2n.  So the product of
-    elements of indices a and b is exp[log[a] + log[b]], zero included.
-    Built once per (p, m) in O(q) memory by doubling the powers of g:
-    exp[k:2k] = exp[:k] * g^k."""
+    index of g^k for k < n; log[i] is the discrete logarithm of element i,
+    in [0, n), and log[0] = 2n.  Over F_{p^m}, exp also holds the powers
+    again up to 2n and zeros from 2n to 4n, so the product of elements of
+    indices a and b is exp[log[a] + log[b]], zero included; over F_p, where
+    `kernels.field_tables` multiplies residues, it stops at n.  Built once
+    per (p, m) in O(q) memory by doubling the powers of g:
+    exp[k:2k] = exp[:k] * g^k.  Raises BudgetExceeded, before any work, when
+    the arrays would have more than TABLE_MAX cells."""
     key = (F.p, F.m)
     if key not in _LOG_TABLES:
+        if exp_log_cells(F) > TABLE_MAX:
+            raise BudgetExceeded(f"the exp/log table of {F.name} has {exp_log_cells(F)} "
+                                 f"cells, over its memory guard of {TABLE_MAX}")
         n = F.q - 1
-        exp = np.zeros(4 * n + 1, np.int64)
-        exp[0] = 1
         k, h = 1, _primitive_element(F)
+        exp = np.zeros(n if F.m == 1 else 4 * n + 1, np.int64)
+        exp[0] = 1
         while k < n:
             size = min(k, n - k)
             _times(F, exp[:size], h, exp[k:k + size])
             k, h = k + size, F.mul(h, h)
-        exp[n:2 * n] = exp[:n]
+        if F.m > 1:
+            exp[n:2 * n] = exp[:n]
         log = np.empty(n + 1, np.int64)
         log[exp[:n]] = np.arange(n)
         log[0] = 2 * n

@@ -273,8 +273,9 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
     the kernels' evaluator.  Before any other work, `budget` is charged the
     sampler's block points and cells, and on every plane each term of each
     partial (the substitution) and |dA_i||dB_j| + |dA_j||dB_i| coefficient
-    products for each minor (i, j), from the term counts of the partials,
-    which restriction to a plane does not raise.
+    products for each minor (i, j), from the term counts of the partials
+    (read off the exponents of A and B), which restriction to a plane does
+    not raise.
     """
     if n < 2:
         raise ValueError("singular-locus check needs n >= 2 (locus is empty for n = 1)")
@@ -288,8 +289,9 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
     t0 = time.perf_counter()
     A, B = build_ab(n, d, QQ)
     generic = FirstChartZeros([A, B], F)
-    pa, pb = ([P.partial(nm) for nm in A.ctx.names] for P in (A, B))
-    sa, sb = ([len(p.terms) for p in ps] for ps in (pa, pb))
+    # over Q, d/du_i maps the terms with e_i > 0 to distinct nonzero terms
+    sa, sb = (np.count_nonzero(np.array(list(P.terms), np.int64), axis=0).tolist()
+              for P in (A, B))
     products = (2 if d == 1 else 2 ** n) * (
         sum(sa) * sum(sb) - sum(a * b for a, b in zip(sa, sb)) + sum(sa) + sum(sb))
     cells = generic.cost(samples)
@@ -300,7 +302,8 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
             f"{abbreviate(products + cells)}, over budget {abbreviate(budget)}")
     params = {"n": n, "d": d, "samples": samples, "seed": seed,
               "generic_field": generic_field}
-    pa, pb = ([p.map_domain(QQXI, QQXI.from_rational) for p in ps] for ps in (pa, pb))
+    pa, pb = ([P.partial(nm).map_domain(QQXI, QQXI.from_rational) for nm in A.ctx.names]
+              for P in (A, B))
     planes = [(s,) * n for s in (1, -1)] if d == 1 else product((1, -1), repeat=n)
     for signs in planes:
         minor = _plane_minor(pa, pb, signs)

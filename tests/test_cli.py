@@ -430,6 +430,22 @@ def test_count_custom_charges_the_table_before_building_it(tmp_path, capsys):
     assert (2, 30) not in domains._LOG_TABLES
 
 
+def test_count_custom_refuses_a_table_past_its_memory_guard(tmp_path, capsys, monkeypatch):
+    # GF(2^27)'s table, 5 * 2^27 - 3 cells or 5 GiB, fits the default budget
+    # but not the memory guard: refused before any work on it
+    def no_build(F):
+        raise AssertionError(f"table of {F.name} built")
+
+    monkeypatch.setattr(domains, "_primitive_element", no_build)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"vars": ["x"], "polys": [[[1, [1]]]]}))
+    code, out, err = run_cli(["count", "--family", "custom", "--q", str(2 ** 27),
+                              "--poly-file", str(path)], capsys)
+    assert code == 4 and out == ""
+    assert f"GF(2^27) has {5 * 2 ** 27 - 3} cells, over its memory guard" in err
+    assert (2, 27) not in domains._LOG_TABLES
+
+
 def test_parser_reused_across_calls(capsys):
     # the parser is built once per process: no option leaks into the next call
     argv = ["count", "--family", "X", "--q", "7", "--format", "json"]

@@ -102,11 +102,11 @@ def test_count_zeros_rejects_inhomogeneous():
 
 
 def test_count_zeros_budget():
-    # the block engine charges X(1, 1) over F_1009 14131 (see below)
+    # the block engine charges X(1, 1) over F_1009 11106 (see below)
     F = field_create(1009)
     f = build_x(1, 1, F)
     with pytest.raises(BudgetExceeded):
-        count_zeros([f], F, budget=14130)
+        count_zeros([f], F, budget=11105)
 
 
 def test_hyperplane_slice_consistency():
@@ -390,12 +390,12 @@ def test_budget_refusal_names_engine():
     # X(1, 1) is the diagonal cubic: 4 one-variable blocks of one line each,
     # evaluated and combined for the pencil of one form (2 * 4), 2
     # convolutions of 1 + s = 4 cells of length 1009 and a 1009-term dot
-    # product: 8 + 9 * 1009, plus the 5 * 1009 - 3 cells of the exp/log
+    # product: 8 + 9 * 1009, plus the 2 * 1009 - 1 cells of the exp/log
     # table the block engine reads
     F = field_create(1009)
-    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 14131"):
-        count_zeros([build_x(1, 1, F)], F, budget=14130)
-    assert count_zeros([build_x(1, 1, F)], F, budget=14131) == formula_x2d(1009, 1)
+    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 11106"):
+        count_zeros([build_x(1, 1, F)], F, budget=11105)
+    assert count_zeros([build_x(1, 1, F)], F, budget=11106) == formula_x2d(1009, 1)
     # the chart scan over a prime field reads no table
     F2 = field_create(2)
     with pytest.raises(BudgetExceeded, match="'scan'.*costs 15"):

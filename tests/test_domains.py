@@ -4,15 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewplanes import domains
 from skewplanes.domains import (
     QQ,
     QQXI,
     FiniteField,
-    _poly_mulmod,
+    exp_log_cells,
     field_create,
     index_exp_log,
     minus_three_has_root,
@@ -21,6 +23,8 @@ from skewplanes.domains import (
     smallest_irreducible,
     sqrt_of_minus_three,
 )
+from skewplanes.kernels import field_tables
+from skewplanes.reporting import BudgetExceeded
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 PRIME_POWERS_121 = [
@@ -113,30 +117,69 @@ def test_fields_with_equal_parameters_interchange():
 TABLE_QS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125]
 
 
+def _product_mod(a, b, modulus, p):
+    """The schoolbook product of coefficient tuples a and b, reduced by the
+    monic modulus term by term from the top; shares no code with the field."""
+    m = len(modulus) - 1
+    c = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):
+        top = c[k]
+        for i in range(m + 1):
+            c[k - m + i] -= top * modulus[i]
+    return tuple(x % p for x in c[:m])
+
+
 @pytest.mark.parametrize("q", TABLE_QS)
 def test_table_mul_matches_poly_mulmod(q):
-    # every product must be the one the polynomial multiplication gives
+    # every product, by FiniteField.mul and by the log table on element
+    # indices, is the schoolbook product reduced by the modulus
     F = field_create(*prime_power(q))
-    els = [F.element_from_index(i) for i in range(q)]
-    for a in els:
-        for b in els:
-            assert F.mul(a, b) == F._pad(_poly_mulmod(a, b, F.modulus, F.p)), (a, b)
+    a, b = (x.ravel() for x in np.indices((q, q)))
+    pairs = [(F.element_from_index(i), F.element_from_index(j))
+             for i, j in zip(a.tolist(), b.tolist())]
+    want = [_product_mod(x, y, F.modulus, F.p) for x, y in pairs]
+    assert [F.mul(x, y) for x, y in pairs] == want
+    assert field_tables(F)[1](a, b).tolist() == [F.element_index(c) for c in want]
 
 
 @pytest.mark.parametrize("q", [2, 3, 7, 25, 64, 1031, 2048, 2187, 65536, 65537])
 def test_index_exp_log_matches_field_powers(q):
-    # exp runs through the powers of a generator g twice and then through
-    # zeros, which log 0 points into; every field has one cached pair
+    # exp runs through the powers of a generator g, over F_{p^m} twice and
+    # then through zeros, which log 0 points into; every field has one
+    # cached pair
     F = field_create(*prime_power(q))
     exp, log = index_exp_log(F)
     assert index_exp_log(field_create(*prime_power(q)))[1] is log
     n = q - 1
+    assert exp.size + log.size == exp_log_cells(F)
     assert sorted(exp[:n].tolist()) == list(range(1, q)) and log[exp[:n]].tolist() == list(range(n))
-    assert (exp[n:2 * n] == exp[:n]).all() and not exp[2 * n:].any() and log[0] == 2 * n
+    assert log[0] == 2 * n
+    if F.m == 1:
+        assert exp.size == n
+    else:
+        assert (exp[n:2 * n] == exp[:n]).all() and not exp[2 * n:].any()
     g = F.element_from_index(int(exp[1 % n]))
-    ks = range(n) if q <= 1031 else random.Random(q).sample(range(n), 500)
+    # every step over F_p and up to q = 1031; a seeded sample of the large
+    # extension fields, whose steps are payload products
+    ks = range(n) if F.m == 1 or q <= 1031 else random.Random(q).sample(range(n), 500)
     step = [F.element_index(F.mul(F.element_from_index(int(exp[k])), g)) for k in ks]
-    assert step == [int(exp[k + 1]) for k in ks]
+    assert step == [int(exp[(k + 1) % n]) for k in ks]
+
+
+@pytest.mark.parametrize("q", [2 ** 27, 5 ** 12])
+def test_index_exp_log_refuses_past_its_memory_guard(monkeypatch, q):
+    # refused before any work: no generator is searched for, nothing cached
+    def no_build(F):
+        raise AssertionError(f"table of {F.name} built")
+
+    monkeypatch.setattr(domains, "_primitive_element", no_build)
+    F = field_create(*prime_power(q))
+    with pytest.raises(BudgetExceeded, match=f"{exp_log_cells(F)} cells, over its memory guard"):
+        index_exp_log(F)
+    assert (F.p, F.m) not in domains._LOG_TABLES
 
 
 # ---------------------------------------------------------------------------
