@@ -86,40 +86,46 @@ def build_x_d_delta(n, d, delta, dom=QQ):
     return F
 
 
-def build_ab(n, d, dom=QQ):
-    """The pair (A, B) cutting out Y^{2n-2} = {A = B = 0} in P^{2n}."""
-    ctx = u_context(n)
-    u0 = _v(ctx, dom, "u0")
-    A = u0 ** (2 * d + 1)
-    B = u0 ** (2 * d + 1)
-    for i in range(n):
-        v = _v(ctx, dom, f"u{2 * i + 1}")
-        w = _v(ctx, dom, f"u{2 * i + 2}")
+def ab_form(u, d):
+    """(A, B) at the coordinate values u = (u0, ..., u_{2n}): polynomials,
+    ints or integer arrays alike, since only +, -, * and ** are applied."""
+    A = B = u[0] ** (2 * d + 1)
+    for v, w in zip(u[1::2], u[2::2]):
         Q = (v * v + 3 * (w * w)) ** d
         A = A + (v + 3 * w) * Q
         B = B + (v - w) * Q
     return A, B
 
 
+def build_ab(n, d, dom=QQ):
+    """The pair (A, B) cutting out Y^{2n-2} = {A = B = 0} in P^{2n}."""
+    ctx = u_context(n)
+    return ab_form([_v(ctx, dom, f"u{i}") for i in range(2 * n + 1)], d)
+
+
 # ---------------------------------------------------------------------------
 # maps
 
 
+def phibar_form(u, d, half):
+    """The components of phibar at the coordinate values u, as `ab_form`;
+    `half` halves a value.  The halved ones are even at integer u (there
+    A - B = 4wQ is even), so `half` may be exact floor division."""
+    A, B = ab_form(u, d)
+    comps = []
+    for v, w in zip(u[1::2], u[2::2]):
+        comps.append(half((v - 3 * w) * A - 3 * ((v + w) * B)))
+        comps.append(v * A - 3 * (w * B))
+    comps.append(half(u[0] * (A - 3 * B)))
+    comps.append(u[0] * A)
+    return comps
+
+
 def build_phibar(n, d):
     """Degree-(2d+2) parametrization P^{2n} --> X, built from (A, B)."""
-    dom = QQ
     ctx = u_context(n)
-    A, B = build_ab(n, d, dom)
-    half = Fraction(1, 2)
-    comps = []
-    for i in range(n):
-        v = _v(ctx, dom, f"u{2 * i + 1}")
-        w = _v(ctx, dom, f"u{2 * i + 2}")
-        comps.append(((v - 3 * w) * A - 3 * ((v + w) * B)).scale(half))
-        comps.append(v * A - 3 * (w * B))
-    u0 = _v(ctx, dom, "u0")
-    comps.append((u0 * (A - 3 * B)).scale(half))
-    comps.append(u0 * A)
+    u = [_v(ctx, QQ, f"u{i}") for i in range(2 * n + 1)]
+    comps = phibar_form(u, d, lambda p: p.scale(Fraction(1, 2)))
     return RationalMap("phibar", comps, {"n": n, "d": d})
 
 
@@ -326,15 +332,8 @@ def build_line_pencil(n, d):
     last = L[2 * n]
     F = F + (last + 1) * (last * last - last + 1) ** d
     # affine A, B in the pencil context
-    one = MPoly.constant(ctx, dom, 1)
-    A = one
-    B = one
-    for i in range(n):
-        v = _v(ctx, dom, f"u{2 * i + 1}")
-        w = _v(ctx, dom, f"u{2 * i + 2}")
-        Q = (v * v + 3 * (w * w)) ** d
-        A = A + (v + 3 * w) * Q
-        B = B + (v - w) * Q
+    A, B = ab_form([MPoly.constant(ctx, dom, 1)]
+                   + [_v(ctx, dom, f"u{i}") for i in range(1, 2 * n + 1)], d)
     target = xi * MPoly.constant(ctx, dom, (-3) ** d) * lam ** d * (lam - 1) ** d \
         * ((A - xi * B).scale(half) - lam * A)
     return {"lines": L, "F": F, "A": A, "B": B, "target": target}

@@ -1,50 +1,43 @@
 """Bounded-height rational points on the n = 1 hypersurface in P^3,
 f(x0, x1) + f(x2, x3) = 0 with f(a, b) = (a + b)(a^2 - ab + b^2)^d: the
-exact direct count, from pairs (a, b) matched by f-value, and the count of
-points reached through the degree-(2d+2) parametrization, from phibar with
-integer coefficients.  Both are exact Python-int computations at every d.
-The direct column's memory guard weighs each stored value as a fixed cost
-plus its bit length, so it tightens as d grows.  The 4-tuple scan
-`kernels.height_scan_chart` is the tests' oracle.
-
-The asymptotic growth bounds are reported as reference curves only; nothing
-asymptotic is asserted at desk scale.
+exact direct count, from the pairs (a, b) grouped by f-value, and the count
+of points reached through the degree-(2d+2) parametrization phibar.  Each is
+one numpy array algorithm in int64 when a bound on every value it forms,
+computed in advance, is below 2^63, and in `object` arrays of Python ints
+otherwise, so both are exact at every d.  A memory guard refuses each pass
+before anything is allocated.  `kernels.height_scan_chart` is the tests'
+oracle.  The asymptotic growth bounds are reference curves only.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
 import numpy as np
 
 from .count import DEFAULT_BUDGET
-from .families import build_phibar
+from .families import phibar_form
 from .reporting import BudgetExceeded, HeightReport, abbreviate
 
-# Memory guard of the direct column: its pair counter holds up to (2B + 1)^2
-# ints no longer than 2B * (3B^2)^d, the largest |f| on [-B, B]^2.  Each entry
-# weighs DIRECT_ENTRY_BITS, a fixed cost in the units of one bit of an int
-# (about 77 bytes: the counter's slot and the int's header), plus that bit
-# length; the total is capped at its value at B = 400, d = 1.
+# Memory guard of the direct column: its arrays hold (2B + 1)^2 values of f,
+# each at most 2B * (3B^2)^d, the largest |f| on [-B, B]^2.  Each pair weighs
+# DIRECT_ENTRY_BITS, a fixed cost in the units of one bit of an int (about 77
+# bytes: its slots in the column's arrays, and an int's header in the object
+# dtype), plus that bit length; the total is capped at B = 400, d = 1.
 DIRECT_ENTRY_BITS = 576
 DIRECT_BITS_MAX = 641_601 * (DIRECT_ENTRY_BITS + 29)
+PARAM_INPUT_BYTES, PARAM_ROW_BYTES, PARAM_BYTES_MAX = 400, 1000, 2 ** 31
 
 
 def reduced_representative(coords):
     """Canonical integer representative of a rational projective point:
-    denominators cleared, gcd 1, first nonzero coordinate positive.  Integer
-    coordinates skip the Fraction path."""
-    if all(isinstance(c, int) for c in coords):
-        ints = coords
-    else:
-        fracs = [Fraction(c) for c in coords]
-        denom = lcm(*(f.denominator for f in fracs))
-        ints = [int(f * denom) for f in fracs]
+    denominators cleared, gcd 1, first nonzero coordinate positive."""
+    fracs = [Fraction(c) for c in coords]
+    denom = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom) for f in fracs]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no projective representative")
@@ -86,127 +79,134 @@ def _refuse_direct_scan(B, d, budget):
         raise BudgetExceeded(f"direct height search at B = {B}, d = {d} is over its memory "
                              f"guard, which allows B <= 400 at d = 1")
     if pairs > budget:
-        raise BudgetExceeded(
-            f"direct height search at B = {B} walks {pairs} pairs, "
-            f"over budget {abbreviate(budget)}")
+        raise BudgetExceeded(f"direct height search at B = {B} walks {pairs} pairs, "
+                             f"over budget {abbreviate(budget)}")
 
 
 def _direct_rows(d, B, budget):
-    """Points of the hypersurface (n = 1) with height <= b, for b = 0..B.
-
-    N[h], the number of integer tuples in [-h, h]^4 on the hypersurface (the
-    zero tuple included), grows ring by ring: a pair with value v forms
-    2 c[-v] ordered tuples with the pairs counted before it, and one with
-    itself when v = 0.  A nonzero tuple is g times a primitive one of height
-    <= b // g, so the primitive tuples P[b] = N[b] - 1 - sum over g >= 2 of
-    P[b // g] (Moebius inversion over the gcd); each point has two of them."""
+    """Points of the hypersurface (n = 1) with height <= b, for b = 0..B.  The
+    tuples in [-h, h]^4 on it (zero included) are N[h] = sum_v C_v(h)^2, as f
+    is odd, C_v(h) the pairs of value v and ring max(|a|, |b|) <= h: sorted by
+    (value, ring), a pair after j of its value adds 2j + 1 from its ring on.
+    Primitive tuples P[b] = N[b] - 1 - sum over g >= 2 of P[b // g] (Moebius
+    inversion over the gcd); each point has two of them."""
     _refuse_direct_scan(B, d, budget)
-    seen = Counter({0: 1})  # the pair (0, 0), which makes the zero tuple
-    total = 1
+    side = np.arange(-B, B + 1)
+    a, b = (g.ravel() for g in np.meshgrid(side, side))
+    ring = np.maximum(abs(a), abs(b))
+    dtype = np.int64 if 2 * B * (3 * B * B) ** d < 2 ** 63 else object
+    v = _f(a.astype(dtype), b.astype(dtype), d)
+    by_value = np.lexsort((ring, v))
+    v = v[by_value]
+    start = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    before = np.arange(len(v)) - np.repeat(start, np.diff(np.r_[start, len(v)]))
+    grow = np.zeros(B + 1, np.int64)
+    np.add.at(grow, ring[by_value], 2 * before + 1)
+    total = np.cumsum(grow).tolist()
     prim = [0]
     for h in range(1, B + 1):
-        side = range(-h, h + 1)
-        for a, b in ([(t, s) for t in side for s in (-h, h)]
-                     + [(s, t) for s in (-h, h) for t in side[1:-1]]):
-            v = _f(a, b, d)
-            total += 2 * seen[-v] + (v == 0)
-            seen[v] += 1
-        prim.append(total - 1 - sum(prim[h // g] for g in range(2, h + 1)))
+        prim.append(total[h] - 1 - sum(prim[h // g] for g in range(2, h + 1)))
     return [p // 2 for p in prim]
 
 
 def direct_height_count(d, B, budget=DEFAULT_BUDGET):
-    """Exact number of points of the hypersurface (n = 1) with height <= B,
-    from the pairs in [-B, B]^2 matched by f-value."""
+    """Exact number of points of the hypersurface (n = 1) with height <= B."""
     return _direct_rows(d, B, budget)[B]
 
 
 def _projective_int_points(bound):
-    """Reduced representatives of P^2(Q) with height <= bound."""
-    coords = range(-bound, bound + 1)
-    for chart in range(3):
-        for lead in range(1, bound + 1):
-            for tail in product(coords, repeat=2 - chart):
-                pt = (0,) * chart + (lead,) + tail
-                if gcd(*pt) == 1:
-                    yield pt
+    """Reduced representatives of P^2(Q) with height <= bound, one by one."""
+    yield from map(tuple, _primitive_inputs(bound).tolist())
 
 
-def _parametrized_first_rows(d, bound):
-    """First rows of the parametrized column up to `bound`.
+def _primitive_inputs(u):
+    """`_projective_int_points(u)` as one int64 array, chart by chart."""
+    side, lead = np.arange(-u, u + 1), np.arange(1, u + 1)
+    pts = np.concatenate([np.stack(np.meshgrid(*[[0]] * chart, lead, *[side] * (2 - chart),
+                                               indexing="ij"), -1).reshape(-1, 3)
+                          for chart in range(3)])
+    return pts[np.gcd.reduce(pts, axis=1) == 1]
 
-    An input of height h is drawn from row h^(2d+2) on, so an image enters
-    at row max(its height, the least such row over its inputs).  Returns
-    (rows, skip_rows): the entry row of each image that enters by `bound`,
-    and the row from which each base-locus input is skipped.  phibar is
-    evaluated on all inputs at once in Python ints, its coefficients scaled
-    by the lcm of their denominators, which leaves each projective image as
-    it is; every image is checked to lie on the hypersurface exactly."""
+
+def _phibar_bound(d, u):
+    # |A|, |B| <= (1 + 4^(d+1)) u^(2d+1); phibar_form's widest is (v - 3w)A - 3(v + w)B
+    return 10 * (1 + 4 ** (d + 1)) * u ** (2 * d + 2)
+
+
+def _parametrized_first_rows(d, bound, nrows, budget):
+    """(rows, skip_rows) for a table of `nrows` rows: the row at which each
+    image enters by `bound`, max(its height, h^(2d+2) for the least height h
+    of its inputs), and the row from which each base-locus input is skipped.
+    Images are checked to lie on the hypersurface in Python ints, reduced by
+    gcd and sign, and lexsorted by (image, row) to read each first row."""
+    _refuse_parametrized_pass(d, bound, nrows, budget)
     k = 2 * d + 2
-    pts = list(_projective_int_points(integer_root(bound, k)))
-    powers = [[u ** e for e in range(k + 1)] for u in np.array(pts, object).reshape(-1, 3).T]
-    comps = build_phibar(1, d).components
-    denom = lcm(*(c.denominator for comp in comps for c in comp.terms.values()))
-    img = [sum(int(c * denom) * powers[0][e0] * powers[1][e1] * powers[2][e2]
-               for (e0, e1, e2), c in comp.terms.items()) for comp in comps]
-    off = np.flatnonzero(_f(img[0], img[1], d) + _f(img[2], img[3], d) != 0)
+    u = integer_root(bound, k)
+    pts = _primitive_inputs(u)
+    dtype = np.int64 if _phibar_bound(d, u) < 2 ** 63 else object
+    img = np.stack(phibar_form(list(pts.T.astype(dtype)), d, lambda x: x // 2), axis=1)
+    x = img.T.astype(object)
+    off = np.flatnonzero(_f(x[0], x[1], d) + _f(x[2], x[3], d) != 0)
     if len(off):
-        raise AssertionError(f"parametrized image off the hypersurface at {pts[off[0]]}")
-    first = {}
-    skip_rows = []
-    for pt, x in zip(pts, zip(*(col.tolist() for col in img))):
-        row = max(map(abs, pt)) ** k
-        if not any(x):
-            skip_rows.append(row)
-            continue
-        red = reduced_representative(x)
-        row = max(row, max(map(abs, red)))
-        if row <= bound and row < first.get(red, bound + 1):
-            first[red] = row
-    return list(first.values()), skip_rows
+        raise AssertionError(f"parametrized image off the hypersurface at {pts[off[0]].tolist()}")
+    row = abs(pts).max(axis=1).astype(dtype) ** k
+    g = np.gcd.reduce(img, axis=1)
+    skip = g == 0
+    img, g, skip_rows, row = img[~skip], g[~skip], row[skip], row[~skip]
+    lead = img[np.arange(len(img)), (img != 0).argmax(axis=1)]
+    img //= np.where(lead < 0, -g, g)[:, None]
+    row = np.maximum(row, abs(img).max(axis=1))
+    img, row = img[row <= bound], row[row <= bound]
+    order = np.lexsort((row, *img.T))
+    img, row = img[order], row[order]
+    first = np.r_[True, (img[1:] != img[:-1]).any(axis=1)][:len(img)]
+    return row[first].tolist(), skip_rows.tolist()
 
 
-def parametrized_height_count(d, B):
-    """Points of the hypersurface of height <= B hit by the parametrization
-    from inputs of height <= floor(B^{1/(2d+2)}), and the number of
-    base-locus inputs (all components vanish) skipped: (count, skips)."""
-    rows, skip_rows = _parametrized_first_rows(d, B)
+def parametrized_height_count(d, B, budget=DEFAULT_BUDGET):
+    """(count, skips): points of height <= B hit by phibar from inputs of height
+    <= floor(B^{1/(2d+2)}), and base-locus inputs (all components 0) skipped."""
+    rows, skip_rows = _parametrized_first_rows(d, B, 0, budget)
     return len(rows), len(skip_rows)
 
 
 def _refuse_parametrized_pass(d, bound, nrows, budget):
-    """Raise BudgetExceeded when a table of `nrows` rows read off the
-    parametrized pass at `bound` costs more than `budget`, one unit per row
-    and per candidate input."""
+    """Raise BudgetExceeded when the parametrized pass at `bound` for `nrows`
+    rows is past its memory guard, an input weighing PARAM_INPUT_BYTES plus a
+    quarter of the bits of |f| <= 2M (3M^2)^d in its check and a row (report
+    and text) PARAM_ROW_BYTES, or costs more than `budget`, one unit per row
+    and per candidate input.  Measured peak RSS: 360-430 bytes per input at
+    d <= 3, 1.3 MB at d = 1000, u = 2, and 530-790 bytes per row."""
     u = integer_root(bound, 2 * d + 2)
     inputs = sum(u * (2 * u + 1) ** (2 - chart) for chart in range(3))
+    bits = (2 * d + 1) * _phibar_bound(d, u).bit_length() + 2 * d + 1
+    need = inputs * (PARAM_INPUT_BYTES + bits // 4) + nrows * PARAM_ROW_BYTES
+    what = (f"parametrized height table at B = {abbreviate(bound)}: {abbreviate(nrows)} rows "
+            f"and {abbreviate(inputs)} candidate inputs")
+    if need > PARAM_BYTES_MAX:
+        raise BudgetExceeded(f"{what} take about {abbreviate(need)} bytes, over the "
+                             f"parametrized pass's memory guard of {PARAM_BYTES_MAX}")
     if inputs + nrows > budget:
-        raise BudgetExceeded(f"parametrized height table at B = {abbreviate(bound)}: "
-                             f"{abbreviate(nrows)} rows and {abbreviate(inputs)} candidate "
-                             f"inputs, over budget {abbreviate(budget)}")
+        raise BudgetExceeded(f"{what}, over budget {abbreviate(budget)}")
 
 
 def _height_rows(d, bound, first, mode, budget):
-    """HeightReport rows for B = first..bound, all read off one direct pass
-    and one parametrized pass at `bound`; each row's elapsed_ms is the time
-    of both passes.  Reference curves are floats for plotting."""
+    """HeightReport rows for B = first..bound, read off one pass of each column
+    at `bound`; elapsed_ms is the time of both.  Reference curves are floats."""
     t0 = time.perf_counter()
     direct = images = skipped = None
     if mode in ("direct", "both"):
         direct = _direct_rows(d, bound, budget)
     if mode in ("param", "both"):
-        _refuse_parametrized_pass(d, bound, bound - first + 1, budget)
-        images, skipped = (sorted(rows) for rows in _parametrized_first_rows(d, bound))
+        images, skipped = (sorted(rows) for rows in
+                           _parametrized_first_rows(d, bound, bound - first + 1, budget))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return [HeightReport(
-        params={"n": 1, "d": d, "mode": mode},
-        bound=B,
+        params={"n": 1, "d": d, "mode": mode}, bound=B,
         direct=None if direct is None else direct[B],
         parametrized=None if images is None else bisect_right(images, B),
-        lower_ref=float(B) ** (3.0 / (2 * d + 2)),
-        lower_ref_n1=float(B) ** (3.0 / (2 * d + 1)),
-        upper_ref=float(B) ** 6.0,
-        skips=0 if skipped is None else bisect_right(skipped, B),
+        lower_ref=float(B) ** (3.0 / (2 * d + 2)), lower_ref_n1=float(B) ** (3.0 / (2 * d + 1)),
+        upper_ref=float(B) ** 6.0, skips=0 if skipped is None else bisect_right(skipped, B),
         elapsed_ms=elapsed_ms) for B in range(first, bound + 1)]
 
 

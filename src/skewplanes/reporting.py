@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 TIMING_FIELDS = ("elapsed_ms",)
@@ -119,7 +119,17 @@ class HeightReport:
     elapsed_ms: float = 0.0
 
     def as_dict(self):
-        return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
+        return {
+            "params": self.params,
+            "bound": self.bound,
+            "direct": self.direct,
+            "parametrized": self.parametrized,
+            "lower_ref": self.lower_ref,
+            "lower_ref_n1": self.lower_ref_n1,
+            "upper_ref": self.upper_ref,
+            "skips": self.skips,
+            "elapsed_ms": round(self.elapsed_ms, 3),
+        }
 
     def line(self):
         return (f"B={self.bound} direct={self.direct} param={self.parametrized} "

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from skewplanes.domains import QQ, QQXI, field_create
@@ -10,6 +11,7 @@ from skewplanes.families import (
     A_MINUS,
     A_PLUS,
     FAMILY_BUILDERS,
+    ab_form,
     build_ab,
     build_alpha_beta,
     build_char_two_maps,
@@ -25,6 +27,7 @@ from skewplanes.families import (
     build_theta,
     build_x,
     build_x_d_delta,
+    phibar_form,
     x_context,
 )
 from skewplanes.mpoly import MPoly, compose, exact_rank
@@ -204,6 +207,34 @@ def test_phibar_components_in_ideal_ab():
             aug = [r[:] + [comp.terms.get(e, Fraction(0))]
                    for r, e in zip(rows, monomials)]
             assert exact_rank(aug, QQ) == base_rank, (n, d)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_phibar_form_matches_polynomial_on_values(n):
+    # the value form that the height engine evaluates on int64 and object
+    # arrays is the one build_phibar expands; halving by floor division is
+    # exact, because the halved values are even at integer points
+    rng = random.Random(7 + n)
+    for d in range(1, 10 if n == 1 else 4):
+        phi = build_phibar(n, d)
+        pts = [tuple(rng.randrange(-4, 5) for _ in range(2 * n + 1)) for _ in range(12)]
+        pts += [(1,) + (0,) * (2 * n), (0, 1, -1) + (0,) * (2 * n - 2)]
+        want = [phi.evaluate(tuple(Fraction(v) for v in pt)) for pt in pts]
+        assert [tuple(phibar_form(list(map(Fraction, pt)), d, lambda x: x / 2))
+                for pt in pts] == want, d
+        assert [tuple(phibar_form(list(pt), d, lambda x: x // 2)) for pt in pts] == want, d
+        cols = np.array(pts, dtype=np.int64 if d <= 3 else object).T
+        got = phibar_form(list(cols), d, lambda x: x // 2)
+        assert [tuple(int(c[i]) for c in got) for i in range(len(pts))] == want, d
+
+
+def test_ab_form_matches_build_ab_on_values():
+    rng = random.Random(5)
+    for n, d in [(1, 1), (1, 4), (2, 2), (3, 1)]:
+        polys = build_ab(n, d)
+        for _ in range(5):
+            pt = [rng.randrange(-6, 7) for _ in range(2 * n + 1)]
+            assert ab_form(pt, d) == tuple(p.evaluate(tuple(map(Fraction, pt))) for p in polys)
 
 
 def test_phibar_integer_after_clearing():

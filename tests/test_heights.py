@@ -1,6 +1,7 @@
 """Tests for bounded-height rational point enumeration."""
 
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -8,8 +9,11 @@ from math import gcd
 import numpy as np
 import pytest
 
+from skewplanes import heights
 from skewplanes.families import build_phibar, build_x
 from skewplanes.heights import (
+    _refuse_direct_scan,
+    _refuse_parametrized_pass,
     direct_height_count,
     height_of,
     height_report,
@@ -19,7 +23,7 @@ from skewplanes.heights import (
     reduced_representative,
 )
 from skewplanes.kernels import height_scan_chart
-from skewplanes.reporting import BudgetExceeded, abbreviate
+from skewplanes.reporting import BudgetExceeded, HeightReport, abbreviate
 
 DIRECT_D1 = [9, 21, 45, 69, 117, 165, 237, 285, 381, 429,
              549, 621, 765, 837, 933, 1053, 1245, 1317, 1557, 1677]
@@ -189,6 +193,27 @@ def test_direct_rows_of_one_scan_match_oracle():
         assert r.direct == _matched_value_count(9, r.bound), r.bound
 
 
+@pytest.mark.parametrize("d, B, in_int64", [(9, 5, True), (9, 6, False),
+                                             (5, 30, True), (5, 31, False)])
+def test_direct_rows_on_both_sides_of_the_int64_bound(d, B, in_int64):
+    # the direct column runs in int64 exactly when 2B (3B^2)^d < 2^63
+    assert (2 * B * (3 * B * B) ** d < 2 ** 63) == in_int64
+    rows = [r.direct for r in height_scan(d, B, mode="direct")]
+    if B < 10:
+        hist = sum(height_scan_chart(B, d, chart, 0, B * (2 * B + 1) ** (3 - chart))
+                   for chart in range(4))
+        assert rows == np.cumsum(hist)[1:].tolist()
+    assert rows[-1] == _matched_value_count(d, B)
+
+
+def test_direct_guard_boundary_unchanged():
+    _refuse_direct_scan(400, 1, 10 ** 9)
+    _refuse_direct_scan(80, 1000, 10 ** 9)
+    for B, d in [(401, 1), (81, 1000)]:
+        with pytest.raises(BudgetExceeded, match="memory guard"):
+            _refuse_direct_scan(B, d, 10 ** 9)
+
+
 # ---------------------------------------------------------------------------
 # parametrized counts
 
@@ -277,6 +302,61 @@ def test_budget_messages_abbreviate_huge_ints():
     assert abbreviate(3 ** 10000) == "~1.6e4771"  # past int-to-str's digit limit
 
 
+@pytest.mark.parametrize("d, bound, u", [(11, 3 ** 24 - 1, 2), (11, 3 ** 24, 3),
+                                          (11, 3 ** 24 * 100, 3)])
+def test_parametrized_counts_on_both_sides_of_the_int64_bound(d, bound, u):
+    # phibar's values at inputs of height <= u stay below 10 (1 + 4^(d+1)) u^(2d+2),
+    # which at d = 11 is below 2^63 for u = 2 and above it for u = 3
+    assert integer_root(bound, 2 * d + 2) == u
+    assert (heights._phibar_bound(d, u) < 2 ** 63) == (u == 2)
+    images, skips = _phibar_images(d, u)
+    expected = {img for img in images if max(map(abs, img)) <= bound}
+    assert parametrized_height_count(d, bound) == (len(expected), skips)
+
+
+def test_primitive_inputs_enumerate_p2():
+    for u in range(5):
+        pts = list(heights._projective_int_points(u))
+        assert len(set(pts)) == len(pts)
+        assert set(pts) == {pt for pt in product(range(-u, u + 1), repeat=3)
+                            if gcd(*pt) == 1 and next(v for v in pt if v) > 0}
+
+
+@pytest.fixture
+def no_pass(monkeypatch):
+    # a refused pass must not build its inputs
+    def refuse(u):
+        raise AssertionError(f"inputs of height <= {u} built before the guard")
+    monkeypatch.setattr(heights, "_primitive_inputs", refuse)
+
+
+@pytest.mark.parametrize("d, bound, nrows", [
+    (1, 900_000_000, 900_000_000),  # heights --mode param --bound 900000000
+    (1, 10 ** 11, 1),               # height_report(1, 10**11, mode="param")
+    (1, 10 ** 11, 0),               # parametrized_height_count(1, 10**11)
+    (1000, 5 ** 2002, 0),           # 661 inputs whose check forms ints of 13M bits
+])
+def test_parametrized_memory_guard_refuses_before_the_pass(no_pass, d, bound, nrows):
+    with pytest.raises(BudgetExceeded, match="memory guard") as exc:
+        _refuse_parametrized_pass(d, bound, nrows, 10 ** 30)
+    assert len(str(exc.value)) < 200
+    with pytest.raises(BudgetExceeded, match="memory guard"):
+        parametrized_height_count(d, bound, budget=10 ** 30)
+    if nrows:
+        with pytest.raises(BudgetExceeded, match="memory guard"):
+            height_report(d, bound, mode="param", budget=10 ** 30)
+
+
+@pytest.mark.parametrize("d, bound, nrows", [
+    (1, 10 ** 8, 1),          # 4.06M inputs
+    (1, 10 ** 6, 10 ** 6),    # heights --mode param --bound 1000000
+    (1, 8 ** 4 - 1, 1),       # the benchmark's parametrized count
+    (2, 800, 800), (9, 20, 20), (1000, 2 ** 2002, 1),
+])
+def test_parametrized_memory_guard_admits(d, bound, nrows):
+    _refuse_parametrized_pass(d, bound, nrows, 10 ** 30)
+
+
 def test_parametrized_skips_base_points():
     # u-height 1 includes the base point [1:-1:0]; it must be skipped
     _, skips = parametrized_height_count(1, 20)
@@ -310,3 +390,12 @@ def test_height_scan_rows():
     assert [r.bound for r in rows] == list(range(1, 7))
     counts = [r.direct for r in rows]
     assert counts == DIRECT_D1[:6]
+
+
+def test_height_report_as_dict_matches_dataclass_fields():
+    rep = HeightReport(params={"n": 1, "d": 2, "mode": "both"}, bound=7, direct=3,
+                       parametrized=None, lower_ref=1.5, lower_ref_n1=None,
+                       upper_ref=2.0, skips=1, elapsed_ms=1.23456)
+    out = rep.as_dict()
+    assert out == {**asdict(rep), "elapsed_ms": 1.235}
+    assert list(out) == list(asdict(rep))

@@ -45,6 +45,15 @@ def test_traced_names_resolve():
     assert not missing, missing
 
 
+def test_yield_counters_wrap_generators():
+    # the tracer re-yields each item it counts, so a target that returned an
+    # array or a list would break the traced round while still resolving
+    tracing = _load_tracing()
+    for modname, attr in tracing.YIELD_COUNTERS.values():
+        target = getattr(importlib.import_module(f"skewplanes.{modname}"), attr)
+        assert inspect.isgeneratorfunction(target), (modname, attr)
+
+
 @pytest.mark.parametrize("name", ["count_system_chart", "height_scan_chart"])
 def test_scanned_kernels_take_start_and_stop(name):
     # the tracer counts points scanned as stop - start
