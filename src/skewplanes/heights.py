@@ -22,13 +22,12 @@ from .count import DEFAULT_BUDGET
 from .families import phibar_form
 from .reporting import BudgetExceeded, HeightReport, abbreviate
 
-# Memory guard of the direct column: its arrays hold (2B + 1)^2 values of f,
-# each at most 2B * (3B^2)^d, the largest |f| on [-B, B]^2.  Each pair weighs
-# DIRECT_ENTRY_BITS, a fixed cost in the units of one bit of an int (about 77
-# bytes: its slots in the column's arrays, and an int's header in the object
-# dtype), plus that bit length; the total is capped at B = 400, d = 1.
+# Memory guard of the direct column, capped at B = 400, d = 1: a pair of [-B, B]^2 weighs
+# DIRECT_ENTRY_BITS (72 bytes) plus the bits of 2B (3B^2)^d, the largest |f|.  Measured peak
+# RSS growth a pair: 34 bytes at d = 1, 61 at d = 3, 67 at d = 9, 789 at d = 1000, B = 80.
 DIRECT_ENTRY_BITS = 576
 DIRECT_BITS_MAX = 641_601 * (DIRECT_ENTRY_BITS + 29)
+# Parametrized pass, measured: 360-430 bytes per input at d <= 3, 530-790 per row
 PARAM_INPUT_BYTES, PARAM_ROW_BYTES, PARAM_BYTES_MAX = 400, 1000, 2 ** 31
 
 
@@ -64,16 +63,19 @@ def integer_root(B, k):
         t = s
 
 
-def _f(a, b, d):
-    return (a + b) * (a * a - a * b + b * b) ** d
+def _f(a, b, d, dtype=object):
+    """f on arrays in `dtype`, in place: one wide value per pair is alive."""
+    v = (a * a - a * b + b * b).astype(dtype, copy=False)
+    v **= d
+    v *= a + b
+    return v
 
 
 def _refuse_direct_scan(B, d, budget):
     """Raise BudgetExceeded when the direct column at bound B is past the
     memory guard or would walk more than `budget` pairs."""
     pairs = (2 * B + 1) ** 2
-    # at B >= 1 that |f| has more than d bits: testing d first refuses a huge
-    # d before its power is built
+    # |f| has over d bits at B >= 1: testing d first builds no power of a huge d
     if pairs * (DIRECT_ENTRY_BITS + d) > DIRECT_BITS_MAX or pairs * (
             DIRECT_ENTRY_BITS + (2 * B * (3 * B * B) ** d).bit_length()) > DIRECT_BITS_MAX:
         raise BudgetExceeded(f"direct height search at B = {B}, d = {d} is over its memory "
@@ -86,22 +88,24 @@ def _refuse_direct_scan(B, d, budget):
 def _direct_rows(d, B, budget):
     """Points of the hypersurface (n = 1) with height <= b, for b = 0..B.  The
     tuples in [-h, h]^4 on it (zero included) are N[h] = sum_v C_v(h)^2, as f
-    is odd, C_v(h) the pairs of value v and ring max(|a|, |b|) <= h: sorted by
-    (value, ring), a pair after j of its value adds 2j + 1 from its ring on.
-    Primitive tuples P[b] = N[b] - 1 - sum over g >= 2 of P[b // g] (Moebius
-    inversion over the gcd); each point has two of them."""
+    is odd, C_v(h) the pairs of value v and ring max(|a|, |b|) <= h; the pairs
+    a <= b, of weight w = 2 off the diagonal as f(a, b) = f(b, a), sorted by
+    (value, ring): one after weight j of its value adds (j + w)^2 - j^2 from its
+    ring on.  Primitive tuples P[b] = N[b] - 1 - sum over g >= 2 of P[b // g]
+    (Moebius inversion over the gcd); each point has two of them."""
     _refuse_direct_scan(B, d, budget)
-    side = np.arange(-B, B + 1)
-    a, b = (g.ravel() for g in np.meshgrid(side, side))
-    ring = np.maximum(abs(a), abs(b))
-    dtype = np.int64 if 2 * B * (3 * B * B) ** d < 2 ** 63 else object
-    v = _f(a.astype(dtype), b.astype(dtype), d)
+    a, b = np.subtract(np.triu_indices(2 * B + 1), B)
+    ring, w = np.maximum(abs(a), abs(b)), np.where(a == b, 1, 2)
+    v = _f(a, b, d, np.int64 if 2 * B * (3 * B * B) ** d < 2 ** 63 else object)
+    del a, b
     by_value = np.lexsort((ring, v))
-    v = v[by_value]
+    v, ring, w = v[by_value], ring[by_value], w[by_value]
     start = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    before = np.arange(len(v)) - np.repeat(start, np.diff(np.r_[start, len(v)]))
+    del v, by_value
+    j = np.cumsum(w) - w
+    j -= np.repeat(j[start], np.diff(np.r_[start, len(w)]))
     grow = np.zeros(B + 1, np.int64)
-    np.add.at(grow, ring[by_value], 2 * before + 1)
+    np.add.at(grow, ring, w * (2 * j + w))
     total = np.cumsum(grow).tolist()
     prim = [0]
     for h in range(1, B + 1):
@@ -163,20 +167,17 @@ def _parametrized_first_rows(d, bound, nrows, budget):
     return row[first].tolist(), skip_rows.tolist()
 
 
-def parametrized_height_count(d, B, budget=DEFAULT_BUDGET):
+def parametrized_height_count(d, B):
     """(count, skips): points of height <= B hit by phibar from inputs of height
     <= floor(B^{1/(2d+2)}), and base-locus inputs (all components 0) skipped."""
-    rows, skip_rows = _parametrized_first_rows(d, B, 0, budget)
+    rows, skip_rows = _parametrized_first_rows(d, B, 0, DEFAULT_BUDGET)
     return len(rows), len(skip_rows)
 
 
 def _refuse_parametrized_pass(d, bound, nrows, budget):
-    """Raise BudgetExceeded when the parametrized pass at `bound` for `nrows`
-    rows is past its memory guard, an input weighing PARAM_INPUT_BYTES plus a
-    quarter of the bits of |f| <= 2M (3M^2)^d in its check and a row (report
-    and text) PARAM_ROW_BYTES, or costs more than `budget`, one unit per row
-    and per candidate input.  Measured peak RSS: 360-430 bytes per input at
-    d <= 3, 1.3 MB at d = 1000, u = 2, and 530-790 bytes per row."""
+    """Raise BudgetExceeded past the memory guard, PARAM_INPUT_BYTES plus a
+    quarter of the bits of |f| <= 2M (3M^2)^d per input and PARAM_ROW_BYTES per
+    row, or past `budget`, one unit per row and per candidate input."""
     u = integer_root(bound, 2 * d + 2)
     inputs = sum(u * (2 * u + 1) ** (2 - chart) for chart in range(3))
     bits = (2 * d + 1) * _phibar_bound(d, u).bit_length() + 2 * d + 1
@@ -211,8 +212,7 @@ def _height_rows(d, bound, first, mode, budget):
 
 
 def height_report(d, B, mode="both", shards=1, budget=DEFAULT_BUDGET):
-    """The last row of `height_scan(d, B)`, built alone.  `shards` is
-    accepted and ignored, only because the benchmark's worker passes it."""
+    """The last row of `height_scan(d, B)`; `shards` is ignored (the benchmark passes it)."""
     return _height_rows(d, B, B, mode, budget)[0]
 
 

@@ -171,9 +171,11 @@ def test_direct_count_exact_past_int64():
     assert direct_height_count(9, 16) == _matched_value_count(9, 16) == 957
 
 
-@pytest.mark.parametrize("d, B", [(1, 20), (2, 16), (3, 12), (9, 20)])
+@pytest.mark.parametrize("d, B", [(1, 20), (2, 16), (3, 12), (9, 5), (9, 6), (9, 20)])
 def test_direct_rows_match_chart_scan(d, B):
-    # the 4-tuple scan of the kernels shares no code with the pair walk
+    # the 4-tuple scan of the kernels shares no code with the grouping of pairs,
+    # which at d = 9 runs in int64 up to B = 5 and in object from B = 6 on
+    assert (2 * B * (3 * B * B) ** d < 2 ** 63) == (d < 9 or B <= 5)
     hist = sum(height_scan_chart(B, d, chart, 0, B * (2 * B + 1) ** (3 - chart))
                for chart in range(4))
     rows = height_scan(d, B, mode="direct")
@@ -193,25 +195,17 @@ def test_direct_rows_of_one_scan_match_oracle():
         assert r.direct == _matched_value_count(9, r.bound), r.bound
 
 
-@pytest.mark.parametrize("d, B, in_int64", [(9, 5, True), (9, 6, False),
-                                             (5, 30, True), (5, 31, False)])
-def test_direct_rows_on_both_sides_of_the_int64_bound(d, B, in_int64):
+@pytest.mark.parametrize("B, in_int64", [(30, True), (31, False)])
+def test_direct_count_on_both_sides_of_the_int64_bound(B, in_int64):
     # the direct column runs in int64 exactly when 2B (3B^2)^d < 2^63
-    assert (2 * B * (3 * B * B) ** d < 2 ** 63) == in_int64
-    rows = [r.direct for r in height_scan(d, B, mode="direct")]
-    if B < 10:
-        hist = sum(height_scan_chart(B, d, chart, 0, B * (2 * B + 1) ** (3 - chart))
-                   for chart in range(4))
-        assert rows == np.cumsum(hist)[1:].tolist()
-    assert rows[-1] == _matched_value_count(d, B)
+    assert (2 * B * (3 * B * B) ** 5 < 2 ** 63) == in_int64
+    assert direct_height_count(5, B) == _matched_value_count(5, B)
 
 
-def test_direct_guard_boundary_unchanged():
-    _refuse_direct_scan(400, 1, 10 ** 9)
+def test_direct_guard_boundary_at_d1000():
     _refuse_direct_scan(80, 1000, 10 ** 9)
-    for B, d in [(401, 1), (81, 1000)]:
-        with pytest.raises(BudgetExceeded, match="memory guard"):
-            _refuse_direct_scan(B, d, 10 ** 9)
+    with pytest.raises(BudgetExceeded, match="memory guard"):
+        _refuse_direct_scan(81, 1000, 10 ** 9)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +335,7 @@ def test_parametrized_memory_guard_refuses_before_the_pass(no_pass, d, bound, nr
         _refuse_parametrized_pass(d, bound, nrows, 10 ** 30)
     assert len(str(exc.value)) < 200
     with pytest.raises(BudgetExceeded, match="memory guard"):
-        parametrized_height_count(d, bound, budget=10 ** 30)
+        parametrized_height_count(d, bound)
     if nrows:
         with pytest.raises(BudgetExceeded, match="memory guard"):
             height_report(d, bound, mode="param", budget=10 ** 30)
