@@ -143,22 +143,19 @@ def _cmd_families_dump(args):
         dom = QQ if char == 0 else field_create(*prime_power(char))
         ig = build_ideal(args.n, args.d, name, dom)
         return _write_output(ig.to_text() + "\n", args.out)
-    if char == 2:
-        F = field_create(2)
-        if name in ("char2", "g"):
-            data = build_char_two_maps(args.n, args.d, F)
-            lines = [f"P = {data['P'].to_text()}", f"Q = {data['Q'].to_text()}",
-                     data["g"].to_text()]
-            return _write_output("\n".join(lines) + "\n", args.out)
-        if name == "X":
-            return _write_output(f"X = {build_x(args.n, args.d, F).to_text()}\n", args.out)
-        raise ValueError(f"family {name!r} has no char-2 constructor; use the char2 family")
     if char != 0:
         F = field_create(*prime_power(char))
         if name == "X":
             return _write_output(f"X = {build_x(args.n, args.d, F).to_text()}\n", args.out)
-        raise ValueError(f"only the hypersurface itself dumps over char {char}; "
-                         "maps are characteristic-0 constructions")
+        if char != 2:
+            raise ValueError(f"only the hypersurface itself dumps over char {char}; "
+                             "maps are characteristic-0 constructions")
+        if name not in ("char2", "g"):
+            raise ValueError(f"family {name!r} has no char-2 constructor; use the char2 family")
+        data = build_char_two_maps(args.n, args.d, F)
+        lines = [f"P = {data['P'].to_text()}", f"Q = {data['Q'].to_text()}",
+                 data["g"].to_text()]
+        return _write_output("\n".join(lines) + "\n", args.out)
     if name == "Xdelta":
         if args.delta is None:
             raise ValueError("--delta required for Xdelta")

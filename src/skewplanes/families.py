@@ -2,7 +2,12 @@
 and the birational maps between them.
 
 Everything is built over an explicit coefficient domain (default Q, or Q(xi)
-where the conjugate-plane data genuinely needs xi with xi^2 = -3).  Components
+where the conjugate-plane data genuinely needs xi with xi^2 = -3).  X and
+Xdelta, (A, B) and phibar are each defined once, as a form on values
+(`x_form`, `ab_form`, `phibar_form`) that takes polynomials, ints,
+Fractions or arrays; `build_x`, `build_x_d_delta`, `build_ab` and
+`build_phibar` apply it to variables, the line pencil to its lines, the
+height engine to arrays, and `verify` to other coordinates.  Components
 follow the closed forms of the source construction, with two corrections that
 the composition identities force and that are pinned by tests:
 
@@ -50,40 +55,42 @@ def _v(ctx, dom, name):
     return MPoly.variable(ctx, dom, name)
 
 
+def _vars(ctx, dom):
+    return [MPoly.variable(ctx, dom, name) for name in ctx.names]
+
+
 # ---------------------------------------------------------------------------
 # hypersurfaces
 
 
-def build_x(n, d, dom=QQ):
-    """The degree-(2d+1) hypersurface sum_i (x_{2i}+x_{2i+1}) * q_i^d with
-    q_i = x_{2i}^2 - x_{2i}x_{2i+1} + x_{2i+1}^2, in P^{2n+1}."""
-    ctx = x_context(n)
-    F = MPoly.zero(ctx, dom)
-    for i in range(n + 1):
-        a = _v(ctx, dom, f"x{2 * i}")
-        b = _v(ctx, dom, f"x{2 * i + 1}")
-        F = F + (a + b) * (a * a - a * b + b * b) ** d
+def x_form(x, d, k=3):
+    """X at the values x, as `ab_form`: the sum over the pairs (a, b) =
+    (x_{2i}, x_{2i+1}) of (a + b) g_k(a, b)^d, g_k = sum_{j<k} (-1)^j
+    a^{k-1-j} b^j; X has k = 3, Xdelta k = d and power delta.  Horner's
+    rule g_{m+1} = a g_m + (-b)^m builds g_3 = (a - b) a + b^2 in two products."""
+    F = 0
+    for a, b in zip(x[::2], x[1::2]):
+        g, p = a - b, b
+        for m in range(2, k):
+            p = p * b
+            g = g * a + p if m % 2 == 0 else g * a - p
+        F = F + (a + b) * g ** d
     return F
 
 
+def build_x(n, d, dom=QQ):
+    """The degree-(2d+1) hypersurface `x_form` of P^{2n+1}."""
+    return x_form(_vars(x_context(n), dom), d)
+
+
 def build_x_d_delta(n, d, delta, dom=QQ):
-    """Generalized family of degree delta*(d-1)+1: the alternating form
-    sum_j (-1)^j x_{2i}^{d-1-j} x_{2i+1}^j replaces q_i, raised to delta."""
+    """Generalized family of degree delta*(d-1)+1: `x_form` with the
+    alternating form g_d in place of g_3, raised to delta."""
     if d < 3 or d % 2 == 0 or _least_prime_factor(d) != d:
         raise ValueError("d must be an odd prime")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    ctx = x_context(n)
-    F = MPoly.zero(ctx, dom)
-    for i in range(n + 1):
-        a = _v(ctx, dom, f"x{2 * i}")
-        b = _v(ctx, dom, f"x{2 * i + 1}")
-        inner = MPoly.zero(ctx, dom)
-        for j in range(d):
-            term = (a ** (d - 1 - j)) * (b ** j)
-            inner = inner + (term if j % 2 == 0 else -term)
-        F = F + (a + b) * inner ** delta
-    return F
+    return x_form(_vars(x_context(n), dom), delta, k=d)
 
 
 def ab_form(u, d):
@@ -99,8 +106,7 @@ def ab_form(u, d):
 
 def build_ab(n, d, dom=QQ):
     """The pair (A, B) cutting out Y^{2n-2} = {A = B = 0} in P^{2n}."""
-    ctx = u_context(n)
-    return ab_form([_v(ctx, dom, f"u{i}") for i in range(2 * n + 1)], d)
+    return ab_form(_vars(u_context(n), dom), d)
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +129,15 @@ def phibar_form(u, d, half):
 
 def build_phibar(n, d):
     """Degree-(2d+2) parametrization P^{2n} --> X, built from (A, B)."""
-    ctx = u_context(n)
-    u = [_v(ctx, QQ, f"u{i}") for i in range(2 * n + 1)]
-    comps = phibar_form(u, d, lambda p: p.scale(Fraction(1, 2)))
+    comps = phibar_form(_vars(u_context(n), QQ), d, lambda p: p.scale(Fraction(1, 2)))
     return RationalMap("phibar", comps, {"n": n, "d": d})
 
 
 def build_theta(n, dom=QQ):
     """The quadric system inverting the parametrization: X --> P^{2n}."""
-    ctx = x_context(n)
-    xn0 = _v(ctx, dom, f"x{2 * n}")
-    xn1 = _v(ctx, dom, f"x{2 * n + 1}")
+    *x, xn0, xn1 = _vars(x_context(n), dom)
     comps = []
-    for i in range(n):
-        a = _v(ctx, dom, f"x{2 * i}")
-        b = _v(ctx, dom, f"x{2 * i + 1}")
+    for a, b in zip(x[::2], x[1::2]):
         comps.append(a * xn0 - a * xn1 + b * xn1)
         comps.append(b * xn0 - a * xn1)
     comps.append(xn0 * xn0 - xn0 * xn1 + xn1 * xn1)
@@ -147,11 +147,10 @@ def build_theta(n, dom=QQ):
 def build_h(n, dom=QQ):
     """Linear automorphism of P^{2n} with h∘theta inverting phibar:
     (u_0, ..., u_{2n}) -> (2u_{2n}, 2u_0 - u_1, u_1, 2u_2 - u_3, u_3, ...)."""
-    ctx = u_context(n)
-    comps = [2 * _v(ctx, dom, f"u{2 * n}")]
-    for i in range(n):
-        comps.append(2 * _v(ctx, dom, f"u{2 * i}") - _v(ctx, dom, f"u{2 * i + 1}"))
-        comps.append(_v(ctx, dom, f"u{2 * i + 1}"))
+    *u, un = _vars(u_context(n), dom)
+    comps = [2 * un]
+    for a, b in zip(u[::2], u[1::2]):
+        comps += [2 * a - b, b]
     return RationalMap("h", comps, {"n": n})
 
 
@@ -161,19 +160,16 @@ def build_char_two_maps(n, d, dom):
     if dom.char != 2:
         raise ValueError("characteristic-2 construction needs a char-2 domain")
     ctx = u_context(n)
-    un = _v(ctx, dom, f"u{2 * n}")
+    *u, un = _vars(ctx, dom)
+    pairs = list(zip(u[::2], u[1::2]))
     P = un ** (2 * d + 1)
     Qp = MPoly.zero(ctx, dom)
-    for i in range(n):
-        a = _v(ctx, dom, f"u{2 * i}")
-        b = _v(ctx, dom, f"u{2 * i + 1}")
+    for a, b in pairs:
         core = (a * a + a * b + b * b) ** d
         P = P + (a + b) * core
         Qp = Qp + b * core
     comps = []
-    for i in range(n):
-        a = _v(ctx, dom, f"u{2 * i}")
-        b = _v(ctx, dom, f"u{2 * i + 1}")
+    for a, b in pairs:
         comps.append((a + b) * P + a * Qp)
         comps.append(a * P + b * Qp)
     comps.append(un * (P + Qp))
@@ -227,10 +223,8 @@ def build_alpha_beta(n):
     """The inverse pair alpha (cubics) / beta (quadrics) between the two
     parametrization spaces.  For n = 1 alpha is the reduced conic system."""
     dom = QQ
-    tctx = t_context(n)
-    uctx = u_context(n)
-    t = [_v(tctx, dom, f"t{i}") for i in range(2 * n + 1)]
-    u = [_v(uctx, dom, f"u{i}") for i in range(2 * n + 1)]
+    t = _vars(t_context(n), dom)
+    u = _vars(u_context(n), dom)
     q = t[0] * t[0] + t[0] * t[1] + t[1] * t[1]
     if n == 1:
         alpha_comps = [-2 * q, t[2] * (2 * t[0] + t[1]), t[1] * t[2]]
@@ -314,26 +308,18 @@ def build_line_pencil(n, d):
     """
     dom = QQXI
     ctx = pencil_context(n)
-    lam = _v(ctx, dom, "lam")
+    lam, *u = _vars(ctx, dom)
     xi = MPoly.constant(ctx, dom, 1).scale(QQXI.xi)
     half = QQXI.from_rational(Fraction(1, 2))
     L = []
-    for i in range(n):
-        v = _v(ctx, dom, f"u{2 * i + 1}")
-        w = _v(ctx, dom, f"u{2 * i + 2}")
+    for v, w in zip(u[::2], u[1::2]):
         L.append((v - 3 * w).scale(half) + (xi * (v + w)).scale(half) - lam * xi * (v + w))
         L.append(v + xi * w - 2 * (lam * (xi * w)))
     L.append(MPoly.constant(ctx, dom, 1).scale((Fraction(1, 2), Fraction(1, 2))) - lam * xi)
-    # affine hypersurface value along the line
-    F = MPoly.zero(ctx, dom)
-    for i in range(n):
-        a, b = L[2 * i], L[2 * i + 1]
-        F = F + (a + b) * (a * a - a * b + b * b) ** d
-    last = L[2 * n]
-    F = F + (last + 1) * (last * last - last + 1) ** d
+    # affine hypersurface value along the line, x_{2n+1} = 1
+    F = x_form(L + [1], d)
     # affine A, B in the pencil context
-    A, B = ab_form([MPoly.constant(ctx, dom, 1)]
-                   + [_v(ctx, dom, f"u{i}") for i in range(1, 2 * n + 1)], d)
+    A, B = ab_form([1] + u, d)
     target = xi * MPoly.constant(ctx, dom, (-3) ** d) * lam ** d * (lam - 1) ** d \
         * ((A - xi * B).scale(half) - lam * A)
     return {"lines": L, "F": F, "A": A, "B": B, "target": target}

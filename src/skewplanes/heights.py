@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log2
 
 import numpy as np
 
@@ -29,6 +29,9 @@ DIRECT_ENTRY_BITS = 576
 DIRECT_BITS_MAX = 641_601 * (DIRECT_ENTRY_BITS + 29)
 # Parametrized pass, measured: 360-430 bytes per input at d <= 3, 530-790 per row
 PARAM_INPUT_BYTES, PARAM_ROW_BYTES, PARAM_BYTES_MAX = 400, 1000, 2 ** 31
+# Budget units (~1 ns) per word product of an input's membership check, (bits / 64)^log2(3)
+# products (Karatsuba), which took 9-11 ns each at d = 100, 200, 400 (2 cores, Python 3.11)
+PARAM_WORD_UNITS = 10
 
 
 def reduced_representative(coords):
@@ -177,7 +180,8 @@ def parametrized_height_count(d, B):
 def _refuse_parametrized_pass(d, bound, nrows, budget):
     """Raise BudgetExceeded past the memory guard, PARAM_INPUT_BYTES plus a
     quarter of the bits of |f| <= 2M (3M^2)^d per input and PARAM_ROW_BYTES per
-    row, or past `budget`, one unit per row and per candidate input."""
+    row, or past `budget`: one unit per row, and per candidate input one or the
+    PARAM_WORD_UNITS per word product of its membership check on those bits."""
     u = integer_root(bound, 2 * d + 2)
     inputs = sum(u * (2 * u + 1) ** (2 - chart) for chart in range(3))
     bits = (2 * d + 1) * _phibar_bound(d, u).bit_length() + 2 * d + 1
@@ -187,8 +191,10 @@ def _refuse_parametrized_pass(d, bound, nrows, budget):
     if need > PARAM_BYTES_MAX:
         raise BudgetExceeded(f"{what} take about {abbreviate(need)} bytes, over the "
                              f"parametrized pass's memory guard of {PARAM_BYTES_MAX}")
-    if inputs + nrows > budget:
-        raise BudgetExceeded(f"{what}, over budget {abbreviate(budget)}")
+    cost = nrows + inputs * max(1, int(PARAM_WORD_UNITS * (bits // 64) ** log2(3)))
+    if cost > budget:
+        raise BudgetExceeded(f"{what} with their membership check cost {abbreviate(cost)}, "
+                             f"over budget {abbreviate(budget)}")
 
 
 def _height_rows(d, bound, first, mode, budget):

@@ -28,6 +28,7 @@ import numpy as np
 from .count import DEFAULT_BUDGET, FirstChartZeros, _system_arrays
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
+    ab_form,
     build_ab,
     build_alpha_beta,
     build_char_two_maps,
@@ -39,6 +40,7 @@ from .families import (
     build_sd,
     build_theta,
     build_x,
+    phibar_form,
 )
 from .kernels import proportional_rows, system_values
 from .mpoly import MPoly, VarContext, compose, exact_rank
@@ -81,15 +83,22 @@ def verify_line_factorization(n, d):
     return _done("line_factorization", {"n": n, "d": d}, witness, t0)
 
 
+def _charge_membership(m, D, budget):
+    """Raise BudgetExceeded when the membership residual of degree D in m
+    variables, C(m - 1 + D, m - 1) dense monomials, is over `budget`."""
+    cost = comb(m - 1 + D, m - 1)
+    if cost > budget:
+        raise BudgetExceeded(f"membership: residual of degree {D} in {m} variables has up to "
+                             f"{abbreviate(cost)} monomials, over budget {abbreviate(budget)}")
+
+
 def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
     """Substitute the map components into the hypersurface polynomial and
     require the exact zero polynomial.  A component-count mismatch is a
     failure with a witness, not an exception (negative-control friendly).
 
-    Before substituting, the check is charged the dense monomial count of
-    its residual, C(m - 1 + D, m - 1) for m target variables and
-    D = deg X * deg map, and raises BudgetExceeded when that is over
-    `budget`."""
+    Before substituting, it is charged by `_charge_membership`, with
+    D = deg X * deg map."""
     t0 = time.perf_counter()
     params = {"map": rmap.name, "components": len(rmap.components)}
     need = hypersurface.ctx.nvars
@@ -100,12 +109,8 @@ def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
     if rmap.dom is not hypersurface.dom:
         witness = {"reason": "map and hypersurface over different domains"}
         return _done("membership", params, witness, t0)
-    m = rmap.ctx.nvars
     D = (hypersurface.total_degree() or 0) * max(c.total_degree() or 0 for c in rmap.components)
-    cost = comb(m - 1 + D, m - 1)
-    if cost > budget:
-        raise BudgetExceeded(f"membership: residual of degree {D} in {m} variables has up to "
-                             f"{abbreviate(cost)} monomials, over budget {abbreviate(budget)}")
+    _charge_membership(rmap.ctx.nvars, D, budget)
     mapping = dict(zip(hypersurface.ctx.names, rmap.components))
     residual = hypersurface.substitute(mapping)
     witness = None if residual.is_zero() else _poly_witness(residual)
@@ -330,20 +335,19 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
 
 
 def _v_coordinates(n):
-    """Context and substitution for the Q(xi)-linear change putting the
-    conjugate planes onto coordinate planes: v0 = u0,
-    v_{2i+1} = u_{2i+1} + xi*u_{2i+2}, v_{2i+2} = u_{2i+1} - xi*u_{2i+2}."""
+    """The images of u0..u_{2n}, polynomials in v0..v_{2n} over Q(xi), under
+    the linear change putting the conjugate planes onto coordinate planes:
+    v0 = u0, v_{2i+1} = u_{2i+1} + xi*u_{2i+2}, v_{2i+2} = u_{2i+1} - xi*u_{2i+2}."""
     dom = QQXI
     vctx = VarContext([f"v{i}" for i in range(2 * n + 1)])
     half = dom.from_rational(Fraction(1, 2))
     neg_xi_sixth = dom.mul(dom.neg(dom.xi), dom.from_rational(Fraction(1, 6)))
-    sub = {"u0": MPoly.variable(vctx, dom, "v0")}
+    uexprs = [MPoly.variable(vctx, dom, "v0")]
     for i in range(n):
         v1 = MPoly.variable(vctx, dom, f"v{2 * i + 1}")
         v2 = MPoly.variable(vctx, dom, f"v{2 * i + 2}")
-        sub[f"u{2 * i + 1}"] = (v1 + v2).scale(half)
-        sub[f"u{2 * i + 2}"] = (v1 - v2).scale(neg_xi_sixth)
-    return vctx, sub
+        uexprs += [(v1 + v2).scale(half), (v1 - v2).scale(neg_xi_sixth)]
+    return uexprs
 
 
 def _plane_conditions(g, trans_vars, order):
@@ -364,12 +368,8 @@ def verify_linear_system_dim(n, d):
     t0 = time.perf_counter()
     params = {"n": n, "d": d}
     dom = QQXI
-    conv = dom.from_rational
-    A, B = build_ab(n, d, QQ)
-    vctx, sub = _v_coordinates(n)
-    Av = A.map_domain(dom, conv).substitute(sub)
-    Bv = B.map_domain(dom, conv).substitute(sub)
-    uexprs = [MPoly.variable(vctx, dom, "v0")] + [sub[f"u{i}"] for i in range(1, 2 * n + 1)]
+    uexprs = _v_coordinates(n)
+    Av, Bv = ab_form(uexprs, d)
     basis = [u * Av for u in uexprs] + [u * Bv for u in uexprs]
     trans_plus = ["v0"] + [f"v{2 * i + 1}" for i in range(n)]
     trans_minus = ["v0"] + [f"v{2 * i + 2}" for i in range(n)]
@@ -391,9 +391,8 @@ def verify_linear_system_dim(n, d):
         witness = {"reason": f"dimension {dim} != {2 * n + 2}"}
         return _done("linear_system_dim", params, witness, t0)
     # every parametrization component must satisfy all the conditions
-    phibar = build_phibar(n, d)
-    for i, comp in enumerate(phibar.components):
-        cv = comp.map_domain(dom, conv).substitute(sub)
+    half = dom.from_rational(Fraction(1, 2))
+    for i, cv in enumerate(phibar_form(uexprs, d, lambda p: p.scale(half))):
         row = condition_row(cv)
         if row:
             witness = {"reason": f"parametrization component {i} violates {len(row)} conditions"}
@@ -493,6 +492,12 @@ def _composition_roundtrip_char2(n, d, seed, budget):
     return verify_composition_numeric(g, build_theta(n, F32), F32, trials=100, seed=seed)
 
 
+def _membership(n, d, seed, budget):
+    # phibar(n, d) into X(n, d) is charged from (n, d) before either is built
+    _charge_membership(2 * n + 1, (2 * d + 1) * (2 * d + 2), budget)
+    return verify_membership(build_phibar(n, d), build_x(n, d), budget)
+
+
 class Check(NamedTuple):
     run: Callable      # (n, d, seed, budget) -> VerificationResult
     in_suite: Callable  # (n, d) -> bool: whether run_all_checks runs it
@@ -506,8 +511,7 @@ def _always(n, d):
 CHECKS = {
     "line_factorization": Check(lambda n, d, seed, budget: verify_line_factorization(n, d),
                                 lambda n, d: n <= 2 and d <= 2),
-    "membership": Check(lambda n, d, seed, budget: verify_membership(
-        build_phibar(n, d), build_x(n, d), budget), _always),
+    "membership": Check(_membership, _always),
     "composition_cremona": Check(
         lambda n, d, seed, budget: verify_composition(*build_cremona()), _always),
     "composition_alphabeta": Check(

@@ -718,19 +718,22 @@ def test_heights_direct_guard_weighs_d(capsys):
 # process-level entry point
 
 
+def _run_module(*argv):
+    """`python -m skewplanes.cli argv` in a child process that imports the
+    package these tests import, installed or not."""
+    src = os.path.dirname(os.path.dirname(domains.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "skewplanes.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewplanes.cli", "families", "dump",
-         "--family", "X", "--n", "1", "--d", "1"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_module("families", "dump", "--family", "X", "--n", "1", "--d", "1")
     assert proc.returncode == 0
     assert "x0^3" in proc.stdout
 
 
 def test_version_flag():
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewplanes.cli", "--version"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_module("--version")
     assert proc.returncode == 0

@@ -29,6 +29,7 @@ from skewplanes.families import (
     build_x_d_delta,
     phibar_form,
     x_context,
+    x_form,
 )
 from skewplanes.mpoly import MPoly, compose, exact_rank
 
@@ -127,6 +128,32 @@ def test_x_d_delta_fermat_and_errors():
             build_x_d_delta(1, bad, 1)
     with pytest.raises(ValueError):
         build_x_d_delta(1, 3, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_x_form_matches_build_x_on_values(n):
+    # the value form on Fractions, ints, int64 and object arrays is the
+    # polynomial build_x expands, as is its k = d form for Xdelta
+    rng = random.Random(11 + n)
+    for d in (1, 2, 3, 6):
+        pts = [tuple(rng.randrange(-4, 5) for _ in range(2 * n + 2)) for _ in range(10)]
+        fracs = [tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(2 * n + 2))
+                 for _ in range(5)]
+        for k, X in ((3, build_x(n, d)), (5, build_x_d_delta(n, 5, d))):
+            assert [x_form(pt, d, k) for pt in fracs] == [X.evaluate(pt) for pt in fracs]
+            want = [X.evaluate(tuple(map(Fraction, pt))) for pt in pts]
+            assert [x_form(pt, d, k) for pt in pts] == want, (d, k)
+            # |a + b| <= 8 and |g_k| <= k 4^(k-1) bound each value formed
+            wide = (n + 1) * 8 * (k * 4 ** (k - 1)) ** d >= 2 ** 63
+            for dtype in (object,) if wide else (np.int64, object):
+                got = x_form(list(np.array(pts, dtype=dtype).T), d, k)
+                assert [int(v) for v in got] == want, (d, k, dtype)
+
+
+def test_x_is_x_d_delta_at_three():
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            assert build_x(n, d) == build_x_d_delta(n, 3, d)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +557,16 @@ def test_phitilde_lands_on_x_numerically():
 def test_line_pencil_factorization_small():
     data = build_line_pencil(1, 1)
     assert data["F"] == data["target"]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_line_pencil_f_is_x_along_the_lines(n, d):
+    # F is X over Q(xi) with the lines substituted and x_{2n+1} = 1
+    data = build_line_pencil(n, d)
+    ctx = data["F"].ctx
+    ends = data["lines"] + [MPoly.constant(ctx, QQXI, 1)]
+    X = build_x(n, d, QQXI)
+    assert data["F"] == X.substitute(dict(zip(X.ctx.names, ends)))
 
 
 def test_line_pencil_degree_in_lambda():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from skewplanes import heights
+from skewplanes.count import DEFAULT_BUDGET
 from skewplanes.families import build_phibar, build_x
 from skewplanes.heights import (
     _refuse_direct_scan,
@@ -349,6 +350,26 @@ def test_parametrized_memory_guard_refuses_before_the_pass(no_pass, d, bound, nr
 ])
 def test_parametrized_memory_guard_admits(d, bound, nrows):
     _refuse_parametrized_pass(d, bound, nrows, 10 ** 30)
+
+
+@pytest.mark.parametrize("d, bound, cost", [
+    (400, 2 ** 802, 4112084218),     # 62 candidate inputs, checked on ints of 1.3M bits: 2.9 s
+    (1000, 2 ** 2002, 74591467098),  # and on ints of 8M bits: 55 s
+])
+def test_parametrized_check_work_refused_before_the_pass(no_pass, d, bound, cost):
+    with pytest.raises(BudgetExceeded, match=f"membership check cost {cost}, over budget"):
+        parametrized_height_count(d, bound)
+    _refuse_parametrized_pass(d, bound, 0, cost)
+    with pytest.raises(BudgetExceeded):
+        _refuse_parametrized_pass(d, bound, 0, cost - 1)
+
+
+@pytest.mark.parametrize("d, bound, nrows", [
+    (1, 8 ** 4 - 1, 0), (2, 16, 16), (9, 20, 20),  # the benchmark's passes
+    (1, 10 ** 5, 0), (2, 800, 800), (11, 3 ** 24 * 100, 0), (200, 2 ** 402, 0),
+])
+def test_parametrized_check_work_admits(d, bound, nrows):
+    _refuse_parametrized_pass(d, bound, nrows, DEFAULT_BUDGET)
 
 
 def test_parametrized_skips_base_points():

@@ -2,14 +2,19 @@
 
 import random
 import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import skewplanes.verify as verify_mod
-from skewplanes.count import FirstChartZeros, count_zeros, enumerate_projective, projective_zeros
+from skewplanes.cli import main
+from skewplanes.count import (DEFAULT_BUDGET, FirstChartZeros, count_zeros, enumerate_projective,
+                              projective_zeros)
 from skewplanes.domains import QQ, QQXI, field_create
 from skewplanes.families import (
+    ab_form,
     build_ab,
     build_char_two_maps,
     build_cox_model,
@@ -20,15 +25,19 @@ from skewplanes.families import (
     build_x,
     build_alpha_beta,
     build_phitilde,
+    phibar_form,
+    u_context,
 )
 from skewplanes.mpoly import MPoly, RationalMap, VarContext, compose
 from skewplanes.reporting import BudgetExceeded, strip_timing
 from skewplanes.kernels import proportional_rows
 from skewplanes.verify import (
+    CHECKS,
     _h_theta,
     _plane_conditions,
     _plane_minor,
     _sample_ranks,
+    _v_coordinates,
     _values,
     galois_swap,
     run_all_checks,
@@ -92,6 +101,31 @@ def test_membership_budget():
     assert verify_membership(phibar, X, budget=91).passed
     with pytest.raises(BudgetExceeded, match="91 monomials"):
         verify_membership(phibar, X, budget=90)
+
+
+@pytest.fixture
+def no_phibar(monkeypatch):
+    # a refused membership check must not build phibar (nor X after it)
+    def refuse(n, d):
+        raise AssertionError(f"phibar({n}, {d}) built before the charge")
+    monkeypatch.setattr(verify_mod, "build_phibar", refuse)
+
+
+def test_membership_check_charges_before_building(no_phibar, capsys):
+    # the registry entry charges C(2n + D, 2n), D = (2d + 1)(2d + 2), from
+    # (n, d) alone, with the message verify_membership gives
+    with pytest.raises(BudgetExceeded) as exc:
+        CHECKS["membership"].run(1, 1, 0, 90)
+    with pytest.raises(BudgetExceeded) as built:
+        verify_membership(build_phibar(1, 1), build_x(1, 1), budget=90)
+    assert str(exc.value) == str(built.value)
+    t0 = time.perf_counter()
+    for n, d in [(100, 1), (1000, 1000)]:
+        with pytest.raises(BudgetExceeded, match="membership: residual"):
+            CHECKS["membership"].run(n, d, 0, DEFAULT_BUDGET)
+        assert main(["verify", "--check", "membership", "--n", str(n), "--d", str(d)]) == 4
+    assert "12530699840199599786 monomials" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5
 
 
 def test_membership_negative_control_perturbed_coefficient():
@@ -480,6 +514,19 @@ def test_linear_system_dim_grid():
         assert r.passed, (n, d, r.witness)
         assert r.params["dimension"] == 2 * n + 2
         assert r.params["rank"] == 2 * n
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_linear_system_dim_forms_match_substitution(n, d):
+    # the check evaluates ab_form and phibar_form on the images of the u's;
+    # the oracle expands A, B and phibar over Q, maps them to Q(xi) and
+    # substitutes those images
+    uexprs = _v_coordinates(n)
+    sub = dict(zip(u_context(n).names, uexprs))
+    want = [p.map_domain(QQXI, QQXI.from_rational).substitute(sub)
+            for p in (*build_ab(n, d), *build_phibar(n, d).components)]
+    half = QQXI.from_rational(Fraction(1, 2))
+    assert [*ab_form(uexprs, d), *phibar_form(uexprs, d, lambda p: p.scale(half))] == want
 
 
 # ---------------------------------------------------------------------------
