@@ -277,9 +277,7 @@ def formula_high_dim(q, n, d):
 
 def formula_y(q, n, d):
     """|P^{2n-2}(F_q)| under the same gates, for the codim-2 family (n >= 2)."""
-    if n >= 2 and q % 6 == 5 and gcd(2 * d + 1, q - 1) == 1:
-        return projective_size(q, 2 * n - 2)
-    return None
+    return formula_high_dim(q, n - 1, d) if n >= 2 else None
 
 
 # ---------------------------------------------------------------------------

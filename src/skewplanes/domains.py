@@ -20,6 +20,19 @@ import numpy as np
 from .reporting import BudgetExceeded
 
 
+def power(base, e, mul):
+    """base^e for e >= 1 by square-and-multiply over `mul`, for ints, arrays,
+    polynomials and payloads alike; at e = 1 it is `base` itself."""
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else mul(out, base)
+        e >>= 1
+        if not e:
+            return out
+        base = mul(base, base)
+
+
 class Domain:
     """Base class; subclasses set `char`, `name`, `zero`, `one`."""
 
@@ -64,13 +77,9 @@ class Domain:
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        if e < 2:  # the product with one reduces a, which `power` returns as given
+            return self.mul(self.one, a) if e else self.one
+        return power(a, e, self.mul)
 
     def is_zero(self, a):
         return a == self.zero
@@ -179,9 +188,9 @@ QQXI = QuadExt()
 # dense F_p[x] helpers (little-endian coefficient tuples), used for modulus
 # search and extension-field arithmetic
 
-def _poly_trim(c):
+def _poly_trim(c, zero=0):
     i = len(c)
-    while i > 0 and c[i - 1] == 0:
+    while i > 0 and c[i - 1] == zero:
         i -= 1
     return c[:i]
 
@@ -204,29 +213,25 @@ def _poly_mulmod(a, b, mod, p):
 
 
 def _poly_powmod(a, e, mod, p):
-    r = [1]
-    a = list(a)
-    while e:
-        if e & 1:
-            r = _poly_mulmod(r, a, mod, p)
-        a = _poly_mulmod(a, a, mod, p)
-        e >>= 1
-    return r
+    """a^e modulo the monic `mod` over F_p, for a reduced `a` and e >= 1."""
+    return power(list(a), e, lambda x, y: _poly_mulmod(x, y, mod, p))
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(_poly_trim(a)), list(_poly_trim(b))
+def _poly_gcd(a, b, dom):
+    """A gcd of the univariate polynomials a and b (little-endian payload
+    sequences) over the field `dom`, by Euclid's algorithm, as a trimmed
+    list; [] when both are zero."""
+    a, b = list(_poly_trim(a, dom.zero)), list(_poly_trim(b, dom.zero))
     while b:
         # a mod b
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = (a[-1] * inv_lead) % p
-            shift = len(a) - len(b)
-            for j in range(len(b)):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            a = list(_poly_trim(a))
+        inv_lead = dom.inv(b[-1])
+        while len(a) >= len(b):
+            c, shift = dom.mul(a[-1], inv_lead), len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = dom.sub(a[shift + j], dom.mul(c, bj))
+            a = _poly_trim(a, dom.zero)
         a, b = b, a
-    return _poly_trim(a)
+    return a
 
 
 def _poly_sub(a, b, p):
@@ -247,7 +252,7 @@ def _is_irreducible(mod, p, m):
         h = x
         for _ in range(m // ell):
             h = _poly_powmod(h, p, mod, p)
-        g = _poly_gcd(_poly_sub(h, x, p), tuple(mod), p)
+        g = _poly_gcd(_poly_sub(h, x, p), mod, FiniteField(p))
         if len(g) != 1:
             return False
     return True

@@ -7,11 +7,14 @@ Xdelta, (A, B) and phibar are each defined once, as a form on values
 (`x_form`, `ab_form`, `phibar_form`) that takes polynomials, ints,
 Fractions or arrays; `build_x`, `build_x_d_delta`, `build_ab` and
 `build_phibar` apply it to variables, the line pencil to its lines, the
-height engine to arrays, and `verify` to other coordinates.  Components
+height engine to arrays, and `verify` to other coordinates.  phibar is
+built block by block (`phibar_blocks`) from the values of A and B, and the
+line pencil is those blocks at A = 1, B = xi(2 lam - 1)/3.  Components
 follow the closed forms of the source construction, with two corrections that
 the composition identities force and that are pinned by tests:
 
-* the non-xi part of the even pencil lines is (u_{2i+1} - 3u_{2i+2})/2;
+* the non-xi part of the even pencil lines, phibar's first block entry
+  there, is (u_{2i+1} - 3u_{2i+2})/2;
 * the middle term of the odd cubic components of `alpha` carries a minus sign
   (-2*t1*t2*t_{2j+1}); with the plus sign the quadratic inverse fails.
 """
@@ -113,11 +116,11 @@ def build_ab(n, d, dom=QQ):
 # maps
 
 
-def phibar_form(u, d, half):
-    """The components of phibar at the coordinate values u, as `ab_form`;
-    `half` halves a value.  The halved ones are even at integer u (there
-    A - B = 4wQ is even), so `half` may be exact floor division."""
-    A, B = ab_form(u, d)
+def phibar_blocks(u, A, B, half):
+    """phibar's components at the coordinate values u, with the values of A
+    and B given: for each block (v, w) = (u_{2i+1}, u_{2i+2}) the pair
+    ((v - 3w)A - 3(v + w)B)/2, vA - 3wB, then u0(A - 3B)/2 and u0 A.
+    `half` halves a value."""
     comps = []
     for v, w in zip(u[1::2], u[2::2]):
         comps.append(half((v - 3 * w) * A - 3 * ((v + w) * B)))
@@ -125,6 +128,14 @@ def phibar_form(u, d, half):
     comps.append(half(u[0] * (A - 3 * B)))
     comps.append(u[0] * A)
     return comps
+
+
+def phibar_form(u, d, half):
+    """The components of phibar at the coordinate values u, as `ab_form`:
+    `phibar_blocks` at (A, B) = `ab_form(u, d)`.  The halved values are even
+    at integer u (there A - B = 4wQ is even), so `half` may be exact floor
+    division."""
+    return phibar_blocks(u, *ab_form(u, d), half)
 
 
 def build_phibar(n, d):
@@ -162,12 +173,9 @@ def build_char_two_maps(n, d, dom):
     ctx = u_context(n)
     *u, un = _vars(ctx, dom)
     pairs = list(zip(u[::2], u[1::2]))
-    P = un ** (2 * d + 1)
-    Qp = MPoly.zero(ctx, dom)
-    for a, b in pairs:
-        core = (a * a + a * b + b * b) ** d
-        P = P + (a + b) * core
-        Qp = Qp + b * core
+    # in characteristic 2, a^2 - ab + b^2 = a^2 + ab + b^2: P is X at (u, 0)
+    P = x_form(u + [un, 0], d)
+    Qp = sum((b * (a * a + a * b + b * b) ** d for a, b in pairs), MPoly.zero(ctx, dom))
     comps = []
     for a, b in pairs:
         comps.append((a + b) * P + a * Qp)
@@ -305,24 +313,25 @@ def build_line_pencil(n, d):
     xi * (-3)^d * lam^d (lam-1)^d * ((A - xi B)/2 - lam A).
 
     All over Q(xi) in variables (lam, u1..u_{2n}); the u_0 = 1 affine chart.
+    The lines are phibar's blocks (`phibar_blocks`) at A = 1 and
+    B = xi(2 lam - 1)/3, whose last entry u0 A = 1 is x_{2n+1}.  There
+    A^2 + 3B^2 = 4 lam (1 - lam), which makes the factor (3/4)^d (A^2 + 3B^2)^d
+    of X along phibar's blocks (-3)^d lam^d (lam - 1)^d.
     """
     dom = QQXI
     ctx = pencil_context(n)
     lam, *u = _vars(ctx, dom)
-    xi = MPoly.constant(ctx, dom, 1).scale(QQXI.xi)
-    half = QQXI.from_rational(Fraction(1, 2))
-    L = []
-    for v, w in zip(u[::2], u[1::2]):
-        L.append((v - 3 * w).scale(half) + (xi * (v + w)).scale(half) - lam * xi * (v + w))
-        L.append(v + xi * w - 2 * (lam * (xi * w)))
-    L.append(MPoly.constant(ctx, dom, 1).scale((Fraction(1, 2), Fraction(1, 2))) - lam * xi)
-    # affine hypersurface value along the line, x_{2n+1} = 1
-    F = x_form(L + [1], d)
+    xi = MPoly.constant(ctx, dom, dom.xi)
+    half = dom.from_rational(Fraction(1, 2))
+    beta = (xi * (2 * lam - 1)).scale(dom.from_rational(Fraction(1, 3)))
+    ends = phibar_blocks([1] + u, 1, beta, lambda p: p.scale(half))
+    # affine hypersurface value along the line
+    F = x_form(ends, d)
     # affine A, B in the pencil context
     A, B = ab_form([1] + u, d)
     target = xi * MPoly.constant(ctx, dom, (-3) ** d) * lam ** d * (lam - 1) ** d \
         * ((A - xi * B).scale(half) - lam * A)
-    return {"lines": L, "F": F, "A": A, "B": B, "target": target}
+    return {"lines": ends[:-1], "F": F, "A": A, "B": B, "target": target}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import functools
 
 import numpy as np
 
-from .domains import index_exp_log
+from .domains import index_exp_log, power
 
 _BLOCK = 1 << 15
 
@@ -76,18 +76,6 @@ def field_tables(F):
     return (lambda a, b: _digitwise(p, a, b, 1, q)), (lambda a, b: exp[log[a] + log[b]])
 
 
-def _pow_vec(base, e, mul):
-    """base**e elementwise for e >= 1, by square-and-multiply over `mul`."""
-    out = None
-    while True:
-        if e & 1:
-            out = base if out is None else mul(out, base)
-        e >>= 1
-        if not e:
-            return out
-        base = mul(base, base)
-
-
 # ---------------------------------------------------------------------------
 # system evaluation
 
@@ -122,7 +110,7 @@ def system_values(F, exps, coeffs, offsets, pts):
         for t in range(offsets[i], offsets[i + 1]):
             term = np.full(size, coeffs[t], np.int64)
             for v in np.flatnonzero(exps[t]):
-                term = mul(term, _pow_vec(pts[:, v], int(exps[t, v]), mul))
+                term = mul(term, power(pts[:, v], int(exps[t, v]), mul))
             acc = add(acc, term)
         yield acc
 

@@ -25,6 +25,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, lshift, neg, sub
 
+from .domains import _poly_gcd, power
+
 
 class VarContext:
     """An ordered tuple of variable names."""
@@ -232,15 +234,7 @@ class MPoly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power")
-        result = MPoly.constant(self.ctx, self.dom, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, MPoly.__mul__) if e else MPoly.constant(self.ctx, self.dom, 1)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -647,41 +641,15 @@ def _binary_form_shares_factor(f, g):
     dom = f.dom
 
     def univ(p):
-        # coefficients of p(x_i, 1) as dict deg -> payload, plus min power of x_j
-        coeffs = {}
-        minj = min(e[j] for e in p.terms)
+        # coefficients of p(x_i, 1), little-endian, and the least power of x_j
+        coeffs = [dom.zero] * (max(e[i] for e in p.terms) + 1)
         for e, c in p.terms.items():
-            coeffs[e[i]] = dom.add(coeffs.get(e[i], dom.zero), c)
-        return coeffs, minj
+            coeffs[e[i]] = dom.add(coeffs[e[i]], c)
+        return coeffs, min(e[j] for e in p.terms)
 
     cf, jf = univ(f)
     cg, jg = univ(g)
-    if jf > 0 and jg > 0:
-        return True
-
-    def to_list(c):
-        n = max(c) if c else 0
-        return [c.get(k, dom.zero) for k in range(n + 1)]
-
-    a, b = to_list(cf), to_list(cg)
-
-    def trim(v):
-        while v and dom.is_zero(v[-1]):
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
-    while b:
-        # a mod b
-        binv = dom.inv(b[-1])
-        while len(a) >= len(b) and a:
-            fctr = dom.mul(a[-1], binv)
-            sh = len(a) - len(b)
-            for k in range(len(b)):
-                a[sh + k] = dom.sub(a[sh + k], dom.mul(fctr, b[k]))
-            a = trim(a)
-        a, b = b, a
-    return len(a) > 1
+    return jf > 0 and jg > 0 or len(_poly_gcd(cf, cg, dom)) > 1
 
 
 def multiplicity_at(gens, point):

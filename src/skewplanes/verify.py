@@ -58,10 +58,25 @@ def _done(check, params, witness, t0, mode="symbolic"):
         elapsed_ms=(time.perf_counter() - t0) * 1000.0, mode=mode)
 
 
-def _poly_witness(p, label="residual"):
-    lt = p.leading_term()
-    return {label: p.to_text() if len(p.terms) <= 12 else f"{len(p.terms)} terms",
-            "leading_term": str(lt)}
+def _residual_witness(*labelled):
+    """The witness of the first nonzero residual among the (label,
+    polynomial) pairs, in their order: its text, or its term count past 12
+    terms, and its leading term.  None when every residual is zero."""
+    for label, p in labelled:
+        if not p.is_zero():
+            return {label: p.to_text() if len(p.terms) <= 12 else f"{len(p.terms)} terms",
+                    "leading_term": str(p.leading_term())}
+    return None
+
+
+def _charge(check, what, m, D, budget):
+    """Raise BudgetExceeded, naming `check`, when `what`, a polynomial of
+    degree D in m variables, may have more dense monomials,
+    C(m - 1 + D, m - 1), than `budget`."""
+    cost = comb(m - 1 + D, m - 1)
+    if cost > budget:
+        raise BudgetExceeded(f"{check}: {what} of degree {D} in {m} variables has up to "
+                             f"{abbreviate(cost)} monomials, over budget {abbreviate(budget)}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +93,8 @@ def verify_line_factorization(n, d):
         raise BudgetExceeded(f"line factorization limited to n<={SYMBOLIC_N_MAX}, d<={SYMBOLIC_D_MAX}")
     t0 = time.perf_counter()
     data = build_line_pencil(n, d)
-    diff = data["F"] - data["target"]
-    witness = None if diff.is_zero() else _poly_witness(diff)
+    witness = _residual_witness(("residual", data["F"] - data["target"]))
     return _done("line_factorization", {"n": n, "d": d}, witness, t0)
-
-
-def _charge_membership(m, D, budget):
-    """Raise BudgetExceeded when the membership residual of degree D in m
-    variables, C(m - 1 + D, m - 1) dense monomials, is over `budget`."""
-    cost = comb(m - 1 + D, m - 1)
-    if cost > budget:
-        raise BudgetExceeded(f"membership: residual of degree {D} in {m} variables has up to "
-                             f"{abbreviate(cost)} monomials, over budget {abbreviate(budget)}")
 
 
 def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
@@ -97,7 +102,7 @@ def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
     require the exact zero polynomial.  A component-count mismatch is a
     failure with a witness, not an exception (negative-control friendly).
 
-    Before substituting, it is charged by `_charge_membership`, with
+    Before substituting, its residual is charged by `_charge`, with
     D = deg X * deg map."""
     t0 = time.perf_counter()
     params = {"map": rmap.name, "components": len(rmap.components)}
@@ -110,10 +115,9 @@ def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
         witness = {"reason": "map and hypersurface over different domains"}
         return _done("membership", params, witness, t0)
     D = (hypersurface.total_degree() or 0) * max(c.total_degree() or 0 for c in rmap.components)
-    _charge_membership(rmap.ctx.nvars, D, budget)
+    _charge("membership", "residual", rmap.ctx.nvars, D, budget)
     mapping = dict(zip(hypersurface.ctx.names, rmap.components))
-    residual = hypersurface.substitute(mapping)
-    witness = None if residual.is_zero() else _poly_witness(residual)
+    witness = _residual_witness(("residual", hypersurface.substitute(mapping)))
     return _done("membership", params, witness, t0)
 
 
@@ -138,7 +142,7 @@ def _scalar_identity_witness(comps, ctx, dom):
     for i, c in enumerate(comps):
         expected = s * MPoly.variable(ctx, dom, ctx.names[i])
         if c != expected:
-            return None, _poly_witness(c - expected, label=f"component_{i}_residual")
+            return None, _residual_witness((f"component_{i}_residual", c - expected))
     return s, None
 
 
@@ -429,13 +433,9 @@ def verify_galois_symmetry(n, d, generalized=False):
     t0 = time.perf_counter()
     params = {"n": n, "d": d, "generalized": generalized}
     S, D = build_sd(n, d, generalized=generalized)
-    rs = galois_swap(S) - S
-    rd = galois_swap(D) + D
-    if not rs.is_zero():
-        return _done("galois_symmetry", params, _poly_witness(rs, "S_residual"), t0)
-    if not rd.is_zero():
-        return _done("galois_symmetry", params, _poly_witness(rd, "D_residual"), t0)
-    return _done("galois_symmetry", params, None, t0)
+    witness = _residual_witness(("S_residual", galois_swap(S) - S),
+                                ("D_residual", galois_swap(D) + D))
+    return _done("galois_symmetry", params, witness, t0)
 
 
 def verify_cox_grading(n, d):
@@ -462,13 +462,9 @@ def verify_cox_grading(n, d):
         mapping[f"y{2 * i}"] = wp * MPoly.variable(cm.ctx, dom, f"z{2 * i}")
         mapping[f"y{2 * i + 1}"] = wm * MPoly.variable(cm.ctx, dom, f"z{2 * i + 1}")
     scale = (wp ** d) * (wm ** d)
-    rs = S.substitute(mapping) - scale * cm.S_hat
-    rd = D.substitute(mapping) - scale * cm.D_hat
-    if not rs.is_zero():
-        return _done("cox_grading", params, _poly_witness(rs, "S_residual"), t0)
-    if not rd.is_zero():
-        return _done("cox_grading", params, _poly_witness(rd, "D_residual"), t0)
-    return _done("cox_grading", params, None, t0)
+    witness = _residual_witness(("S_residual", S.substitute(mapping) - scale * cm.S_hat),
+                                ("D_residual", D.substitute(mapping) - scale * cm.D_hat))
+    return _done("cox_grading", params, witness, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +488,6 @@ def _composition_roundtrip_char2(n, d, seed, budget):
     return verify_composition_numeric(g, build_theta(n, F32), F32, trials=100, seed=seed)
 
 
-def _membership(n, d, seed, budget):
-    # phibar(n, d) into X(n, d) is charged from (n, d) before either is built
-    _charge_membership(2 * n + 1, (2 * d + 1) * (2 * d + 2), budget)
-    return verify_membership(build_phibar(n, d), build_x(n, d), budget)
-
-
 class Check(NamedTuple):
     run: Callable      # (n, d, seed, budget) -> VerificationResult
     in_suite: Callable  # (n, d) -> bool: whether run_all_checks runs it
@@ -507,29 +497,57 @@ def _always(n, d):
     return True
 
 
-# every check by its `verify --check` name, in the suite's record order
+def _charged(check, what, size, run, in_suite=_always):
+    """The Check `check` whose run charges `what`, with (m, D) = size(n, d),
+    by `_charge` before `run` builds anything."""
+    def charged(n, d, seed, budget):
+        _charge(check, what, *size(n, d), budget)
+        return run(n, d, seed, budget)
+    return Check(charged, in_suite)
+
+
+# every check by its `verify --check` name, in the suite's record order.
+# line_factorization is capped by SYMBOLIC_*_MAX and singular_locus charges
+# its own work; the others are charged their largest polynomial's monomials.
 CHECKS = {
     "line_factorization": Check(lambda n, d, seed, budget: verify_line_factorization(n, d),
                                 lambda n, d: n <= 2 and d <= 2),
-    "membership": Check(_membership, _always),
-    "composition_cremona": Check(
-        lambda n, d, seed, budget: verify_composition(*build_cremona()), _always),
-    "composition_alphabeta": Check(
-        lambda n, d, seed, budget: verify_composition(*build_alpha_beta(n)), _always),
-    "composition_on_x": Check(lambda n, d, seed, budget: verify_composition(
-        _h_theta(n), build_phibar(n, d), modulo=build_x(n, d)), lambda n, d: False),
-    "composition_roundtrip": Check(_composition_roundtrip, _always),
-    "composition_roundtrip_char2": Check(_composition_roundtrip_char2, _always),
-    "linear_system_dim": Check(lambda n, d, seed, budget: verify_linear_system_dim(n, d),
-                               _always),
+    "membership": _charged(
+        "membership", "residual", lambda n, d: (2 * n + 1, (2 * d + 1) * (2 * d + 2)),
+        lambda n, d, seed, budget: verify_membership(build_phibar(n, d), build_x(n, d), budget)),
+    "composition_cremona": _charged(
+        "composition_cremona", "composite", lambda n, d: (3, 4),
+        lambda n, d, seed, budget: verify_composition(*build_cremona())),
+    "composition_alphabeta": _charged(
+        "composition_alphabeta", "composite", lambda n, d: (2 * n + 1, 6),
+        lambda n, d, seed, budget: verify_composition(*build_alpha_beta(n))),
+    "composition_on_x": _charged(
+        "composition_on_x", "cross minor", lambda n, d: (2 * n + 1, 4 * d + 5),
+        lambda n, d, seed, budget: verify_composition(_h_theta(n), build_phibar(n, d),
+                                                      modulo=build_x(n, d)),
+        lambda n, d: False),
+    "composition_roundtrip": _charged(
+        "composition_roundtrip", "map component", lambda n, d: (2 * n + 1, 2 * d + 2),
+        _composition_roundtrip),
+    "composition_roundtrip_char2": _charged(
+        "composition_roundtrip_char2", "map component", lambda n, d: (2 * n + 1, 2 * d + 2),
+        _composition_roundtrip_char2),
+    "linear_system_dim": _charged(
+        "linear_system_dim", "condition form", lambda n, d: (2 * n + 1, 2 * d + 2),
+        lambda n, d, seed, budget: verify_linear_system_dim(n, d)),
     "singular_locus": Check(
         lambda n, d, seed, budget: verify_singular_locus(n, d, samples=50, seed=seed,
                                                          budget=budget),
         lambda n, d: n >= 2),
-    "galois": Check(lambda n, d, seed, budget: verify_galois_symmetry(n, d), _always),
-    "galois_generalized": Check(
-        lambda n, d, seed, budget: verify_galois_symmetry(n, d, generalized=True), _always),
-    "cox_grading": Check(lambda n, d, seed, budget: verify_cox_grading(n, d), _always),
+    "galois": _charged(
+        "galois", "residual", lambda n, d: (2 * n + 2, 2 * d + 1),
+        lambda n, d, seed, budget: verify_galois_symmetry(n, d)),
+    "galois_generalized": _charged(
+        "galois_generalized", "residual", lambda n, d: (4 * n + 4, 2 * d + 2),
+        lambda n, d, seed, budget: verify_galois_symmetry(n, d, generalized=True)),
+    "cox_grading": _charged(
+        "cox_grading", "residual", lambda n, d: (2 * n + 4, 4 * d + 2),
+        lambda n, d, seed, budget: verify_cox_grading(n, d)),
 }
 
 

@@ -1,6 +1,8 @@
 """Tests for the exact scalar domains: Q, Q(xi), and F_{p^m}."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from skewplanes.domains import (
     sqrt_of_minus_three,
 )
 from skewplanes.kernels import field_tables
+from skewplanes.mpoly import MPoly, VarContext
 from skewplanes.reporting import BudgetExceeded
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -191,6 +194,50 @@ def test_prime_field_arith():
     assert F.add(2, 3) == 0
     F7 = field_create(7)
     assert F7.div(3, 5) == 2  # 5 * 2 = 10 = 3 mod 7
+    # powers are reduced payloads, the first power too
+    assert F7.pow(10, 1) == 3 and F7.pow(10, 0) == 1 and F7.pow(10, -1) == 5
+
+
+F9 = field_create(3, 2)
+
+
+@pytest.mark.parametrize("base, mul", [
+    (3, operator.mul),
+    (np.array([2, -3, 5, 0], np.int64), np.multiply),
+    (np.array([2 ** 70, -3, 1], dtype=object), np.multiply),
+    (MPoly.variable(VarContext(["x", "y"]), QQ, "x") - 2, MPoly.__mul__),
+    ((2, 1), F9.mul),
+    ((Fraction(1, 2), Fraction(-1, 3)), QQXI.mul),
+], ids=["int", "int64", "object", "mpoly", "gf9", "qqxi"])
+def test_power_matches_repeated_mul(base, mul):
+    for e in range(1, 12):
+        want = functools.reduce(mul, [base] * e)
+        got = domains.power(base, e, mul)
+        assert np.array_equal(got, want) if isinstance(base, np.ndarray) else got == want, e
+
+
+def _dense_mul(a, b, dom):
+    out = [dom.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("dom, u", [
+    (QQ, Fraction(1, 2)), (QQXI, QQXI.xi), (field_create(7), 3), (F9, (0, 1)),
+], ids=["QQ", "QQxi", "GF7", "GF9"])
+def test_poly_gcd_over_fields(dom, u):
+    # c * (x + u) and c * (x + u + 1) have the gcd c up to a unit, as the two
+    # cofactors differ by 1; the cofactors alone are coprime
+    one = dom.one
+    c = [u, dom.from_int(2), dom.from_int(-1), one]
+    f, g = [u, one], [dom.add(u, one), one]
+    got = domains._poly_gcd(_dense_mul(c, f, dom), _dense_mul(c, g, dom), dom)
+    lead = dom.inv(got[-1])
+    assert [dom.mul(x, lead) for x in got] == c
+    assert len(domains._poly_gcd(f, g, dom)) == 1
+    assert domains._poly_gcd(c, [], dom) == c and domains._poly_gcd([], [], dom) == []
 
 
 def test_quadext_arith():

@@ -27,11 +27,13 @@ from skewplanes.families import (
     build_theta,
     build_x,
     build_x_d_delta,
+    pencil_context,
+    phibar_blocks,
     phibar_form,
     x_context,
     x_form,
 )
-from skewplanes.mpoly import MPoly, compose, exact_rank
+from skewplanes.mpoly import MPoly, VarContext, compose, exact_rank
 
 
 def qq_point(rng, length):
@@ -253,6 +255,24 @@ def test_phibar_form_matches_polynomial_on_values(n):
         cols = np.array(pts, dtype=np.int64 if d <= 3 else object).T
         got = phibar_form(list(cols), d, lambda x: x // 2)
         assert [tuple(int(c[i]) for c in got) for i in range(len(pts))] == want, d
+
+
+def test_phibar_blocks_identities():
+    # with A and B free, phibar's block pair (P, Q) and its last pair
+    # (P0, Q0) satisfy identities free of n and d, and one block of ab_form
+    # has the summands that make X(phibar) vanish through them
+    ctx = VarContext(["A", "B", "u0", "v", "w"])
+    A, B, u0, v, w = (MPoly.variable(ctx, QQ, name) for name in ctx.names)
+    P, Q, P0, Q0 = phibar_blocks([u0, v, w], A, B, lambda p: p.scale(Fraction(1, 2)))
+    N = v * v + 3 * (w * w)
+    norm = A * A + 3 * (B * B)
+    assert P + Q == ((v - w) * A - (v + 3 * w) * B).scale(Fraction(3, 2))
+    assert P * P - P * Q + Q * Q == (norm * N).scale(Fraction(3, 4))
+    assert P0 + Q0 == (u0 * (A - B)).scale(Fraction(3, 2))
+    assert P0 * P0 - P0 * Q0 + Q0 * Q0 == (u0 * u0 * norm).scale(Fraction(3, 4))
+    for d in range(1, 5):
+        assert ab_form([u0, v, w], d) == (u0 ** (2 * d + 1) + (v + 3 * w) * N ** d,
+                                          u0 ** (2 * d + 1) + (v - w) * N ** d)
 
 
 def test_ab_form_matches_build_ab_on_values():
@@ -559,10 +579,26 @@ def test_line_pencil_factorization_small():
     assert data["F"] == data["target"]
 
 
-@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def _pencil_lines_by_hand(n):
+    # the pencil's lines as written out before they were phibar's blocks
+    dom, ctx = QQXI, pencil_context(n)
+    lam, *u = (MPoly.variable(ctx, dom, name) for name in ctx.names)
+    xi = MPoly.constant(ctx, dom, 1).scale(QQXI.xi)
+    half = QQXI.from_rational(Fraction(1, 2))
+    L = []
+    for v, w in zip(u[::2], u[1::2]):
+        L.append((v - 3 * w).scale(half) + (xi * (v + w)).scale(half) - lam * xi * (v + w))
+        L.append(v + xi * w - 2 * (lam * (xi * w)))
+    L.append(MPoly.constant(ctx, dom, 1).scale((Fraction(1, 2), Fraction(1, 2))) - lam * xi)
+    return L
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)])
 def test_line_pencil_f_is_x_along_the_lines(n, d):
-    # F is X over Q(xi) with the lines substituted and x_{2n+1} = 1
+    # the lines are the hand-written ones, and F is X over Q(xi) with the
+    # lines substituted and x_{2n+1} = 1
     data = build_line_pencil(n, d)
+    assert data["lines"] == _pencil_lines_by_hand(n)
     ctx = data["F"].ctx
     ends = data["lines"] + [MPoly.constant(ctx, QQXI, 1)]
     X = build_x(n, d, QQXI)

@@ -103,15 +103,22 @@ def test_membership_budget():
         verify_membership(phibar, X, budget=90)
 
 
+def _refuse_builders(monkeypatch):
+    # a refused check must build nothing: every builder it could call raises
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the charge")
+    for name in ("build_phibar", "build_x", "build_cremona", "build_alpha_beta",
+                 "build_char_two_maps", "build_theta", "build_h", "build_sd",
+                 "build_cox_model", "_v_coordinates"):
+        monkeypatch.setattr(verify_mod, name, refuse)
+
+
 @pytest.fixture
-def no_phibar(monkeypatch):
-    # a refused membership check must not build phibar (nor X after it)
-    def refuse(n, d):
-        raise AssertionError(f"phibar({n}, {d}) built before the charge")
-    monkeypatch.setattr(verify_mod, "build_phibar", refuse)
+def no_builders(monkeypatch):
+    _refuse_builders(monkeypatch)
 
 
-def test_membership_check_charges_before_building(no_phibar, capsys):
+def test_membership_check_charges_before_building(no_builders, capsys):
     # the registry entry charges C(2n + D, 2n), D = (2d + 1)(2d + 2), from
     # (n, d) alone, with the message verify_membership gives
     with pytest.raises(BudgetExceeded) as exc:
@@ -561,6 +568,55 @@ def test_cox_negative_control_wp_multiple():
     d = 1
     assert shifted == (2 * d + 1, -d + 1, -d)
     assert shifted != model.expected_multidegree
+
+
+# ---------------------------------------------------------------------------
+# the charges of the registry
+
+
+# C(m - 1 + D, m - 1) at (n, d) = (1, 1) for the polynomial of degree D in
+# m variables that each charged check builds: the residual X(phibar) (3, 12),
+# the composites cr_inv(cr) (3, 4) and beta(alpha) (3, 6), the cross minors
+# on X (3, 9), the sampled maps and the condition forms (3, 4), the Galois
+# residuals (4, 3) and, with coefficient variables, (8, 4), and the Cox
+# residuals (6, 6)
+CHARGES_AT_1_1 = [
+    ("membership", 91), ("composition_cremona", 15), ("composition_alphabeta", 28),
+    ("composition_on_x", 55), ("composition_roundtrip", 15),
+    ("composition_roundtrip_char2", 15), ("linear_system_dim", 15), ("galois", 20),
+    ("galois_generalized", 330), ("cox_grading", 462),
+]
+
+
+@pytest.mark.parametrize("name, cost", CHARGES_AT_1_1)
+def test_checks_charge_their_largest_polynomial(monkeypatch, name, cost):
+    assert CHECKS[name].run(1, 1, 0, cost).passed
+    _refuse_builders(monkeypatch)
+    with pytest.raises(BudgetExceeded, match=rf"^{name}: .* has up to {cost} monomials, "
+                                             rf"over budget {cost - 1}$"):
+        CHECKS[name].run(1, 1, 0, cost - 1)
+
+
+def test_every_check_is_charged_or_capped():
+    # line_factorization is capped by SYMBOLIC_*_MAX, singular_locus charges
+    # its own work, and every other check is charged above
+    assert set(CHECKS) == {name for name, _ in CHARGES_AT_1_1} | {
+        "line_factorization", "singular_locus"}
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("galois", 1000, 1000), ("galois_generalized", 1000, 1000), ("cox_grading", 1000, 1000),
+    ("composition_alphabeta", 300, 1), ("composition_roundtrip", 50, 50),
+    ("composition_roundtrip_char2", 50, 50), ("linear_system_dim", 50, 50),
+    ("composition_on_x", 20, 20),
+])
+def test_runaway_sizes_exit_4_at_once(no_builders, capsys, name, n, d):
+    # each ran for over 13 s (most were stopped after 15 s) before it was
+    # charged
+    t0 = time.perf_counter()
+    assert main(["verify", "--check", name, "--n", str(n), "--d", str(d)]) == 4
+    assert time.perf_counter() - t0 < 1
+    assert f"budget exceeded: {name}: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
