@@ -147,7 +147,7 @@ def _cmd_families_dump(args):
         F = field_create(*prime_power(char))
         if name == "X":
             return _write_output(f"X = {build_x(args.n, args.d, F).to_text()}\n", args.out)
-        if char != 2:
+        if F.char != 2:
             raise ValueError(f"only the hypersurface itself dumps over char {char}; "
                              "maps are characteristic-0 constructions")
         if name not in ("char2", "g"):

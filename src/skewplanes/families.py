@@ -3,11 +3,11 @@ and the birational maps between them.
 
 Everything is built over an explicit coefficient domain (default Q, or Q(xi)
 where the conjugate-plane data genuinely needs xi with xi^2 = -3).  X and
-Xdelta, (A, B) and phibar are each defined once, as a form on values
-(`x_form`, `ab_form`, `phibar_form`) that takes polynomials, ints,
-Fractions or arrays; `build_x`, `build_x_d_delta`, `build_ab` and
-`build_phibar` apply it to variables, the line pencil to its lines, the
-height engine to arrays, and `verify` to other coordinates.  phibar is
+Xdelta, (A, B), phibar and (S, D) are each defined once, as a form on values
+(`x_form`, `ab_form`, `phibar_form`, `sd_form`) that takes polynomials, ints,
+Fractions or arrays; the `build_*` constructors apply it to variables, the
+line pencil to its lines, the height engine to arrays, and `verify` to other
+coordinates (X to phibar's form, (S, D) to swapped or Cox ones).  phibar is
 built block by block (`phibar_blocks`) from the values of A and B, and the
 line pencil is those blocks at A = 1, B = xi(2 lam - 1)/3.  Components
 follow the closed forms of the source construction, with two corrections that
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import iadd
 
 from .domains import QQ, QQXI, _least_prime_factor
 from .mpoly import MPoly, RationalMap, VarContext
@@ -66,18 +67,30 @@ def _vars(ctx, dom):
 # hypersurfaces
 
 
+def _alternating(a, b, k):
+    """g_k(a, b) = sum_{j<k} (-1)^j a^{k-1-j} b^j by Horner's rule
+    g_{m+1} = a g_m + (-b)^m, in place after the first difference: g_3 is
+    (a - b) a + b^2 in two products.  Its temporaries die on return."""
+    g, p = a - b, b
+    for m in range(2, k):
+        p = p * b
+        g *= a
+        g += p if m % 2 == 0 else -p
+    return g
+
+
 def x_form(x, d, k=3):
     """X at the values x, as `ab_form`: the sum over the pairs (a, b) =
-    (x_{2i}, x_{2i+1}) of (a + b) g_k(a, b)^d, g_k = sum_{j<k} (-1)^j
-    a^{k-1-j} b^j; X has k = 3, Xdelta k = d and power delta.  Horner's
-    rule g_{m+1} = a g_m + (-b)^m builds g_3 = (a - b) a + b^2 in two products."""
-    F = 0
+    (x_{2i}, x_{2i+1}) of (a + b) g_k(a, b)^d; X has k = 3, Xdelta k = d
+    and power delta.  On arrays the power and the product are taken in
+    place and the sum starts from the first pair, so one wide value per
+    entry is alive."""
+    F = None
     for a, b in zip(x[::2], x[1::2]):
-        g, p = a - b, b
-        for m in range(2, k):
-            p = p * b
-            g = g * a + p if m % 2 == 0 else g * a - p
-        F = F + (a + b) * g ** d
+        g = _alternating(a, b, k)
+        g **= d
+        g *= a + b
+        F = g if F is None else iadd(F, g)
     return F
 
 
@@ -354,58 +367,48 @@ class CoxModel:
 def build_cox_model(n, d):
     """Cox-ring model of the blown-up ambient space: strict transforms
     S_hat, D_hat, the Z^3-grading, and the irrelevant-ideal components."""
-    dom = QQ
     ctx = cox_context(n)
-    wp = _v(ctx, dom, "wp")
-    wm = _v(ctx, dom, "wm")
-    S_hat = MPoly.zero(ctx, dom)
-    D_hat = MPoly.zero(ctx, dom)
-    for i in range(n + 1):
-        ze = _v(ctx, dom, f"z{2 * i}")
-        zo = _v(ctx, dom, f"z{2 * i + 1}")
+    *z, wp, wm = _vars(ctx, QQ)
+    S_hat = D_hat = MPoly.zero(ctx, QQ)
+    for ze, zo in zip(z[::2], z[1::2]):
         block = (ze ** d) * (zo ** d)
         S_hat = S_hat + block * (wp * ze + wm * zo)
         D_hat = D_hat + block * (wp * ze - wm * zo)
-    grading = {}
-    for i in range(n + 1):
-        grading[f"z{2 * i}"] = (1, -1, 0)
-        grading[f"z{2 * i + 1}"] = (1, 0, -1)
-    grading["wp"] = (0, 1, 0)
-    grading["wm"] = (0, 0, 1)
+    # z_{2i}, z_{2i+1}, w_+, w_-
+    grading = dict(zip(ctx.names, [(1, -1, 0), (1, 0, -1)] * (n + 1) + [(0, 1, 0), (0, 0, 1)]))
     conv = QQXI.from_rational
     F_hat = 3 * D_hat.map_domain(QQXI, conv) \
         - S_hat.map_domain(QQXI, conv).scale(QQXI.xi)
-    zs = tuple(f"z{i}" for i in range(2 * n + 2))
-    odd = tuple(f"z{2 * i + 1}" for i in range(n + 1))
-    even = tuple(f"z{2 * i}" for i in range(n + 1))
+    zs = ctx.names[:-2]
     return CoxModel(
         n=n, d=d, ctx=ctx, S_hat=S_hat, D_hat=D_hat, F_hat=F_hat,
         grading=grading,
-        irrelevant_parts=(zs, ("wp",) + odd, ("wm",) + even),
+        irrelevant_parts=(zs, ("wp",) + zs[1::2], ("wm",) + zs[::2]),
         expected_multidegree=(2 * d + 1, -d, -d),
     )
 
 
-def build_sd(n, d, generalized=False):
-    """(S, D) in the split y-coordinates; with `generalized` the pair carries
-    formal coefficient variables a_j (S gets a_{2i}/2, D gets -a_{2i}/2 - a_{2i+1})."""
-    dom = QQ
-    ctx = y_context(n, with_coeff_vars=generalized)
-    S = MPoly.zero(ctx, dom)
-    D = MPoly.zero(ctx, dom)
-    for i in range(n + 1):
-        ye = _v(ctx, dom, f"y{2 * i}")
-        yo = _v(ctx, dom, f"y{2 * i + 1}")
-        block = (ye ** d) * (yo ** d)
-        if generalized:
-            ae = _v(ctx, dom, f"a{2 * i}")
-            ao = _v(ctx, dom, f"a{2 * i + 1}")
-            S = S + (block * (ye + yo) * ae).scale(Fraction(1, 2))
-            D = D + block * (ye - yo) * (ae.scale(Fraction(-1, 2)) - ao)
-        else:
-            S = S + block * (ye + yo)
-            D = D + block * (ye - yo)
+def sd_form(y, d, a=None):
+    """(S, D) at the split coordinate values y, as `ab_form`: the sums over
+    the pairs (e, o) = (y_{2i}, y_{2i+1}) of (eo)^d (e + o) and
+    (eo)^d (e - o).  With the polynomials a, each block is weighted,
+    a_{2i}/2 in S and -a_{2i}/2 - a_{2i+1} in D."""
+    S = D = None
+    for i, (e, o) in enumerate(zip(y[::2], y[1::2])):
+        p = (e * o) ** d
+        s, t = p * (e + o), p * (e - o)
+        if a is not None:
+            h = a[2 * i].scale(Fraction(1, 2))
+            s, t = s * h, t * (-h - a[2 * i + 1])
+        S, D = (s, t) if S is None else (S + s, D + t)
     return S, D
+
+
+def build_sd(n, d, generalized=False):
+    """(S, D) in the split y-coordinates, `sd_form` on the variables; with
+    `generalized` the pair carries formal coefficient variables a_j."""
+    v = _vars(y_context(n, with_coeff_vars=generalized), QQ)
+    return sd_form(v[:2 * n + 2], d, v[2 * n + 2:] if generalized else None)
 
 
 # ---------------------------------------------------------------------------

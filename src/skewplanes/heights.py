@@ -1,12 +1,13 @@
 """Bounded-height rational points on the n = 1 hypersurface in P^3,
-f(x0, x1) + f(x2, x3) = 0 with f(a, b) = (a + b)(a^2 - ab + b^2)^d: the
-exact direct count, from the pairs (a, b) grouped by f-value, and the count
-of points reached through the degree-(2d+2) parametrization phibar.  Each is
-one numpy array algorithm in int64 when a bound on every value it forms,
-computed in advance, is below 2^63, and in `object` arrays of Python ints
-otherwise, so both are exact at every d.  A memory guard refuses each pass
-before anything is allocated.  `kernels.height_scan_chart` is the tests'
-oracle.  The asymptotic growth bounds are reference curves only.
+f(x0, x1) + f(x2, x3) = 0 with f(a, b) = (a + b)(a^2 - ab + b^2)^d, both
+`families.x_form`: the exact direct count, from the pairs (a, b) grouped by
+f-value, and the count of points reached through the degree-(2d+2)
+parametrization phibar.  Each is one numpy array algorithm in int64 when a
+bound on every value it forms, computed in advance, is below 2^63, and in
+`object` arrays of Python ints otherwise, so both are exact at every d.  A
+memory guard refuses each pass before anything is allocated.
+`kernels.height_scan_chart`, with its own f, is the tests' oracle.  The
+asymptotic growth bounds are reference curves only.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from math import gcd, lcm, log2
 import numpy as np
 
 from .count import DEFAULT_BUDGET
-from .families import phibar_form
+from .families import phibar_form, x_form
 from .reporting import BudgetExceeded, HeightReport, abbreviate
 
 # Memory guard of the direct column, capped at B = 400, d = 1: a pair of [-B, B]^2 weighs
 # DIRECT_ENTRY_BITS (72 bytes) plus the bits of 2B (3B^2)^d, the largest |f|.  Measured peak
-# RSS growth a pair: 34 bytes at d = 1, 61 at d = 3, 67 at d = 9, 789 at d = 1000, B = 80.
+# RSS growth a pair: 37 bytes at d = 1, 71 at d = 3 and 76 at d = 9 (largest B each), 784 at
+# d = 1000, B = 80.
 DIRECT_ENTRY_BITS = 576
 DIRECT_BITS_MAX = 641_601 * (DIRECT_ENTRY_BITS + 29)
 # Parametrized pass, measured: 360-430 bytes per input at d <= 3, 530-790 per row
@@ -66,14 +68,6 @@ def integer_root(B, k):
         t = s
 
 
-def _f(a, b, d, dtype=object):
-    """f on arrays in `dtype`, in place: one wide value per pair is alive."""
-    v = (a * a - a * b + b * b).astype(dtype, copy=False)
-    v **= d
-    v *= a + b
-    return v
-
-
 def _refuse_direct_scan(B, d, budget):
     """Raise BudgetExceeded when the direct column at bound B is past the
     memory guard or would walk more than `budget` pairs."""
@@ -98,8 +92,10 @@ def _direct_rows(d, B, budget):
     (Moebius inversion over the gcd); each point has two of them."""
     _refuse_direct_scan(B, d, budget)
     a, b = np.subtract(np.triu_indices(2 * B + 1), B)
+    # f is X at n = 0; only a takes `dtype`, so b's temporaries stay int64 (less peak RSS)
+    dtype = np.int64 if 2 * B * (3 * B * B) ** d < 2 ** 63 else object
+    v = x_form([a.astype(dtype, copy=False), b], d)
     ring, w = np.maximum(abs(a), abs(b)), np.where(a == b, 1, 2)
-    v = _f(a, b, d, np.int64 if 2 * B * (3 * B * B) ** d < 2 ** 63 else object)
     del a, b
     by_value = np.lexsort((ring, v))
     v, ring, w = v[by_value], ring[by_value], w[by_value]
@@ -152,8 +148,7 @@ def _parametrized_first_rows(d, bound, nrows, budget):
     pts = _primitive_inputs(u)
     dtype = np.int64 if _phibar_bound(d, u) < 2 ** 63 else object
     img = np.stack(phibar_form(list(pts.T.astype(dtype)), d, lambda x: x // 2), axis=1)
-    x = img.T.astype(object)
-    off = np.flatnonzero(_f(x[0], x[1], d) + _f(x[2], x[3], d) != 0)
+    off = np.flatnonzero(x_form(list(img.T.astype(object)), d) != 0)
     if len(off):
         raise AssertionError(f"parametrized image off the hypersurface at {pts[off[0]].tolist()}")
     row = abs(pts).max(axis=1).astype(dtype) ** k

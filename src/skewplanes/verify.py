@@ -28,6 +28,7 @@ import numpy as np
 from .count import DEFAULT_BUDGET, FirstChartZeros, _system_arrays
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
+    _vars,
     ab_form,
     build_ab,
     build_alpha_beta,
@@ -37,10 +38,13 @@ from .families import (
     build_h,
     build_line_pencil,
     build_phibar,
-    build_sd,
     build_theta,
     build_x,
     phibar_form,
+    sd_form,
+    u_context,
+    x_form,
+    y_context,
 )
 from .kernels import proportional_rows, system_values
 from .mpoly import MPoly, VarContext, compose, exact_rank
@@ -69,14 +73,26 @@ def _residual_witness(*labelled):
     return None
 
 
-def _charge(check, what, m, D, budget):
-    """Raise BudgetExceeded, naming `check`, when `what`, a polynomial of
-    degree D in m variables, may have more dense monomials,
-    C(m - 1 + D, m - 1), than `budget`."""
+def _dense(m, D):
+    """(cost, wording) of a polynomial of degree D in m variables: its dense
+    monomial count C(m - 1 + D, m - 1)."""
     cost = comb(m - 1 + D, m - 1)
-    if cost > budget:
-        raise BudgetExceeded(f"{check}: {what} of degree {D} in {m} variables has up to "
-                             f"{abbreviate(cost)} monomials, over budget {abbreviate(budget)}")
+    return cost, f"of degree {D} in {m} variables has up to {abbreviate(cost)} monomials"
+
+
+def _block_sums(blocks, m):
+    """(cost, wording) of a sum of `blocks` block summands in m variables:
+    blocks^2 * m, above the blocks * m exponent additions of the block
+    products and the blocks^2 term copies of the partial sums."""
+    cost = blocks * blocks * m
+    return cost, f"summed over {blocks} blocks in {m} variables costs {abbreviate(cost)}"
+
+
+def _charge(check, what, cost, budget):
+    """Raise BudgetExceeded, naming `check`, when the (cost, wording) pair
+    `cost` of `what` is over `budget`."""
+    if cost[0] > budget:
+        raise BudgetExceeded(f"{check}: {what} {cost[1]}, over budget {abbreviate(budget)}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +118,8 @@ def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
     require the exact zero polynomial.  A component-count mismatch is a
     failure with a witness, not an exception (negative-control friendly).
 
-    Before substituting, its residual is charged by `_charge`, with
-    D = deg X * deg map."""
+    Before substituting, its residual is charged its `_dense` monomials,
+    with D = deg X * deg map."""
     t0 = time.perf_counter()
     params = {"map": rmap.name, "components": len(rmap.components)}
     need = hypersurface.ctx.nvars
@@ -115,10 +131,20 @@ def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
         witness = {"reason": "map and hypersurface over different domains"}
         return _done("membership", params, witness, t0)
     D = (hypersurface.total_degree() or 0) * max(c.total_degree() or 0 for c in rmap.components)
-    _charge("membership", "residual", rmap.ctx.nvars, D, budget)
+    _charge("membership", "residual", _dense(rmap.ctx.nvars, D), budget)
     mapping = dict(zip(hypersurface.ctx.names, rmap.components))
     witness = _residual_witness(("residual", hypersurface.substitute(mapping)))
     return _done("membership", params, witness, t0)
+
+
+def _phibar_on_x(n, d, seed, budget):
+    """`verify_membership(build_phibar(n, d), build_x(n, d))` through the
+    forms, with the same record: `x_form` at `phibar_form` on the u-variables
+    is its residual, with no substitution into X's monomials."""
+    t0 = time.perf_counter()
+    comps = phibar_form(_vars(u_context(n), QQ), d, lambda p: p.scale(Fraction(1, 2)))
+    witness = _residual_witness(("residual", x_form(comps, d)))
+    return _done("membership", {"map": "phibar", "components": len(comps)}, witness, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,33 +434,17 @@ def verify_linear_system_dim(n, d):
 # Galois symmetry and Cox grading
 
 
-def galois_swap(p):
-    """The involution swapping each split-coordinate pair: y_{2i} <-> y_{2i+1}
-    (and z_{2i} <-> z_{2i+1}, w_+ <-> w_- when present)."""
-    ctx, dom = p.ctx, p.dom
-    mapping = {}
-    for name in ctx.names:
-        kind, idx = name[0], name[1:]
-        if kind in ("y", "z") and idx.isdigit():
-            k = int(idx)
-            partner = f"{kind}{k + 1 if k % 2 == 0 else k - 1}"
-            if partner in ctx.names:
-                mapping[name] = MPoly.variable(ctx, dom, partner)
-        elif name == "wp":
-            mapping[name] = MPoly.variable(ctx, dom, "wm")
-        elif name == "wm":
-            mapping[name] = MPoly.variable(ctx, dom, "wp")
-    return p.substitute(mapping)
-
-
 def verify_galois_symmetry(n, d, generalized=False):
-    """sigma(S) = S and sigma(D) = -D under the pair swap, exactly; also in
-    the generalized form with formal coefficients a_j."""
+    """sigma(S) = S and sigma(D) = -D exactly, sigma(S) and sigma(D) being
+    `sd_form` at the pair-swapped variables y_{2i} <-> y_{2i+1}; also in the
+    generalized form with formal coefficients a_j, which sigma fixes."""
     t0 = time.perf_counter()
     params = {"n": n, "d": d, "generalized": generalized}
-    S, D = build_sd(n, d, generalized=generalized)
-    witness = _residual_witness(("S_residual", galois_swap(S) - S),
-                                ("D_residual", galois_swap(D) + D))
+    v = _vars(y_context(n, with_coeff_vars=generalized), QQ)
+    y, a = v[:2 * n + 2], (v[2 * n + 2:] if generalized else None)
+    swapped = [c for e, o in zip(y[::2], y[1::2]) for c in (o, e)]
+    (S, D), (sS, sD) = sd_form(y, d, a), sd_form(swapped, d, a)
+    witness = _residual_witness(("S_residual", sS - S), ("D_residual", sD + D))
     return _done("galois_symmetry", params, witness, t0)
 
 
@@ -452,18 +462,12 @@ def verify_cox_grading(n, d):
             witness = {"reason": f"{label} multidegree {md} != {expected}"}
             return _done("cox_grading", params, witness, t0)
     params["multidegree"] = list(expected)
-    # w_+^d w_-^d * hat-polynomials reproduce S and D under y -> w*z
-    S, D = build_sd(n, d)
-    dom = cm.S_hat.dom
-    wp = MPoly.variable(cm.ctx, dom, "wp")
-    wm = MPoly.variable(cm.ctx, dom, "wm")
-    mapping = {}
-    for i in range(n + 1):
-        mapping[f"y{2 * i}"] = wp * MPoly.variable(cm.ctx, dom, f"z{2 * i}")
-        mapping[f"y{2 * i + 1}"] = wm * MPoly.variable(cm.ctx, dom, f"z{2 * i + 1}")
+    # w_+^d w_-^d * hat-polynomials are (S, D) at y = (w_+ z_{2i}, w_- z_{2i+1})
+    *z, wp, wm = _vars(cm.ctx, QQ)
+    S, D = sd_form([c for e, o in zip(z[::2], z[1::2]) for c in (wp * e, wm * o)], d)
     scale = (wp ** d) * (wm ** d)
-    witness = _residual_witness(("S_residual", S.substitute(mapping) - scale * cm.S_hat),
-                                ("D_residual", D.substitute(mapping) - scale * cm.D_hat))
+    witness = _residual_witness(("S_residual", S - scale * cm.S_hat),
+                                ("D_residual", D - scale * cm.D_hat))
     return _done("cox_grading", params, witness, t0)
 
 
@@ -493,60 +497,57 @@ class Check(NamedTuple):
     in_suite: Callable  # (n, d) -> bool: whether run_all_checks runs it
 
 
-def _always(n, d):
-    return True
-
-
-def _charged(check, what, size, run, in_suite=_always):
-    """The Check `check` whose run charges `what`, with (m, D) = size(n, d),
-    by `_charge` before `run` builds anything."""
+def _charged(check, what, cost, run, in_suite=lambda n, d: True):
+    """The Check `check` whose run charges `what` cost(n, d), a `_dense` or
+    `_block_sums` pair, by `_charge` before `run` builds anything."""
     def charged(n, d, seed, budget):
-        _charge(check, what, *size(n, d), budget)
+        _charge(check, what, cost(n, d), budget)
         return run(n, d, seed, budget)
     return Check(charged, in_suite)
 
 
 # every check by its `verify --check` name, in the suite's record order.
 # line_factorization is capped by SYMBOLIC_*_MAX and singular_locus charges
-# its own work; the others are charged their largest polynomial's monomials.
+# its own work; the checks that sum the (S, D) blocks of `sd_form` are
+# charged those sums, and the others their largest polynomial's monomials.
 CHECKS = {
     "line_factorization": Check(lambda n, d, seed, budget: verify_line_factorization(n, d),
                                 lambda n, d: n <= 2 and d <= 2),
     "membership": _charged(
-        "membership", "residual", lambda n, d: (2 * n + 1, (2 * d + 1) * (2 * d + 2)),
-        lambda n, d, seed, budget: verify_membership(build_phibar(n, d), build_x(n, d), budget)),
+        "membership", "residual", lambda n, d: _dense(2 * n + 1, (2 * d + 1) * (2 * d + 2)),
+        _phibar_on_x),
     "composition_cremona": _charged(
-        "composition_cremona", "composite", lambda n, d: (3, 4),
+        "composition_cremona", "composite", lambda n, d: _dense(3, 4),
         lambda n, d, seed, budget: verify_composition(*build_cremona())),
     "composition_alphabeta": _charged(
-        "composition_alphabeta", "composite", lambda n, d: (2 * n + 1, 6),
+        "composition_alphabeta", "composite", lambda n, d: _dense(2 * n + 1, 6),
         lambda n, d, seed, budget: verify_composition(*build_alpha_beta(n))),
     "composition_on_x": _charged(
-        "composition_on_x", "cross minor", lambda n, d: (2 * n + 1, 4 * d + 5),
+        "composition_on_x", "cross minor", lambda n, d: _dense(2 * n + 1, 4 * d + 5),
         lambda n, d, seed, budget: verify_composition(_h_theta(n), build_phibar(n, d),
                                                       modulo=build_x(n, d)),
         lambda n, d: False),
     "composition_roundtrip": _charged(
-        "composition_roundtrip", "map component", lambda n, d: (2 * n + 1, 2 * d + 2),
+        "composition_roundtrip", "map component", lambda n, d: _dense(2 * n + 1, 2 * d + 2),
         _composition_roundtrip),
     "composition_roundtrip_char2": _charged(
-        "composition_roundtrip_char2", "map component", lambda n, d: (2 * n + 1, 2 * d + 2),
-        _composition_roundtrip_char2),
+        "composition_roundtrip_char2", "map component",
+        lambda n, d: _dense(2 * n + 1, 2 * d + 2), _composition_roundtrip_char2),
     "linear_system_dim": _charged(
-        "linear_system_dim", "condition form", lambda n, d: (2 * n + 1, 2 * d + 2),
+        "linear_system_dim", "condition form", lambda n, d: _dense(2 * n + 1, 2 * d + 2),
         lambda n, d, seed, budget: verify_linear_system_dim(n, d)),
     "singular_locus": Check(
         lambda n, d, seed, budget: verify_singular_locus(n, d, samples=50, seed=seed,
                                                          budget=budget),
         lambda n, d: n >= 2),
     "galois": _charged(
-        "galois", "residual", lambda n, d: (2 * n + 2, 2 * d + 1),
+        "galois", "residual", lambda n, d: _block_sums(n + 1, 2 * n + 2),
         lambda n, d, seed, budget: verify_galois_symmetry(n, d)),
     "galois_generalized": _charged(
-        "galois_generalized", "residual", lambda n, d: (4 * n + 4, 2 * d + 2),
+        "galois_generalized", "residual", lambda n, d: _block_sums(n + 1, 4 * n + 4),
         lambda n, d, seed, budget: verify_galois_symmetry(n, d, generalized=True)),
     "cox_grading": _charged(
-        "cox_grading", "residual", lambda n, d: (2 * n + 4, 4 * d + 2),
+        "cox_grading", "residual", lambda n, d: _block_sums(n + 1, 2 * n + 4),
         lambda n, d, seed, budget: verify_cox_grading(n, d)),
 }
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from skewplanes import domains
 from skewplanes.cli import IDEAL_LABELS, main
 from skewplanes.count import formula_x2d
-from skewplanes.families import FAMILY_BUILDERS
+from skewplanes.families import FAMILY_BUILDERS, build_char_two_maps
 from skewplanes.reporting import strip_timing
 from skewplanes.verify import CHECKS, Check
 
@@ -55,6 +55,26 @@ def test_dump_char2_maps(capsys):
     )
     assert code == 0
     assert "P = " in out and "g[0]" in out
+
+
+@pytest.mark.parametrize("family", ["char2", "g"])
+@pytest.mark.parametrize("char", [4, 8, 16])
+def test_dump_char2_maps_over_extension_fields(capsys, family, char):
+    # GF(2^m) has characteristic 2: its maps dump like GF(2)'s
+    for n, d in [(1, 1), (2, 2)]:
+        code, out, err = run_cli(["families", "dump", "--family", family, "--n", str(n),
+                                  "--d", str(d), "--char", str(char)], capsys)
+        data = build_char_two_maps(n, d, domains.field_create(*domains.prime_power(char)))
+        assert (code, err) == (0, "")
+        assert out == (f"P = {data['P'].to_text()}\nQ = {data['Q'].to_text()}\n"
+                       f"{data['g'].to_text()}\n")
+
+
+def test_dump_char2_maps_refuse_odd_char(capsys):
+    code, out, err = run_cli(["families", "dump", "--family", "char2", "--char", "9"], capsys)
+    assert (code, out) == (5, "")
+    assert err == ("error: only the hypersurface itself dumps over char 9; "
+                   "maps are characteristic-0 constructions\n")
 
 
 def test_dump_ideal(capsys):

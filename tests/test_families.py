@@ -30,8 +30,10 @@ from skewplanes.families import (
     pencil_context,
     phibar_blocks,
     phibar_form,
+    sd_form,
     x_context,
     x_form,
+    y_context,
 )
 from skewplanes.mpoly import MPoly, VarContext, compose, exact_rank
 
@@ -148,8 +150,11 @@ def test_x_form_matches_build_x_on_values(n):
             # |a + b| <= 8 and |g_k| <= k 4^(k-1) bound each value formed
             wide = (n + 1) * 8 * (k * 4 ** (k - 1)) ** d >= 2 ** 63
             for dtype in (object,) if wide else (np.int64, object):
-                got = x_form(list(np.array(pts, dtype=dtype).T), d, k)
+                cols = np.array(pts, dtype=dtype).T
+                got = x_form(list(cols), d, k)
                 assert [int(v) for v in got] == want, (d, k, dtype)
+                # the in-place steps leave the arguments as they were
+                assert cols.T.tolist() == [list(pt) for pt in pts]
 
 
 def test_x_is_x_d_delta_at_three():
@@ -655,6 +660,36 @@ def test_sd_symmetry_basic():
         swap[f"y{2 * i + 1}"] = MPoly.variable(S.ctx, QQ, f"y{2 * i}")
     assert S.substitute(swap) == S
     assert D.substitute(swap) == -D
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+def test_sd_form_matches_block_loop(generalized):
+    # build_sd against the loop over y_{2i}^d y_{2i+1}^d blocks it replaced,
+    # and the form on ints, Fractions and int64 arrays against its values
+    rng = random.Random(5)
+    for n, d in [(1, 1), (2, 1), (1, 3), (2, 2)]:
+        ctx = y_context(n, with_coeff_vars=generalized)
+        v = [MPoly.variable(ctx, QQ, nm) for nm in ctx.names]
+        S = D = MPoly.zero(ctx, QQ)
+        for i in range(n + 1):
+            ye, yo = v[2 * i], v[2 * i + 1]
+            block = (ye ** d) * (yo ** d)
+            if generalized:
+                ae, ao = v[2 * n + 2 + 2 * i], v[2 * n + 3 + 2 * i]
+                S = S + (block * (ye + yo) * ae).scale(Fraction(1, 2))
+                D = D + block * (ye - yo) * (ae.scale(Fraction(-1, 2)) - ao)
+            else:
+                S, D = S + block * (ye + yo), D + block * (ye - yo)
+        assert build_sd(n, d, generalized) == (S, D)
+        if generalized:
+            continue
+        pts = [tuple(rng.randrange(-5, 6) for _ in range(2 * n + 2)) for _ in range(8)]
+        want = [(S.evaluate(tuple(map(Fraction, pt))), D.evaluate(tuple(map(Fraction, pt))))
+                for pt in pts]
+        assert [sd_form(pt, d) for pt in pts] == want
+        assert [sd_form(tuple(map(Fraction, pt)), d) for pt in pts] == want
+        cols = sd_form(list(np.array(pts, dtype=np.int64).T), d)
+        assert [tuple(map(int, sd)) for sd in zip(*cols)] == want
 
 
 def test_sd_generalized_carries_coefficients():

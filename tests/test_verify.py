@@ -26,7 +26,9 @@ from skewplanes.families import (
     build_alpha_beta,
     build_phitilde,
     phibar_form,
+    sd_form,
     u_context,
+    x_form,
 )
 from skewplanes.mpoly import MPoly, RationalMap, VarContext, compose
 from skewplanes.reporting import BudgetExceeded, strip_timing
@@ -36,10 +38,10 @@ from skewplanes.verify import (
     _h_theta,
     _plane_conditions,
     _plane_minor,
+    _residual_witness,
     _sample_ranks,
     _v_coordinates,
     _values,
-    galois_swap,
     run_all_checks,
     verify_composition,
     verify_composition_numeric,
@@ -94,6 +96,33 @@ def test_membership_negative_control_witness_text():
                          "leading_term": "((15, 2, 1, 0, 0), Fraction(-18, 1))"}
 
 
+@pytest.mark.parametrize("n, d_map, d_x", [
+    (1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 1), (2, 2, 2), (1, 2, 1), (1, 1, 2), (2, 2, 1)])
+def test_membership_form_route_matches_substitution(n, d_map, d_x):
+    # x_form at phibar_form is the residual that substituting phibar into X
+    # expands: the same witness, passing or not
+    u = [MPoly.variable(u_context(n), QQ, nm) for nm in u_context(n).names]
+    comps = phibar_form(u, d_map, lambda p: p.scale(Fraction(1, 2)))
+    want = verify_membership(build_phibar(n, d_map), build_x(n, d_x))
+    assert _residual_witness(("residual", x_form(comps, d_x))) == want.witness
+    assert (want.passed, len(comps)) == (d_map == d_x, 2 * n + 2)
+    if d_map == d_x:
+        got = CHECKS["membership"].run(n, d_map, 0, DEFAULT_BUDGET)
+        assert strip_timing(got.as_dict()) == strip_timing(want.as_dict())
+
+
+def test_form_checks_substitute_nothing(monkeypatch):
+    # membership, galois and cox_grading evaluate the family forms: no
+    # substitution, and neither phibar nor X is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("substituted or built")
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    monkeypatch.setattr(verify_mod, "build_x", refuse)
+    monkeypatch.setattr(verify_mod, "build_phibar", refuse)
+    for name in ("membership", "galois", "galois_generalized", "cox_grading"):
+        assert CHECKS[name].run(2, 2, 0, DEFAULT_BUDGET).passed, name
+
+
 def test_membership_budget():
     # the residual of phibar(1, 1) into X(1, 1) has degree 3 * 4 in 3
     # variables: C(14, 2) = 91 dense monomials
@@ -108,8 +137,8 @@ def _refuse_builders(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built before the charge")
     for name in ("build_phibar", "build_x", "build_cremona", "build_alpha_beta",
-                 "build_char_two_maps", "build_theta", "build_h", "build_sd",
-                 "build_cox_model", "_v_coordinates"):
+                 "build_char_two_maps", "build_theta", "build_h", "build_cox_model",
+                 "_v_coordinates", "x_form", "phibar_form", "sd_form"):
         monkeypatch.setattr(verify_mod, name, refuse)
 
 
@@ -540,11 +569,6 @@ def test_linear_system_dim_forms_match_substitution(n, d):
 # Galois symmetry and Cox grading
 
 
-def test_galois_swap_involution():
-    S, _ = __import__("skewplanes.families", fromlist=["build_sd"]).build_sd(1, 1)
-    assert galois_swap(galois_swap(S)) == S
-
-
 def test_galois_symmetry_grid():
     for n in (1, 2):
         for d in (1, 2):
@@ -558,6 +582,36 @@ def test_cox_grading_grid():
     for n, d in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         r = verify_cox_grading(n, d)
         assert r.passed, (n, d, r.witness)
+
+
+def test_galois_negative_control_lopsided_form(monkeypatch):
+    # a form whose S gains y0^(2d+1), which the swap moves to y1^(2d+1)
+    def lopsided(y, d, a=None):
+        S, D = sd_form(y, d, a)
+        return S + y[0] ** (2 * d + 1), D
+    monkeypatch.setattr(verify_mod, "sd_form", lopsided)
+    for generalized in (False, True):
+        r = verify_galois_symmetry(1, 1, generalized)
+        assert not r.passed
+        assert r.witness == {"S_residual": "-1*y0^3 + 1*y1^3",
+                             "leading_term": str(((3,) + (0,) * (7 if generalized else 3),
+                                                  Fraction(-1)))}
+
+
+def test_cox_negative_control_residual(monkeypatch):
+    # w+ times each strict transform keeps the three multidegrees equal,
+    # (2d + 1, 1 - d, -d), but leaves the residual against (S, D)
+    model = build_cox_model(1, 1)
+    wp = MPoly.variable(model.ctx, model.S_hat.dom, "wp")
+    shifted = build_cox_model(1, 1)
+    shifted.S_hat, shifted.D_hat = wp * model.S_hat, wp * model.D_hat
+    shifted.F_hat = wp.map_domain(QQXI, QQXI.from_rational) * model.F_hat
+    shifted.expected_multidegree = (3, 0, -1)
+    monkeypatch.setattr(verify_mod, "build_cox_model", lambda n, d: shifted)
+    r = verify_cox_grading(1, 1)
+    assert not r.passed
+    assert r.params["multidegree"] == [3, 0, -1]
+    assert list(r.witness) == ["S_residual", "leading_term"]
 
 
 def test_cox_negative_control_wp_multiple():
@@ -574,26 +628,28 @@ def test_cox_negative_control_wp_multiple():
 # the charges of the registry
 
 
-# C(m - 1 + D, m - 1) at (n, d) = (1, 1) for the polynomial of degree D in
-# m variables that each charged check builds: the residual X(phibar) (3, 12),
-# the composites cr_inv(cr) (3, 4) and beta(alpha) (3, 6), the cross minors
-# on X (3, 9), the sampled maps and the condition forms (3, 4), the Galois
-# residuals (4, 3) and, with coefficient variables, (8, 4), and the Cox
-# residuals (6, 6)
+# the charges at (n, d) = (1, 1).  C(m - 1 + D, m - 1) dense monomials of
+# the polynomial of degree D in m variables that the check builds: the
+# residual X(phibar) (3, 12), the composites cr_inv(cr) (3, 4) and
+# beta(alpha) (3, 6), the cross minors on X (3, 9), the sampled maps and the
+# condition forms (3, 4).  For the BLOCK_SUMS checks, blocks^2 * m for the
+# sums of the 2 (S, D) blocks in m variables: the Galois residuals in 4 and,
+# with coefficient variables, 8, and the Cox residuals in 6
 CHARGES_AT_1_1 = [
     ("membership", 91), ("composition_cremona", 15), ("composition_alphabeta", 28),
     ("composition_on_x", 55), ("composition_roundtrip", 15),
-    ("composition_roundtrip_char2", 15), ("linear_system_dim", 15), ("galois", 20),
-    ("galois_generalized", 330), ("cox_grading", 462),
+    ("composition_roundtrip_char2", 15), ("linear_system_dim", 15), ("galois", 16),
+    ("galois_generalized", 32), ("cox_grading", 24),
 ]
+BLOCK_SUMS = {"galois", "galois_generalized", "cox_grading"}
 
 
 @pytest.mark.parametrize("name, cost", CHARGES_AT_1_1)
 def test_checks_charge_their_largest_polynomial(monkeypatch, name, cost):
     assert CHECKS[name].run(1, 1, 0, cost).passed
     _refuse_builders(monkeypatch)
-    with pytest.raises(BudgetExceeded, match=rf"^{name}: .* has up to {cost} monomials, "
-                                             rf"over budget {cost - 1}$"):
+    wording = f"costs {cost}" if name in BLOCK_SUMS else f"has up to {cost} monomials"
+    with pytest.raises(BudgetExceeded, match=rf"^{name}: .* {wording}, over budget {cost - 1}$"):
         CHECKS[name].run(1, 1, 0, cost - 1)
 
 
@@ -617,6 +673,15 @@ def test_runaway_sizes_exit_4_at_once(no_builders, capsys, name, n, d):
     assert main(["verify", "--check", name, "--n", str(n), "--d", str(d)]) == 4
     assert time.perf_counter() - t0 < 1
     assert f"budget exceeded: {name}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("galois_generalized", 1, 30), ("cox_grading", 1, 40), ("galois", 8, 8)])
+def test_block_charge_admits_small_sums(capsys, name, n, d):
+    # the dense count refused these, though S, D and their Cox transforms
+    # have 2(n + 1) terms
+    assert main(["verify", "--check", name, "--n", str(n), "--d", str(d)]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] ")
 
 
 # ---------------------------------------------------------------------------
