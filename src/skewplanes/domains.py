@@ -1,12 +1,14 @@
 """Exact coefficient domains: Q, the quadratic extension Q(xi) with xi^2 = -3,
 and finite fields F_{p^m} with a deterministic choice of modulus.
 
-Domains are lightweight objects exposing arithmetic on plain hashable payloads
-(Fraction for Q, pairs of Fractions for Q(xi), ints / int tuples for finite
-fields).  Polynomials carry a domain reference and delegate all coefficient
-work here.  For the polynomial product kernel a domain also lifts payloads
-to values over a common scale (integer numerators over Q and Q(xi)) and
-lowers them back.
+Domains are lightweight objects exposing arithmetic on plain hashable payloads:
+a rational is an int when it is integral and a Fraction with denominator > 1
+otherwise, a Q(xi) payload is a pair of such rationals, and finite fields use
+ints / int tuples.  Every operation returns this canonical form, so integral
+work (nearly all of it here) runs on Python ints, and none returns a float.
+Polynomials carry a domain reference and delegate all coefficient work here.
+For the polynomial product kernel a domain also lifts payloads to values over
+a common scale (integer numerators over Q and Q(xi)) and lowers them back.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 import numpy as np
 
@@ -91,79 +94,120 @@ class Domain:
         return self.name
 
 
+def _rational(r):
+    """The canonical rational payload of the int or Fraction r: an int when
+    r is integral, else a Fraction.  A float has no denominator and raises."""
+    if type(r) is int:
+        return r
+    return index(r.numerator) if r.denominator == 1 else r
+
+
+def _ratio(v, scale):
+    """The rational payload v / scale, for ints v and scale >= 1."""
+    if scale == 1:
+        return v
+    q, r = divmod(v, scale)
+    return Fraction(v, scale) if r else q
+
+
+def _pair(x, y):
+    """The Q(xi) payload x + y*xi of the rationals x and y."""
+    if type(x) is int and type(y) is int:
+        return (x, y)
+    return (_rational(x), _rational(y))
+
+
 class Rationals(Domain):
+    """Q; payloads are ints when integral, Fractions otherwise."""
+
     char = 0
     name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
     int_kernel = True
 
     def lift(self, cs):
-        """Numerators over the lcm of the denominators."""
+        """Numerators over the lcm of the denominators; the payloads
+        themselves when they are all ints."""
         cs = list(cs)
-        scale = lcm(*(c.denominator for c in cs))
+        dens = [c.denominator for c in cs if type(c) is not int]
+        if not dens:
+            return cs, 1
+        scale = lcm(*dens)
         return [c.numerator * (scale // c.denominator) for c in cs], scale
 
-    def lower(self, v, scale):
-        return Fraction(v, scale)
+    lower = staticmethod(_ratio)
 
     def from_int(self, n):
-        return Fraction(n)
+        return index(n)
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int else _rational(r)
 
     def neg(self, a):
-        return -a
+        r = -a
+        return r if type(r) is int else _rational(r)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int else _rational(r)
 
     def inv(self, a):
-        return 1 / a
+        return _rational(Fraction(1, a))
+
+    def is_zero(self, a):
+        return not a
 
 
 class QuadExt(Domain):
-    """Q(xi) with xi^2 = -3; payloads are (rational, rational) = a + b*xi."""
+    """Q(xi) with xi^2 = -3; payloads are (rational, rational) = a + b*xi,
+    each part canonical as over Q."""
 
     char = 0
     name = "QQ(xi)"
-    zero = (Fraction(0), Fraction(0))
-    one = (Fraction(1), Fraction(0))
-    xi = (Fraction(0), Fraction(1))
+    zero = (0, 0)
+    one = (1, 0)
+    xi = (0, 1)
 
     def from_int(self, n):
-        return (Fraction(n), Fraction(0))
+        return (index(n), 0)
 
     def from_rational(self, r):
-        return (Fraction(r), Fraction(0))
+        return (_rational(r), 0)
 
     def add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        return _pair(a[0] + b[0], a[1] + b[1])
 
     def neg(self, a):
-        return (-a[0], -a[1])
+        return _pair(-a[0], -a[1])
 
     def mul(self, a, b):
-        return (a[0] * b[0] - 3 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+        return _pair(a[0] * b[0] - 3 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
     def inv(self, a):
         nrm = a[0] * a[0] + 3 * a[1] * a[1]
-        return (a[0] / nrm, -a[1] / nrm)
+        return _pair(Fraction(a[0], nrm), Fraction(-a[1], nrm))
 
     def is_zero(self, a):
         return not (a[0] or a[1])
 
     def lift(self, cs):
         """Pairs of integers over the lcm of all the denominators; add and
-        mul work on them unchanged."""
+        mul work on them unchanged.  The payloads themselves when every part
+        is an int."""
         cs = list(cs)
-        scale = lcm(*(r.denominator for c in cs for r in c))
+        dens = [r.denominator for c in cs for r in c if type(r) is not int]
+        if not dens:
+            return cs, 1
+        scale = lcm(*dens)
         return [(a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
                 for a, b in cs], scale
 
     def lower(self, v, scale):
-        return (Fraction(v[0], scale), Fraction(v[1], scale))
+        if scale == 1:
+            return v
+        return (_ratio(v[0], scale), _ratio(v[1], scale))
 
     def conj(self, a):
         return (a[0], -a[1])
@@ -411,7 +455,10 @@ class FiniteField(Domain):
         return "(" + ",".join(str(c) for c in a) + ")"
 
     def reduce_rational(self, r):
-        """Image of a Fraction; raises if the denominator vanishes mod p."""
+        """Image of a rational payload; raises if the denominator vanishes
+        mod p."""
+        if type(r) is int:
+            return self.from_int(r)
         if r.denominator % self.p == 0:
             raise ZeroDivisionError(
                 f"denominator {r.denominator} not invertible mod {self.p}")

@@ -10,11 +10,11 @@ Monagan-Pearce 2011): each exponent tuple is packed into one int, exponent i
 in bits [i*w, (i+1)*w), with the field width w chosen per call from the
 largest exponent the call can produce, so a monomial product is one integer
 addition that never carries between fields.  Coefficients enter the kernel
-lifted by their domain (`Domain.lift`): integer numerators over a common
-denominator for Q, integer pairs for Q(xi), residues for F_p, payloads for
-F_{p^m}.  Each output term is reduced and lowered back to a payload once.
-A product with a one-term operand skips the kernel: it shifts exponents and
-scales coefficients.  Exact division (`try_div`) takes the remainder's
+lifted by their domain (`Domain.lift`): numerators over a common denominator
+for Q, where integral payloads are ints, their own lifts; pairs of those for
+Q(xi); residues for F_p; payloads for F_{p^m}.  Each output term is lowered
+to a payload once.  A product with a one-term operand shifts exponents and
+scales coefficients.  Exact division (`try_div`) pops the remainder's
 leading terms from a heap, as Monagan-Pearce divide.
 """
 

@@ -68,8 +68,11 @@ def _residual_witness(*labelled):
     terms, and its leading term.  None when every residual is zero."""
     for label, p in labelled:
         if not p.is_zero():
+            # rational parts print as Fractions, integral or not
+            e, c = p.leading_term()
+            c = Fraction(c) if p.dom is QQ else tuple(map(Fraction, c)) if p.dom is QQXI else c
             return {label: p.to_text() if len(p.terms) <= 12 else f"{len(p.terms)} terms",
-                    "leading_term": str(p.leading_term())}
+                    "leading_term": str((e, c))}
     return None
 
 

@@ -260,6 +260,105 @@ def test_rationals_canonical():
     assert a == Fraction(-2, 3)
 
 
+# Q and Q(xi) payloads against Fraction-only oracles: inputs mix ints, proper
+# Fractions and integral Fractions; every result must be exact and canonical
+# (an int exactly when integral), never a float or a bool
+
+RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(-50, 50).map(Fraction),
+)
+EXPONENTS = st.integers(-4, 4)
+
+
+def _is_canonical(r):
+    return type(r) is int or (type(r) is Fraction and r.denominator > 1)
+
+
+def _xi_mul(a, b):
+    return (a[0] * b[0] - 3 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _xi_inv(a):
+    nrm = a[0] * a[0] + 3 * a[1] * a[1]
+    return (a[0] / nrm, -a[1] / nrm)
+
+
+def _xi_pow(a, e):
+    out, base = (Fraction(1), Fraction(0)), (a if e >= 0 else _xi_inv(a))
+    for _ in range(abs(e)):
+        out = _xi_mul(out, base)
+    return out
+
+
+def _check_q(got, want):
+    assert _is_canonical(got) and got == want
+
+
+def _check_xi(got, want):
+    assert type(got) is tuple and len(got) == 2
+    for g, w in zip(got, want):
+        _check_q(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS, EXPONENTS, st.lists(RATIONALS, max_size=5))
+def test_rational_ops_exact_and_canonical(a, b, e, cs):
+    fa, fb = Fraction(a), Fraction(b)
+    _check_q(QQ.add(a, b), fa + fb)
+    _check_q(QQ.sub(a, b), fa - fb)
+    _check_q(QQ.neg(a), -fa)
+    _check_q(QQ.mul(a, b), fa * fb)
+    if fb:
+        _check_q(QQ.inv(b), 1 / fb)
+        _check_q(QQ.div(a, b), fa / fb)
+    else:
+        for op in (lambda: QQ.inv(b), lambda: QQ.div(a, b)):
+            with pytest.raises(ZeroDivisionError):
+                op()
+    if fa or e >= 0:
+        _check_q(QQ.pow(a, e), fa ** e)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.pow(a, e)
+    values, scale = QQ.lift(cs)
+    assert type(scale) is int and scale >= 1
+    assert all(type(v) is int for v in values)
+    for v, c in zip(values, cs):
+        _check_q(QQ.lower(v, scale), Fraction(c))
+        assert Fraction(v, scale) == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(RATIONALS, RATIONALS), st.tuples(RATIONALS, RATIONALS), EXPONENTS,
+       st.lists(st.tuples(RATIONALS, RATIONALS), max_size=4))
+def test_quadext_ops_exact_and_canonical(a, b, e, cs):
+    fa, fb = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    _check_xi(QQXI.add(a, b), (fa[0] + fb[0], fa[1] + fb[1]))
+    _check_xi(QQXI.sub(a, b), (fa[0] - fb[0], fa[1] - fb[1]))
+    _check_xi(QQXI.neg(a), (-fa[0], -fa[1]))
+    _check_xi(QQXI.mul(a, b), _xi_mul(fa, fb))
+    if any(fb):
+        _check_xi(QQXI.inv(b), _xi_inv(fb))
+        _check_xi(QQXI.div(a, b), _xi_mul(fa, _xi_inv(fb)))
+    else:
+        for op in (lambda: QQXI.inv(b), lambda: QQXI.div(a, b)):
+            with pytest.raises(ZeroDivisionError):
+                op()
+    if any(fa) or e >= 0:
+        _check_xi(QQXI.pow(a, e), _xi_pow(fa, e))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQXI.pow(a, e)
+    _check_xi(QQXI.from_rational(a[0]), (fa[0], 0))
+    values, scale = QQXI.lift(cs)
+    assert type(scale) is int and scale >= 1
+    assert all(type(v) is tuple and type(v[0]) is int and type(v[1]) is int for v in values)
+    for v, c in zip(values, cs):
+        _check_xi(QQXI.lower(v, scale), tuple(map(Fraction, c)))
+
+
 # ---------------------------------------------------------------------------
 # field axioms (randomized)
 

@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewplanes.domains import QQ, QQXI, field_create
-from skewplanes.families import build_ab, build_cox_model, build_line_pencil
+from skewplanes.families import (
+    build_ab,
+    build_cox_model,
+    build_h,
+    build_line_pencil,
+    build_phibar,
+    build_sd,
+    build_theta,
+    build_x,
+)
 from skewplanes.mpoly import (
     MPoly,
     RationalMap,
@@ -17,6 +26,7 @@ from skewplanes.mpoly import (
     exact_rank,
     multiplicity_at,
 )
+from skewplanes.verify import _v_coordinates
 
 F7 = field_create(7)
 XY = VarContext(("x", "y"))
@@ -128,11 +138,22 @@ def oracle_substitute(f, images, tctx):
     return acc
 
 
+def canonical(r):
+    """The rational r in the payload form: an int when integral."""
+    return r.numerator if r.denominator == 1 else r
+
+
+def random_rational(rng):
+    # integral half the time, so all-int polynomials and mixed ones both occur
+    den = rng.choice((1, rng.randrange(1, 13)))
+    return canonical(Fraction(rng.randrange(-9, 10), den))
+
+
 def random_payload(dom, rng):
     if dom is QQ:
-        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+        return random_rational(rng)
     if dom is QQXI:
-        return tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 13)) for _ in range(2))
+        return (random_rational(rng), random_rational(rng))
     return dom.element_from_index(rng.randrange(dom.q))
 
 
@@ -145,17 +166,39 @@ def random_dom_poly(ctx, dom, rng, max_deg=3, max_terms=6):
     return MPoly(ctx, dom, terms)
 
 
+def is_canonical_rational(r):
+    """An int, or a Fraction with denominator > 1: never a float, a bool or
+    an integral Fraction."""
+    return type(r) is int or (type(r) is Fraction and r.denominator > 1)
+
+
 def assert_payload_types(p):
     for e, c in p.terms.items():
         assert type(e) is tuple and all(type(x) is int for x in e)
         if p.dom is QQ:
-            assert type(c) is Fraction
+            assert is_canonical_rational(c)
         elif p.dom is QQXI:
-            assert type(c) is tuple and all(type(x) is Fraction for x in c)
+            assert type(c) is tuple and len(c) == 2 and all(map(is_canonical_rational, c))
         elif p.dom.m == 1:
             assert type(c) is int and 0 < c < p.dom.p
         else:
             assert type(c) is tuple and len(c) == p.dom.m
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 2)])
+def test_integral_families_hold_int_payloads(n, d):
+    # phibar's halves cancel, so every family built over Q is integral and
+    # its payloads are ints; the v-coordinates keep their true denominators
+    polys = [build_x(n, d), *build_ab(n, d), *build_sd(n, d),
+             *build_h(n).components, *build_theta(n).components,
+             *build_phibar(n, d).components]
+    for p in polys:
+        assert p.dom is QQ and p.terms
+        assert all(type(c) is int for c in p.terms.values())
+    v = _v_coordinates(n)
+    assert {type(x) for p in v for c in p.terms.values() for x in c} == {int, Fraction}
+    for p in v:
+        assert_payload_types(p)
 
 
 @settings(max_examples=300, deadline=None)
