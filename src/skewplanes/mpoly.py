@@ -25,7 +25,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, lshift, neg, sub
 
-from .domains import _poly_gcd, power
+from .domains import QQ, QQXI, _poly_gcd, power
 
 
 class VarContext:
@@ -586,33 +586,39 @@ def compose(outer, inner):
 # exact linear algebra over a domain
 
 
+def _zxi_step(p, x, a, y, prev):
+    """(p*x - a*y) / prev in Z[xi], for int pairs that prev divides."""
+    n0 = p[0] * x[0] - 3 * p[1] * x[1] - a[0] * y[0] + 3 * a[1] * y[1]
+    n1 = p[0] * x[1] + p[1] * x[0] - a[0] * y[1] - a[1] * y[0]
+    c0, c1 = prev
+    nrm = c0 * c0 + 3 * c1 * c1
+    return (n0 * c0 + 3 * n1 * c1) // nrm, (n1 * c0 - n0 * c1) // nrm
+
+
 def exact_rank(rows, dom):
-    """Rank of a matrix of payloads by Gaussian elimination over the field."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(mat)):
-            if not dom.is_zero(mat[r][col]):
-                piv = r
-                break
+    """Rank of a matrix of payloads by fraction-free elimination (Bareiss
+    1968) on its rows lifted by `dom.lift`.  Each entry is a minor, so the
+    division by the previous pivot is exact: `//` over Q, conjugate over
+    norm over Q(xi), `dom.div` over F_q."""
+    if dom is QQ:
+        def step(p, x, a, y, prev):
+            return (p * x - a * y) // prev
+    elif dom is QQXI:
+        step = _zxi_step
+    else:
+        def step(p, x, a, y, prev):
+            return dom.div(dom.sub(dom.mul(p, x), dom.mul(a, y)), prev)
+    mat = [dom.lift(r)[0] for r in rows]
+    rank, prev, is_zero = 0, dom.one, dom.is_zero
+    # the leading column of `mat` is the next pivot column tried
+    while mat and mat[0]:
+        piv = next((i for i, r in enumerate(mat) if not is_zero(r[0])), None)
         if piv is None:
+            mat = [r[1:] for r in mat]
             continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = dom.inv(mat[row][col])
-        mat[row] = [dom.mul(v, inv) for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and not dom.is_zero(mat[r][col]):
-                f = mat[r][col]
-                mat[r] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
+        p, *top = mat.pop(piv)
+        mat = [[step(p, x, a, y, prev) for x, y in zip(rest, top)] for a, *rest in mat]
+        rank, prev = rank + 1, p
     return rank
 
 

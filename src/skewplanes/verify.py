@@ -368,18 +368,18 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
 
 
 def _v_coordinates(n):
-    """The images of u0..u_{2n}, polynomials in v0..v_{2n} over Q(xi), under
-    the linear change putting the conjugate planes onto coordinate planes:
-    v0 = u0, v_{2i+1} = u_{2i+1} + xi*u_{2i+2}, v_{2i+2} = u_{2i+1} - xi*u_{2i+2}."""
+    """6 times the images of u0..u_{2n}, polynomials in v0..v_{2n} over
+    Z[xi], under the linear change putting the conjugate planes onto
+    coordinate planes: v0 = u0, v_{2i+1} = u_{2i+1} + xi*u_{2i+2},
+    v_{2i+2} = u_{2i+1} - xi*u_{2i+2}."""
     dom = QQXI
     vctx = VarContext([f"v{i}" for i in range(2 * n + 1)])
-    half = dom.from_rational(Fraction(1, 2))
-    neg_xi_sixth = dom.mul(dom.neg(dom.xi), dom.from_rational(Fraction(1, 6)))
-    uexprs = [MPoly.variable(vctx, dom, "v0")]
+    neg_xi = dom.neg(dom.xi)
+    uexprs = [MPoly.variable(vctx, dom, "v0").scale(dom.from_int(6))]
     for i in range(n):
         v1 = MPoly.variable(vctx, dom, f"v{2 * i + 1}")
         v2 = MPoly.variable(vctx, dom, f"v{2 * i + 2}")
-        uexprs += [(v1 + v2).scale(half), (v1 - v2).scale(neg_xi_sixth)]
+        uexprs += [(v1 + v2).scale(dom.from_int(3)), (v1 - v2).scale(neg_xi)]
     return uexprs
 
 
@@ -397,7 +397,9 @@ def _plane_conditions(g, trans_vars, order):
 def verify_linear_system_dim(n, d):
     """Dimension of the subsystem of {L_A*A + L_B*B : L linear} vanishing to
     order d+1 along both conjugate planes; expected 2n+2, with every
-    parametrization component inside the subsystem.  Exact rank over Q(xi)."""
+    parametrization component inside the subsystem.  Exact rank over Z[xi]:
+    at 6 times the u's, every form gains the same factor 6^(2d+2), which
+    changes no rank and no condition a form violates."""
     t0 = time.perf_counter()
     params = {"n": n, "d": d}
     dom = QQXI
@@ -423,9 +425,9 @@ def verify_linear_system_dim(n, d):
     if dim != 2 * n + 2:
         witness = {"reason": f"dimension {dim} != {2 * n + 2}"}
         return _done("linear_system_dim", params, witness, t0)
-    # every parametrization component must satisfy all the conditions
-    half = dom.from_rational(Fraction(1, 2))
-    for i, cv in enumerate(phibar_form(uexprs, d, lambda p: p.scale(half))):
+    # every parametrization component must satisfy all the conditions; a
+    # nonzero scalar keeps the ones a form violates, so halving is skipped
+    for i, cv in enumerate(phibar_form(uexprs, d, lambda p: p)):
         row = condition_row(cv)
         if row:
             witness = {"reason": f"parametrization component {i} violates {len(row)} conditions"}

@@ -1,6 +1,7 @@
 """Tests for sparse multivariate polynomials, rational maps, and local data."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -188,7 +189,7 @@ def assert_payload_types(p):
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 2)])
 def test_integral_families_hold_int_payloads(n, d):
     # phibar's halves cancel, so every family built over Q is integral and
-    # its payloads are ints; the v-coordinates keep their true denominators
+    # its payloads are ints; so are the v-coordinates, at 6 times the u's
     polys = [build_x(n, d), *build_ab(n, d), *build_sd(n, d),
              *build_h(n).components, *build_theta(n).components,
              *build_phibar(n, d).components]
@@ -196,7 +197,7 @@ def test_integral_families_hold_int_payloads(n, d):
         assert p.dom is QQ and p.terms
         assert all(type(c) is int for c in p.terms.values())
     v = _v_coordinates(n)
-    assert {type(x) for p in v for c in p.terms.values() for x in c} == {int, Fraction}
+    assert {type(x) for p in v for c in p.terms.values() for x in c} == {int}
     for p in v:
         assert_payload_types(p)
 
@@ -534,6 +535,126 @@ def test_heap_division_edge_cases(dom):
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
+
+
+def gauss_jordan_rank(rows, dom):
+    """Rank by Gauss-Jordan elimination over the field of fractions, with
+    domain arithmetic on payloads: the elimination `exact_rank` ran before
+    its fraction-free one, kept as its oracle."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if not dom.is_zero(mat[r][col])), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = dom.inv(mat[rank][col])
+        mat[rank] = [dom.mul(v, inv) for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and not dom.is_zero(mat[r][col]):
+                f = mat[r][col]
+                mat[r] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+RANK_DOMAINS = [QQ, QQXI, field_create(1009), field_create(2, 5)]
+
+
+def returned_values(fn, *args):
+    """(fn(*args), every value returned by a frame of `mpoly` or `domains`
+    that the call ran)."""
+    files = {sys.modules[f.__module__].__file__ for f in (exact_rank, field_create)}
+    seen = []
+
+    def returns(frame, event, arg):
+        if event == "return":
+            seen.append(arg)
+        return returns
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: returns if frame.f_code.co_filename in files else None)
+    try:
+        return fn(*args), seen
+    finally:
+        sys.settrace(old)
+
+
+def leaves(values):
+    for v in values:
+        if type(v) in (list, tuple):
+            yield from leaves(v)
+        else:
+            yield v
+
+
+def known_rank_matrix(dom, rng, m, n, proper):
+    """(matrix, rank) for an m x n matrix L R of `dom` payloads: L (m x k)
+    and R (k x n) random integer factors holding an identity block, so the
+    rank is k in every characteristic; then each row and each column is
+    scaled by a nonzero payload, a proper Fraction (per part over Q(xi))
+    when `proper`, and zero rows and columns are inserted."""
+    k = rng.randrange(min(m, n) + 1)
+    lrows, rcols = rng.sample(range(m), k), rng.sample(range(n), k)
+    L = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(m)]
+    R = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(k)]
+    for i in range(k):
+        L[lrows[i]] = [int(j == i) for j in range(k)]
+        for j in range(k):
+            R[j][rcols[i]] = int(j == i)
+
+    def unit():
+        while True:
+            if dom.char:
+                c = dom.element_from_index(rng.randrange(dom.q))
+            else:
+                c = random_payload(dom, rng) if proper else (
+                    dom.from_int(rng.randrange(-9, 10)) if dom is QQ else
+                    (rng.randrange(-9, 10), rng.randrange(-9, 10)))
+            if not dom.is_zero(c):
+                return c
+
+    mat = [[dom.from_int(sum(row[i] * R[i][j] for i in range(k))) for j in range(n)]
+           for row in L]
+    mat = [[dom.mul(c, s) for c in row] for row, s in zip(mat, [unit() for _ in mat])]
+    col_scales = [unit() for _ in range(n)]
+    mat = [[dom.mul(c, s) for c, s in zip(row, col_scales)] for row in mat]
+    for _ in range(rng.randrange(3)):
+        mat.insert(rng.randrange(len(mat) + 1), [dom.zero] * n)
+    for _ in range(rng.randrange(3) if mat else 0):
+        j = rng.randrange(len(mat[0]) + 1)
+        for row in mat:
+            row.insert(j, dom.zero)
+    return mat, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RANK_DOMAINS), st.integers(0, 6), st.integers(0, 6), st.booleans(),
+       st.integers(0, 10**9))
+def test_exact_rank_matches_gauss_jordan(dom, m, n, proper, seed):
+    mat, k = known_rank_matrix(dom, random.Random(seed), m, n, proper)
+    rows = [row[:] for row in mat]
+    rank, seen = returned_values(exact_rank, rows, dom)
+    assert rank == k == gauss_jordan_rank(mat, dom)
+    assert type(rank) is int and rows == mat
+    assert float not in {type(v) for v in leaves(seen)}
+
+
+@pytest.mark.parametrize("dom", RANK_DOMAINS)
+def test_exact_rank_empty_and_zero(dom):
+    z = dom.zero
+    for rows in ([], [[]], [[], []], [[z, z]], [[z], [z], [z]]):
+        assert exact_rank(rows, dom) == gauss_jordan_rank(rows, dom) == 0
+
+
+def test_exact_rank_integral_rows_build_no_fraction():
+    # over Q and Q(xi) the lifted rows of integral payloads are the payloads
+    # themselves, and every elimination value stays an int
+    for dom, mat in ((QQ, [[2, 4, 1], [1, 2, 7], [3, 6, 8]]),
+                     (QQXI, [[(1, 1), (0, 2)], [(-2, 2), (-6, 2)], [(3, 0), (0, 0)]])):
+        rank, seen = returned_values(exact_rank, mat, dom)
+        assert rank == gauss_jordan_rank(mat, dom) == 2
+        assert {type(v) for v in leaves(seen)} <= {int, bool, type(None)}
 
 
 def test_exact_rank_basic():

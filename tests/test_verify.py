@@ -565,6 +565,81 @@ def test_linear_system_dim_forms_match_substitution(n, d):
     assert [*ab_form(uexprs, d), *phibar_form(uexprs, d, lambda p: p.scale(half))] == want
 
 
+def fractional_v_coordinates(n):
+    """The images of u0..u_{2n} themselves, with the denominators 1/2 and
+    -xi/6: the coordinates `verify_linear_system_dim` ran on before they
+    were scaled by 6, kept as its oracle."""
+    vctx = VarContext([f"v{i}" for i in range(2 * n + 1)])
+    half = QQXI.from_rational(Fraction(1, 2))
+    neg_xi_sixth = QQXI.mul(QQXI.neg(QQXI.xi), QQXI.from_rational(Fraction(1, 6)))
+    uexprs = [MPoly.variable(vctx, QQXI, "v0")]
+    for i in range(n):
+        v1 = MPoly.variable(vctx, QQXI, f"v{2 * i + 1}")
+        v2 = MPoly.variable(vctx, QQXI, f"v{2 * i + 2}")
+        uexprs += [(v1 + v2).scale(half), (v1 - v2).scale(neg_xi_sixth)]
+    return uexprs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_linear_system_dim_integral_matches_fractional_coordinates(monkeypatch, n, d):
+    # scaling the u's by 6 scales every form by 6^(2d+2): the same record
+    new = verify_linear_system_dim(n, d)
+    monkeypatch.setattr(verify_mod, "_v_coordinates", fractional_v_coordinates)
+    old = verify_linear_system_dim(n, d)
+    assert new.passed and old.passed
+    assert new.params == old.params == {"n": n, "d": d, "space_dim": 4 * n + 2,
+                                        "rank": 2 * n, "dimension": 2 * n + 2}
+
+
+def test_linear_system_dim_builds_no_fraction(monkeypatch):
+    built, lifted = [], []
+    fraction_new, exact_rank = Fraction.__new__, verify_mod.exact_rank
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    def recorded(rows, dom):
+        lifted.extend(dom.lift(r)[0] for r in rows)
+        return exact_rank(rows, dom)
+    monkeypatch.setattr(verify_mod, "exact_rank", recorded)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    r = verify_linear_system_dim(2, 1)
+    monkeypatch.undo()
+    assert r.passed and built == []
+    assert {type(x) for row in lifted for c in row for x in c} == {int}
+
+
+@pytest.mark.parametrize("coordinates", [_v_coordinates, fractional_v_coordinates])
+def test_linear_system_dim_negative_control_component(monkeypatch, coordinates):
+    # component 3 gains v1*v2^(2d+1), of degree 1 <= d in the transverse
+    # variables v0, v1, v3 of the plane {v0 = v1 = v3 = 0}: one condition
+    def perturbed(u, d, half):
+        comps = list(phibar_form(u, d, half))
+        v1, v2 = (MPoly.variable(u[0].ctx, u[0].dom, nm) for nm in ("v1", "v2"))
+        comps[3] = comps[3] + v1 * v2 ** (2 * d + 1)
+        return comps
+    monkeypatch.setattr(verify_mod, "_v_coordinates", coordinates)
+    monkeypatch.setattr(verify_mod, "phibar_form", perturbed)
+    r = verify_linear_system_dim(2, 1)
+    assert not r.passed
+    assert r.params == {"n": 2, "d": 1, "space_dim": 10, "rank": 4, "dimension": 6}
+    assert r.witness == {"reason": "parametrization component 3 violates 1 conditions"}
+
+
+def test_linear_system_dim_negative_control_dimension(monkeypatch):
+    # B gains u1^(2d+1), which does not vanish along the planes
+    def perturbed(u, d):
+        A, B = ab_form(u, d)
+        return A, B + u[1] ** (2 * d + 1)
+    monkeypatch.setattr(verify_mod, "ab_form", perturbed)
+    r = verify_linear_system_dim(2, 1)
+    assert not r.passed
+    assert r.params == {"n": 2, "d": 1, "space_dim": 10, "rank": 9, "dimension": 1}
+    assert r.witness == {"reason": "dimension 1 != 6"}
+
+
 # ---------------------------------------------------------------------------
 # Galois symmetry and Cox grading
 
