@@ -3,11 +3,12 @@ and the birational maps between them.
 
 Everything is built over an explicit coefficient domain (default Q, or Q(xi)
 where the conjugate-plane data genuinely needs xi with xi^2 = -3).  X and
-Xdelta, (A, B), phibar and (S, D) are each defined once, as a form on values
-(`x_form`, `ab_form`, `phibar_form`, `sd_form`) that takes polynomials, ints,
-Fractions or arrays; the `build_*` constructors apply it to variables, the
-line pencil to its lines, the height engine to arrays, and `verify` to other
-coordinates (X to phibar's form, (S, D) to swapped or Cox ones).  phibar is
+Xdelta, (A, B), phibar, theta, h, the char-2 map g and (S, D) are each
+defined once, as a form on values (`x_form`, `ab_form`, `phibar_form`,
+`theta_form`, `h_form`, `char_two_form`, `sd_form`) that takes polynomials,
+ints, Fractions or arrays; the `build_*` constructors apply it to variables,
+the line pencil to its lines, the height engine to arrays, and `verify` to
+other coordinates or to `kernels.FieldArray` samples.  phibar is
 built block by block (`phibar_blocks`) from the values of A and B, and the
 line pencil is those blocks at A = 1, B = xi(2 lam - 1)/3.  Components
 follow the closed forms of the source construction, with two corrections that
@@ -157,45 +158,62 @@ def build_phibar(n, d):
     return RationalMap("phibar", comps, {"n": n, "d": d})
 
 
-def build_theta(n, dom=QQ):
-    """The quadric system inverting the parametrization: X --> P^{2n}."""
-    *x, xn0, xn1 = _vars(x_context(n), dom)
+def theta_form(x):
+    """theta's components at the values x, as `ab_form`: for each pair
+    (a, b) = (x_{2i}, x_{2i+1}) before the last pair (s, t), the pair
+    as - at + bt, bs - at, then s^2 - st + t^2."""
+    *x, s, t = x
     comps = []
     for a, b in zip(x[::2], x[1::2]):
-        comps.append(a * xn0 - a * xn1 + b * xn1)
-        comps.append(b * xn0 - a * xn1)
-    comps.append(xn0 * xn0 - xn0 * xn1 + xn1 * xn1)
-    return RationalMap("theta", comps, {"n": n})
+        comps.append(a * s - a * t + b * t)
+        comps.append(b * s - a * t)
+    comps.append(s * s - s * t + t * t)
+    return comps
 
 
-def build_h(n, dom=QQ):
-    """Linear automorphism of P^{2n} with h∘theta inverting phibar:
+def build_theta(n):
+    """The quadric system inverting the parametrization: X --> P^{2n}."""
+    return RationalMap("theta", theta_form(_vars(x_context(n), QQ)), {"n": n})
+
+
+def h_form(u):
+    """h's components at the values u, as `ab_form`:
     (u_0, ..., u_{2n}) -> (2u_{2n}, 2u_0 - u_1, u_1, 2u_2 - u_3, u_3, ...)."""
-    *u, un = _vars(u_context(n), dom)
+    *u, un = u
     comps = [2 * un]
     for a, b in zip(u[::2], u[1::2]):
         comps += [2 * a - b, b]
-    return RationalMap("h", comps, {"n": n})
+    return comps
 
 
-def build_char_two_maps(n, d, dom):
-    """Characteristic-2 parametrization data: P, Q and the degree-(2d+2)
-    map g with theta∘g ~ id."""
-    if dom.char != 2:
-        raise ValueError("characteristic-2 construction needs a char-2 domain")
-    ctx = u_context(n)
-    *u, un = _vars(ctx, dom)
+def build_h(n):
+    """Linear automorphism of P^{2n} with h∘theta inverting phibar."""
+    return RationalMap("h", h_form(_vars(u_context(n), QQ)), {"n": n})
+
+
+def char_two_form(u, d):
+    """(P, Q, g) at the values u, as `ab_form`: the characteristic-2 data,
+    g being the components of the degree-(2d+2) map with theta∘g ~ id."""
+    *u, un = u
     pairs = list(zip(u[::2], u[1::2]))
     # in characteristic 2, a^2 - ab + b^2 = a^2 + ab + b^2: P is X at (u, 0)
     P = x_form(u + [un, 0], d)
-    Qp = sum((b * (a * a + a * b + b * b) ** d for a, b in pairs), MPoly.zero(ctx, dom))
-    comps = []
+    Q = sum(b * (a * a + a * b + b * b) ** d for a, b in pairs)
+    g = []
     for a, b in pairs:
-        comps.append((a + b) * P + a * Qp)
-        comps.append(a * P + b * Qp)
-    comps.append(un * (P + Qp))
-    comps.append(un * P)
-    return {"P": P, "Q": Qp, "g": RationalMap("g", comps, {"n": n, "d": d})}
+        g.append((a + b) * P + a * Q)
+        g.append(a * P + b * Q)
+    g.append(un * (P + Q))
+    g.append(un * P)
+    return P, Q, g
+
+
+def build_char_two_maps(n, d, dom):
+    """`char_two_form` on the variables over the char-2 domain `dom`."""
+    if dom.char != 2:
+        raise ValueError("characteristic-2 construction needs a char-2 domain")
+    P, Q, g = char_two_form(_vars(u_context(n), dom), d)
+    return {"P": P, "Q": Q, "g": RationalMap("g", g, {"n": n, "d": d})}
 
 
 def build_cremona():

@@ -8,10 +8,9 @@ polynomial).  Field elements are element indices; a vector over F_q is
 encoded as the base-q number of its entries, the first entry in the lowest
 place.  Points are decoded from linear indices, and each kernel walks one
 index range [start, stop); the counts or histograms of disjoint ranges add.
-Every evaluation of a system goes through `system_values`: the count
-engines call it on at most `_BLOCK` points at a time, the sampled checks of
-`verify` once on all their samples, whose value rows they compare with
-`proportional_rows`.
+Systems are evaluated by `system_values`, in the count engines on at most
+`_BLOCK` points at a time; `verify`'s roundtrips apply the family forms to
+`FieldArray` columns.  Value rows are compared by `proportional_rows`.
 
 The block engine's kernels take a batch axis, one row per member c.f of
 the pencil of r forms of degree e (`pencil_lines`, built once per count):
@@ -117,14 +116,53 @@ def system_values(F, exps, coeffs, offsets, pts):
 
 def proportional_rows(F, a, b):
     """For each row of the equal-shape arrays of element indices `a` and
-    `b`, whether the two value vectors are proportional: every 2x2 minor
-    a_i b_j - a_j b_i is zero, tested as a_i b_j == a_j b_i on indices."""
+    `b`, whether the two value vectors are proportional: with p the row's
+    first nonzero column of `a` (any column of a zero row), a_p b_j ==
+    a_j b_p for every j."""
     _, mul = field_tables(F)
-    ok = np.ones(len(a), bool)
-    for i in range(a.shape[1]):
-        for j in range(i + 1, a.shape[1]):
-            ok &= mul(a[:, i], b[:, j]) == mul(a[:, j], b[:, i])
-    return ok
+    rows = np.arange(len(a))
+    p = np.argmax(a != 0, axis=1)
+    return (mul(a[rows, p][:, None], b) == mul(a, b[rows, p][:, None])).all(axis=1)
+
+
+class FieldArray:
+    """Elements of F_q as an array of element indices, with the + - * ** of
+    the family forms on `field_tables`; an int n stands for n mod p."""
+
+    __slots__ = ("idx", "ops")
+
+    def __init__(self, idx, ops):
+        self.idx, self.ops = idx, ops
+
+    @classmethod
+    def columns(cls, F, pts):
+        ops = (F.p, *field_tables(F))
+        return [cls(pts[:, j], ops) for j in range(pts.shape[1])]
+
+    def _of(self, other):
+        return other.idx if isinstance(other, FieldArray) else other % self.ops[0]
+
+    def __add__(self, other):
+        return FieldArray(self.ops[1](self.idx, self._of(other)), self.ops)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return FieldArray(self.ops[2](self.idx, self._of(other)), self.ops)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (self.ops[0] - 1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, e):
+        return FieldArray(power(self.idx, e, self.ops[2]), self.ops)
 
 
 def _zero_mask(F, exps, coeffs, offsets, pts):

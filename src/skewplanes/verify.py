@@ -7,10 +7,11 @@ All symbolic checks are exact (the difference must be the zero polynomial);
 nothing here is tolerance-based.  The singular locus is checked exactly over
 Q(xi), one plane at a time, by substitution.  Sampled checks run over F_q
 only: they draw from seeded generators, are bit-reproducible for a fixed
-seed, and evaluate all their samples at once with `kernels.system_values`,
-the evaluator of the count engines.  The singular locus's generic points
-are drawn by rank and unranked from the histograms of Y's pair blocks
-(`count.FirstChartZeros`), in the order of a full scan, so no scan runs.
+seed, and evaluate all their samples at once: the roundtrips' forms on
+`kernels.FieldArray`s, the singular locus's partials by
+`kernels.system_values`.  Its generic points are drawn by rank and
+unranked from the histograms of Y's pair blocks (`count.FirstChartZeros`),
+in the order of a full scan, so no scan runs.
 """
 
 from __future__ import annotations
@@ -32,22 +33,24 @@ from .families import (
     ab_form,
     build_ab,
     build_alpha_beta,
-    build_char_two_maps,
     build_cox_model,
     build_cremona,
-    build_h,
     build_line_pencil,
     build_phibar,
-    build_theta,
     build_x,
+    char_two_form,
+    h_form,
+    phibar_blocks,
     phibar_form,
     sd_form,
+    theta_form,
     u_context,
+    x_context,
     x_form,
     y_context,
 )
-from .kernels import proportional_rows, system_values
-from .mpoly import MPoly, VarContext, compose, exact_rank
+from .kernels import FieldArray, proportional_rows, system_values
+from .mpoly import MPoly, RationalMap, VarContext, compose, exact_rank
 from .reporting import BudgetExceeded, VerificationResult, abbreviate
 
 # full symbolic expansion stays comfortably small up to here; larger
@@ -232,21 +235,22 @@ def _element_strs(F, row):
     return [str(F.element_from_index(i)) for i in row.tolist()]
 
 
-def verify_composition_numeric(f, g, F, trials=100, seed=42):
-    """Sample source points, push through g∘f, and require projective
-    equality with the input.  Both maps are evaluated once on all samples
-    through the kernels' evaluator.  Samples before the first failing one
-    where either map vanishes entirely are skipped and tallied; all samples
-    degenerating is a failure."""
+def verify_composition_numeric(f, g, F, nvars, trials=100, seed=42):
+    """Sample points of F_q^nvars, push them through g∘f, and require
+    projective equality with the input.  f and g are (name, form) pairs,
+    each form applied once to all samples as `kernels.FieldArray` columns.
+    Samples before the first failing one where either map vanishes entirely
+    are skipped and tallied; all samples degenerating is a failure."""
     t0 = time.perf_counter()
-    params = {"f": f.name, "g": g.name, "field": F.name,
+    (fname, f), (gname, g) = f, g
+    params = {"f": fname, "g": gname, "field": F.name,
               "trials": trials, "seed": seed}
     rng = random.Random(seed)
-    nv = f.ctx.nvars
-    pts = np.array([_sample_point(rng, F.q, nv) for _ in range(trials)],
-                   np.int64).reshape(trials, nv)
-    mid = _values(f.components, F, pts)
-    out = _values(g.components, F, mid)
+    pts = np.array([_sample_point(rng, F.q, nvars) for _ in range(trials)],
+                   np.int64).reshape(trials, nvars)
+    mid = f(FieldArray.columns(F, pts))
+    out = np.stack([v.idx for v in g(mid)], axis=1)
+    mid = np.stack([v.idx for v in mid], axis=1)
     skip = ~mid.any(axis=1) | ~out.any(axis=1)
     bad = ~skip & ~proportional_rows(F, pts, out)
     if bad.any():
@@ -406,6 +410,8 @@ def verify_linear_system_dim(n, d):
     uexprs = _v_coordinates(n)
     Av, Bv = ab_form(uexprs, d)
     basis = [u * Av for u in uexprs] + [u * Bv for u in uexprs]
+    monomials = {e for g in basis for e in g.terms}
+    space_dim = exact_rank([[g.terms.get(e, dom.zero) for e in monomials] for g in basis], dom)
     trans_plus = ["v0"] + [f"v{2 * i + 1}" for i in range(n)]
     trans_minus = ["v0"] + [f"v{2 * i + 2}" for i in range(n)]
 
@@ -418,8 +424,8 @@ def verify_linear_system_dim(n, d):
     cols = sorted({k for row in rows for k in row}, key=str)
     matrix = [[row.get(c, dom.zero) for c in cols] for row in rows]
     rank = exact_rank(matrix, dom)
-    dim = len(basis) - rank
-    params["space_dim"] = len(basis)
+    dim = space_dim - rank
+    params["space_dim"] = space_dim
     params["rank"] = rank
     params["dimension"] = dim
     if dim != 2 * n + 2:
@@ -427,7 +433,7 @@ def verify_linear_system_dim(n, d):
         return _done("linear_system_dim", params, witness, t0)
     # every parametrization component must satisfy all the conditions; a
     # nonzero scalar keeps the ones a form violates, so halving is skipped
-    for i, cv in enumerate(phibar_form(uexprs, d, lambda p: p)):
+    for i, cv in enumerate(phibar_blocks(uexprs, Av, Bv, lambda p: p)):
         row = condition_row(cv)
         if row:
             witness = {"reason": f"parametrization component {i} violates {len(row)} conditions"}
@@ -481,20 +487,36 @@ def verify_cox_grading(n, d):
 
 
 def _h_theta(n):
-    h_theta = compose(build_h(n), build_theta(n))
-    h_theta.name = "h.theta"
-    return h_theta
+    return RationalMap("h.theta", h_form(theta_form(_vars(x_context(n), QQ))))
+
+
+ROUNDTRIP_TRIALS = 100
+
+
+def _roundtrip_cost(n, d):
+    """(cost, wording) of either roundtrip: its samples times a bound on its
+    forms' field operations on arrays.  Per pair of u they take at most 40
+    sums and products and two powers, each of at most 2 bit_length(d)
+    products by square-and-multiply."""
+    ops = (n + 1) * (40 + 4 * d.bit_length())
+    cost = ROUNDTRIP_TRIALS * ops
+    return cost, (f"of {ROUNDTRIP_TRIALS} samples through {ops} field operations "
+                  f"costs {abbreviate(cost)}")
 
 
 def _composition_roundtrip(n, d, seed, budget):
-    return verify_composition_numeric(build_phibar(n, d), _h_theta(n), field_create(1009),
-                                      trials=100, seed=seed)
+    F = field_create(1009)
+    half = (F.p + 1) // 2  # 1/2 in F_p
+    return verify_composition_numeric(
+        ("phibar", lambda u: phibar_form(u, d, lambda v: v * half)),
+        ("h.theta", lambda x: h_form(theta_form(x))), F, 2 * n + 1,
+        trials=ROUNDTRIP_TRIALS, seed=seed)
 
 
 def _composition_roundtrip_char2(n, d, seed, budget):
-    F32 = field_create(2, 5)
-    g = build_char_two_maps(n, d, F32)["g"]
-    return verify_composition_numeric(g, build_theta(n, F32), F32, trials=100, seed=seed)
+    return verify_composition_numeric(("g", lambda u: char_two_form(u, d)[2]),
+                                      ("theta", theta_form), field_create(2, 5), 2 * n + 1,
+                                      trials=ROUNDTRIP_TRIALS, seed=seed)
 
 
 class Check(NamedTuple):
@@ -503,8 +525,9 @@ class Check(NamedTuple):
 
 
 def _charged(check, what, cost, run, in_suite=lambda n, d: True):
-    """The Check `check` whose run charges `what` cost(n, d), a `_dense` or
-    `_block_sums` pair, by `_charge` before `run` builds anything."""
+    """The Check `check` whose run charges `what` cost(n, d), a `_dense`,
+    `_block_sums` or `_roundtrip_cost` pair, by `_charge` before `run`
+    builds anything."""
     def charged(n, d, seed, budget):
         _charge(check, what, cost(n, d), budget)
         return run(n, d, seed, budget)
@@ -514,7 +537,8 @@ def _charged(check, what, cost, run, in_suite=lambda n, d: True):
 # every check by its `verify --check` name, in the suite's record order.
 # line_factorization is capped by SYMBOLIC_*_MAX and singular_locus charges
 # its own work; the checks that sum the (S, D) blocks of `sd_form` are
-# charged those sums, and the others their largest polynomial's monomials.
+# charged those sums, the sampled roundtrips their samples' field operations,
+# and the others their largest polynomial's monomials.
 CHECKS = {
     "line_factorization": Check(lambda n, d, seed, budget: verify_line_factorization(n, d),
                                 lambda n, d: n <= 2 and d <= 2),
@@ -533,11 +557,10 @@ CHECKS = {
                                                       modulo=build_x(n, d)),
         lambda n, d: False),
     "composition_roundtrip": _charged(
-        "composition_roundtrip", "map component", lambda n, d: _dense(2 * n + 1, 2 * d + 2),
-        _composition_roundtrip),
+        "composition_roundtrip", "evaluation", _roundtrip_cost, _composition_roundtrip),
     "composition_roundtrip_char2": _charged(
-        "composition_roundtrip_char2", "map component",
-        lambda n, d: _dense(2 * n + 1, 2 * d + 2), _composition_roundtrip_char2),
+        "composition_roundtrip_char2", "evaluation", _roundtrip_cost,
+        _composition_roundtrip_char2),
     "linear_system_dim": _charged(
         "linear_system_dim", "condition form", lambda n, d: _dense(2 * n + 1, 2 * d + 2),
         lambda n, d, seed, budget: verify_linear_system_dim(n, d)),

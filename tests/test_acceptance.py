@@ -26,13 +26,14 @@ from skewplanes.domains import field_create
 from skewplanes.families import (
     build_ab,
     build_alpha_beta,
-    build_char_two_maps,
     build_cremona,
     build_dnm,
-    build_h,
     build_phibar,
-    build_theta,
     build_x,
+    char_two_form,
+    h_form,
+    phibar_form,
+    theta_form,
 )
 from skewplanes.heights import (
     direct_height_count,
@@ -40,7 +41,7 @@ from skewplanes.heights import (
     parametrized_height_count,
     reduced_representative,
 )
-from skewplanes.mpoly import MPoly, VarContext, compose
+from skewplanes.mpoly import MPoly, VarContext
 from skewplanes.reporting import strip_timing, to_json
 from skewplanes.verify import (
     run_all_checks,
@@ -161,18 +162,15 @@ def test_c06_composition_roundtrips():
     r1 = verify_composition(cr, cri)
     alpha, beta = build_alpha_beta(2)
     r2 = verify_composition(alpha, beta)
+    half = 505  # 1/2 in F_1009
+    phibar = ("phibar", lambda u: phibar_form(u, 1, lambda v: v * half))
+    h_theta = ("h.theta", lambda x: h_form(theta_form(x)))
     F1009 = field_create(1009)
-    h_theta = compose(build_h(1), build_theta(1))
-    h_theta.name = "h.theta"
-    r3 = verify_composition_numeric(build_phibar(1, 1), h_theta, F1009,
-                                    trials=100, seed=42)
-    r3b = verify_composition_numeric(build_phibar(1, 1), h_theta, F1009,
-                                     trials=100, seed=42)
+    r3 = verify_composition_numeric(phibar, h_theta, F1009, 3, trials=100, seed=42)
+    r3b = verify_composition_numeric(phibar, h_theta, F1009, 3, trials=100, seed=42)
     deterministic = strip_timing(r3.as_dict()) == strip_timing(r3b.as_dict())
-    F32 = field_create(2, 5)
-    data = build_char_two_maps(1, 1, F32)
-    theta32 = build_theta(1).map_domain(F32, F32.reduce_rational)
-    r4 = verify_composition_numeric(data["g"], theta32, F32,
+    r4 = verify_composition_numeric(("g", lambda u: char_two_form(u, 1)[2]),
+                                    ("theta", theta_form), field_create(2, 5), 3,
                                     trials=100, seed=42)
     ok = (r1.passed and r2.passed and r3.passed and r4.passed
           and r3.params["skips"] < 10 and r4.params["skips"] < 10

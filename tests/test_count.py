@@ -427,6 +427,54 @@ def test_field_tables_match_field_arithmetic(q):
     assert mul(a, b).tolist() == [F.element_index(F.mul(x, y)) for x, y in pairs]
 
 
+@pytest.mark.parametrize("q", [2, 7, 9, 32, 1009])
+def test_field_array_matches_field_arithmetic(q):
+    # every expression shape the family forms use, ints coerced mod p
+    F = field_create(*prime_power(q))
+    a, b = np.random.default_rng(q).integers(0, q, (2, 500))
+    va, vb = kernels.FieldArray.columns(F, np.stack([a, b], axis=1))
+    got = [va + vb, va - vb, -va, 3 - vb, vb - 5, 2 * va + 0, va * vb, va ** 5, (va - 7) ** 2]
+    e = F.element_from_index
+    want = [lambda x, y: F.add(x, y), lambda x, y: F.sub(x, y), lambda x, y: F.neg(x),
+            lambda x, y: F.sub(F.from_int(3), y), lambda x, y: F.sub(y, F.from_int(5)),
+            lambda x, y: F.mul(F.from_int(2), x), lambda x, y: F.mul(x, y),
+            lambda x, y: F.pow(x, 5), lambda x, y: F.pow(F.sub(x, F.from_int(7)), 2)]
+    for v, f in zip(got, want):
+        assert v.idx.tolist() == [F.element_index(f(e(i), e(j)))
+                                  for i, j in zip(a.tolist(), b.tolist())]
+
+
+def pairwise_proportional_rows(F, a, b):
+    """The tests' oracle: every 2x2 minor a_i b_j - a_j b_i of each row
+    pair is zero, tested as a_i b_j == a_j b_i on indices."""
+    _, mul = kernels.field_tables(F)
+    ok = np.ones(len(a), bool)
+    for i in range(a.shape[1]):
+        for j in range(i + 1, a.shape[1]):
+            ok &= mul(a[:, i], b[:, j]) == mul(a[:, j], b[:, i])
+    return ok
+
+
+@pytest.mark.parametrize("q", [2, 5, 7, 9, 32, 1009])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+def test_proportional_rows_matches_pairwise_minors(q, k):
+    # random rows, zero rows on either side, leading zeros, and b a multiple
+    # of a, mostly nonzero, so that both answers occur
+    F = field_create(*prime_power(q))
+    _, mul = kernels.field_tables(F)
+    rng = np.random.default_rng(10 * q + k)
+    a = rng.integers(0, q, (400, k))
+    a[rng.random((400, k)) < 0.3] = 0
+    a[::17] = 0
+    b = rng.integers(0, q, (400, k))
+    scaled = rng.random(400) < 0.6
+    b[scaled] = mul(a[scaled], rng.integers(0, q, (int(scaled.sum()), 1)))
+    b[::23] = 0
+    want = pairwise_proportional_rows(F, a, b)
+    assert kernels.proportional_rows(F, a, b).tolist() == want.tolist()
+    assert want.any() and (k == 1 or not want.all())
+
+
 # ---------------------------------------------------------------------------
 # line-orbit mode of the block engine against the full block histograms
 

@@ -37,6 +37,9 @@ def _grid():
     runs.append(["verify", "--check", "composition_on_x", "--n", "1", "--d", "2"])
     runs += [["verify", "--check", "linear_system_dim", "--n", str(n), "--d", str(d)]
              for n, d in ((2, 2), (3, 1), (3, 2))]
+    runs += [["verify", "--check", check, "--n", str(n), "--d", str(d)]
+             for check in ("composition_roundtrip", "composition_roundtrip_char2")
+             for n, d in ((3, 2), (2, 3))]
     # the benchmark's count jobs, each Y0 field it draws from among them
     for family, q, n, d, *extra in (("X", 101, 1, 2), ("X", 211, 1, 1, "--shards", "4"),
                                     ("X", 17, 2, 1), ("X", 64, 1, 1), ("X", 121, 1, 1),

@@ -8,12 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import skewplanes.count as count_mod
+import skewplanes.families as families_mod
+import skewplanes.kernels as kernels_mod
+import skewplanes.mpoly as mpoly_mod
 import skewplanes.verify as verify_mod
 from skewplanes.cli import main
 from skewplanes.count import (DEFAULT_BUDGET, FirstChartZeros, count_zeros, enumerate_projective,
                               projective_zeros)
 from skewplanes.domains import QQ, QQXI, field_create
 from skewplanes.families import (
+    _vars,
     ab_form,
     build_ab,
     build_char_two_maps,
@@ -25,20 +30,25 @@ from skewplanes.families import (
     build_x,
     build_alpha_beta,
     build_phitilde,
+    char_two_form,
+    h_form,
+    phibar_blocks,
     phibar_form,
     sd_form,
+    theta_form,
     u_context,
     x_form,
 )
 from skewplanes.mpoly import MPoly, RationalMap, VarContext, compose
 from skewplanes.reporting import BudgetExceeded, strip_timing
-from skewplanes.kernels import proportional_rows
+from skewplanes.kernels import FieldArray, proportional_rows
 from skewplanes.verify import (
     CHECKS,
     _h_theta,
     _plane_conditions,
     _plane_minor,
     _residual_witness,
+    _roundtrip_cost,
     _sample_ranks,
     _v_coordinates,
     _values,
@@ -137,8 +147,8 @@ def _refuse_builders(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built before the charge")
     for name in ("build_phibar", "build_x", "build_cremona", "build_alpha_beta",
-                 "build_char_two_maps", "build_theta", "build_h", "build_cox_model",
-                 "_v_coordinates", "x_form", "phibar_form", "sd_form"):
+                 "build_cox_model", "_v_coordinates", "x_form", "phibar_form",
+                 "phibar_blocks", "theta_form", "h_form", "char_two_form", "sd_form"):
         monkeypatch.setattr(verify_mod, name, refuse)
 
 
@@ -213,6 +223,14 @@ def test_composition_on_x_modulo_ideal():
     assert r.params.get("modulo_degree") == 2 * d + 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_h_theta_forms_match_composition(n):
+    # composition_on_x takes h.theta as h_form at theta_form on the variables
+    h_theta = _h_theta(n)
+    assert h_theta.name == "h.theta"
+    assert h_theta.components == compose(build_h(n), build_theta(n)).components
+
+
 def test_composition_on_x_wrong_hypersurface_fails():
     # phibar(1, 2) inverts h.theta on X(1, 2), not on X(1, 1); a minor that
     # X(1, 1) does not divide is a failure, not a cue to sample
@@ -221,55 +239,52 @@ def test_composition_on_x_wrong_hypersurface_fails():
     assert r.witness == {"reason": "minor (0,1) is not a multiple of the hypersurface"}
 
 
+THETA = ("theta", theta_form)
+H_THETA = ("h.theta", lambda x: h_form(theta_form(x)))
+
+
+def _phibar_then(g, n, d, q):
+    """(f, g, F_q, nvars) for phibar(n, d), halved by 1/2 in F_q, then g."""
+    half = (q + 1) // 2
+    return (("phibar", lambda u: phibar_form(u, d, lambda v: v * half)), g,
+            field_create(q), 2 * n + 1)
+
+
 def test_composition_numeric_roundtrip():
-    n, d = 1, 1
-    F = field_create(1009)
-    h_theta = compose(build_h(n), build_theta(n))
-    h_theta.name = "h.theta"
-    r = verify_composition_numeric(build_phibar(n, d), h_theta, F,
-                                   trials=100, seed=42)
+    r = verify_composition_numeric(*_phibar_then(H_THETA, 1, 1, 1009), trials=100, seed=42)
     assert r.passed
     assert r.params["skips"] < 10
     # determinism: identical seeds give identical reports modulo timing
-    r2 = verify_composition_numeric(build_phibar(n, d), h_theta, F,
-                                    trials=100, seed=42)
+    r2 = verify_composition_numeric(*_phibar_then(H_THETA, 1, 1, 1009), trials=100, seed=42)
     assert strip_timing(r.as_dict()) == strip_timing(r2.as_dict())
 
 
 def test_composition_numeric_char_two():
-    F32 = field_create(2, 5)
-    data = build_char_two_maps(1, 1, F32)
-    theta = build_theta(1).map_domain(F32, F32.reduce_rational)
-    r = verify_composition_numeric(data["g"], theta, F32, trials=100, seed=42)
+    r = verify_composition_numeric(("g", lambda u: char_two_form(u, 1)[2]), THETA,
+                                   field_create(2, 5), 3, trials=100, seed=42)
     assert r.passed
     assert r.params["skips"] < 10
-
-
-def _h_over_f32():
-    F32 = field_create(2, 5)
-    h = build_h(1).map_domain(F32, F32.reduce_rational)
-    return h, h, F32
 
 
 # outputs of the per-point evaluator the array evaluator replaced:
 # (maps, trials, seed, passed, skips, checked, witness)
 PINNED_NUMERIC = {
     "phibar-theta-F1009": (
-        lambda: (build_phibar(1, 1), build_theta(1), field_create(1009)), 100, 3,
+        lambda: _phibar_then(THETA, 1, 1, 1009), 100, 3,
         False, 0, None, {"point": ["243", "606", "557"], "image": ["608", "598", "29"]}),
     "phibar-theta-F5": (
-        lambda: (build_phibar(1, 1), build_theta(1), field_create(5)), 40, 1,
+        lambda: _phibar_then(THETA, 1, 1, 5), 40, 1,
         False, 1, None, {"point": ["2", "0", "3"], "image": ["1", "2", "4"]}),
     "h-h-F32": (
-        _h_over_f32, 50, 7,
+        lambda: (("h", h_form), ("h", h_form), field_create(2, 5), 3), 50, 7,
         False, 0, None,
         {"point": ["(0, 0, 1, 0, 1)", "(1, 0, 0, 1, 0)", "(1, 0, 0, 1, 1)"],
          "image": ["(0, 0, 0, 0, 0)", "(1, 0, 0, 1, 0)", "(1, 0, 0, 1, 0)"]}),
     "phibar-htheta-F7": (
-        lambda: (build_phibar(1, 1), _h_theta(1), field_create(7)), 30, 3,
+        lambda: _phibar_then(H_THETA, 1, 1, 7), 30, 3,
         True, 5, 25, None),
     "phibar2-htheta-F5": (
-        lambda: (build_phibar(2, 1), _h_theta(2), field_create(5)), 40, 11,
+        lambda: _phibar_then(H_THETA, 2, 1, 5), 40, 11,
         True, 13, 27, None),
 }
 
@@ -277,12 +292,42 @@ PINNED_NUMERIC = {
 @pytest.mark.parametrize("case", PINNED_NUMERIC)
 def test_composition_numeric_pinned(case):
     maps, trials, seed, passed, skips, checked, witness = PINNED_NUMERIC[case]
-    f, g, F = maps()
-    r = verify_composition_numeric(f, g, F, trials=trials, seed=seed)
+    r = verify_composition_numeric(*maps(), trials=trials, seed=seed)
     assert r.passed is passed
     assert r.params["skips"] == skips
     assert r.params.get("checked") == checked
     assert r.witness == witness
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (1009, 1), (3, 2), (2, 5)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_forms_on_field_arrays_match_expanded_maps(p, m, n, d):
+    # each form on FieldArray columns against its MPoly, reduced into F and
+    # evaluated term by term by kernels.system_values.  With the identity
+    # for half, phibar is its components with the halved ones doubled, which
+    # is defined in characteristic 2 too.  Off characteristic 2, P, Q and g
+    # are char_two_form on the variables over Q, having no builder there
+    F = field_create(p, m)
+    pts = np.random.default_rng(100 * n + d).integers(0, F.q, (20, 2 * n + 2))
+    x, u = FieldArray.columns(F, pts), FieldArray.columns(F, pts[:, 1:])
+    phibar = build_phibar(n, d).components
+    doubled = [c.scale(Fraction(2)) if i % 2 == 0 else c for i, c in enumerate(phibar)]
+    if p == 2:
+        maps = build_char_two_maps(n, d, F)
+        P, Q, g = maps["P"], maps["Q"], maps["g"].components
+    else:
+        P, Q, g = char_two_form(_vars(u_context(n), QQ), d)
+    Pv, Qv, gv = char_two_form(u, d)
+    cases = [(theta_form(x), build_theta(n).components, pts),
+             (h_form(u), build_h(n).components, pts[:, 1:]),
+             (phibar_form(u, d, lambda v: v), doubled, pts[:, 1:]),
+             ([Pv, Qv, *gv], [P, Q, *g], pts[:, 1:])]
+    if p != 2:
+        half = (p + 1) // 2
+        cases.append((phibar_form(u, d, lambda v: v * half), phibar, pts[:, 1:]))
+    for got, polys, at in cases:
+        assert np.stack([v.idx for v in got], axis=1).tolist() == _values(polys, F, at).tolist()
 
 
 def test_composition_detects_wrong_pair():
@@ -615,13 +660,13 @@ def test_linear_system_dim_builds_no_fraction(monkeypatch):
 def test_linear_system_dim_negative_control_component(monkeypatch, coordinates):
     # component 3 gains v1*v2^(2d+1), of degree 1 <= d in the transverse
     # variables v0, v1, v3 of the plane {v0 = v1 = v3 = 0}: one condition
-    def perturbed(u, d, half):
-        comps = list(phibar_form(u, d, half))
+    def perturbed(u, A, B, half):
+        comps = list(phibar_blocks(u, A, B, half))
         v1, v2 = (MPoly.variable(u[0].ctx, u[0].dom, nm) for nm in ("v1", "v2"))
-        comps[3] = comps[3] + v1 * v2 ** (2 * d + 1)
+        comps[3] = comps[3] + v1 * v2 ** A.total_degree()  # 2d + 1
         return comps
     monkeypatch.setattr(verify_mod, "_v_coordinates", coordinates)
-    monkeypatch.setattr(verify_mod, "phibar_form", perturbed)
+    monkeypatch.setattr(verify_mod, "phibar_blocks", perturbed)
     r = verify_linear_system_dim(2, 1)
     assert not r.passed
     assert r.params == {"n": 2, "d": 1, "space_dim": 10, "rank": 4, "dimension": 6}
@@ -638,6 +683,26 @@ def test_linear_system_dim_negative_control_dimension(monkeypatch):
     assert not r.passed
     assert r.params == {"n": 2, "d": 1, "space_dim": 10, "rank": 9, "dimension": 1}
     assert r.witness == {"reason": "dimension 1 != 6"}
+
+
+def test_linear_system_dim_negative_control_dependent_basis(monkeypatch):
+    # with B = A the forms u_i*A, u_i*B span 2n + 1 dimensions, not 4n + 2;
+    # counting the basis forms instead would pass with dimension 6
+    monkeypatch.setattr(verify_mod, "ab_form", lambda u, d: (ab_form(u, d)[0],) * 2)
+    r = verify_linear_system_dim(2, 1)
+    assert not r.passed
+    assert r.params == {"n": 2, "d": 1, "space_dim": 5, "rank": 4, "dimension": 1}
+    assert r.witness == {"reason": "dimension 1 != 6"}
+
+
+def test_linear_system_dim_evaluates_ab_form_once(monkeypatch):
+    calls = []
+
+    def counted(u, d):
+        calls.append(d)
+        return ab_form(u, d)
+    monkeypatch.setattr(verify_mod, "ab_form", counted)
+    assert verify_linear_system_dim(2, 1).passed and calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -706,24 +771,27 @@ def test_cox_negative_control_wp_multiple():
 # the charges at (n, d) = (1, 1).  C(m - 1 + D, m - 1) dense monomials of
 # the polynomial of degree D in m variables that the check builds: the
 # residual X(phibar) (3, 12), the composites cr_inv(cr) (3, 4) and
-# beta(alpha) (3, 6), the cross minors on X (3, 9), the sampled maps and the
-# condition forms (3, 4).  For the BLOCK_SUMS checks, blocks^2 * m for the
-# sums of the 2 (S, D) blocks in m variables: the Galois residuals in 4 and,
-# with coefficient variables, 8, and the Cox residuals in 6
+# beta(alpha) (3, 6), the cross minors on X (3, 9) and the condition forms
+# (3, 4).  For the BLOCK_SUMS checks, blocks^2 * m for the sums of the 2
+# (S, D) blocks in m variables: the Galois residuals in 4 and, with
+# coefficient variables, 8, and the Cox residuals in 6.  The SAMPLED
+# roundtrips, 100 samples through (n + 1)(40 + 4 bit_length(d)) = 88 field
+# operations
 CHARGES_AT_1_1 = [
     ("membership", 91), ("composition_cremona", 15), ("composition_alphabeta", 28),
-    ("composition_on_x", 55), ("composition_roundtrip", 15),
-    ("composition_roundtrip_char2", 15), ("linear_system_dim", 15), ("galois", 16),
+    ("composition_on_x", 55), ("composition_roundtrip", 8800),
+    ("composition_roundtrip_char2", 8800), ("linear_system_dim", 15), ("galois", 16),
     ("galois_generalized", 32), ("cox_grading", 24),
 ]
 BLOCK_SUMS = {"galois", "galois_generalized", "cox_grading"}
+SAMPLED = {"composition_roundtrip", "composition_roundtrip_char2"}
 
 
 @pytest.mark.parametrize("name, cost", CHARGES_AT_1_1)
 def test_checks_charge_their_largest_polynomial(monkeypatch, name, cost):
     assert CHECKS[name].run(1, 1, 0, cost).passed
     _refuse_builders(monkeypatch)
-    wording = f"costs {cost}" if name in BLOCK_SUMS else f"has up to {cost} monomials"
+    wording = f"costs {cost}" if name in BLOCK_SUMS | SAMPLED else f"has up to {cost} monomials"
     with pytest.raises(BudgetExceeded, match=rf"^{name}: .* {wording}, over budget {cost - 1}$"):
         CHECKS[name].run(1, 1, 0, cost - 1)
 
@@ -737,17 +805,59 @@ def test_every_check_is_charged_or_capped():
 
 @pytest.mark.parametrize("name, n, d", [
     ("galois", 1000, 1000), ("galois_generalized", 1000, 1000), ("cox_grading", 1000, 1000),
-    ("composition_alphabeta", 300, 1), ("composition_roundtrip", 50, 50),
-    ("composition_roundtrip_char2", 50, 50), ("linear_system_dim", 50, 50),
+    ("composition_alphabeta", 300, 1), ("composition_roundtrip", 1000, 1000),
+    ("composition_roundtrip_char2", 1000, 1000), ("linear_system_dim", 50, 50),
     ("composition_on_x", 20, 20),
 ])
 def test_runaway_sizes_exit_4_at_once(no_builders, capsys, name, n, d):
     # each ran for over 13 s (most were stopped after 15 s) before it was
-    # charged
+    # charged.  The roundtrips' charge within the --n/--d range is at most
+    # 100 * 1001 * 80 field operations; one unit less refuses them
+    budget = 100 * 1001 * 80 - 1 if name in SAMPLED else DEFAULT_BUDGET
     t0 = time.perf_counter()
-    assert main(["verify", "--check", name, "--n", str(n), "--d", str(d)]) == 4
+    assert main(["verify", "--check", name, "--n", str(n), "--d", str(d),
+                 "--budget", str(budget)]) == 4
     assert time.perf_counter() - t0 < 1
     assert f"budget exceeded: {name}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_roundtrips_run_at_the_largest_sizes(capsys, name):
+    # the dense charge of their maps refused these already at (10, 10)
+    t0 = time.perf_counter()
+    assert main(["verify", "--check", name, "--n", "1000", "--d", "1000"]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().out.startswith("[PASS] ")
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_roundtrips_build_no_polynomial(monkeypatch, name):
+    # the roundtrips evaluate the forms on arrays: no map is expanded,
+    # composed or flattened into the count engines' arrays
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a polynomial map")
+    for module in (verify_mod, families_mod, mpoly_mod, count_mod):
+        for attr in ("build_phibar", "build_theta", "build_h", "build_char_two_maps",
+                     "compose", "_system_arrays"):
+            monkeypatch.setattr(module, attr, refuse, raising=False)
+    for n, d in [(1, 1), (2, 3), (3, 2)]:
+        assert CHECKS[name].run(n, d, 42, DEFAULT_BUDGET).passed, (n, d)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 3), (3, 7), (8, 1000), (1000, 1)])
+def test_roundtrip_charge_bounds_its_field_operations(monkeypatch, name, n, d):
+    # the charge is an upper bound of the sums and products the forms
+    # take, and within a factor 2 of them
+    ops = []
+    tables = kernels_mod.field_tables
+
+    def counted(F):
+        return tuple(lambda a, b, op=op: ops.append(1) or op(a, b) for op in tables(F))
+    monkeypatch.setattr(kernels_mod, "field_tables", counted)
+    CHECKS[name].run(n, d, 42, DEFAULT_BUDGET)
+    # proportional_rows multiplies twice
+    assert len(ops) - 2 <= _roundtrip_cost(n, d)[0] // 100 < 2 * (len(ops) - 2)
 
 
 @pytest.mark.parametrize("name, n, d", [
