@@ -4,10 +4,10 @@ formulas, and their cross-validation.
 `count_zeros` runs one of two engines, chosen from the system alone by cost.
 The block engine splits the variables into blocks that share no monomial
 and counts r forms of one degree from the members c.f of their pencil,
-each block once per line (`_count_blocks`).  It runs when there are two
-blocks or more and it costs no more than the chart scan, its oracle, which
-walks affine charts (points normalized so the first nonzero coordinate is
-1) in order.
+each distinct block once per line, repeats by squaring (`_count_blocks`).
+It runs when there are two blocks or more and it costs no more than the
+chart scan, its oracle, which walks affine charts (points normalized so the
+first nonzero coordinate is 1) in order.
 
 Zeros as points come from a chart scan (`projective_zeros`, which Y0 uses)
 or, on the chart x0 = 1 of a system whose other variables form blocks, by
@@ -171,8 +171,23 @@ def _plan(polys, F):
 def _block_system(exps, coeffs, offsets, block):
     """(exps, coeffs, offsets) of the system's terms in the block's
     variables, restricted to its columns."""
-    rows = np.flatnonzero(exps[:, block].any(axis=1))
-    return exps[rows][:, block], coeffs[rows], np.searchsorted(rows, offsets)
+    cols = exps[:, block]
+    rows = np.flatnonzero(cols.any(axis=1))
+    return cols[rows], coeffs[rows], np.searchsorted(rows, offsets)
+
+
+def _block_classes(exps, coeffs, offsets, blocks):
+    """The distinct restricted systems of the blocks (see `_block_system`),
+    in order of first appearance, and each block's index among them."""
+    systems, index, of_block = [], {}, []
+    for block in blocks:
+        system = _block_system(exps, coeffs, offsets, block)
+        key = tuple((a.shape, a.tobytes()) for a in system)
+        if key not in index:
+            index[key] = len(systems)
+            systems.append(system)
+        of_block.append(index[key])
+    return systems, of_block
 
 
 def _count_blocks(F, exps, coeffs, offsets, blocks, s):
@@ -184,23 +199,30 @@ def _count_blocks(F, exps, coeffs, offsets, blocks, s):
     N_aff(c.f) = H[0] of the convolution of c.f's block histograms.  Each
     block's part of c.f has degree e, so its histogram comes from one point
     per line and is constant on the cosets of (F_q^*)^e, of index s, as is
-    every partial convolution.  Histograms hold Python ints once q^nvars
-    reaches the int64 range, and the sum over [c] is in Python ints."""
+    every partial convolution.  The blocks of one class (`_block_classes`)
+    share a histogram, raised to their number by squaring.  Histograms hold
+    Python ints once q^nvars reaches the int64 range, and the sum over [c]
+    is in Python ints."""
     q, nvars, r = F.q, exps.shape[1], len(offsets) - 1
     exact = q ** nvars >= 2 ** 63
     pencil = pencil_lines(F, r, s)
-
-    def histograms(block):
-        lines = projective_size(q, len(block) - 1)
-        hist = orbit_histogram(F, line_orbit_counts(
-            F, *_block_system(exps, coeffs, offsets, block), *pencil, s, 0, lines))
-        return hist.astype(object) if exact else hist
-
-    hists = map(histograms, blocks)
-    total = next(hists)
-    for _ in blocks[1:-1]:
-        total = convolve_invariant(F, total, next(hists), s)
-    n_aff = convolution_at_zero(F, total, next(hists)) if len(blocks) > 1 else total[:, 0]
+    systems, of_block = _block_classes(exps, coeffs, offsets, blocks)
+    factors = []
+    for system, k in zip(systems, np.bincount(of_block).tolist()):
+        lines = projective_size(q, system[0].shape[1] - 1)
+        hist = orbit_histogram(F, line_orbit_counts(F, *system, *pencil, s, 0, lines))
+        hist = hist.astype(object) if exact else hist
+        # this class's factors times hist^k stay its power; the last square
+        # is left as two factors, so that the last product is read at 0
+        while k > 2:
+            if k & 1:
+                factors.append(hist)
+            hist, k = convolve_invariant(F, hist, hist, s), k >> 1
+        factors += [hist] * k
+    total = factors[0]
+    for factor in factors[1:-1]:
+        total = convolve_invariant(F, total, factor, s)
+    n_aff = convolution_at_zero(F, total, factors[-1]) if len(factors) > 1 else total[:, 0]
     cone, rem = divmod(q ** nvars + (q - 1) * sum(map(int, n_aff)) - q ** (r - 1 + nvars),
                        q ** r - q ** (r - 1))
     assert rem == 0 and (cone - 1) % (q - 1) == 0
@@ -425,7 +447,8 @@ class FirstChartZeros:
     @functools.cached_property
     def _tables(self):
         """(points, values, suffix, target): each block's points in lex order
-        and their value vectors v_k as base-q keys, S_1, ..., S_m, and t."""
+        and their value vectors v_k as base-q keys, one pair a block class,
+        S_1, ..., S_m, and t."""
         F, (exps, coeffs, offsets) = self.F, self._system
         q, size = F.q, F.q ** self.r
         dtype = object if q ** (exps.shape[1] - 1) >= 2 ** 63 else np.int64
@@ -435,9 +458,10 @@ class FirstChartZeros:
 
         origin = np.eye(1, exps.shape[1], dtype=np.int64)
         target = int(_digitwise(F.p, 0, keys(self._system, origin), -1, size)[0])
-        points = [_affine_points(q, len(b), 0, q ** len(b)) for b in self.blocks]
-        values = [keys(_block_system(exps, coeffs, offsets, b), pts)
-                  for b, pts in zip(self.blocks, points)]
+        systems, of_block = _block_classes(exps, coeffs, offsets, self.blocks)
+        points = [_affine_points(q, sub[0].shape[1], 0, q ** sub[0].shape[1]) for sub in systems]
+        values = [keys(sub, pts) for sub, pts in zip(systems, points)]
+        points, values = [points[i] for i in of_block], [values[i] for i in of_block]
         suffix = [np.zeros(size, dtype)]
         suffix[0][0] = 1
         for v in values[:0:-1]:

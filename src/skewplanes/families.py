@@ -155,7 +155,7 @@ def phibar_form(u, d, half):
 def build_phibar(n, d):
     """Degree-(2d+2) parametrization P^{2n} --> X, built from (A, B)."""
     comps = phibar_form(_vars(u_context(n), QQ), d, lambda p: p.scale(Fraction(1, 2)))
-    return RationalMap("phibar", comps, {"n": n, "d": d})
+    return RationalMap("phibar", comps)
 
 
 def theta_form(x):
@@ -173,7 +173,7 @@ def theta_form(x):
 
 def build_theta(n):
     """The quadric system inverting the parametrization: X --> P^{2n}."""
-    return RationalMap("theta", theta_form(_vars(x_context(n), QQ)), {"n": n})
+    return RationalMap("theta", theta_form(_vars(x_context(n), QQ)))
 
 
 def h_form(u):
@@ -188,7 +188,7 @@ def h_form(u):
 
 def build_h(n):
     """Linear automorphism of P^{2n} with h∘theta inverting phibar."""
-    return RationalMap("h", h_form(_vars(u_context(n), QQ)), {"n": n})
+    return RationalMap("h", h_form(_vars(u_context(n), QQ)))
 
 
 def char_two_form(u, d):
@@ -213,7 +213,7 @@ def build_char_two_maps(n, d, dom):
     if dom.char != 2:
         raise ValueError("characteristic-2 construction needs a char-2 domain")
     P, Q, g = char_two_form(_vars(u_context(n), dom), d)
-    return {"P": P, "Q": Q, "g": RationalMap("g", g, {"n": n, "d": d})}
+    return {"P": P, "Q": Q, "g": RationalMap("g", g)}
 
 
 def build_cremona():
@@ -285,8 +285,8 @@ def build_alpha_beta(n):
     for j in range(n - 1):
         beta_comps[2 * j + 4] = (u[1] * u[2 * j + 3] - u[2] * u[2 * j + 3]
                                  + u[1] * u[2 * j + 4] + 3 * (u[2] * u[2 * j + 4]))
-    return (RationalMap("alpha", alpha_comps, {"n": n}),
-            RationalMap("beta", beta_comps, {"n": n}))
+    return (RationalMap("alpha", alpha_comps),
+            RationalMap("beta", beta_comps))
 
 
 def build_phitilde(n, d):
@@ -327,7 +327,7 @@ def build_phitilde(n, d):
         cleared.append(w)
     target = max(w.total_degree() for w in cleared)
     comps = [w.homogenize("t0", target) for w in cleared]
-    return RationalMap("phitilde", comps, {"n": n, "d": d})
+    return RationalMap("phitilde", comps)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ The block engine's kernels take a batch axis, one row per member c.f of
 the pencil of r forms of degree e (`pencil_lines`, built once per count):
 `line_orbit_counts` evaluates the forms once per line and bins each row's
 values by discrete logarithm mod s, and `orbit_histogram` and
-`convolve_invariant` build and convolve histograms constant on the cosets
-of the e-th powers (tests' oracles: `block_histogram` and
+`convolve_invariant` build, convolve and square histograms constant on
+the cosets of the e-th powers (tests' oracles: `block_histogram` and
 `convolve_histograms` over F_q^r).  `convolve_histograms` also forms the
 suffix convolutions from which `count.FirstChartZeros` unranks zeros.
 """

@@ -20,7 +20,7 @@ leading terms from a heap, as Monagan-Pearce divide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, lshift, neg, sub
@@ -539,7 +539,6 @@ class RationalMap:
 
     name: str
     components: tuple
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -565,8 +564,7 @@ class RationalMap:
 
     def map_domain(self, new_dom, conv):
         return RationalMap(self.name,
-                           tuple(c.map_domain(new_dom, conv) for c in self.components),
-                           dict(self.extra))
+                           tuple(c.map_domain(new_dom, conv) for c in self.components))
 
     def to_text(self):
         return "\n".join(f"{self.name}[{i}] = {c.to_text()}"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewplanes import count as count_module
 from skewplanes import kernels
@@ -353,6 +355,109 @@ def test_block_engine_matches_chart_scan(q):
     for polys in _engine_systems(F):
         blocks, scan = _both_engines(polys, F)
         assert blocks == scan, (q, [f.to_text() for f in polys])
+
+
+# q^nvars of a drawn system is at most this, so the chart scan is cheap
+_COPY_POINTS = 2 ** 15
+
+
+def _draw_block(draw, q, width, r, e):
+    """r forms of degree e on `width` variables, as lists of (exponents,
+    coefficient index) terms; a form may be empty."""
+    monomials = [(e,)] if width == 1 else [(a, e - a) for a in range(e + 1)]
+    return [[(mono, draw(st.integers(1, q - 1)))
+             for mono in draw(st.lists(st.sampled_from(monomials), unique=True, max_size=3))]
+            for _ in range(r)]
+
+
+@st.composite
+def _repeated_block_systems(draw):
+    """(polys, F): r forms of degree e on k copies of one random block and
+    perhaps copies of a block of the other width, with the variables
+    permuted, and perhaps one copy with a coefficient or an exponent changed."""
+    F = field_create(*draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1),
+                                            (2, 2), (2, 3), (3, 2), (5, 2)])))
+    q, r, e = F.q, draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    room = max(j for j in range(16) if q ** j <= _COPY_POINTS)
+    width = draw(st.integers(1, min(2, room)))
+    k = draw(st.integers(1, min(6, room // width)))
+    copies = [(width, _draw_block(draw, q, width, r, e))] * k
+    other = 3 - width
+    if room - k * width >= other:
+        block = _draw_block(draw, q, other, r, e)
+        copies += [(other, block)] * draw(st.integers(0, min(6, (room - k * width) // other)))
+    at = draw(st.integers(0, len(copies) - 1))
+    width_at, block = copies[at]
+    terms = [(i, j) for i, form in enumerate(block) for j in range(len(form))]
+    change = draw(st.sampled_from(["none", "coefficient", "exponent"]))
+    if terms and change != "none":
+        i, j = draw(st.sampled_from(terms))
+        (mono, c), block = block[i][j], [list(form) for form in block]
+        if change == "coefficient" and q > 2:
+            block[i][j] = mono, draw(st.integers(1, q - 1).filter(lambda x: x != c))
+        elif change == "exponent" and width_at == 2:
+            a = mono[0] - 1 if mono[0] else 1
+            block[i][j] = (a, e - a), c
+        copies[at] = width_at, block
+    nvars = sum(w for w, _ in copies)
+    place = draw(st.permutations(range(nvars)))
+    ctx = VarContext(tuple(f"x{i}" for i in range(nvars)))
+    polys = [MPoly.zero(ctx, F) for _ in range(r)]
+    first = 0
+    for w, block in copies:
+        for i, form in enumerate(block):
+            for mono, c in form:
+                exps = [0] * nvars
+                for v, power in zip(place[first:first + w], mono):
+                    exps[v] = power
+                polys[i] = polys[i] + MPoly(ctx, F, {tuple(exps): F.element_from_index(c)})
+        first += w
+    return polys, F
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeated_block_systems())
+def test_repeated_blocks_match_chart_scan(system):
+    # copies of one block share a histogram raised by squaring; a changed
+    # copy is a class of its own
+    polys, F = system
+    blocks, scan = _both_engines(polys, F)
+    assert blocks == scan == count_zeros(polys, F)
+
+
+def _spy(monkeypatch, name):
+    """The argument tuples of the calls `count` makes to the named kernel."""
+    calls = []
+    real = getattr(count_module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(count_module, name, spy)
+    return calls
+
+
+def test_block_classes_take_one_histogram_each(monkeypatch):
+    # X(3, 1) is 8 copies of y^3; Y(3, 1) is a u0 block and 3 copies of
+    # one pair system
+    calls = _spy(monkeypatch, "line_orbit_counts")
+    rep = count_family("X", 3, 1, field_create(101))
+    assert (rep.engine, rep.match, len(calls)) == ("blocks", True, 1)
+    calls.clear()
+    rep = count_family("Y", 3, 1, field_create(11))
+    assert (rep.engine, rep.match, len(calls)) == ("blocks", True, 2)
+
+
+def test_repeated_block_raised_by_squaring(monkeypatch):
+    # X(40, 1) is 82 copies of y^3 on the object-array path: 5 squarings
+    # and 3 products of 4 factors, the last one at 0 alone
+    lines, convolve, at_zero = (_spy(monkeypatch, name) for name in (
+        "line_orbit_counts", "convolve_invariant", "convolution_at_zero"))
+    F = field_create(1013)
+    assert count_zeros([build_x(40, 1, F)], F) == projective_size(1013, 80)
+    assert (len(lines), len(at_zero)) == (1, 1)
+    assert 0 < len(convolve) <= 2 * 6 + 1
+    assert all(h1.dtype == h2.dtype == object for _, h1, h2, _ in convolve)
 
 
 def test_block_engine_exact_past_int64():

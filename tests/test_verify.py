@@ -370,6 +370,9 @@ def test_singular_locus_generic_pool_matches_pointwise_walk():
         generic = FirstChartZeros(build_ab(n, 1, QQ), F)
         assert generic.pool == len(walk)
         assert generic.unrank(range(generic.pool)).tolist() == walk
+        # Y's n pair blocks are one class, evaluated once
+        values = generic._tables[1]
+        assert len(values) == n and all(v is values[0] for v in values)
         if n == 2:
             pool = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
             assert [[F.element_index(c) for c in pt] for pt in pool] == walk
