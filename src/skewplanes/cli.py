@@ -4,6 +4,12 @@ campaigns, and height scans, with machine-readable reports.
 Exit codes: 0 all checks pass; 2 mismatch or failed check; 3 inapplicable
 gates only (nothing asserted); 4 budget exceeded; 5 invalid input (a
 command line the parser rejects included) or unwritable output.
+
+A canonical command line (a subcommand, then exact `--flag value` pairs)
+is read straight from the flag table `COMMANDS`.  Any other goes to the
+argparse parser built from the same table, which gives help, --version,
+abbreviations and error messages; building that parser costs 2.6-4 ms on
+a 2-core host, a third of a quick heights run.
 """
 
 from __future__ import annotations
@@ -249,71 +255,112 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-# the flags several subcommands share; each subparser adds the ones it reads
-_SHARED_FLAGS = {
-    "--n": {"type": int, "default": 1},
-    "--d": {"type": int, "default": 1},
-    # count and heights check it is at least 1 and ignore it: every count
-    # runs in one piece
-    "--shards": {"type": int, "default": 1, "help": "accepted and ignored"},
-    "--budget": {"type": int, "default": DEFAULT_BUDGET},
-    "--out": {"default": None},
-    "--format": {"choices": ("json", "csv", "text"), "default": "text"},
+# the flags several subcommands share
+_N = {"type": int, "default": 1}
+_D = {"type": int, "default": 1}
+# count and heights check it is at least 1 and ignore it: every count runs
+# in one piece
+_SHARDS = {"type": int, "default": 1, "help": "accepted and ignored"}
+_BUDGET = {"type": int, "default": DEFAULT_BUDGET}
+_OUT = {"default": None}
+_FORMAT = {"choices": ("json", "csv", "text"), "default": "text"}
+
+# every subcommand, keyed by its name path: its help, the handler it runs,
+# and its flags in help order, each with the `add_argument` keywords (type,
+# default, choices, required, help) that both parsers read
+COMMANDS = {
+    ("families", "dump"): ("print a family in canonical text form", _cmd_families_dump, {
+        "--family": {"required": True},
+        "--delta": {"type": int, "default": None},
+        "--char": {"type": int, "default": 0},
+        "--n": _N, "--d": _D, "--out": _OUT}),
+    ("verify",): ("run symbolic/numeric identity checks", _cmd_verify, {
+        "--check": {"default": "all"},
+        "--seed": {"type": int, "default": 42},
+        "--n": _N, "--d": _D, "--budget": _BUDGET, "--out": _OUT, "--format": _FORMAT}),
+    ("count",): ("exact F_q point counts (block convolution or chart scan) vs closed formulas",
+                 _cmd_count, {
+        "--family": {"required": True, "choices": ("X", "Y", "Xdelta", "Y0", "custom")},
+        "--q": {"type": int, "required": True},
+        "--delta": {"type": int, "default": None},
+        "--poly-file": {"default": None},
+        "--n": _N, "--d": _D, "--shards": _SHARDS, "--budget": _BUDGET, "--out": _OUT,
+        "--format": _FORMAT}),
+    ("heights",): ("bounded-height point counts (n = 1)", _cmd_heights, {
+        "--bound": {"type": int, "required": True},
+        "--mode": {"choices": ("direct", "param", "both"), "default": "both"},
+        "--n": _N, "--d": _D, "--shards": _SHARDS, "--budget": _BUDGET, "--out": _OUT,
+        "--format": _FORMAT}),
 }
+# the help of each subcommand group (one level deep), and the dest of the
+# name at each depth
+_GROUP_HELP = {("families",): "construct and print the families"}
+_DESTS = ("command", "action")
 
 
-def _add_shared(p, *flags):
-    for flag in flags:
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
+def _table_parse(argv):
+    """The Namespace argparse returns for a canonical command line: a
+    subcommand path, then `FLAG VALUE` pairs where FLAG is an exact flag of
+    that subcommand and VALUE does not start with "-", with every required
+    flag given; the last of a repeated flag wins.  None for any other
+    command line, which is left to argparse."""
+    for path, (_, func, flags) in COMMANDS.items():
+        if tuple(argv[:len(path)]) == path:
+            break
+    else:
+        return None
+    pairs = argv[len(path):]
+    if len(pairs) % 2:
+        return None
+    given = {}
+    for flag, text in zip(pairs[::2], pairs[1::2]):
+        spec = flags.get(flag)
+        if spec is None or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
+        return None
+    values = {flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+              for flag, spec in flags.items()}
+    return argparse.Namespace(**dict(zip(_DESTS, path)), func=func, **values)
 
 
 @functools.cache
 def build_parser():
-    """The command-line parser, built on first use and kept: building it
-    costs about 2 ms, and parsing leaves it unchanged."""
+    """The argparse parser for `COMMANDS`, built on first use and kept:
+    building it costs 2.6-4 ms on a 2-core host, and parsing leaves it
+    unchanged.  `main` needs it only for a command line `_table_parse`
+    declines: help, --version, abbreviations, --flag=value, errors."""
     parser = _Parser(
         prog="skewplanes",
         description="Exact constructions, identity verification, point counts, "
                     "and height scans for a family of rational hypersurfaces.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fam = sub.add_parser("families", help="construct and print the families")
-    famsub = fam.add_subparsers(dest="action", required=True)
-    dump = famsub.add_parser("dump", help="print a family in canonical text form")
-    dump.add_argument("--family", required=True)
-    dump.add_argument("--delta", type=int, default=None)
-    dump.add_argument("--char", type=int, default=0)
-    _add_shared(dump, "--n", "--d", "--out")
-    dump.set_defaults(func=_cmd_families_dump)
-
-    ver = sub.add_parser("verify", help="run symbolic/numeric identity checks")
-    ver.add_argument("--check", default="all")
-    ver.add_argument("--seed", type=int, default=42)
-    _add_shared(ver, "--n", "--d", "--budget", "--out", "--format")
-    ver.set_defaults(func=_cmd_verify)
-
-    cnt = sub.add_parser("count", help="exact F_q point counts (block convolution or "
-                                       "chart scan) vs closed formulas")
-    cnt.add_argument("--family", required=True,
-                     choices=("X", "Y", "Xdelta", "Y0", "custom"))
-    cnt.add_argument("--q", type=int, required=True)
-    cnt.add_argument("--delta", type=int, default=None)
-    cnt.add_argument("--poly-file", default=None)
-    _add_shared(cnt, "--n", "--d", "--shards", "--budget", "--out", "--format")
-    cnt.set_defaults(func=_cmd_count)
-
-    hts = sub.add_parser("heights", help="bounded-height point counts (n = 1)")
-    hts.add_argument("--bound", type=int, required=True)
-    hts.add_argument("--mode", choices=("direct", "param", "both"), default="both")
-    _add_shared(hts, "--n", "--d", "--shards", "--budget", "--out", "--format")
-    hts.set_defaults(func=_cmd_heights)
+    subparsers = {(): parser.add_subparsers(dest=_DESTS[0], required=True)}
+    for path, (help_, func, flags) in COMMANDS.items():
+        group = path[:-1]
+        if group not in subparsers:
+            sub = subparsers[()].add_parser(group[0], help=_GROUP_HELP[group])
+            subparsers[group] = sub.add_subparsers(dest=_DESTS[1], required=True)
+        sub = subparsers[group].add_parser(path[-1], help=help_)
+        for flag, spec in flags.items():
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _table_parse(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         _validate(args)
         return args.func(args)
     except BudgetExceeded as exc:

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewplanes import domains
-from skewplanes.cli import IDEAL_LABELS, main
+from skewplanes.cli import IDEAL_LABELS, _table_parse, build_parser, main
 from skewplanes.count import formula_x2d
 from skewplanes.families import FAMILY_BUILDERS, build_char_two_maps
 from skewplanes.reporting import strip_timing
 from skewplanes.verify import CHECKS, Check
+from test_golden_outputs import RUNS
+from test_readme import readme_cli_examples
 
 
 def run_cli(argv, capsys):
@@ -467,7 +469,9 @@ def test_count_custom_refuses_a_table_past_its_memory_guard(tmp_path, capsys, mo
 
 
 def test_parser_reused_across_calls(capsys):
-    # the parser is built once per process: no option leaks into the next call
+    # canonical command lines are read from the flag table and build no
+    # parser; the argparse parser that help and errors need is built once
+    # per process, and no option leaks from one call into the next
     argv = ["count", "--family", "X", "--q", "7", "--format", "json"]
     code, out, _ = run_cli(argv + ["--budget", "5000"], capsys)
     assert code == 0 and json.loads(out)["config"]["budget"] == 5000
@@ -571,6 +575,42 @@ def test_help_exits_0(capsys):
         assert "usage:" in capsys.readouterr().out
 
 
+def _json_report(argv, capsys):
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    return code, strip_timing(json.loads(out)), err
+
+
+def test_canonical_runs_build_no_parser(capsys):
+    build_parser.cache_clear()
+    for argv in QUICK.values():
+        assert run_cli(argv, capsys)[0] in (0, 3), argv
+    assert build_parser.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--fam", "X", "--q", "7"],
+    ["count", "--family", "X", "--q=7"],
+])
+def test_other_forms_fall_back_to_argparse(capsys, argv):
+    build_parser.cache_clear()
+    assert _json_report(argv, capsys) == _json_report(
+        ["count", "--family", "X", "--q", "7"], capsys)
+    assert build_parser.cache_info().misses == 1
+
+
+def test_negative_value_and_help_fall_back_to_argparse(capsys):
+    build_parser.cache_clear()
+    code, out, err = run_cli(["count", "--family", "X", "--q", "5", "--n", "-1"], capsys)
+    assert (code, out, err) == (5, "", "error: --n must be at least 1, got -1\n")
+    assert build_parser.cache_info().misses == 1
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: skewplanes count [-h] --family")
+    assert build_parser.cache_info().misses == 1
+
+
 # argv grammar for the fuzz test: every subcommand with flags it reads, with
 # small valid and invalid integers and garbage strings; budgets stay small so calls are fast
 _GARBAGE = st.sampled_from(["", "abc", "1.5", "0x3", "-", "--", "é", "9" * 30])
@@ -653,6 +693,35 @@ def test_main_fuzz_exits_with_documented_code(argv, doc):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 2, 3, 4, 5), argv
+
+
+def _assert_table_parse_agrees(argv):
+    """Where the table parse accepts argv, argparse (the reference) accepts
+    it too, into the same attributes."""
+    args = _table_parse(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+    return args
+
+
+# canonical lines of every subcommand: the recorded runs, README's examples,
+# and repeated flags, of which the last wins
+CANONICAL = RUNS + readme_cli_examples() + [
+    ["count", "--family", "Y", "--q", "5", "--family", "X", "--n", "2", "--n", "3"],
+    ["families", "dump", "--family", "", "--out", "a b", "--out", "x=y"],
+    ["heights", "--bound", "3", "--mode", "param", "--format", "csv", "--budget", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", CANONICAL, ids=" ".join)
+def test_table_parse_reads_canonical_lines_as_argparse_does(argv):
+    assert _assert_table_parse_agrees(argv) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_table_parse_agrees_with_argparse(argv):
+    _assert_table_parse_agrees(argv)
 
 
 # ---------------------------------------------------------------------------

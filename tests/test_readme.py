@@ -41,14 +41,19 @@ def test_readme_flag_lists_match_parser():
     assert listed == parsed
 
 
-def test_readme_cli_examples_run(capsys):
-    # every example but the custom count, which needs a system file, exits
-    # 0 (all checks pass) or 3 (no closed formula applies)
+def readme_cli_examples():
+    """The argv of every `skewplanes ...` line in README's CLI example block."""
     text = README.read_text()
     start = text.index("## Command-line interface")
     block = re.search(r"```sh\n(.*?)```", text[start:], re.S).group(1)
-    examples = [shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("skewplanes ") and "--poly-file" not in line]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("skewplanes ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    # every example but the custom count, which needs a system file, exits
+    # 0 (all checks pass) or 3 (no closed formula applies)
+    examples = [argv for argv in readme_cli_examples() if "--poly-file" not in argv]
     assert len(examples) >= 10
     for argv in examples:
         assert main(argv) in (0, 3), argv
