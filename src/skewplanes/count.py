@@ -23,8 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .domains import (QQ, QQXI, exp_log_cells, prime_power, root_count_unity,
-                      sqrt_of_minus_three)
+from .domains import QQ, QQXI, exp_log_cells, prime_power, sqrt_of_minus_three
 from .families import build_ab, build_x, build_x_d_delta
 from .kernels import (
     _BLOCK,
@@ -80,18 +79,17 @@ def enumerate_projective(F, N, budget=DEFAULT_BUDGET):
             yield prefix + tuple(tail)
 
 
-def reduce_poly(f, F, xi_image=None):
+def reduce_poly(f, F):
     """Reduce a polynomial over Q, Q(xi), or F itself into F."""
     if f.dom is F:
         return f
     if f.dom is QQ:
         return f.map_domain(F, F.reduce_rational)
     if f.dom is QQXI:
-        if xi_image is None:
-            xi_image = sqrt_of_minus_three(F)
-            if xi_image is None:
-                raise ValueError(f"coefficients need xi but -3 is not a square in {F.name}")
-        return f.map_domain(F, lambda a: F.reduce_quadext(a, xi_image))
+        xi = sqrt_of_minus_three(F)
+        if xi is None:
+            raise ValueError(f"coefficients need xi but -3 is not a square in {F.name}")
+        return f.map_domain(F, lambda a: F.reduce_quadext(a, xi))
     raise ValueError(f"cannot reduce coefficients from {f.dom.name} into {F.name}")
 
 
@@ -251,7 +249,7 @@ def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
         total = _count_blocks(F, exps, coeffs, offsets, blocks, s)
     else:
         total = sum(count_system_chart(F, exps, coeffs, offsets, chart, 0,
-                                       q ** (nvars - 1 - chart), nvars)
+                                       q ** (nvars - 1 - chart))
                     for chart in range(nvars))
     return (total, engine) if with_engine else total
 
@@ -261,33 +259,23 @@ def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
 
 
 def formula_x2d(q, d):
-    """Point count of the n = 1 hypersurface in P^3 over F_q, all branches."""
-    p, m = prime_power(q)
+    """Point count of the n = 1 hypersurface in P^3 over F_q, all branches:
+    with s = gcd(q - 1, 2d + 1), s q^2 + q + 1 when 3 | q, and otherwise
+    q^2 + s q + 1 when q = 2 mod 3 and q^2 + (4 + s) q + 1 when q = 1 mod 3."""
+    prime_power(q)  # refuses q that is not a prime power
     s = gcd(q - 1, 2 * d + 1)
-    if p == 3:
-        g = 2 * d + 1
-        while g % 3 == 0:
-            g //= 3
-        return gcd(g, q - 1) * q * q + q + 1
-    if p == 2:
-        if m % 2 == 1:
-            return q * q + s * q + 1
-        return q * q + (4 + s) * q + 1
-    if q % 6 == 5:
-        return q * q + s * q + 1
-    return q * q + (4 + s) * q + 1
+    if q % 3 == 0:
+        return s * q * q + q + 1
+    return q * q + (s if q % 3 == 2 else 4 + s) * q + 1
 
 
 def formula_x2d_alt(q, d):
-    """For p = 2 the two parity readings of the branch condition; returns the
-    value of the opposite reading when it differs, else None."""
-    p, m = prime_power(q)
-    if p != 2:
+    """For p = 2, the value under the opposite reading of the branch
+    condition, which swaps the branches q = 2 mod 3 (m odd) and q = 1 mod 3
+    (m even) of `formula_x2d`; None for odd q."""
+    if prime_power(q)[0] != 2:
         return None
-    s = gcd(q - 1, 2 * d + 1)
-    main = formula_x2d(q, d)
-    other = q * q + (4 + s) * q + 1 if m % 2 == 1 else q * q + s * q + 1
-    return other if other != main else None
+    return q * q + (gcd(q - 1, 2 * d + 1) + (4 if q % 3 == 2 else 0)) * q + 1
 
 
 def formula_high_dim(q, n, d):
@@ -344,11 +332,11 @@ def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def count_custom(polys, F, budget=DEFAULT_BUDGET, label="custom"):
+def count_custom(polys, F, budget=DEFAULT_BUDGET):
     t0 = time.perf_counter()
     brute, engine = count_zeros(polys, F, budget=budget, with_engine=True)
     return CountReport(
-        family=label, params={"polys": len(polys)},
+        family="custom", params={"polys": len(polys)},
         field_spec=F.spec.as_dict(),
         brute=brute, formula=None, match=None, engine=engine,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
@@ -405,7 +393,7 @@ def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
     charge_projective(F.q, nvars - 1, budget)
     return [tuple(F.element_from_index(c) for c in row)
             for chart in range(nvars)
-            for row in chart_zeros(F, exps, coeffs, offsets, chart, nvars).tolist()]
+            for row in chart_zeros(F, exps, coeffs, offsets, chart).tolist()]
 
 
 class FirstChartZeros:
@@ -518,14 +506,16 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     """Solve A = B = 0 in P^2 over a field where xi = sqrt(-3) exists and
     x^2 + 3 is separable (q = 1 mod 6): two points [0:±xi:1] whose local
     intersection multiplicity is 2d^2+d, plus the simple points
-    {u2 = 0, u0^{2d+1} + u1^{2d+1} = 0} — all 2d+1 of them when x^{2d+1} = -1
-    splits; the multiplicity-weighted total over the closure is 4d^2+4d+1."""
+    {u2 = 0, u0^{2d+1} + u1^{2d+1} = 0}, one for each root of x^{2d+1} = -1
+    in F_q, so gcd(q - 1, 2d + 1) of them.  All 2d+1 lie in F_q when that
+    equation splits, and the multiplicity-weighted total over the closure is
+    4d^2+4d+1."""
     t0 = time.perf_counter()
     q = F.q
     if q % 6 != 1:
         raise ValueError(f"xi absent or x^2+3 degenerate in {F.name} (need q = 1 mod 6)")
-    # the search of P^2 below is charged before xi, whose exp/log table it
-    # pays for, is read
+    # the search of P^2 below, which reads the exp/log table over F_{p^m},
+    # is charged before any other work
     charge_projective(q, 2, budget)
     xi = sqrt_of_minus_three(F)
     A, B = build_ab(1, d, F)
@@ -539,7 +529,7 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
         # simple points all lie on {u2 = 0} with u0^{2d+1} = -u1^{2d+1}
         if pt[2] != F.zero:
             raise AssertionError(f"unexpected solution off u2 = 0: {pt}")
-    split = root_count_unity(F, 2 * d + 1) == 2 * d + 1
+    roots = gcd(q - 1, 2 * d + 1)
     weighted = sum(m["multiplicity"] for m in mults) + len(simple)
     return {
         "d": d,
@@ -548,12 +538,12 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
                              "orders": m["orders"]} for pt, m in zip(points, mults)],
         "expected_multiplicity": 2 * d * d + d,
         "simple_points": len(simple),
-        "expected_simple": 2 * d + 1,
-        "split": split,
+        "expected_simple": roots,
+        "split": roots == 2 * d + 1,
         "weighted_total": weighted,
         "closed_form_total": 4 * d * d + 4 * d + 1,
         # a shared tangent means the product of orders may overcount
-        "match": split and weighted == 4 * d * d + 4 * d + 1
+        "match": len(simple) == roots
         and all(m["multiplicity"] == 2 * d * d + d and m["shared_tangent"] is False
                 for m in mults),
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,

@@ -9,6 +9,10 @@ work (nearly all of it here) runs on Python ints, and none returns a float.
 Polynomials carry a domain reference and delegate all coefficient work here.
 For the polynomial product kernel a domain also lifts payloads to values over
 a common scale (integer numerators over Q and Q(xi)) and lowers them back.
+
+Field facts come by one power or one gcd each: the modulus of F_{p^m} from
+Ben-Or's irreducibility test, and xi = sqrt(-3) from a cube root of unity.
+Only the count kernels read a field's exp/log table (`index_exp_log`).
 """
 
 from __future__ import annotations
@@ -285,19 +289,14 @@ def _poly_sub(a, b, p):
 
 
 def _is_irreducible(mod, p, m):
-    """Rabin test for the monic degree-m polynomial `mod` over F_p."""
-    x = (0, 1)
-    h = x
-    for _ in range(m):
+    """Ben-Or's test for the monic degree-m polynomial `mod` over F_p: it is
+    irreducible when it has no factor of degree k <= m/2, that is when
+    gcd(x^(p^k) - x, mod) = 1 for k = 1, ..., m//2."""
+    x = h = (0, 1)
+    Fp = FiniteField(p)
+    for _ in range(m // 2):
         h = _poly_powmod(h, p, mod, p)
-    if _poly_sub(h, x, p):  # x^(p^m) != x (mod f)
-        return False
-    for ell in _prime_divisors(m):
-        h = x
-        for _ in range(m // ell):
-            h = _poly_powmod(h, p, mod, p)
-        g = _poly_gcd(_poly_sub(h, x, p), mod, FiniteField(p))
-        if len(g) != 1:
+        if len(_poly_gcd(_poly_sub(h, x, p), mod, Fp)) != 1:
             return False
     return True
 
@@ -323,8 +322,8 @@ def _prime_divisors(m):
 
 def smallest_irreducible(p, m):
     """Monic irreducible of degree m over F_p, minimal in the integer encoding
-    sum(c_i * p^i) of the lower coefficients.  Returns little-endian tuple of
-    length m+1 (monic)."""
+    sum(c_i * p^i) of the lower coefficients, by Ben-Or's test on each
+    candidate in turn.  Returns little-endian tuple of length m+1 (monic)."""
     for k in range(p**m):
         coeffs = []
         kk = k
@@ -562,7 +561,7 @@ def index_exp_log(F):
 
 
 # ---------------------------------------------------------------------------
-# square roots of -3 and root counts of x^D + 1
+# square roots of -3
 
 
 def minus_three_has_root(p, m):
@@ -570,71 +569,19 @@ def minus_three_has_root(p, m):
     return m % 2 == 0 or p % 6 == 1 or p in (2, 3)
 
 
-def _sqrt_prime(F, a):
-    """Tonelli-Shanks over F_p, deterministic (smallest non-residue); None if
-    a is a non-residue."""
-    p = F.p
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = s * 2^e
-    s, e = p - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    n = 2
-    while pow(n, (p - 1) // 2, p) == 1:
-        n += 1
-    x = pow(a, (s + 1) // 2, p)
-    b = pow(a, s, p)
-    g = pow(n, s, p)
-    r = e
-    while True:
-        t, m_ = b, 0
-        while t != 1:
-            t = (t * t) % p
-            m_ += 1
-        if m_ == 0:
-            return x
-        gs = pow(g, 1 << (r - m_ - 1), p)
-        x = (x * gs) % p
-        g = (gs * gs) % p
-        b = (b * g) % p
-        r = m_
-
-
 def sqrt_of_minus_three(F):
     """A root of x^2 + 3 in F, or None.  Of the two roots the one with the
-    smaller element index is returned, so the choice is deterministic.  Over
-    F_{p^m} with -3 = g^k (see `index_exp_log`), the roots are +-g^(k/2)
-    when k is even, and there are none when it is odd."""
-    if F.m == 1:
-        r = _sqrt_prime(F, (-3) % F.p)
-        if r is None:
-            return None
-        return min(r, (-r) % F.p)
-    if F.p == 3:
-        return F.zero
-    exp, log = index_exp_log(F)
-    k = int(log[F.element_index(F.from_int(-3))])
-    if k % 2:
+    smaller element index is returned, so the choice is deterministic.  In
+    characteristics 2 and 3 the one root is -3 itself, as 12 = 0 there.
+    Otherwise -3 is a square exactly when 3 | q - 1, and then its roots are
+    +-(2w + 1) for a primitive cube root of unity w (Ireland-Rosen): the
+    first power a^((q - 1)/3) other than 1 over the elements a in index
+    order."""
+    if F.p in (2, 3):
+        return F.from_int(-3)
+    if not minus_three_has_root(F.p, F.m):
         return None
-    root = F.element_from_index(int(exp[k // 2]))
+    powers = (F.pow(F.element_from_index(i), (F.q - 1) // 3) for i in range(1, F.q))
+    w = next(w for w in powers if w != F.one)
+    root = F.add(F.add(w, w), F.one)
     return min(root, F.neg(root), key=F.element_index)
-
-
-def root_count_unity(F, D):
-    """Number of roots of x^D + 1 in F, by exhaustive evaluation.  For odd D
-    this equals gcd(q - 1, D); that identity is asserted."""
-    minus_one = F.from_int(-1)
-    count = sum(1 for a in F.elements() if F.pow(a, D) == minus_one)
-    if D % 2 == 1:
-        expected = gcd(F.q - 1, D)
-        assert count == expected, (count, expected)
-    return count

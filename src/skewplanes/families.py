@@ -401,7 +401,8 @@ def build_cox_model(n, d):
     return CoxModel(
         n=n, d=d, ctx=ctx, S_hat=S_hat, D_hat=D_hat, F_hat=F_hat,
         grading=grading,
-        irrelevant_parts=(zs, ("wp",) + zs[1::2], ("wm",) + zs[::2]),
+        # blowing up the two disjoint n-planes: V(even z) u V(odd z) u V(w+, w-)
+        irrelevant_parts=(zs[::2], zs[1::2], ("wp", "wm")),
         expected_multidegree=(2 * d + 1, -d, -d),
     )
 

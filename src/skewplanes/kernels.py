@@ -174,18 +174,19 @@ def _zero_mask(F, exps, coeffs, offsets, pts):
     return ok
 
 
-def count_system_chart(F, exps, coeffs, offsets, chart, start, stop, nvars):
+def count_system_chart(F, exps, coeffs, offsets, chart, start, stop):
     """Zeros of the system inside one chart's linear-index range."""
     count = 0
     for lo in range(start, stop, _BLOCK):
-        pts = _chart_points(F.q, nvars, chart, lo, min(lo + _BLOCK, stop))
+        pts = _chart_points(F.q, exps.shape[1], chart, lo, min(lo + _BLOCK, stop))
         count += int(_zero_mask(F, exps, coeffs, offsets, pts).sum())
     return count
 
 
-def chart_zeros(F, exps, coeffs, offsets, chart, nvars):
+def chart_zeros(F, exps, coeffs, offsets, chart):
     """Zeros of the system in one whole chart, as rows of element indices
     in linear-index order."""
+    nvars = exps.shape[1]
     size = F.q ** (nvars - 1 - chart)
     found = [np.zeros((0, nvars), np.int64)]
     for lo in range(0, size, _BLOCK):

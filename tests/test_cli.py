@@ -298,6 +298,17 @@ def test_count_y0(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("q, d", [(13, 2), (7, 2), (13, 50)])
+def test_count_y0_where_the_simple_points_do_not_split(capsys, q, d):
+    # only the F_q-roots of x^(2d+1) = -1 are points, here fewer than 2d + 1
+    code, out, _ = run_cli(["count", "--family", "Y0", "--q", str(q), "--d", str(d),
+                            "--format", "json"], capsys)
+    record = json.loads(out)["records"][0]
+    roots = sum(1 for a in range(q) if pow(a, 2 * d + 1, q) == q - 1)
+    assert code == 0 and record["match"] is True and record["split"] is False
+    assert record["simple_points"] == record["expected_simple"] == roots < 2 * d + 1
+
+
 def test_count_y0_refuses_shared_tangent(capsys, monkeypatch):
     # a shared tangent means the product of orders may overcount
     from skewplanes import count as count_module

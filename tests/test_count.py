@@ -1,5 +1,7 @@
 """Tests for exact point counting over finite fields."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,33 @@ def test_y0_structure_f31_d2():
     assert out["simple_points"] == 2 * 2 + 1
 
 
+def _roots_of_minus_one(F, D):
+    """Roots of x^D = -1 in F, by exhaustive evaluation: the oracle of Y0's
+    `split` and `expected_simple`."""
+    minus_one = F.from_int(-1)
+    return sum(1 for a in F.elements() if F.pow(a, D) == minus_one)
+
+
+def test_gcd_counts_the_roots_of_minus_one():
+    for p, m in [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 8) if p ** m <= 121]:
+        F = field_create(p, m)
+        for D in range(1, 16, 2):
+            assert _roots_of_minus_one(F, D) == gcd(F.q - 1, D), (p, m, D)
+
+
+@pytest.mark.parametrize("q, d", [(7, 1), (7, 2), (7, 3), (13, 2), (19, 4), (25, 1), (25, 2),
+                                  (31, 2), (43, 3), (49, 3), (61, 2)])
+def test_y0_simple_points_against_root_scan(q, d):
+    # where x^(2d+1) = -1 does not split, only its F_q-roots are points
+    F = field_create(*prime_power(q))
+    out = count_y0_structure(d, F)
+    roots = _roots_of_minus_one(F, 2 * d + 1)
+    assert out["simple_points"] == out["expected_simple"] == roots
+    assert out["split"] == (roots == 2 * d + 1)
+    assert out["closed_form_total"] == 4 * d * d + 4 * d + 1
+    assert out["match"] is True
+
+
 def test_y0_structure_requires_split_field():
     F = field_create(5)  # 5 = 5 mod 6: xi not rational here
     with pytest.raises(ValueError):
@@ -323,7 +352,7 @@ def _both_engines(polys, F):
     engine, _, exps, coeffs, offsets, blocks, s = count_module._plan(polys, F)
     nvars = exps.shape[1]
     scan = sum(kernels.count_system_chart(F, exps, coeffs, offsets, chart, 0,
-                                          F.q ** (nvars - 1 - chart), nvars)
+                                          F.q ** (nvars - 1 - chart))
                for chart in range(nvars))
     if s is None:
         assert engine == "scan"

@@ -1,7 +1,6 @@
 """Tests for the exact scalar domains: Q, Q(xi), and F_{p^m}."""
 
 import functools
-import math
 import operator
 import random
 from fractions import Fraction
@@ -21,7 +20,6 @@ from skewplanes.domains import (
     index_exp_log,
     minus_three_has_root,
     prime_power,
-    root_count_unity,
     smallest_irreducible,
     sqrt_of_minus_three,
 )
@@ -108,6 +106,48 @@ def test_smallest_irreducible_matches_exhaustive_scan():
                 break
             assert is_reducible(cand), (p, m, cand)
         assert not is_reducible(chosen)
+
+
+def _rabin_is_irreducible(mod, p, m):
+    """Rabin's test, the oracle of Ben-Or's: x^(p^m) = x modulo `mod`, and
+    gcd(x^(p^(m/l)) - x, mod) = 1 for each prime l | m."""
+    x, Fp = (0, 1), FiniteField(p)
+
+    def frobenius(k):
+        h = x
+        for _ in range(k):
+            h = domains._poly_powmod(h, p, mod, p)
+        return domains._poly_sub(h, x, p)
+
+    if frobenius(m):
+        return False
+    return all(len(domains._poly_gcd(frobenius(m // ell), mod, Fp)) == 1
+               for ell in domains._prime_divisors(m))
+
+
+def _monic(p, m, k):
+    """The monic degree-m polynomial whose lower coefficients encode k."""
+    return [k // p ** i % p for i in range(m)] + [1]
+
+
+def test_ben_or_agrees_with_rabin_on_every_monic_polynomial():
+    for p, m in [(2, 2), (2, 5), (2, 8), (3, 4), (3, 6), (5, 3), (5, 4), (7, 3), (11, 2)]:
+        for k in range(p ** m):
+            mod = _monic(p, m, k)
+            assert domains._is_irreducible(mod, p, m) == _rabin_is_irreducible(mod, p, m), \
+                (p, m, mod)
+
+
+def test_smallest_irreducible_matches_rabin_up_to_q_1e5():
+    for p in range(2, 317):
+        if domains._least_prime_factor(p) != p:
+            continue
+        m = 2
+        while p ** m <= 10 ** 5:
+            oracle = next(_monic(p, m, k) for k in range(p ** m)
+                          if _rabin_is_irreducible(_monic(p, m, k), p, m))
+            assert smallest_irreducible(p, m) == tuple(oracle), (p, m)
+            m += 1
 
 
 def test_fields_with_equal_parameters_interchange():
@@ -420,7 +460,7 @@ def test_sqrt_of_minus_three_examples():
     r = sqrt_of_minus_three(field_create(5, 2))
     F25 = field_create(5, 2)
     assert r is not None and F25.mul(r, r) == F25.from_int(-3)
-    # past the exhaustive oracle's range, read off the log table
+    # past the exhaustive oracle's range
     for p, m in [(2, 11), (3, 7), (7, 4), (5, 5), (5, 6), (2, 16)]:
         F = field_create(p, m)
         r = sqrt_of_minus_three(F)
@@ -444,30 +484,25 @@ def test_sqrt_of_minus_three_matches_exhaustive_scan():
         assert bool(roots) == minus_three_has_root(p, m), (p, m)
 
 
+@pytest.mark.parametrize("p, m", [(5, 8), (7, 6)])
+def test_sqrt_of_minus_three_builds_no_table(monkeypatch, p, m):
+    # from a cube root of unity: neither a generator search nor a table
+    def no_build(F):
+        raise AssertionError(f"table of {F.name} built")
+
+    monkeypatch.setattr(domains, "_primitive_element", no_build)
+    F = field_create(p, m)
+    r = sqrt_of_minus_three(F)
+    assert F.mul(r, r) == F.from_int(-3)
+    assert F.element_index(r) < F.element_index(F.neg(r))
+    assert (p, m) not in domains._LOG_TABLES
+
+
 def test_sqrt_deterministic_choice():
     F = field_create(13)
     r1 = sqrt_of_minus_three(F)
     r2 = sqrt_of_minus_three(field_create(13))
     assert r1 == r2 == min(r1, (13 - r1) % 13)
-
-
-# ---------------------------------------------------------------------------
-# roots of x^D + 1
-
-
-def test_root_count_unity_examples():
-    assert root_count_unity(field_create(7), 3) == 3
-    assert root_count_unity(field_create(5), 3) == 1
-    assert root_count_unity(field_create(2), 1) == 1
-
-
-def test_root_count_unity_gcd_identity():
-    for p, m in PRIME_POWERS_121:
-        F = field_create(p, m)
-        for D in range(1, 16, 2):
-            if D % p == 0:
-                continue
-            assert root_count_unity(F, D) == math.gcd(F.q - 1, D), (p, m, D)
 
 
 # ---------------------------------------------------------------------------

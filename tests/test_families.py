@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -628,6 +630,27 @@ def test_cox_multidegrees():
         assert model.S_hat.multidegree(model.grading) == expected
         assert model.D_hat.multidegree(model.grading) == expected
         assert model.F_hat.multidegree(model.grading) == expected
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_cox_torus_acts_freely_off_the_irrelevant_locus(q):
+    # (s, t, u) scales a variable of degree (a, b, c) by s^a t^b u^c; off
+    # every V(part), only (1, 1, 1) fixes a point of A^6.  A stabilizer
+    # depends only on which coordinates are nonzero.
+    model = build_cox_model(1, 1)
+    names = model.ctx.names
+    torus = list(product(range(1, q), repeat=3))
+    stabilizers = {}
+    for point in product(range(q), repeat=len(names)):
+        support = frozenset(v for v, x in zip(names, point) if x)
+        if any(support.isdisjoint(part) for part in model.irrelevant_parts):
+            continue
+        if support not in stabilizers:
+            stabilizers[support] = [
+                t for t in torus
+                if all(prod(pow(x, e, q) for x, e in zip(t, model.grading[v])) % q == 1
+                       for v in support)]
+        assert stabilizers[support] == [(1, 1, 1)], (point, stabilizers[support])
 
 
 def test_cox_recovers_split_form():

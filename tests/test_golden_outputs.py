@@ -46,7 +46,11 @@ def _grid():
                                     ("X", 125, 1, 1), ("Y", 17, 2, 2), ("Y", 11, 3, 1)):
         runs.append(["count", "--family", family, "--q", str(q), "--n", str(n), "--d", str(d),
                      *extra])
-    runs +=[["count", "--family", "Y0", "--q", str(q), "--d", "1"] for q in (31, 37, 43)]
+    runs += [["count", "--family", "Y0", "--q", str(q), "--d", "1"] for q in (31, 37, 43)]
+    # Y0 over extension fields, where xi = sqrt(-3) lies in F_{p^m}
+    runs += [["count", "--family", "Y0", "--q", str(q), "--d", "1"] for q in (25, 49)]
+    # Y0 where x^5 = -1 has one root in F_13, so one simple point
+    runs.append(["count", "--family", "Y0", "--q", "13", "--d", "2"])
     runs.append(["heights", "--bound", "16", "--d", "2"])
     return [run if run[0] == "families" else run + ["--format", "json"] for run in runs]
 
