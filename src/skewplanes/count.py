@@ -9,10 +9,10 @@ It runs when there are two blocks or more and it costs no more than the
 chart scan, its oracle, which walks affine charts (points normalized so the
 first nonzero coordinate is 1) in order.
 
-Zeros as points come from a chart scan (`projective_zeros`, which Y0 uses)
-or, on the chart x0 = 1 of a system whose other variables form blocks, by
-rank from the blocks' histograms with no scan (`FirstChartZeros`, which
-`verify` samples Y's generic points from).
+The zeros of Y = {A = B = 0} as points come by rank, with no scan, from the
+histogram of its pair block on the chart u0 = 1 (`YChartZeros`): `verify`
+samples Y's generic points from it, and Y0 (n = 1) lists every rank and
+adds the zeros on the line u0 = 0 (`y0_zeros`).
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from math import gcd
 import numpy as np
 
 from .domains import QQ, QQXI, exp_log_cells, prime_power, sqrt_of_minus_three
-from .families import build_ab, build_x, build_x_d_delta
+from .families import ab_form, build_ab, build_x, build_x_d_delta
 from .kernels import (
     _BLOCK,
     _affine_points,
     _digitwise,
-    chart_zeros,
+    _line_points,
+    FieldArray,
     convolution_at_zero,
     convolve_histograms,
     convolve_invariant,
@@ -37,7 +38,6 @@ from .kernels import (
     line_orbit_counts,
     orbit_histogram,
     pencil_lines,
-    system_values,
 )
 from .mpoly import MPoly, VarContext, multiplicity_at
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
@@ -382,110 +382,84 @@ def check_projection_bijection(f, a, D, F, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# common zeros as points: a chart scan, and ranks on the chart x0 = 1
+# the zeros of Y on its chart u0 = 1, by rank
 
 
-def projective_zeros(polys, F, budget=DEFAULT_BUDGET):
-    """Normalized common zeros of the system, in `enumerate_projective`
-    order, found chart by chart with the vectorized evaluator."""
-    exps, coeffs, offsets = _system_arrays(polys, F)
-    nvars = exps.shape[1]
-    charge_projective(F.q, nvars - 1, budget)
-    return [tuple(F.element_from_index(c) for c in row)
-            for chart in range(nvars)
-            for row in chart_zeros(F, exps, coeffs, offsets, chart).tolist()]
+def _pair_values(F, d, pts):
+    """(a, b) = `ab_form` at (0, v, w) for the rows (v, w) of `pts`, as
+    arrays of element indices: the terms of (A, B) in one pair block."""
+    a, b = ab_form([0, *FieldArray.columns(F, pts)], d)
+    return a.idx, b.idx
 
 
-class FirstChartZeros:
-    """The common zeros of a system with x0 = 1, ranked in
-    `enumerate_projective` order without a scan, for systems whose variables
-    past x0 form contiguous blocks that share no monomial with x0 or with
-    each other (ValueError otherwise).
+class YChartZeros:
+    """The zeros of Y = {A = B = 0} in P^{2n} with u0 = 1, ranked in
+    `enumerate_projective` order without a scan.
 
-    On that chart the system's value vector is c + sum_k v_k(x_k), with c
-    its value at (1, 0, ..., 0) and v_k that of block k's terms at the
-    block's point x_k, so the zeros are the tuples of block points whose
-    values sum to t = -c in (F_q^r, +).  With H_k the histogram of v_k over
-    the q^|b_k| points of block k, S_k = H_k * ... * H_(m-1) and S_m the
-    unit at 0, the zeros whose block-0 point is x number S_1[t - v_0(x)].
-    The scan's order is lex in the blocks' points, block 0 most
-    significant, so a rank is unranked block by block: the cumulative sums
-    of S_(k+1)[t - v_k(x)] over block k's points in lex order pick its point,
-    whose value then leaves the target.  Counts are Python ints in object
-    arrays once q^(nvars - 1) reaches the int64 range."""
+    There A = 1 + sum_k a(x_k) and B = 1 + sum_k b(x_k) over the pair blocks
+    x_k = (u_{2k+1}, u_{2k+2}), with (a, b) from `_pair_values`, so a zero is
+    an n-tuple of pair points whose values sum to t = (-1, -1) in (F_q^2, +).
+    With H the histogram of (a, b) and S_k = H^{*(n-k)}, the zeros whose
+    block-k point is x, given blocks 0..k-1, number S_(k+1)[t' - (a, b)(x)]
+    for t' what is left of t.  Their cumulative sums over the pair points in
+    lex order unrank block by block, block 0 most significant, as the scan
+    orders them.  Counts are Python ints once q^(2n) reaches 2^63."""
 
-    def __init__(self, polys, F):
-        exps, coeffs, offsets = _system_arrays(polys, F)
-        blocks = _variable_blocks(exps)
-        if blocks[0] != [0] or any(b != list(range(b[0], b[-1] + 1)) for b in blocks):
-            raise ValueError("the variables past x0 must form contiguous blocks free of x0")
-        self.F, self.blocks, self.r = F, blocks[1:], len(offsets) - 1
-        self._system = exps, coeffs, offsets
+    def __init__(self, n, d, F):
+        self.n, self.d, self.F = n, d, F
 
     def cost(self, samples):
         """The work of the pool and of unranking `samples` ranks, in cells:
-        the L = sum_k q^|b_k| block points, (m - 1) q^r histogram cells and
-        (m - 2) q^2r convolution cells for m blocks, and the unranking
-        cells, q^|b_0| for the pool and L per rank."""
-        q, m = self.F.q, len(self.blocks)
-        sizes = [q ** len(b) for b in self.blocks] or [0]
-        cells = max(m - 1, 0) * q ** self.r + max(m - 2, 0) * q ** (2 * self.r)
-        return sum(sizes) + cells + sizes[0] + samples * sum(sizes)
+        n q^2 pair points (the pair block is evaluated once and charged for
+        each block, an upper bound), (n - 1) q^2 histogram cells, (n - 2) q^4
+        convolution cells, and the unranking cells, q^2 for the pool and
+        n q^2 per rank."""
+        n, size = self.n, self.F.q ** 2
+        return n * size + max(n - 1, 0) * size + max(n - 2, 0) * size ** 2 \
+            + size + samples * n * size
 
     @functools.cached_property
     def _tables(self):
-        """(points, values, suffix, target): each block's points in lex order
-        and their value vectors v_k as base-q keys, one pair a block class,
-        S_1, ..., S_m, and t."""
-        F, (exps, coeffs, offsets) = self.F, self._system
-        q, size = F.q, F.q ** self.r
-        dtype = object if q ** (exps.shape[1] - 1) >= 2 ** 63 else np.int64
-
-        def keys(system, pts):
-            return sum(v * q ** j for j, v in enumerate(system_values(F, *system, pts)))
-
-        origin = np.eye(1, exps.shape[1], dtype=np.int64)
-        target = int(_digitwise(F.p, 0, keys(self._system, origin), -1, size)[0])
-        systems, of_block = _block_classes(exps, coeffs, offsets, self.blocks)
-        points = [_affine_points(q, sub[0].shape[1], 0, q ** sub[0].shape[1]) for sub in systems]
-        values = [keys(sub, pts) for sub, pts in zip(systems, points)]
-        points, values = [points[i] for i in of_block], [values[i] for i in of_block]
-        suffix = [np.zeros(size, dtype)]
+        """(points, values, suffix, target): the pair points in lex order,
+        their values (a, b) as base-q keys a + q b, S_1, ..., S_n and t."""
+        F, q = self.F, self.F.q
+        size = q * q
+        points = _affine_points(q, 2, 0, size)
+        a, b = _pair_values(F, self.d, points)
+        values = a + q * b
+        hist = np.bincount(values, minlength=size)
+        hist = hist.astype(object) if q ** (2 * self.n) >= 2 ** 63 else hist
+        suffix = [np.zeros_like(hist), hist]
         suffix[0][0] = 1
-        for v in values[:0:-1]:
-            hist = np.bincount(v, minlength=size).astype(dtype)
-            suffix.append(hist if len(suffix) == 1 else convolve_histograms(F, hist, suffix[-1]))
-        return points, values, suffix[::-1], target
+        while len(suffix) < self.n:
+            suffix.append(convolve_histograms(F, hist, suffix[-1]))
+        return points, values, suffix[self.n - 1::-1], int(_digitwise(F.p, 0, 1 + q, -1, size))
 
     @functools.cached_property
     def pool(self):
-        """The number of zeros: S_0[t] = sum over block 0's points x of
-        S_1[t - v_0(x)]."""
+        """The number of zeros, the sum of S_1[t - (a, b)(x)]."""
         points, values, suffix, target = self._tables
-        if not values:
-            return int(target == 0)
-        return int(suffix[0][_digitwise(self.F.p, target, values[0], -1, self.F.q ** self.r)]
-                   .sum())
+        return int(suffix[0][_digitwise(self.F.p, target, values, -1, len(values))].sum())
 
     def unrank(self, ranks):
         """The zeros of the given ranks (each below `pool`), in order, as rows
         of element indices."""
         points, values, suffix, target = self._tables
         ranks = np.array(ranks, suffix[0].dtype)
-        out = np.zeros((len(ranks), self._system[0].shape[1]), np.int64)
+        out = np.zeros((len(ranks), 2 * self.n + 1), np.int64)
         out[:, 0] = 1
-        step = max(1, (_BLOCK * 8) // max(map(len, points), default=1))
+        step = max(1, (_BLOCK * 8) // len(points))
         for lo in range(0, len(ranks), step):
             rank = ranks[lo:lo + step]
             t, at = np.full(len(rank), target), np.arange(len(rank))
-            for block, pts, v, S in zip(self.blocks, points, values, suffix):
-                rest = _digitwise(self.F.p, t[:, None], v[None, :], -1, self.F.q ** self.r)
+            for k, S in enumerate(suffix):
+                rest = _digitwise(self.F.p, t[:, None], values[None, :], -1, len(values))
                 weight = S[rest]
                 cum = np.cumsum(weight, axis=1)
                 pick = (cum <= rank[:, None]).sum(axis=1)
                 rank = rank - (cum[at, pick] - weight[at, pick])
                 t = rest[at, pick]
-                out[lo:lo + step, block] = pts[pick]
+                out[lo:lo + step, 2 * k + 1:2 * k + 3] = points[pick]
         return out
 
 
@@ -493,13 +467,16 @@ class FirstChartZeros:
 # structure of Y0 = {A = B = 0} in P^2 (n = 1)
 
 
-def normalize_point(F, pt):
-    """Scale so the first nonzero coordinate equals 1."""
-    for c in pt:
-        if c != F.zero:
-            inv = F.inv(c)
-            return tuple(F.mul(inv, x) for x in pt)
-    raise ValueError("zero vector has no projective normalization")
+def y0_zeros(d, F):
+    """The points of Y0 = {A = B = 0} in P^2, normalized, in
+    `enumerate_projective` order: every rank of `YChartZeros` at n = 1, then
+    the zeros of the pair values (a, b) on the q + 1 points of the line
+    u0 = 0, where A = a and B = b."""
+    chart, line = YChartZeros(1, d, F), _line_points(F.q, 2, 0, F.q + 1)
+    a, b = _pair_values(F, d, line)
+    rows = np.concatenate((chart.unrank(range(chart.pool)),
+                           np.insert(line[(a == 0) & (b == 0)], 0, 0, axis=1)))
+    return [tuple(map(F.element_from_index, row)) for row in rows.tolist()]
 
 
 def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
@@ -514,15 +491,14 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     q = F.q
     if q % 6 != 1:
         raise ValueError(f"xi absent or x^2+3 degenerate in {F.name} (need q = 1 mod 6)")
-    # the search of P^2 below, which reads the exp/log table over F_{p^m},
-    # is charged before any other work
+    # y0_zeros evaluates the pair forms at the q^2 + q + 1 points of P^2,
+    # reading the exp/log table over F_{p^m}: charged before any other work
     charge_projective(q, 2, budget)
     xi = sqrt_of_minus_three(F)
     A, B = build_ab(1, d, F)
-    pts = projective_zeros([A, B], F, budget=budget)
-    p_plus = normalize_point(F, (F.zero, xi, F.one))
-    p_minus = normalize_point(F, (F.zero, F.neg(xi), F.one))
-    points = (p_plus, p_minus)
+    pts = y0_zeros(d, F)
+    # [0 : ±xi : 1], normalized
+    points = tuple((F.zero, F.one, F.inv(s)) for s in (xi, F.neg(xi)))
     mults = [multiplicity_at([A, B], pt) for pt in points]
     simple = [pt for pt in pts if pt not in points]
     for pt in simple:

@@ -28,9 +28,15 @@ from operator import iadd
 
 from .domains import QQ, QQXI, _least_prime_factor
 from .mpoly import MPoly, RationalMap, VarContext
+from .reporting import BudgetExceeded, abbreviate
 
 A_PLUS = (Fraction(1, 2), Fraction(1, 2))    # (1 + xi)/2
 A_MINUS = (Fraction(1, 2), Fraction(-1, 2))  # (1 - xi)/2
+# Bound on the exponent cells (terms x variables) of X, Xdelta or (A, B),
+# about 17 bytes each as built: 2^27 cells, some 2.3 GB, admit X(300, 300)
+# at 1.09 * 10^8.  No budget sees them, and X(1000, 1000) would have
+# 4.0 * 10^9.
+CELLS_MAX = 1 << 27
 
 
 def x_context(n):
@@ -80,6 +86,16 @@ def _alternating(a, b, k):
     return g
 
 
+def _guard_cells(label, pairs, terms, nvars):
+    """Raise BudgetExceeded, before any work, when `pairs` sums of at most
+    `terms` terms each in `nvars` variables have more than CELLS_MAX
+    exponent cells."""
+    cells = pairs * terms * nvars
+    if cells > CELLS_MAX:
+        raise BudgetExceeded(f"{label} has up to {abbreviate(cells)} exponent cells, "
+                             f"over its memory guard of {CELLS_MAX}")
+
+
 def x_form(x, d, k=3):
     """X at the values x, as `ab_form`: the sum over the pairs (a, b) =
     (x_{2i}, x_{2i+1}) of (a + b) g_k(a, b)^d; X has k = 3, Xdelta k = d
@@ -96,7 +112,10 @@ def x_form(x, d, k=3):
 
 
 def build_x(n, d, dom=QQ):
-    """The degree-(2d+1) hypersurface `x_form` of P^{2n+1}."""
+    """The degree-(2d+1) hypersurface `x_form` of P^{2n+1}, refused by
+    `_guard_cells` past CELLS_MAX: 2d + 2 terms for each of its n + 1
+    pairs."""
+    _guard_cells(f"X({n}, {d})", n + 1, 2 * d + 2, 2 * n + 2)
     return x_form(_vars(x_context(n), dom), d)
 
 
@@ -107,6 +126,7 @@ def build_x_d_delta(n, d, delta, dom=QQ):
         raise ValueError("d must be an odd prime")
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    _guard_cells(f"Xdelta({n}, {d}, {delta})", n + 1, delta * (d - 1) + 2, 2 * n + 2)
     return x_form(_vars(x_context(n), dom), delta, k=d)
 
 
@@ -122,7 +142,9 @@ def ab_form(u, d):
 
 
 def build_ab(n, d, dom=QQ):
-    """The pair (A, B) cutting out Y^{2n-2} = {A = B = 0} in P^{2n}."""
+    """The pair (A, B) cutting out Y^{2n-2} = {A = B = 0} in P^{2n},
+    refused by `_guard_cells` past CELLS_MAX: 1 + n(2d + 2) terms each."""
+    _guard_cells(f"(A, B) of Y({n}, {d})", 2, 1 + n * (2 * d + 2), 2 * n + 1)
     return ab_form(_vars(u_context(n), dom), d)
 
 

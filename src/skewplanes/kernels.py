@@ -9,8 +9,9 @@ encoded as the base-q number of its entries, the first entry in the lowest
 place.  Points are decoded from linear indices, and each kernel walks one
 index range [start, stop); the counts or histograms of disjoint ranges add.
 Systems are evaluated by `system_values`, in the count engines on at most
-`_BLOCK` points at a time; `verify`'s roundtrips apply the family forms to
-`FieldArray` columns.  Value rows are compared by `proportional_rows`.
+`_BLOCK` points at a time; `verify`'s roundtrips and `count.YChartZeros`
+apply the family forms to `FieldArray` columns.  Value rows are compared by
+`proportional_rows`.
 
 The block engine's kernels take a batch axis, one row per member c.f of
 the pencil of r forms of degree e (`pencil_lines`, built once per count):
@@ -19,7 +20,7 @@ values by discrete logarithm mod s, and `orbit_histogram` and
 `convolve_invariant` build, convolve and square histograms constant on
 the cosets of the e-th powers (tests' oracles: `block_histogram` and
 `convolve_histograms` over F_q^r).  `convolve_histograms` also forms the
-suffix convolutions from which `count.FirstChartZeros` unranks zeros.
+suffix convolutions from which `count.YChartZeros` unranks Y's zeros.
 """
 
 from __future__ import annotations
@@ -165,34 +166,18 @@ class FieldArray:
         return FieldArray(power(self.idx, e, self.ops[2]), self.ops)
 
 
-def _zero_mask(F, exps, coeffs, offsets, pts):
-    ok = np.ones(len(pts), bool)
-    for vals in system_values(F, exps, coeffs, offsets, pts):
-        ok &= vals == 0
-        if not ok.any():
-            break
-    return ok
-
-
 def count_system_chart(F, exps, coeffs, offsets, chart, start, stop):
     """Zeros of the system inside one chart's linear-index range."""
     count = 0
     for lo in range(start, stop, _BLOCK):
         pts = _chart_points(F.q, exps.shape[1], chart, lo, min(lo + _BLOCK, stop))
-        count += int(_zero_mask(F, exps, coeffs, offsets, pts).sum())
+        ok = np.ones(len(pts), bool)
+        for vals in system_values(F, exps, coeffs, offsets, pts):
+            ok &= vals == 0
+            if not ok.any():
+                break
+        count += int(ok.sum())
     return count
-
-
-def chart_zeros(F, exps, coeffs, offsets, chart):
-    """Zeros of the system in one whole chart, as rows of element indices
-    in linear-index order."""
-    nvars = exps.shape[1]
-    size = F.q ** (nvars - 1 - chart)
-    found = [np.zeros((0, nvars), np.int64)]
-    for lo in range(0, size, _BLOCK):
-        pts = _chart_points(F.q, nvars, chart, lo, min(lo + _BLOCK, size))
-        found.append(pts[_zero_mask(F, exps, coeffs, offsets, pts)])
-    return np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +266,7 @@ def convolution_at_zero(F, h1, h2):
 
 # ---------------------------------------------------------------------------
 # full block histograms over (F_q^r, +): the tests' oracles, and the
-# convolution `count.FirstChartZeros` unranks through
+# convolution `count.YChartZeros` unranks through
 
 
 def block_histogram(F, exps, coeffs, offsets, start, stop):

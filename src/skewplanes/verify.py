@@ -10,8 +10,8 @@ only: they draw from seeded generators, are bit-reproducible for a fixed
 seed, and evaluate all their samples at once: the roundtrips' forms on
 `kernels.FieldArray`s, the singular locus's partials by
 `kernels.system_values`.  Its generic points are drawn by rank and
-unranked from the histograms of Y's pair blocks (`count.FirstChartZeros`),
-in the order of a full scan, so no scan runs.
+unranked from the histogram of Y's pair block (`count.YChartZeros`), in
+the order of a full scan, so no scan runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .count import DEFAULT_BUDGET, FirstChartZeros, _system_arrays
+from .count import DEFAULT_BUDGET, YChartZeros, _system_arrays
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
     _vars,
@@ -52,11 +52,6 @@ from .families import (
 from .kernels import FieldArray, proportional_rows, system_values
 from .mpoly import MPoly, RationalMap, VarContext, compose, exact_rank
 from .reporting import BudgetExceeded, VerificationResult, abbreviate
-
-# full symbolic expansion stays comfortably small up to here; larger
-# parameters should go through the numeric paths
-SYMBOLIC_N_MAX = 3
-SYMBOLIC_D_MAX = 3
 
 
 def _done(check, params, witness, t0, mode="symbolic"):
@@ -94,6 +89,17 @@ def _block_sums(blocks, m):
     return cost, f"summed over {blocks} blocks in {m} variables costs {abbreviate(cost)}"
 
 
+def _pencil_cost(n, d):
+    """(cost, wording) of the line pencil and its residual, fitted to their
+    run time (12-25 ns a unit on a 2-core host past 10^6 units, up to
+    (n, d) = (100, 20) at 8.7 * 10^8): (n + 1)(d + 1)^4 for the powers of
+    the n + 1 blocks, and (n + 1)(d + 1)^2 (180 (n + 1) + 820) for their
+    sums and terms."""
+    blocks, terms = n + 1, (d + 1) ** 2
+    cost = blocks * terms * (terms + 180 * blocks + 820)
+    return cost, f"of {blocks} blocks of degree {2 * d + 1} costs {abbreviate(cost)}"
+
+
 def _charge(check, what, cost, budget):
     """Raise BudgetExceeded, naming `check`, when the (cost, wording) pair
     `cost` of `what` is over `budget`."""
@@ -111,8 +117,6 @@ def verify_line_factorization(n, d):
     The scalar in front is xi*(-3)^d: expanding the pencil forces the extra
     unit xi relative to the bare (-3)^d normalization.
     """
-    if n > SYMBOLIC_N_MAX or d > SYMBOLIC_D_MAX:
-        raise BudgetExceeded(f"line factorization limited to n<={SYMBOLIC_N_MAX}, d<={SYMBOLIC_D_MAX}")
     t0 = time.perf_counter()
     data = build_line_pencil(n, d)
     witness = _residual_witness(("residual", data["F"] - data["target"]))
@@ -310,10 +314,10 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
     every minor must be the zero polynomial.  Generic points are the zeros
     of Y with u0 = 1 over a prime field where xi exists and differs from
     -xi: `samples` of them, drawn by rank in the order of a full scan, are
-    unranked from the histograms of Y's pair blocks
-    (`count.FirstChartZeros`), and their minors are evaluated there through
-    the kernels' evaluator.  Before any other work, `budget` is charged the
-    sampler's block points and cells, and on every plane each term of each
+    unranked from the histogram of Y's pair block (`count.YChartZeros`), and
+    their minors are evaluated there through the kernels' evaluator.  Before
+    any other work, `budget` is charged the sampler's pair points and cells
+    (`YChartZeros.cost`), and on every plane each term of each
     partial (the substitution) and |dA_i||dB_j| + |dA_j||dB_i| coefficient
     products for each minor (i, j), from the term counts of the partials
     (read off the exponents of A and B), which restriction to a plane does
@@ -330,7 +334,7 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
                          f"which {F.name} lacks")
     t0 = time.perf_counter()
     A, B = build_ab(n, d, QQ)
-    generic = FirstChartZeros([A, B], F)
+    generic = YChartZeros(n, d, F)
     # over Q, d/du_i maps the terms with e_i > 0 to distinct nonzero terms
     sa, sb = (np.count_nonzero(np.array(list(P.terms), np.int64), axis=0).tolist()
               for P in (A, B))
@@ -526,8 +530,8 @@ class Check(NamedTuple):
 
 def _charged(check, what, cost, run, in_suite=lambda n, d: True):
     """The Check `check` whose run charges `what` cost(n, d), a `_dense`,
-    `_block_sums` or `_roundtrip_cost` pair, by `_charge` before `run`
-    builds anything."""
+    `_block_sums`, `_pencil_cost` or `_roundtrip_cost` pair, by `_charge`
+    before `run` builds anything."""
     def charged(n, d, seed, budget):
         _charge(check, what, cost(n, d), budget)
         return run(n, d, seed, budget)
@@ -535,13 +539,15 @@ def _charged(check, what, cost, run, in_suite=lambda n, d: True):
 
 
 # every check by its `verify --check` name, in the suite's record order.
-# line_factorization is capped by SYMBOLIC_*_MAX and singular_locus charges
-# its own work; the checks that sum the (S, D) blocks of `sd_form` are
-# charged those sums, the sampled roundtrips their samples' field operations,
-# and the others their largest polynomial's monomials.
+# singular_locus charges its own work; line_factorization is charged the
+# fit of its run time, the checks that sum the (S, D) blocks of `sd_form`
+# those sums, the sampled roundtrips their samples' field operations, and
+# the others their largest polynomial's monomials.
 CHECKS = {
-    "line_factorization": Check(lambda n, d, seed, budget: verify_line_factorization(n, d),
-                                lambda n, d: n <= 2 and d <= 2),
+    "line_factorization": _charged(
+        "line_factorization", "pencil", _pencil_cost,
+        lambda n, d, seed, budget: verify_line_factorization(n, d),
+        lambda n, d: n <= 2 and d <= 2),
     "membership": _charged(
         "membership", "residual", lambda n, d: _dense(2 * n + 1, (2 * d + 1) * (2 * d + 2)),
         _phibar_on_x),

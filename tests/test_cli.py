@@ -17,7 +17,7 @@ from skewplanes import domains
 from skewplanes.cli import IDEAL_LABELS, _table_parse, build_parser, main
 from skewplanes.count import formula_x2d
 from skewplanes.families import FAMILY_BUILDERS, build_char_two_maps
-from skewplanes.reporting import strip_timing
+from skewplanes.reporting import BudgetExceeded, strip_timing
 from skewplanes.verify import CHECKS, Check
 from test_golden_outputs import RUNS
 from test_readme import readme_cli_examples
@@ -156,10 +156,13 @@ def test_verify_single_check(capsys, name):
 
 def test_verify_membership_honours_budget(capsys):
     # phibar(1, 1) into X(1, 1): a residual of degree 3 * 4 in 3 variables,
-    # C(14, 2) = 91 dense monomials
+    # C(14, 2) = 91 dense monomials.  The suite is refused at its first
+    # check, line_factorization, charged 9472
     code, out, err = run_cli(["verify", "--n", "1", "--d", "1", "--budget", "1"], capsys)
-    assert code == 4 and out == "" and "membership" in err and "91 monomials" in err
+    assert code == 4 and out == "" and "line_factorization: pencil" in err
     argv = ["verify", "--check", "membership", "--n", "1", "--d", "1"]
+    code, out, err = run_cli(argv + ["--budget", "1"], capsys)
+    assert code == 4 and out == "" and "membership" in err and "91 monomials" in err
     assert run_cli(argv + ["--budget", "91"], capsys)[0] == 0
     assert run_cli(argv + ["--budget", "90"], capsys)[0] == 4
     # at (6, 6), C(194, 12) monomials: refused before substituting
@@ -227,11 +230,33 @@ def test_verify_singular_locus_rejects_n1(capsys):
 
 
 def test_verify_budget_exceeded_is_exit_4(capsys):
+    # line_factorization at (4, 1) is charged 34480
     code, _, err = run_cli(
-        ["verify", "--check", "line_factorization", "--n", "4", "--d", "1"],
+        ["verify", "--check", "line_factorization", "--n", "4", "--d", "1", "--budget", "34479"],
         capsys,
     )
-    assert code == 4
+    assert code == 4 and "line_factorization: pencil" in err
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (1, 4)])
+def test_verify_line_factorization_past_n_d_3(capsys, n, d):
+    # a cap of n, d <= 3 refused these with exit 4; they take a few ms
+    code, out, _ = run_cli(["verify", "--check", "line_factorization", "--n", str(n),
+                            "--d", str(d)], capsys)
+    assert code == 0 and out.startswith("[PASS] line_factorization")
+
+
+def test_verify_line_factorization_refused_before_building(capsys, monkeypatch):
+    from skewplanes import verify as verify_module
+
+    def refuse(n, d):
+        raise AssertionError("built the line pencil")
+    monkeypatch.setattr(verify_module, "build_line_pencil", refuse)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["verify", "--check", "line_factorization", "--n", "1000",
+                              "--d", "1000"], capsys)
+    assert code == 4 and out == "" and "line_factorization: pencil of 1001 blocks" in err
+    assert time.perf_counter() - t0 < 1
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -837,3 +862,51 @@ def test_console_entry_point_runs():
 def test_version_flag():
     proc = _run_module("--version")
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# the builders' memory guard
+
+
+@pytest.fixture
+def no_family_forms(monkeypatch):
+    # a refused build must not start: the forms every builder expands raise
+    from skewplanes import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started the build")
+    for name in ("x_form", "ab_form"):
+        monkeypatch.setattr(families, name, refuse)
+
+
+@pytest.mark.parametrize("argv, wording", [
+    # (n + 1)(2d + 2)(2n + 2) exponent cells for X and Xdelta's
+    # (n + 1)(delta(d - 1) + 2)(2n + 2); 2(1 + n(2d + 2))(2n + 1) for (A, B)
+    (["count", "--family", "X", "--q", "101", "--n", "1000", "--d", "1000"],
+     "X(1000, 1000) has up to 4012012004 exponent cells"),
+    (["count", "--family", "Y", "--q", "101", "--n", "1000", "--d", "1000"],
+     "(A, B) of Y(1000, 1000) has up to 8012008002 exponent cells"),
+    (["count", "--family", "Xdelta", "--q", "101", "--n", "100", "--d", "997", "--delta", "10"],
+     "Xdelta(100, 997, 10) has up to 203244724 exponent cells"),
+    (["families", "dump", "--family", "X", "--n", "1000", "--d", "1000"],
+     "X(1000, 1000) has up"),
+    (["families", "dump", "--family", "AB", "--n", "300", "--d", "1000"],
+     "(A, B) of Y(300, 1000) has up"),
+    (["families", "dump", "--family", "X", "--char", "2", "--n", "400", "--d", "300"],
+     "X(400, 300) has up"),
+])
+def test_builds_past_the_memory_guard_exit_4(no_family_forms, capsys, argv, wording):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4 and out == ""
+    assert f"budget exceeded: {wording}" in err and "memory guard of 134217728" in err
+
+
+def test_memory_guard_admits_x_300_300(monkeypatch):
+    # X(300, 300), 1.09 * 10^8 cells, ran in 10.5 s over F_4: admitted
+    from skewplanes import families
+
+    monkeypatch.setattr(families, "x_form", lambda x, d, k=3: "built")
+    assert families.build_x(300, 300) == "built"
+    families._guard_cells("X", 1, families.CELLS_MAX, 1)
+    with pytest.raises(BudgetExceeded, match="134217729 exponent cells"):
+        families._guard_cells("X", 1, families.CELLS_MAX + 1, 1)

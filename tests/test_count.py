@@ -21,8 +21,8 @@ from skewplanes.count import (
     formula_y,
     prime_power,
     projective_size,
-    projective_zeros,
     reduce_poly,
+    y0_zeros,
 )
 from skewplanes.domains import QQ, QQXI, field_create
 from skewplanes.families import build_ab, build_x, build_x_d_delta, x_context, u_context
@@ -536,13 +536,16 @@ def test_budget_refusal_names_engine():
         count_zeros([build_x(1, 1, F2)], F2, budget=14)
 
 
-@pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (5, 2)])
-def test_projective_zeros_match_pointwise_walk(p, m):
+@pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (31, 1), (5, 2), (7, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_y0_zeros_match_pointwise_walk(p, m, d):
+    # the ranks on u0 = 1, then the zeros on the line u0 = 0, against a walk
+    # of all of P^2 through MPoly.evaluate, in content and order
     F = field_create(p, m)
-    A, B = build_ab(1, 2, F)
+    A, B = build_ab(1, d, F)
     walk = [pt for pt in enumerate_projective(F, 2)
             if A.evaluate(pt) == F.zero and B.evaluate(pt) == F.zero]
-    assert projective_zeros([A, B], F) == walk
+    assert y0_zeros(d, F) == walk
 
 
 @pytest.mark.parametrize("q", [4, 7, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125,

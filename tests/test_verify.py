@@ -14,8 +14,7 @@ import skewplanes.kernels as kernels_mod
 import skewplanes.mpoly as mpoly_mod
 import skewplanes.verify as verify_mod
 from skewplanes.cli import main
-from skewplanes.count import (DEFAULT_BUDGET, FirstChartZeros, count_zeros, enumerate_projective,
-                              projective_zeros)
+from skewplanes.count import DEFAULT_BUDGET, YChartZeros, count_zeros, enumerate_projective
 from skewplanes.domains import QQ, QQXI, field_create
 from skewplanes.families import (
     _vars,
@@ -75,11 +74,17 @@ def test_line_factorization_grid():
         assert r.mode == "symbolic"
 
 
-def test_line_factorization_budget():
-    with pytest.raises(BudgetExceeded):
-        verify_line_factorization(4, 1)
-    with pytest.raises(BudgetExceeded):
-        verify_line_factorization(1, 4)
+def test_line_factorization_budget(monkeypatch):
+    # (4, 1) and (1, 4) pass, where a cap of n, d <= 3 refused them; the
+    # charge is (n + 1)(d + 1)^2 ((d + 1)^2 + 180 (n + 1) + 820): 34480 at
+    # (4, 1), 60250 at (1, 4)
+    for n, d, cost in [(4, 1, 34480), (1, 4, 60250)]:
+        assert verify_line_factorization(n, d).passed
+        assert CHECKS["line_factorization"].run(n, d, 0, cost).passed
+        with pytest.raises(BudgetExceeded, match=rf"^line_factorization: pencil of {n + 1} "
+                                                 rf"blocks of degree {2 * d + 1} costs {cost}, "
+                                                 rf"over budget {cost - 1}$"):
+            CHECKS["line_factorization"].run(n, d, 0, cost - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +151,10 @@ def _refuse_builders(monkeypatch):
     # a refused check must build nothing: every builder it could call raises
     def refuse(*args, **kwargs):
         raise AssertionError("built before the charge")
-    for name in ("build_phibar", "build_x", "build_cremona", "build_alpha_beta",
-                 "build_cox_model", "_v_coordinates", "x_form", "phibar_form",
-                 "phibar_blocks", "theta_form", "h_form", "char_two_form", "sd_form"):
+    for name in ("build_phibar", "build_x", "build_line_pencil", "build_cremona",
+                 "build_alpha_beta", "build_cox_model", "_v_coordinates", "x_form",
+                 "phibar_form", "phibar_blocks", "theta_form", "h_form", "char_two_form",
+                 "sd_form"):
         monkeypatch.setattr(verify_mod, name, refuse)
 
 
@@ -360,25 +366,35 @@ def _first_chart_walk(F, A, B, N):
     return walk
 
 
-def test_singular_locus_generic_pool_matches_pointwise_walk():
+def _first_chart_scan(F, polys):
+    """The zeros of the polynomials with first coordinate 1, as rows of
+    indices, by one vectorized scan of that whole chart."""
+    exps, coeffs, offsets = count_mod._system_arrays(polys, F)
+    nvars = exps.shape[1]
+    pts = kernels_mod._chart_points(F.q, nvars, 0, 0, F.q ** (nvars - 1))
+    ok = np.ones(len(pts), bool)
+    for vals in kernels_mod.system_values(F, exps, coeffs, offsets, pts):
+        ok &= vals == 0
+    return pts[ok].tolist()
+
+
+@pytest.mark.parametrize("p, m, ns", [(7, 1, (1, 2)), (13, 1, (1, 2)), (2, 3, (1, 2)),
+                                      (3, 2, (1, 2)), (5, 2, (1,)), (5, 1, (3,)),
+                                      (2, 2, (3,))])
+@pytest.mark.parametrize("d", [1, 2])
+def test_singular_locus_generic_pool_matches_pointwise_walk(p, m, ns, d):
     # the samples are drawn by rank, so unranking every rank must give the
-    # walk in content and order for the sample to stay the scan's
-    F = field_create(7)
-    for n in (2, 3):
-        A, B = (f.map_domain(F, F.reduce_rational) for f in build_ab(n, 1, QQ))
+    # walk of u0 = 1 in content and order for the sample to stay the scan's
+    F = field_create(p, m)
+    for n in ns:
+        A, B = build_ab(n, d, F)
         walk = _first_chart_walk(F, A, B, 2 * n)
-        generic = FirstChartZeros(build_ab(n, 1, QQ), F)
+        generic = YChartZeros(n, d, F)
         assert generic.pool == len(walk)
         assert generic.unrank(range(generic.pool)).tolist() == walk
-        # Y's n pair blocks are one class, evaluated once
-        values = generic._tables[1]
-        assert len(values) == n and all(v is values[0] for v in values)
-        if n == 2:
-            pool = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
-            assert [[F.element_index(c) for c in pt] for pt in pool] == walk
-        r = verify_singular_locus(n, 1, generic_field=7)
-        assert r.passed, r.witness
-        assert r.params["generic_pool"] == len(walk)
+        if n >= 2 and m == 1 and p % 3 == 1:
+            r = verify_singular_locus(n, d, generic_field=p)
+            assert r.passed and r.params["generic_pool"] == len(walk), r.witness
 
 
 @pytest.mark.parametrize("q,n,d", [(7, 2, 1), (7, 2, 2), (7, 3, 1), (13, 2, 1), (13, 2, 3)])
@@ -386,9 +402,8 @@ def test_singular_locus_sample_is_rng_sample_of_scan_pool(monkeypatch, q, n, d):
     # the scan's list of generic points, sampled as the check sampled it
     F = field_create(q)
     A, B = build_ab(n, d, QQ)
-    pool = [[F.element_index(c) for c in pt] for pt in projective_zeros([A, B], F)
-            if pt[0] != F.zero]
-    generic = FirstChartZeros([A, B], F)
+    pool = _first_chart_scan(F, [A, B])
+    generic = YChartZeros(n, d, F)
     assert generic.pool == len(pool)
     seen = []
 
@@ -411,7 +426,7 @@ def test_singular_locus_witness_is_the_scan_samples_point(monkeypatch):
     # a failing sample names the point rng.sample drew from the scan's pool
     F = field_create(7)
     A, B = build_ab(2, 2, QQ)
-    pool = [pt for pt in projective_zeros([A, B], F) if pt[0] != F.zero]
+    pool = [[F.element_from_index(i) for i in pt] for pt in _first_chart_scan(F, [A, B])]
 
     def flag_third(F, a, b):
         flat = proportional_rows(F, a, b)
@@ -461,7 +476,7 @@ def test_first_chart_zeros_at_large_n(n):
     # at n = 9, 13^18 passes 2^63 and the counts are Python ints
     F = field_create(13)
     A, B = build_ab(n, 1, QQ)
-    generic = FirstChartZeros([A, B], F)
+    generic = YChartZeros(n, 1, F)
     assert generic.pool == _pool_from_counts(n, F)
     if n == 4:
         assert generic.pool == 5079360
@@ -469,26 +484,6 @@ def test_first_chart_zeros_at_large_n(n):
     pts = generic.unrank(ranks)
     assert not _values([A, B], F, pts).any() and (pts[:, 0] == 1).all()
     assert [tuple(p) for p in pts.tolist()] == sorted(set(tuple(p) for p in pts.tolist()))
-
-
-def test_first_chart_zeros_refuses_other_systems():
-    F = field_create(7)
-    ctx = VarContext(("x0", "x1", "x2", "x3"))
-    x0, x1, x2, x3 = (MPoly.variable(ctx, F, nm) for nm in ctx.names)
-    with pytest.raises(ValueError, match="contiguous blocks free of x0"):
-        FirstChartZeros([x0 * x1 + x2 * x3], F)
-    with pytest.raises(ValueError, match="contiguous blocks free of x0"):
-        FirstChartZeros([x0 ** 2 + x1 * x3 + x2 ** 2], F)
-    # contiguous blocks, one of a variable in no term, are unranked in the
-    # scan's order
-    ctx = VarContext(("x0", "x1", "x2", "x3", "x4"))
-    x0, x1, x2, x3 = (MPoly.variable(ctx, F, nm) for nm in ctx.names[:4])
-    f = x0 ** 2 + x1 * x2 - x3 ** 2
-    generic = FirstChartZeros([f], F)
-    walk = [[F.element_index(c) for c in pt] for pt in projective_zeros([f], F)
-            if pt[0] != F.zero]
-    assert generic.pool == len(walk) == 56 * 7
-    assert generic.unrank(range(generic.pool)).tolist() == walk
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -779,10 +774,11 @@ def test_cox_negative_control_wp_multiple():
 # (S, D) blocks in m variables: the Galois residuals in 4 and, with
 # coefficient variables, 8, and the Cox residuals in 6.  The SAMPLED
 # roundtrips, 100 samples through (n + 1)(40 + 4 bit_length(d)) = 88 field
-# operations
+# operations.  line_factorization, the fit of its run time
+# 2 * 4 * (4 + 360 + 820)
 CHARGES_AT_1_1 = [
-    ("membership", 91), ("composition_cremona", 15), ("composition_alphabeta", 28),
-    ("composition_on_x", 55), ("composition_roundtrip", 8800),
+    ("line_factorization", 9472), ("membership", 91), ("composition_cremona", 15),
+    ("composition_alphabeta", 28), ("composition_on_x", 55), ("composition_roundtrip", 8800),
     ("composition_roundtrip_char2", 8800), ("linear_system_dim", 15), ("galois", 16),
     ("galois_generalized", 32), ("cox_grading", 24),
 ]
@@ -794,16 +790,16 @@ SAMPLED = {"composition_roundtrip", "composition_roundtrip_char2"}
 def test_checks_charge_their_largest_polynomial(monkeypatch, name, cost):
     assert CHECKS[name].run(1, 1, 0, cost).passed
     _refuse_builders(monkeypatch)
-    wording = f"costs {cost}" if name in BLOCK_SUMS | SAMPLED else f"has up to {cost} monomials"
+    costs = BLOCK_SUMS | SAMPLED | {"line_factorization"}
+    wording = f"costs {cost}" if name in costs else f"has up to {cost} monomials"
     with pytest.raises(BudgetExceeded, match=rf"^{name}: .* {wording}, over budget {cost - 1}$"):
         CHECKS[name].run(1, 1, 0, cost - 1)
 
 
-def test_every_check_is_charged_or_capped():
-    # line_factorization is capped by SYMBOLIC_*_MAX, singular_locus charges
-    # its own work, and every other check is charged above
-    assert set(CHECKS) == {name for name, _ in CHARGES_AT_1_1} | {
-        "line_factorization", "singular_locus"}
+def test_every_check_is_charged():
+    # singular_locus charges its own work, and every other check is charged
+    # above
+    assert set(CHECKS) == {name for name, _ in CHARGES_AT_1_1} | {"singular_locus"}
 
 
 @pytest.mark.parametrize("name, n, d", [
