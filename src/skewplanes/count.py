@@ -1,13 +1,22 @@
 """Exact projective point counts over finite fields, the closed-form count
 formulas, and their cross-validation.
 
-`count_zeros` runs one of two engines, chosen from the system alone by cost.
-The block engine splits the variables into blocks that share no monomial
-and counts r forms of one degree from the members c.f of their pencil,
-each distinct block once per line, repeats by squaring (`_count_blocks`).
-It runs when there are two blocks or more and it costs no more than the
-chart scan, its oracle, which walks affine charts (points normalized so the
-first nonzero coordinate is 1) in order.
+The families X, Xdelta and Y are counted from their pair forms
+(`count_family`): each is a sum of one two-variable form over its pairs,
+plus a u0 block for Y, so the pair form is evaluated on the q + 1 points
+of P^1 for every member of its pencil at once, and its histogram is
+raised to the number of pairs by squaring (`_count_pairs`).  No polynomial
+is built unless that costs more than the chart scan.
+
+A custom system goes to `count_zeros`, which runs one of two engines,
+chosen from the system alone by cost (`_plan`).  The block engine splits
+the variables into blocks that share no monomial and counts r forms of one
+degree from the members c.f of their pencil, each distinct block once per
+line (`_count_blocks`); it runs when there are two blocks or more and it
+costs no more than the chart scan, its oracle, which walks affine charts
+(points normalized so the first nonzero coordinate is 1) in order.  Both
+block paths share the kernels and the power and closing formula
+(`_cone_count`).
 
 The zeros of Y = {A = B = 0} as points come by rank, with no scan, from the
 histogram of its pair block on the chart u0 = 1 (`YChartZeros`): `verify`
@@ -24,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from .domains import QQ, QQXI, exp_log_cells, prime_power, sqrt_of_minus_three
-from .families import ab_form, build_ab, build_x, build_x_d_delta
+from .families import ab_form, build_ab, build_x, build_x_d_delta, x_d_delta_degree, x_form
 from .kernels import (
     _BLOCK,
     _affine_points,
@@ -38,6 +47,7 @@ from .kernels import (
     line_orbit_counts,
     orbit_histogram,
     pencil_lines,
+    system_values,
 )
 from .mpoly import MPoly, VarContext, multiplicity_at
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
@@ -132,7 +142,8 @@ def _variable_blocks(exps):
 
 
 def _plan(polys, F):
-    """Check and flatten a homogeneous system, then choose its engine.
+    """Check and flatten a custom homogeneous system (or a family's, where
+    its pair forms cost more than the scan), then choose its engine.
 
     Returns (engine, cost, exps, coeffs, offsets, blocks, s), with
     s = gcd(e, q - 1) when every nonzero form has degree e, else None.  With
@@ -189,34 +200,69 @@ def _block_classes(exps, coeffs, offsets, blocks):
 
 
 def _count_blocks(F, exps, coeffs, offsets, blocks, s):
-    """(N - 1) / (q - 1) for N common zeros of the r forms on the affine
-    cone.  Over all c in F_q^r, N_aff(c.f) counts a common zero q^r times
-    and any other point q^(r-1) times, and c and tc cut the same zeros, so
-    q^nvars + (q - 1) sum_[c] N_aff(c.f) = q^r N + q^(r-1) (q^nvars - N).
-
-    N_aff(c.f) = H[0] of the convolution of c.f's block histograms.  Each
-    block's part of c.f has degree e, so its histogram comes from one point
-    per line and is constant on the cosets of (F_q^*)^e, of index s, as is
-    every partial convolution.  The blocks of one class (`_block_classes`)
-    share a histogram, raised to their number by squaring.  Histograms hold
-    Python ints once q^nvars reaches the int64 range, and the sum over [c]
-    is in Python ints."""
-    q, nvars, r = F.q, exps.shape[1], len(offsets) - 1
-    exact = q ** nvars >= 2 ** 63
+    """`_cone_count` of a flattened custom system of r forms of degree e,
+    with s = gcd(e, q - 1): each distinct block (`_block_classes`) is
+    evaluated at one point per line, `_BLOCK` lines at a time, in its
+    variables, and binned by `line_orbit_counts`."""
+    q, r = F.q, len(offsets) - 1
     pencil = pencil_lines(F, r, s)
     systems, of_block = _block_classes(exps, coeffs, offsets, blocks)
-    factors = []
+    classes = []
     for system, k in zip(systems, np.bincount(of_block).tolist()):
-        lines = projective_size(q, system[0].shape[1] - 1)
-        hist = orbit_histogram(F, line_orbit_counts(F, *system, *pencil, s, 0, lines))
-        hist = hist.astype(object) if exact else hist
-        # this class's factors times hist^k stay its power; the last square
-        # is left as two factors, so that the last product is read at 0
-        while k > 2:
-            if k & 1:
-                factors.append(hist)
-            hist, k = convolve_invariant(F, hist, hist, s), k >> 1
-        factors += [hist] * k
+        width = system[0].shape[1]
+        lines = projective_size(q, width - 1)
+        counts = sum(line_orbit_counts(F, np.array(list(system_values(
+            F, *system, _line_points(q, width, lo, min(lo + _BLOCK, lines))))), *pencil, s)
+            for lo in range(0, lines, _BLOCK))
+        classes.append((orbit_histogram(F, counts), k))
+    return _cone_count(F, classes, exps.shape[1], r, s)
+
+
+def _binary_factors(k):
+    """The exponents i, in order, of the factors h^(2^i) whose product is
+    h^k, made by squaring: one for each set bit of k but its top two,
+    which leave h^(2^i) twice (top bits 10) or h^(2^i) and h^(2^(i+1))
+    (top bits 11), so that no square is made only to be read at 0."""
+    out, i = [], 0
+    while k > 2:
+        if k & 1:
+            out.append(i)
+        k, i = k >> 1, i + 1
+    return out + [i] * k
+
+
+def _convolutions(ks):
+    """(convolutions, reads at 0) that `_cone_count` makes for classes of
+    the multiplicities `ks`: each class's squarings, then the products of
+    all factors but the last, which is read at 0 against their product."""
+    powers = [_binary_factors(k) for k in ks]
+    factors = sum(map(len, powers))
+    return sum(p[-1] for p in powers if p) + max(factors - 2, 0), int(factors > 1)
+
+
+def _cone_count(F, classes, nvars, r, s):
+    """(N - 1) / (q - 1) for N common zeros on the affine cone of r forms
+    of degree e in `nvars` variables, with s = gcd(e, q - 1), from the
+    (hist, k) of their distinct blocks: hist the blocks' `orbit_histogram`
+    rows, one per member of the pencil (`pencil_lines`), k the number of
+    blocks alike.  Over all c in F_q^r, N_aff(c.f) counts a common zero q^r
+    times and any other point q^(r-1) times, and c and tc cut the same
+    zeros, so q^nvars + (q - 1) sum_[c] N_aff(c.f) = q^r N + q^(r-1) (q^nvars - N).
+
+    N_aff(c.f) = H[0] of the convolution of c.f's block histograms, each
+    constant on the cosets of (F_q^*)^e, of index s, as is every partial
+    convolution.  A class's histogram is raised to k by squaring
+    (`_binary_factors`).  Histograms hold Python ints once q^nvars reaches
+    the int64 range, and the sum over [c] is in Python ints."""
+    q = F.q
+    exact = q ** nvars >= 2 ** 63
+    factors = []
+    for hist, k in classes:
+        hist, at = hist.astype(object) if exact else hist, 0
+        for i in _binary_factors(k):
+            while at < i:
+                hist, at = convolve_invariant(F, hist, hist, s), at + 1
+            factors.append(hist)
     total = factors[0]
     for factor in factors[1:-1]:
         total = convolve_invariant(F, total, factor, s)
@@ -294,35 +340,80 @@ def formula_y(q, n, d):
 # family count reports
 
 
+def _family_form(family, n, d, delta, F):
+    """(r, e, pairs, u0, pair_values, build) of a family: its r forms of
+    degree e are each the sum of one pair form over `pairs` pairs of
+    variables, plus u0^e when `u0` (Y); `pair_values(pts)` gives the r pair
+    forms at the rows of `pts` as element indices, one row per form, and
+    `build()` the forms as polynomials."""
+    if family == "X":
+        return (1, 2 * d + 1, n + 1, False,
+                lambda pts: x_form(FieldArray.columns(F, pts), d).idx[None],
+                lambda: [build_x(n, d, F)])
+    if family == "Y":
+        return (2, 2 * d + 1, n, True, lambda pts: np.stack(_pair_values(F, d, pts)),
+                lambda: list(build_ab(n, d, F)))
+    if family == "Xdelta":
+        if delta is None:
+            raise ValueError("family Xdelta needs delta")
+        return (1, x_d_delta_degree(d, delta), n + 1, False,
+                lambda pts: x_form(FieldArray.columns(F, pts), delta, k=d).idx[None],
+                lambda: [build_x_d_delta(n, d, delta, F)])
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _count_pairs(F, r, e, pairs, u0, pair_values):
+    """The projective zeros of a family's r forms (see `_family_form`),
+    from its pair forms alone.  They are evaluated at the q + 1 points of
+    P^1, for every member of the pencil at once, and the u0 block takes
+    the value c_1 + ... + c_r at its one point; `line_orbit_counts` bins
+    them, and `_cone_count` raises the pair histogram to `pairs`."""
+    q, s = F.q, gcd(e, F.q - 1)
+    pencil = pencil_lines(F, r, s)
+    classes = [(np.ones((r, 1), np.int64), 1)] * u0 + [
+        (pair_values(_line_points(q, 2, 0, q + 1)), pairs)]
+    return _cone_count(F, [(orbit_histogram(F, line_orbit_counts(F, values, *pencil, s)), k)
+                           for values, k in classes], 2 * pairs + u0, r, s)
+
+
 def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
+    """The report of one family's count against the paper's formula, where
+    it has one.  The count comes from the pair form (`_count_pairs`) when
+    its cost is at most |P^(nvars-1)(F_q)| and q^r at most HIST_MAX, and
+    otherwise from `count_zeros` on the built system."""
     t0 = time.perf_counter()
     q = F.q
+    r, e, pairs, u0, pair_values, build = _family_form(family, n, d, delta, F)
     params = {"n": n, "d": d}
     formula_alt = None
     if family == "X":
-        polys = [build_x(n, d, F)]
         if n == 1:
             formula = formula_x2d(q, d)
             formula_alt = formula_x2d_alt(q, d)
         else:
             formula = formula_high_dim(q, n, d)
     elif family == "Y":
-        A, B = build_ab(n, d, F)
-        polys = [A, B]
         formula = formula_y(q, n, d)
-    elif family == "Xdelta":
-        if delta is None:
-            raise ValueError("family Xdelta needs delta")
+    else:
         params["delta"] = delta
-        polys = [build_x_d_delta(n, d, delta, F)]
-        Delta = delta * (d - 1) + 1
-        if gcd(d, q - 1) == 1 and gcd(Delta, q - 1) == 1:
+        if gcd(d, q - 1) == 1 and gcd(e, q - 1) == 1:
             formula = projective_size(q, 2 * n)
         else:
             formula = None
+    # the work of `_count_pairs`: members x lines for each distinct block,
+    # (1 + s) q cells a member for each convolution and q for the read at
+    # 0, and the exp/log table
+    convolutions, reads = _convolutions([1] * u0 + [pairs])
+    cost = projective_size(q, r - 1) * (u0 + q + 1 + ((1 + gcd(e, q - 1)) * convolutions
+                                                      + reads) * q) + exp_log_cells(F)
+    if cost > projective_size(q, 2 * pairs + u0 - 1) or q ** r > HIST_MAX:
+        brute, engine = count_zeros(build(), F, budget=budget, with_engine=True)
+    elif cost > budget:
+        raise BudgetExceeded(
+            f"engine 'blocks' on {pairs} pair blocks{', the u0 block' * u0} and the "
+            f"field's exp/log table costs {abbreviate(cost)}, over budget {abbreviate(budget)}")
     else:
-        raise ValueError(f"unknown family {family!r}")
-    brute, engine = count_zeros(polys, F, budget=budget, with_engine=True)
+        brute, engine = _count_pairs(F, r, e, pairs, u0, pair_values), "blocks"
     return CountReport(
         family=family, params=params,
         field_spec=F.spec.as_dict(),

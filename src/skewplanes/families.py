@@ -32,10 +32,11 @@ from .reporting import BudgetExceeded, abbreviate
 
 A_PLUS = (Fraction(1, 2), Fraction(1, 2))    # (1 + xi)/2
 A_MINUS = (Fraction(1, 2), Fraction(-1, 2))  # (1 - xi)/2
-# Bound on the exponent cells (terms x variables) of X, Xdelta or (A, B),
-# about 17 bytes each as built: 2^27 cells, some 2.3 GB, admit X(300, 300)
-# at 1.09 * 10^8.  No budget sees them, and X(1000, 1000) would have
-# 4.0 * 10^9.
+# Bound on the exponent cells (terms x variables) of X, Xdelta, (A, B) or
+# the line pencil, about 17 bytes each as built: 2^27 cells, some 2.3 GB,
+# admit X(300, 300) at 1.09 * 10^8.  No budget sees them, and X(1000, 1000)
+# would have 4.0 * 10^9.  `count` counts the families from their pair forms,
+# so these builders serve `families dump`, `verify` and the chart scan.
 CELLS_MAX = 1 << 27
 
 
@@ -119,14 +120,21 @@ def build_x(n, d, dom=QQ):
     return x_form(_vars(x_context(n), dom), d)
 
 
-def build_x_d_delta(n, d, delta, dom=QQ):
-    """Generalized family of degree delta*(d-1)+1: `x_form` with the
-    alternating form g_d in place of g_3, raised to delta."""
+def x_d_delta_degree(d, delta):
+    """The degree delta*(d-1)+1 of Xdelta, refusing d that is not an odd
+    prime and delta < 1."""
     if d < 3 or d % 2 == 0 or _least_prime_factor(d) != d:
         raise ValueError("d must be an odd prime")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    _guard_cells(f"Xdelta({n}, {d}, {delta})", n + 1, delta * (d - 1) + 2, 2 * n + 2)
+    return delta * (d - 1) + 1
+
+
+def build_x_d_delta(n, d, delta, dom=QQ):
+    """Generalized family of degree `x_d_delta_degree`: `x_form` with the
+    alternating form g_d in place of g_3, raised to delta."""
+    degree = x_d_delta_degree(d, delta)
+    _guard_cells(f"Xdelta({n}, {d}, {delta})", n + 1, degree + 1, 2 * n + 2)
     return x_form(_vars(x_context(n), dom), delta, k=d)
 
 
@@ -370,7 +378,12 @@ def build_line_pencil(n, d):
     B = xi(2 lam - 1)/3, whose last entry u0 A = 1 is x_{2n+1}.  There
     A^2 + 3B^2 = 4 lam (1 - lam), which makes the factor (3/4)^d (A^2 + 3B^2)^d
     of X along phibar's blocks (-3)^d lam^d (lam - 1)^d.
+
+    Refused by `_guard_cells` past CELLS_MAX: for each of the n + 1 pairs,
+    F and the target have 2(d + 1)(d + 2) terms each, A and B 2d + 2 and
+    the lines 7, at most (2d + 5)^2 together.
     """
+    _guard_cells(f"the line pencil of X({n}, {d})", n + 1, (2 * d + 5) ** 2, 2 * n + 1)
     dom = QQXI
     ctx = pencil_context(n)
     lam, *u = _vars(ctx, dom)

@@ -9,18 +9,19 @@ encoded as the base-q number of its entries, the first entry in the lowest
 place.  Points are decoded from linear indices, and each kernel walks one
 index range [start, stop); the counts or histograms of disjoint ranges add.
 Systems are evaluated by `system_values`, in the count engines on at most
-`_BLOCK` points at a time; `verify`'s roundtrips and `count.YChartZeros`
-apply the family forms to `FieldArray` columns.  Value rows are compared by
-`proportional_rows`.
+`_BLOCK` points at a time; `verify`'s roundtrips, the families' pair-form
+counts and `count.YChartZeros` apply the family forms to `FieldArray`
+columns.  Value rows are compared by `proportional_rows`.
 
 The block engine's kernels take a batch axis, one row per member c.f of
 the pencil of r forms of degree e (`pencil_lines`, built once per count):
-`line_orbit_counts` evaluates the forms once per line and bins each row's
-values by discrete logarithm mod s, and `orbit_histogram` and
-`convolve_invariant` build, convolve and square histograms constant on
-the cosets of the e-th powers (tests' oracles: `block_histogram` and
-`convolve_histograms` over F_q^r).  `convolve_histograms` also forms the
-suffix convolutions from which `count.YChartZeros` unranks Y's zeros.
+`line_orbit_counts` takes the forms' values at one point per line, forms
+each member's values and bins them by discrete logarithm mod s, and
+`orbit_histogram` and `convolve_invariant` build, convolve and square
+histograms constant on the cosets of the e-th powers (tests' oracles:
+`block_histogram` and `convolve_histograms` over F_q^r).
+`convolve_histograms` also forms the suffix convolutions from which
+`count.YChartZeros` unranks Y's zeros.
 """
 
 from __future__ import annotations
@@ -163,7 +164,9 @@ class FieldArray:
         return -self + other
 
     def __pow__(self, e):
-        return FieldArray(power(self.idx, e, self.ops[2]), self.ops)
+        # element index 1 is the field's one
+        return FieldArray(power(self.idx, e, self.ops[2]) if e else np.ones_like(self.idx),
+                          self.ops)
 
 
 def count_system_chart(F, exps, coeffs, offsets, chart, start, stop):
@@ -202,21 +205,21 @@ def pencil_lines(F, r, s):
     return pencil, np.arange(0, len(pencil) * (1 + s), 1 + s)[:, None]
 
 
-def line_orbit_counts(F, exps, coeffs, offsets, pencil, rows, s, start, stop):
-    """[z, c_0, ..., c_{s-1}] for each member c.f of the pencil of the
-    system's r forms, c through the rows of `pencil` (see `pencil_lines`,
-    which also gives `rows`), over the points of P^{k-1}(F_q),
-    k = exps.shape[1], with line indices in [start, stop): z are zeros of
-    c.f, and c_i take a nonzero value whose discrete logarithm is i mod s.
-    A split of the range merges by addition."""
+def line_orbit_counts(F, values, pencil, rows, s):
+    """[z, c_0, ..., c_{s-1}] for each member c.f of the pencil of r forms
+    of one degree, c through the rows of `pencil` (see `pencil_lines`,
+    which also gives `rows`), from the forms' values at one point of each
+    line: `values` holds element indices, one row per form and one column
+    per line.  z counts the lines where c.f is zero, and c_i those where it
+    takes a value whose discrete logarithm is i mod s.  The counts of
+    disjoint sets of lines add."""
     add, mul = field_tables(F)
     _, log = index_exp_log(F)
-    width = max(1, min(_BLOCK, (_BLOCK * 8) // len(pencil)))
+    width = max(1, (_BLOCK * 8) // len(pencil))
     counts = np.zeros(rows.size * (1 + s), np.int64)
-    for at in range(start, stop, width):
-        pts = _line_points(F.q, exps.shape[1], at, min(at + width, stop))
+    for at in range(0, values.shape[1], width):
         vals = functools.reduce(add, map(mul, pencil.T[:, :, None],
-                                         system_values(F, exps, coeffs, offsets, pts)))
+                                         values[:, None, at:at + width]))
         key = rows + np.where(vals != 0, 1 + log[vals] % s, 0)
         counts += np.bincount(key.ravel(), minlength=counts.size)
     return counts.reshape(len(pencil), 1 + s)

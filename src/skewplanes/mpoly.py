@@ -260,13 +260,6 @@ class MPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def degree_in(self, name):
-        i = self.ctx.index[name]
-        return max((e[i] for e in self.terms), default=0)
-
-    def coefficient_of(self, exps):
-        return self.terms.get(tuple(exps), self.dom.zero)
-
     def lowest_form(self):
         """The homogeneous part of minimal total degree (zero poly -> zero)."""
         if not self.terms:
@@ -431,26 +424,6 @@ class MPoly:
             ne = e[:i] + (e[i] + target - t,) + e[i + 1:]
             out[ne] = c
         return MPoly(self.ctx, self.dom, out)
-
-    def set_var(self, name, value):
-        """Substitute a scalar payload (or int) for one variable."""
-        dom = self.dom
-        if isinstance(value, int):
-            value = dom.from_int(value)
-        i = self.ctx.index[name]
-        out = {}
-        for e, c in self.terms.items():
-            nc = dom.mul(c, dom.pow(value, e[i])) if e[i] else c
-            if dom.is_zero(nc):
-                continue
-            ne = e[:i] + (0,) + e[i + 1:]
-            prev = out.get(ne)
-            s = nc if prev is None else dom.add(prev, nc)
-            if dom.is_zero(s):
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return MPoly(self.ctx, dom, out)
 
     def map_domain(self, new_dom, conv):
         """Convert coefficients with `conv`, dropping those that map to zero."""

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from skewplanes import domains
 from skewplanes.cli import IDEAL_LABELS, _table_parse, build_parser, main
-from skewplanes.count import formula_x2d
+from skewplanes.count import formula_x2d, projective_size
 from skewplanes.families import FAMILY_BUILDERS, build_char_two_maps
 from skewplanes.reporting import BudgetExceeded, strip_timing
 from skewplanes.verify import CHECKS, Check
@@ -870,26 +870,30 @@ def test_version_flag():
 
 @pytest.fixture
 def no_family_forms(monkeypatch):
-    # a refused build must not start: the forms every builder expands raise
+    # a refused build must not start: the variables every builder makes
+    # first, and the forms they expand, raise
     from skewplanes import families
 
     def refuse(*args, **kwargs):
         raise AssertionError("started the build")
-    for name in ("x_form", "ab_form"):
+    for name in ("_vars", "x_form", "ab_form", "phibar_blocks"):
         monkeypatch.setattr(families, name, refuse)
 
 
 @pytest.mark.parametrize("argv, wording", [
     # (n + 1)(2d + 2)(2n + 2) exponent cells for X and Xdelta's
-    # (n + 1)(delta(d - 1) + 2)(2n + 2); 2(1 + n(2d + 2))(2n + 1) for (A, B)
-    (["count", "--family", "X", "--q", "101", "--n", "1000", "--d", "1000"],
-     "X(1000, 1000) has up to 4012012004 exponent cells"),
-    (["count", "--family", "Y", "--q", "101", "--n", "1000", "--d", "1000"],
-     "(A, B) of Y(1000, 1000) has up to 8012008002 exponent cells"),
-    (["count", "--family", "Xdelta", "--q", "101", "--n", "100", "--d", "997", "--delta", "10"],
-     "Xdelta(100, 997, 10) has up to 203244724 exponent cells"),
+    # (n + 1)(delta(d - 1) + 2)(2n + 2); 2(1 + n(2d + 2))(2n + 1) for (A, B),
+    # and (n + 1)(2d + 5)^2 (2n + 1) for the line pencil
     (["families", "dump", "--family", "X", "--n", "1000", "--d", "1000"],
-     "X(1000, 1000) has up"),
+     "X(1000, 1000) has up to 4012012004 exponent cells"),
+    (["families", "dump", "--family", "Xdelta", "--n", "100", "--d", "997", "--delta", "10"],
+     "Xdelta(100, 997, 10) has up to 203244724 exponent cells"),
+    (["families", "dump", "--family", "AB", "--n", "1000", "--d", "1000"],
+     "(A, B) of Y(1000, 1000) has up to 8012008002 exponent cells"),
+    (["families", "dump", "--family", "pencil", "--n", "1000", "--d", "1000"],
+     "the line pencil of X(1000, 1000) has up to 8052114095025 exponent cells"),
+    (["families", "dump", "--family", "pencil", "--n", "300", "--d", "50"],
+     "the line pencil of X(300, 50) has up to 1994433525 exponent cells"),
     (["families", "dump", "--family", "AB", "--n", "300", "--d", "1000"],
      "(A, B) of Y(300, 1000) has up"),
     (["families", "dump", "--family", "X", "--char", "2", "--n", "400", "--d", "300"],
@@ -899,6 +903,20 @@ def test_builds_past_the_memory_guard_exit_4(no_family_forms, capsys, argv, word
     code, out, err = run_cli(argv, capsys)
     assert code == 4 and out == ""
     assert f"budget exceeded: {wording}" in err and "memory guard of 134217728" in err
+
+
+@pytest.mark.parametrize("argv, formula", [
+    # past the memory guard as systems, counted from their pair forms
+    (["--family", "X", "--q", "101", "--n", "1000", "--d", "1000"], projective_size(101, 2000)),
+    (["--family", "Y", "--q", "101", "--n", "200", "--d", "200"], projective_size(101, 398)),
+    (["--family", "Xdelta", "--q", "101", "--n", "100", "--d", "997", "--delta", "10"],
+     projective_size(101, 200)),
+])
+def test_large_family_counts_answer_without_building(no_family_forms, capsys, argv, formula):
+    code, out, _ = run_cli(["count", *argv, "--format", "json"], capsys)
+    rec = json.loads(out)["records"][0]
+    assert code == 0 and rec["engine"] == "blocks"
+    assert rec["brute"] == rec["formula"] == formula and rec["match"] is True
 
 
 def test_memory_guard_admits_x_300_300(monkeypatch):

@@ -467,14 +467,18 @@ def _spy(monkeypatch, name):
 
 
 def test_block_classes_take_one_histogram_each(monkeypatch):
-    # X(3, 1) is 8 copies of y^3; Y(3, 1) is a u0 block and 3 copies of
-    # one pair system
+    # as custom systems, X(3, 1) is 8 copies of y^3; Y(3, 1) is a u0 block
+    # and 3 copies of one pair system
     calls = _spy(monkeypatch, "line_orbit_counts")
-    rep = count_family("X", 3, 1, field_create(101))
-    assert (rep.engine, rep.match, len(calls)) == ("blocks", True, 1)
+    F = field_create(101)
+    assert count_zeros([build_x(3, 1, F)], F, with_engine=True) == \
+        (formula_high_dim(101, 3, 1), "blocks")
+    assert len(calls) == 1
     calls.clear()
-    rep = count_family("Y", 3, 1, field_create(11))
-    assert (rep.engine, rep.match, len(calls)) == ("blocks", True, 2)
+    F = field_create(11)
+    assert count_zeros(list(build_ab(3, 1, F)), F, with_engine=True) == \
+        (formula_y(11, 3, 1), "blocks")
+    assert len(calls) == 2
 
 
 def test_repeated_block_raised_by_squaring(monkeypatch):
@@ -504,11 +508,10 @@ def test_count_report_names_engine():
     rep = count_family("X", 1, 1, field_create(7))
     assert rep.engine == "blocks" and rep.as_dict()["engine"] == "blocks"
     assert "engine=blocks" in rep.line()
-    # over F_2 the diagonal cubic has four one-variable blocks, which cost
-    # more than the 15 points of P^3(F_2)
-    F2 = field_create(2)
-    assert count_module._plan([build_x(1, 1, F2)], F2)[0] == "scan"
-    assert count_family("X", 1, 1, F2).as_dict()["engine"] == "scan"
+    # Y at n = 1 has one pair block and the u0 block, whose q + 1 members
+    # cost more than the q^2 + q + 1 points of P^2
+    F7 = field_create(7)
+    assert count_family("Y", 1, 1, F7).as_dict()["engine"] == "scan"
 
 
 def test_histograms_past_cap_are_scanned(monkeypatch):
@@ -633,11 +636,14 @@ def _pencil_blocks(polys, F):
 
 def _orbit_histograms(F, arrays, s, pieces, pencil):
     """The orbit histograms from the lines cut into `pieces` consecutive
-    ranges, whose counts add."""
-    lines = projective_size(F.q, arrays[0].shape[1] - 1)
+    ranges, whose counts add: the block's forms are evaluated at each
+    range's line points and binned."""
+    width = arrays[0].shape[1]
+    lines = projective_size(F.q, width - 1)
     cuts = [lines * i // pieces for i in range(pieces + 1)]
     return kernels.orbit_histogram(F, sum(
-        kernels.line_orbit_counts(F, *arrays, *pencil, s, lo, hi)
+        kernels.line_orbit_counts(F, np.array(list(kernels.system_values(
+            F, *arrays, kernels._line_points(F.q, width, lo, hi)))), *pencil, s)
         for lo, hi in zip(cuts, cuts[1:])))
 
 
@@ -697,3 +703,142 @@ def test_invariant_convolution_matches_convolve_histograms(q, d, n):
         full = kernels.convolve_histograms(F, full, hist)
         invariant = kernels.convolve_invariant(F, invariant, hist[None], s)
         assert invariant[0].tolist() == full.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the families' pair-form path against the chart scan of the built system
+
+
+def _chart_scan(polys, F):
+    """The chart scan of the flattened system, the oracle that shares no
+    code with the pair-form path."""
+    exps, coeffs, offsets = count_module._system_arrays(polys, F)
+    nvars = exps.shape[1]
+    return sum(kernels.count_system_chart(F, exps, coeffs, offsets, chart, 0,
+                                          F.q ** (nvars - 1 - chart))
+               for chart in range(nvars))
+
+
+def _assert_pair_form_matches_scan(family, n, d, delta, F):
+    r, e, pairs, u0, pair_values, build = count_module._family_form(family, n, d, delta, F)
+    scan = _chart_scan(build(), F)
+    assert count_module._count_pairs(F, r, e, pairs, u0, pair_values) == scan, \
+        (family, F.q, n, d, delta)
+    assert count_family(family, n, d, F, delta=delta).brute == scan
+
+
+def _pair_form_cases():
+    """(family, q, n, d, delta) with at most _COPY_POINTS points per chart
+    scan: characteristics 2, 3, 5 and 7, d = 0 to 3, n = 1 to 3, and Xdelta
+    at d = 3, 5."""
+    cases = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+        for n in (1, 2, 3):
+            nvars = {"X": 2 * n + 2, "Y": 2 * n + 1, "Xdelta": 2 * n + 2}
+            cases += [(family, q, n, d, None) for family in ("X", "Y") for d in range(4)
+                      if q ** (nvars[family] - 1) <= _COPY_POINTS]
+            cases += [("Xdelta", q, n, d, delta) for d in (3, 5) for delta in (1, 2)
+                      if q ** (nvars["Xdelta"] - 1) <= _COPY_POINTS]
+    return cases
+
+
+@pytest.mark.parametrize("family,q,n,d,delta", _pair_form_cases())
+def test_pair_form_count_matches_chart_scan(family, q, n, d, delta):
+    _assert_pair_form_matches_scan(family, n, d, delta, field_create(*prime_power(q)))
+
+
+@st.composite
+def _pair_form_draws(draw):
+    """(family, F, n, d, delta) whose chart scan has at most _COPY_POINTS
+    points; Xdelta takes an odd prime d and delta."""
+    family = draw(st.sampled_from(["X", "Y", "Xdelta"]))
+    F = field_create(*prime_power(draw(st.sampled_from(
+        [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32]))))
+    # the scan walks q^(2n + 1) points for X and Xdelta, q^(2n) for Y
+    room = max(j for j in range(16) if F.q ** j <= _COPY_POINTS) - (family != "Y")
+    n = draw(st.integers(1, max(1, min(3, room // 2))))
+    if family == "Xdelta":
+        return family, F, n, draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 3))
+    return family, F, n, draw(st.integers(0, 4)), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair_form_draws())
+def test_pair_form_count_matches_chart_scan_drawn(case):
+    family, F, n, d, delta = case
+    _assert_pair_form_matches_scan(family, n, d, delta, F)
+
+
+@pytest.fixture
+def no_family_builds(monkeypatch):
+    # the pair-form path builds no polynomial
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the family")
+    for name in ("build_x", "build_ab", "build_x_d_delta"):
+        monkeypatch.setattr(count_module, name, refuse)
+
+
+@pytest.mark.parametrize("family,q,n,d,delta,expected", [
+    ("X", 101, 3, 1, None, projective_size(101, 6)),
+    ("X", 4, 2, 2, None, None),
+    ("X", 2, 1, 1, None, 7),
+    ("Y", 11, 3, 1, None, projective_size(11, 4)),
+    ("Y", 17, 2, 2, None, projective_size(17, 2)),
+    ("Xdelta", 13, 2, 3, 2, None),
+    ("Xdelta", 101, 100, 997, 10, projective_size(101, 200)),
+])
+def test_family_count_builds_nothing(no_family_builds, family, q, n, d, delta, expected):
+    rep = count_family(family, n, d, field_create(*prime_power(q)), delta=delta)
+    assert rep.engine == "blocks"
+    assert expected is None or rep.brute == expected == rep.formula
+
+
+def test_family_count_falls_back_to_the_built_system(monkeypatch):
+    # Y at n = 1 costs more than the scan, and Y past q = 1024 passes
+    # HIST_MAX: both build (A, B) and count it with count_zeros
+    built = []
+    real = count_module.build_ab
+    monkeypatch.setattr(count_module, "build_ab", lambda *a: built.append(a) or real(*a))
+    assert count_family("Y", 1, 2, field_create(13)).engine == "scan"
+    monkeypatch.setattr(count_module, "HIST_MAX", 100)
+    assert count_family("Y", 2, 1, field_create(11)).brute == projective_size(11, 2)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("family,q,n,d", [("X", 1013, 40, 1), ("X", 101, 1000, 1000),
+                                          ("X", 7, 6, 2), ("Y", 101, 200, 3),
+                                          ("Y", 13, 5, 2)])
+def test_pair_form_charges_the_convolutions_it_makes(monkeypatch, family, q, n, d):
+    convolve, at_zero = (_spy(monkeypatch, name)
+                         for name in ("convolve_invariant", "convolution_at_zero"))
+    rep = count_family(family, n, d, field_create(q))
+    assert rep.engine == "blocks" and rep.match is not False
+    u0 = family == "Y"
+    assert count_module._convolutions([1] * u0 + [n + 1 - u0]) == (len(convolve), len(at_zero))
+
+
+@pytest.mark.parametrize("k", list(range(1, 70)) + [1000, 2 ** 20 - 1, 2 ** 20])
+def test_binary_factors_multiply_to_k(k):
+    # nondecreasing exponents whose powers of 2 sum to k, no square unused
+    factors = count_module._binary_factors(k)
+    assert factors == sorted(factors) and sum(2 ** i for i in factors) == k
+    assert factors.count(factors[-1]) <= 2 and (k < 2 or len(factors) >= 2)
+
+
+def test_pair_form_budget_refusal():
+    # X(1, 1) over F_1009: one pair form on 1010 lines, two factors read at
+    # 0 against each other (1009 cells) and the 2 * 1009 - 1 cells of the
+    # exp/log table: 1010 + 1009 + 2017
+    F = field_create(1009)
+    with pytest.raises(BudgetExceeded, match="'blocks' on 2 pair blocks and the field's "
+                                             "exp/log table costs 4036, over budget 4035"):
+        count_family("X", 1, 1, F, budget=4035)
+    assert count_family("X", 1, 1, F, budget=4036).brute == formula_x2d(1009, 1)
+    # Y(2, 1) over F_233: 234 members, each on the u0 block's 1 line and
+    # 234 pair lines, one convolution of 1 + s = 2 cells and one read at 0
+    # of 233 each, then 465 table cells
+    F = field_create(233)
+    with pytest.raises(BudgetExceeded, match="2 pair blocks, the u0 block and the field's "
+                                             "exp/log table costs 219021"):
+        count_family("Y", 2, 1, F, budget=219020)
+    assert count_family("Y", 2, 1, F, budget=219021).brute == 54523
