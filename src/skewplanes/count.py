@@ -6,7 +6,7 @@ The families X, Xdelta and Y are counted from their pair forms
 plus a u0 block for Y, so the pair form is evaluated on the q + 1 points
 of P^1 for every member of its pencil at once, and its histogram is
 raised to the number of pairs by squaring (`_count_pairs`).  No polynomial
-is built unless that costs more than the chart scan.
+is built unless q^r passes HIST_MAX, where the built system is scanned.
 
 A custom system goes to `count_zeros`, which runs one of two engines,
 chosen from the system alone by cost (`_plan`).  The block engine splits
@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import time
 from math import gcd
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -143,13 +144,14 @@ def _variable_blocks(exps):
 
 def _plan(polys, F):
     """Check and flatten a custom homogeneous system (or a family's, where
-    its pair forms cost more than the scan), then choose its engine.
+    q^r passes HIST_MAX), then choose its engine.
 
     Returns (engine, cost, exps, coeffs, offsets, blocks, s), with
     s = gcd(e, q - 1) when every nonzero form has degree e, else None.  With
     C = |P^(r-1)(F_q)| and L = sum_b |P^(|b|-1)(F_q)| lines, the block engine
     costs (r + C) * L evaluations plus C * ((#blocks - 2) * (1 + s) + 1) * q
-    convolution cells; the chart scan costs |P^(nvars-1)(F_q)| evaluations.
+    convolution cells, each `_cell_words` long; the chart scan costs
+    |P^(nvars-1)(F_q)| evaluations.
     Forms of several degrees, q^r > HIST_MAX or a constant term (which
     leaves the origin off the cone) send a system to the scan."""
     polys = list(polys)
@@ -171,7 +173,8 @@ def _plan(polys, F):
     if len(blocks) >= 2 and s is not None and q ** r <= HIST_MAX and exps.any(axis=1).all():
         pencil = projective_size(q, r - 1)
         lines = sum(projective_size(q, len(b) - 1) for b in blocks)
-        cost = (r + pencil) * lines + pencil * ((len(blocks) - 2) * (1 + s) + 1) * q
+        cost = (r + pencil) * lines + pencil * ((len(blocks) - 2) * (1 + s) + 1) * q \
+            * _cell_words(q, ctx.nvars)
         if cost <= scan_cost:
             return "blocks", cost, exps, coeffs, offsets, blocks, s
     return "scan", scan_cost, exps, coeffs, offsets, blocks, s
@@ -229,6 +232,15 @@ def _binary_factors(k):
             out.append(i)
         k, i = k >> 1, i + 1
     return out + [i] * k
+
+
+def _cell_words(q, nvars):
+    """The machine words of a histogram cell in `_cone_count`: 1 while
+    q^nvars, the most its cells count, fits int64, and the words of q^nvars
+    once they are Python ints, whose products cost about that many word
+    operations a cell."""
+    size = q ** nvars
+    return 1 if size < 2 ** 63 else -(-size.bit_length() // 64)
 
 
 def _convolutions(ks):
@@ -340,86 +352,92 @@ def formula_y(q, n, d):
 # family count reports
 
 
+class FamilyForm(NamedTuple):
+    """A family as its pair form: r forms of degree e, each the sum of one
+    pair form over `pairs` pairs of variables, plus u0^e when `u0` (Y).
+    `pair_values(pts)` gives the r pair forms at the rows of `pts` as
+    element indices, one row per form, and `build()` the forms as
+    polynomials; `params`, `formula` and `formula_alt` go to the report."""
+
+    params: dict
+    formula: int | None
+    formula_alt: int | None
+    r: int
+    e: int
+    pairs: int
+    u0: bool
+    pair_values: Callable
+    build: Callable
+
+
 def _family_form(family, n, d, delta, F):
-    """(r, e, pairs, u0, pair_values, build) of a family: its r forms of
-    degree e are each the sum of one pair form over `pairs` pairs of
-    variables, plus u0^e when `u0` (Y); `pair_values(pts)` gives the r pair
-    forms at the rows of `pts` as element indices, one row per form, and
-    `build()` the forms as polynomials."""
+    """The `FamilyForm` of X(n, d), Y(n, d) or Xdelta(n, d, delta) over F,
+    with the paper's formula where it has one."""
+    q = F.q
     if family == "X":
-        return (1, 2 * d + 1, n + 1, False,
-                lambda pts: x_form(FieldArray.columns(F, pts), d).idx[None],
-                lambda: [build_x(n, d, F)])
+        return FamilyForm(
+            {"n": n, "d": d}, formula_x2d(q, d) if n == 1 else formula_high_dim(q, n, d),
+            formula_x2d_alt(q, d) if n == 1 else None, 1, 2 * d + 1, n + 1, False,
+            lambda pts: x_form(FieldArray.columns(F, pts), d).idx[None],
+            lambda: [build_x(n, d, F)])
     if family == "Y":
-        return (2, 2 * d + 1, n, True, lambda pts: np.stack(_pair_values(F, d, pts)),
-                lambda: list(build_ab(n, d, F)))
+        return FamilyForm(
+            {"n": n, "d": d}, formula_y(q, n, d), None, 2, 2 * d + 1, n, True,
+            lambda pts: np.stack(_pair_values(F, d, pts)), lambda: list(build_ab(n, d, F)))
     if family == "Xdelta":
         if delta is None:
             raise ValueError("family Xdelta needs delta")
-        return (1, x_d_delta_degree(d, delta), n + 1, False,
-                lambda pts: x_form(FieldArray.columns(F, pts), delta, k=d).idx[None],
-                lambda: [build_x_d_delta(n, d, delta, F)])
+        e = x_d_delta_degree(d, delta)
+        formula = projective_size(q, 2 * n) if gcd(d, q - 1) == gcd(e, q - 1) == 1 else None
+        return FamilyForm(
+            {"n": n, "d": d, "delta": delta}, formula, None, 1, e, n + 1, False,
+            lambda pts: x_form(FieldArray.columns(F, pts), delta, k=d).idx[None],
+            lambda: [build_x_d_delta(n, d, delta, F)])
     raise ValueError(f"unknown family {family!r}")
 
 
-def _count_pairs(F, r, e, pairs, u0, pair_values):
-    """The projective zeros of a family's r forms (see `_family_form`),
-    from its pair forms alone.  They are evaluated at the q + 1 points of
-    P^1, for every member of the pencil at once, and the u0 block takes
-    the value c_1 + ... + c_r at its one point; `line_orbit_counts` bins
-    them, and `_cone_count` raises the pair histogram to `pairs`."""
-    q, s = F.q, gcd(e, F.q - 1)
+def _count_pairs(F, form):
+    """The projective zeros of a family's forms (see `FamilyForm`), from
+    its pair form alone.  It is evaluated at the q + 1 points of P^1, for
+    every member of the pencil at once, and the u0 block takes the value
+    c_1 + ... + c_r at its one point; `line_orbit_counts` bins them, and
+    `_cone_count` raises the pair histogram to `pairs`."""
+    q, r, s = F.q, form.r, gcd(form.e, F.q - 1)
     pencil = pencil_lines(F, r, s)
-    classes = [(np.ones((r, 1), np.int64), 1)] * u0 + [
-        (pair_values(_line_points(q, 2, 0, q + 1)), pairs)]
+    classes = [(np.ones((r, 1), np.int64), 1)] * form.u0 + [
+        (form.pair_values(_line_points(q, 2, 0, q + 1)), form.pairs)]
     return _cone_count(F, [(orbit_histogram(F, line_orbit_counts(F, values, *pencil, s)), k)
-                           for values, k in classes], 2 * pairs + u0, r, s)
+                           for values, k in classes], 2 * form.pairs + form.u0, r, s)
 
 
 def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
     """The report of one family's count against the paper's formula, where
-    it has one.  The count comes from the pair form (`_count_pairs`) when
-    its cost is at most |P^(nvars-1)(F_q)| and q^r at most HIST_MAX, and
-    otherwise from `count_zeros` on the built system."""
+    it has one.  The count comes from the pair form (`_count_pairs`), and
+    from `count_zeros` on the built system only when q^r passes HIST_MAX."""
     t0 = time.perf_counter()
-    q = F.q
-    r, e, pairs, u0, pair_values, build = _family_form(family, n, d, delta, F)
-    params = {"n": n, "d": d}
-    formula_alt = None
-    if family == "X":
-        if n == 1:
-            formula = formula_x2d(q, d)
-            formula_alt = formula_x2d_alt(q, d)
-        else:
-            formula = formula_high_dim(q, n, d)
-    elif family == "Y":
-        formula = formula_y(q, n, d)
+    q, form = F.q, _family_form(family, n, d, delta, F)
+    if q ** form.r > HIST_MAX:
+        brute, engine = count_zeros(form.build(), F, budget=budget, with_engine=True)
     else:
-        params["delta"] = delta
-        if gcd(d, q - 1) == 1 and gcd(e, q - 1) == 1:
-            formula = projective_size(q, 2 * n)
-        else:
-            formula = None
-    # the work of `_count_pairs`: members x lines for each distinct block,
-    # (1 + s) q cells a member for each convolution and q for the read at
-    # 0, and the exp/log table
-    convolutions, reads = _convolutions([1] * u0 + [pairs])
-    cost = projective_size(q, r - 1) * (u0 + q + 1 + ((1 + gcd(e, q - 1)) * convolutions
-                                                      + reads) * q) + exp_log_cells(F)
-    if cost > projective_size(q, 2 * pairs + u0 - 1) or q ** r > HIST_MAX:
-        brute, engine = count_zeros(build(), F, budget=budget, with_engine=True)
-    elif cost > budget:
-        raise BudgetExceeded(
-            f"engine 'blocks' on {pairs} pair blocks{', the u0 block' * u0} and the "
-            f"field's exp/log table costs {abbreviate(cost)}, over budget {abbreviate(budget)}")
-    else:
-        brute, engine = _count_pairs(F, r, e, pairs, u0, pair_values), "blocks"
+        # the work of `_count_pairs`: members x lines for each distinct
+        # block, (1 + s) q cells a member for each convolution and q for
+        # each read at 0, each cell `_cell_words` long, and the table
+        convolutions, reads = _convolutions([1] * form.u0 + [form.pairs])
+        cells = ((1 + gcd(form.e, q - 1)) * convolutions + reads) * q
+        cost = projective_size(q, form.r - 1) * (form.u0 + q + 1 + cells * _cell_words(
+            q, 2 * form.pairs + form.u0)) + exp_log_cells(F)
+        if cost > budget:
+            raise BudgetExceeded(
+                f"engine 'blocks' on {form.pairs} pair blocks{', the u0 block' * form.u0} "
+                f"and the field's exp/log table costs {abbreviate(cost)}, "
+                f"over budget {abbreviate(budget)}")
+        brute, engine = _count_pairs(F, form), "blocks"
     return CountReport(
-        family=family, params=params,
+        family=family, params=form.params,
         field_spec=F.spec.as_dict(),
-        brute=brute, formula=formula,
-        match=None if formula is None else brute == formula,
-        formula_alt=formula_alt, engine=engine,
+        brute=brute, formula=form.formula,
+        match=None if form.formula is None else brute == form.formula,
+        formula_alt=form.formula_alt, engine=engine,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 

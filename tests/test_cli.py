@@ -905,15 +905,20 @@ def test_builds_past_the_memory_guard_exit_4(no_family_forms, capsys, argv, word
     assert f"budget exceeded: {wording}" in err and "memory guard of 134217728" in err
 
 
-@pytest.mark.parametrize("argv, formula", [
-    # past the memory guard as systems, counted from their pair forms
-    (["--family", "X", "--q", "101", "--n", "1000", "--d", "1000"], projective_size(101, 2000)),
-    (["--family", "Y", "--q", "101", "--n", "200", "--d", "200"], projective_size(101, 398)),
+@pytest.mark.parametrize("argv, formula, seconds", [
+    # past the memory guard as systems, counted from their pair forms in
+    # about 17 ms, 0.1 s and 13 ms on a 2-core host
+    (["--family", "X", "--q", "101", "--n", "1000", "--d", "1000"], projective_size(101, 2000),
+     1),
+    (["--family", "Y", "--q", "101", "--n", "200", "--d", "200"], projective_size(101, 398), 2),
     (["--family", "Xdelta", "--q", "101", "--n", "100", "--d", "997", "--delta", "10"],
-     projective_size(101, 200)),
+     projective_size(101, 200), 1),
 ])
-def test_large_family_counts_answer_without_building(no_family_forms, capsys, argv, formula):
+def test_large_family_counts_answer_without_building(no_family_forms, capsys, argv, formula,
+                                                     seconds):
+    t0 = time.perf_counter()
     code, out, _ = run_cli(["count", *argv, "--format", "json"], capsys)
+    assert time.perf_counter() - t0 < seconds
     rec = json.loads(out)["records"][0]
     assert code == 0 and rec["engine"] == "blocks"
     assert rec["brute"] == rec["formula"] == formula and rec["match"] is True

@@ -505,13 +505,10 @@ def test_block_engine_exact_past_int64():
 
 
 def test_count_report_names_engine():
-    rep = count_family("X", 1, 1, field_create(7))
-    assert rep.engine == "blocks" and rep.as_dict()["engine"] == "blocks"
-    assert "engine=blocks" in rep.line()
-    # Y at n = 1 has one pair block and the u0 block, whose q + 1 members
-    # cost more than the q^2 + q + 1 points of P^2
-    F7 = field_create(7)
-    assert count_family("Y", 1, 1, F7).as_dict()["engine"] == "scan"
+    for family in ("X", "Y"):
+        rep = count_family(family, 1, 1, field_create(7))
+        assert rep.engine == "blocks" and rep.as_dict()["engine"] == "blocks"
+        assert "engine=blocks" in rep.line()
 
 
 def test_histograms_past_cap_are_scanned(monkeypatch):
@@ -533,6 +530,13 @@ def test_budget_refusal_names_engine():
     with pytest.raises(BudgetExceeded, match="'blocks'.*costs 11106"):
         count_zeros([build_x(1, 1, F)], F, budget=11105)
     assert count_zeros([build_x(1, 1, F)], F, budget=11106) == formula_x2d(1009, 1)
+    # X(9, 1) over F_11, 20 one-variable blocks past int64 (11^20 > 2^63):
+    # 2 * 20 evaluations, then 18 convolutions of 2 cells and a read at 0
+    # of 11 each, in cells of 2 words, and 21 table cells
+    F = field_create(11)
+    with pytest.raises(BudgetExceeded, match="'blocks' on 20 variable blocks.*costs 875,"):
+        count_zeros([build_x(9, 1, F)], F, budget=874)
+    assert count_zeros([build_x(9, 1, F)], F, budget=875) == projective_size(11, 18)
     # the chart scan over a prime field reads no table
     F2 = field_create(2)
     with pytest.raises(BudgetExceeded, match="'scan'.*costs 15"):
@@ -720,10 +724,9 @@ def _chart_scan(polys, F):
 
 
 def _assert_pair_form_matches_scan(family, n, d, delta, F):
-    r, e, pairs, u0, pair_values, build = count_module._family_form(family, n, d, delta, F)
-    scan = _chart_scan(build(), F)
-    assert count_module._count_pairs(F, r, e, pairs, u0, pair_values) == scan, \
-        (family, F.q, n, d, delta)
+    form = count_module._family_form(family, n, d, delta, F)
+    scan = _chart_scan(form.build(), F)
+    assert count_module._count_pairs(F, form) == scan, (family, F.q, n, d, delta)
     assert count_family(family, n, d, F, delta=delta).brute == scan
 
 
@@ -794,15 +797,15 @@ def test_family_count_builds_nothing(no_family_builds, family, q, n, d, delta, e
 
 
 def test_family_count_falls_back_to_the_built_system(monkeypatch):
-    # Y at n = 1 costs more than the scan, and Y past q = 1024 passes
-    # HIST_MAX: both build (A, B) and count it with count_zeros
+    # q^r past HIST_MAX (Y past q = 1024) builds (A, B) and scans it
     built = []
     real = count_module.build_ab
     monkeypatch.setattr(count_module, "build_ab", lambda *a: built.append(a) or real(*a))
-    assert count_family("Y", 1, 2, field_create(13)).engine == "scan"
     monkeypatch.setattr(count_module, "HIST_MAX", 100)
-    assert count_family("Y", 2, 1, field_create(11)).brute == projective_size(11, 2)
-    assert len(built) == 2
+    F = field_create(11)
+    rep = count_family("Y", 2, 1, F)
+    assert rep.brute == projective_size(11, 2) and rep.engine == "scan"
+    assert "engine=scan" in rep.line() and built == [(2, 1, F)]
 
 
 @pytest.mark.parametrize("family,q,n,d", [("X", 1013, 40, 1), ("X", 101, 1000, 1000),
@@ -842,3 +845,23 @@ def test_pair_form_budget_refusal():
                                              "exp/log table costs 219021"):
         count_family("Y", 2, 1, F, budget=219020)
     assert count_family("Y", 2, 1, F, budget=219021).brute == 54523
+    # X(1000, 1000) over F_101, past int64: 102 lines, 14 convolutions of
+    # 1 + s = 2 cells and one read at 0 of 101 each, every cell 209 words
+    # long (101^2002 has 13331 bits), then 201 table cells
+    F = field_create(101)
+    with pytest.raises(BudgetExceeded, match="costs 612464, over budget 612463"):
+        count_family("X", 1000, 1000, F, budget=612463)
+    assert count_family("X", 1000, 1000, F, budget=612464).match is True
+
+
+def test_pair_form_charges_python_int_cells_by_their_words(monkeypatch):
+    # Y(1000, 999) over F_1021: 1022 members, cells of 313 words past
+    # int64, 9.5 * 10^9 in all, refused before any work (it would run for
+    # minutes): the first kernel call fails the test at once
+    def refuse(*args):
+        raise AssertionError("started counting")
+    monkeypatch.setattr(count_module, "line_orbit_counts", refuse)
+    with pytest.raises(BudgetExceeded, match="costs 9472552121, over budget 1000000000"):
+        count_family("Y", 1000, 999, field_create(1021))
+    assert count_module._cell_words(2, 62) == count_module._cell_words(2, 63) == 1
+    assert count_module._cell_words(2, 64) == 2 and count_module._cell_words(101, 2002) == 209
