@@ -1,22 +1,22 @@
 """Exact projective point counts over finite fields, the closed-form count
 formulas, and their cross-validation.
 
-The families X, Xdelta and Y are counted from their pair forms
-(`count_family`): each is a sum of one two-variable form over its pairs,
-plus a u0 block for Y, so the pair form is evaluated on the q + 1 points
-of P^1 for every member of its pencil at once, and its histogram is
-raised to the number of pairs by squaring (`_count_pairs`).  No polynomial
-is built unless q^r passes HIST_MAX, where the built system is scanned.
+Counts have two engines, each charged before it runs (`_charge`).  The
+block engine (`_count_blocks`) counts r forms of one degree from the
+members c.f of their pencil, over blocks of variables that share no
+monomial: each class of blocks alike is evaluated at one point per line,
+binned by `line_orbit_counts`, and its histogram raised to the class size
+by squaring, then read at 0 and closed (`_cone_count`).  It costs
+`_block_cost`.  The chart scan (`_scan`), its oracle, walks affine charts
+(points normalized so the first nonzero coordinate is 1) in order.
 
-A custom system goes to `count_zeros`, which runs one of two engines,
-chosen from the system alone by cost (`_plan`).  The block engine splits
-the variables into blocks that share no monomial and counts r forms of one
-degree from the members c.f of their pencil, each distinct block once per
-line (`_count_blocks`); it runs when there are two blocks or more and it
-costs no more than the chart scan, its oracle, which walks affine charts
-(points normalized so the first nonzero coordinate is 1) in order.  Both
-block paths share the kernels and the power and closing formula
-(`_cone_count`).
+The families X, Xdelta and Y are counted from their forms (`count_family`),
+with no polynomial built: each is a sum of one two-variable form over its
+pairs, plus a u0 block for Y, so its classes are the pair form on the
+q + 1 points of P^1 and u0.  Their forms are scanned where q^r passes
+HIST_MAX.  A custom system goes to `count_zeros`, which flattens it and
+sorts its blocks into classes; the block engine runs when there are two
+blocks or more and it costs no more than the scan (`_plan`).
 
 The zeros of Y = {A = B = 0} as points come by rank, with no scan, from the
 histogram of its pair block on the chart u0 = 1 (`YChartZeros`): `verify`
@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domains import QQ, QQXI, exp_log_cells, prime_power, sqrt_of_minus_three
-from .families import ab_form, build_ab, build_x, build_x_d_delta, x_d_delta_degree, x_form
+from .families import ab_form, build_ab, x_d_delta_degree, x_form
 from .kernels import (
     _BLOCK,
     _affine_points,
@@ -143,16 +143,14 @@ def _variable_blocks(exps):
 
 
 def _plan(polys, F):
-    """Check and flatten a custom homogeneous system (or a family's, where
-    q^r passes HIST_MAX), then choose its engine.
+    """Check and flatten a custom homogeneous system, then choose its engine.
 
-    Returns (engine, cost, exps, coeffs, offsets, blocks, s), with
-    s = gcd(e, q - 1) when every nonzero form has degree e, else None.  With
-    C = |P^(r-1)(F_q)| and L = sum_b |P^(|b|-1)(F_q)| lines, the block engine
-    costs (r + C) * L evaluations plus C * ((#blocks - 2) * (1 + s) + 1) * q
-    convolution cells, each `_cell_words` long; the chart scan costs
-    |P^(nvars-1)(F_q)| evaluations.
-    Forms of several degrees, q^r > HIST_MAX or a constant term (which
+    Returns (engine, cost, arrays, classes, s): arrays = (exps, coeffs,
+    offsets), classes the block classes (`_block_classes`) when the block
+    engine runs, else None, and s = gcd(e, q - 1) when every nonzero form
+    has degree e, else None.  The block engine costs `_block_cost` and runs
+    when that is at most the chart scan's |P^(nvars-1)(F_q)| points.  One
+    block, forms of several degrees, q^r > HIST_MAX or a constant term (which
     leaves the origin off the cone) send a system to the scan."""
     polys = list(polys)
     if not polys:
@@ -164,20 +162,18 @@ def _plan(polys, F):
         if not f.is_zero() and not f.is_homogeneous():
             raise ValueError("system polynomials must be homogeneous")
     q, r = F.q, len(polys)
-    exps, coeffs, offsets = _system_arrays(polys, F)
+    exps, coeffs, offsets = arrays = _system_arrays(polys, F)
     blocks = _variable_blocks(exps)
     # Python ints, as exponents may reach 2^63; zero forms alone take e = 1
     degrees = {sum(map(int, exps[lo])) for lo, hi in zip(offsets, offsets[1:]) if lo < hi} or {1}
     s = gcd(min(degrees), q - 1) if len(degrees) == 1 else None
     scan_cost = projective_size(q, ctx.nvars - 1)
     if len(blocks) >= 2 and s is not None and q ** r <= HIST_MAX and exps.any(axis=1).all():
-        pencil = projective_size(q, r - 1)
-        lines = sum(projective_size(q, len(b) - 1) for b in blocks)
-        cost = (r + pencil) * lines + pencil * ((len(blocks) - 2) * (1 + s) + 1) * q \
-            * _cell_words(q, ctx.nvars)
+        classes = _block_classes(F, *arrays, blocks)
+        cost = _block_cost(q, r, s, [(width, k) for _, width, k in classes], ctx.nvars)
         if cost <= scan_cost:
-            return "blocks", cost, exps, coeffs, offsets, blocks, s
-    return "scan", scan_cost, exps, coeffs, offsets, blocks, s
+            return "blocks", cost, arrays, classes, s
+    return "scan", scan_cost, arrays, None, s
 
 
 def _block_system(exps, coeffs, offsets, block):
@@ -188,37 +184,35 @@ def _block_system(exps, coeffs, offsets, block):
     return cols[rows], coeffs[rows], np.searchsorted(rows, offsets)
 
 
-def _block_classes(exps, coeffs, offsets, blocks):
-    """The distinct restricted systems of the blocks (see `_block_system`),
-    in order of first appearance, and each block's index among them."""
-    systems, index, of_block = [], {}, []
+def _block_classes(F, exps, coeffs, offsets, blocks):
+    """The classes (values, width, k) of `_count_blocks`: the distinct
+    restricted systems of the blocks (see `_block_system`), in order of
+    first appearance, each evaluated by `system_values`, with the number k
+    of blocks alike."""
+    systems = {}
     for block in blocks:
         system = _block_system(exps, coeffs, offsets, block)
-        key = tuple((a.shape, a.tobytes()) for a in system)
-        if key not in index:
-            index[key] = len(systems)
-            systems.append(system)
-        of_block.append(index[key])
-    return systems, of_block
+        systems.setdefault(tuple((a.shape, a.tobytes()) for a in system), [system, 0])[1] += 1
+    return [(functools.partial(system_values, F, *system), system[0].shape[1], k)
+            for system, k in systems.values()]
 
 
-def _count_blocks(F, exps, coeffs, offsets, blocks, s):
-    """`_cone_count` of a flattened custom system of r forms of degree e,
-    with s = gcd(e, q - 1): each distinct block (`_block_classes`) is
-    evaluated at one point per line, `_BLOCK` lines at a time, in its
-    variables, and binned by `line_orbit_counts`."""
-    q, r = F.q, len(offsets) - 1
+def _count_blocks(F, classes, nvars, r, s):
+    """`_cone_count` of r forms of degree e in `nvars` variables, with
+    s = gcd(e, q - 1), from the classes (values, width, k) of their blocks:
+    values(pts) the r forms' element indices at rows of normalized points of
+    P^(width-1), evaluated `_BLOCK` lines at a time and binned by
+    `line_orbit_counts`, and k the number of blocks alike."""
+    q = F.q
     pencil = pencil_lines(F, r, s)
-    systems, of_block = _block_classes(exps, coeffs, offsets, blocks)
-    classes = []
-    for system, k in zip(systems, np.bincount(of_block).tolist()):
-        width = system[0].shape[1]
+    hists = []
+    for values, width, k in classes:
         lines = projective_size(q, width - 1)
-        counts = sum(line_orbit_counts(F, np.array(list(system_values(
-            F, *system, _line_points(q, width, lo, min(lo + _BLOCK, lines))))), *pencil, s)
+        counts = sum(line_orbit_counts(F, np.array(list(values(_line_points(
+            q, width, lo, min(lo + _BLOCK, lines))))), *pencil, s)
             for lo in range(0, lines, _BLOCK))
-        classes.append((orbit_histogram(F, counts), k))
-    return _cone_count(F, classes, exps.shape[1], r, s)
+        hists.append((orbit_histogram(F, counts), k))
+    return _cone_count(F, hists, nvars, r, s)
 
 
 def _binary_factors(k):
@@ -250,6 +244,18 @@ def _convolutions(ks):
     powers = [_binary_factors(k) for k in ks]
     factors = sum(map(len, powers))
     return sum(p[-1] for p in powers if p) + max(factors - 2, 0), int(factors > 1)
+
+
+def _block_cost(q, r, s, classes, nvars):
+    """The work of `_count_blocks` on classes of the given (width, k), in
+    units of one cell: for each of the C = |P^(r-1)(F_q)| members of the
+    pencil, one evaluation for each line of each class, (1 + s) q cells for
+    each convolution and q for each read at 0 (`_convolutions`), each cell
+    `_cell_words` long."""
+    convolutions, reads = _convolutions([k for _, k in classes])
+    return projective_size(q, r - 1) * (
+        sum(projective_size(q, width - 1) for width, _ in classes)
+        + ((1 + s) * convolutions + reads) * q * _cell_words(q, nvars))
 
 
 def _cone_count(F, classes, nvars, r, s):
@@ -285,30 +291,39 @@ def _cone_count(F, classes, nvars, r, s):
     return (cone - 1) // (q - 1)
 
 
-def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
-    """Exact number of normalized projective points where every polynomial
-    vanishes.  `budget` caps the work of the engine that runs (see `_plan`)
-    plus the cells of the field's exp/log table when the engine reads it:
-    the block engine always, the chart scan over F_{p^m}.  With
-    `with_engine`, returns (count, engine name), so a report names its
-    engine without a second plan."""
-    engine, cost, exps, coeffs, offsets, blocks, s = _plan(polys, F)
-    q = F.q
-    nvars = exps.shape[1]
-    what = f"{len(blocks)} variable blocks" if engine == "blocks" else f"P^{nvars - 1}(F_{q})"
+def _charge(F, engine, cost, what, budget):
+    """Raise BudgetExceeded when the engine's `cost` on `what`, plus the
+    cells of the field's exp/log table where the engine reads it (the block
+    engine always, the chart scan over F_{p^m}), passes `budget`."""
     if engine == "blocks" or F.m > 1:
         cost += exp_log_cells(F)
         what += " and the field's exp/log table"
     if cost > budget:
-        raise BudgetExceeded(
-            f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
-            f"over budget {abbreviate(budget)}")
+        raise BudgetExceeded(f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
+                             f"over budget {abbreviate(budget)}")
+
+
+def _scan(F, values, nvars, budget):
+    """The chart scan, charged |P^(nvars-1)(F_q)| points: the common zeros
+    of the forms `values` gives (see `count_system_chart`), chart by chart."""
+    q = F.q
+    _charge(F, "scan", projective_size(q, nvars - 1), f"P^{nvars - 1}(F_{q})", budget)
+    return sum(count_system_chart(F, values, nvars, chart, 0, q ** (nvars - 1 - chart))
+               for chart in range(nvars))
+
+
+def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
+    """Exact number of normalized projective points where every polynomial
+    vanishes, by the engine `_plan` chooses.  `budget` caps its work (see
+    `_charge`).  With `with_engine`, returns (count, engine name), so a
+    report names its engine without a second plan."""
+    engine, cost, arrays, classes, s = _plan(polys, F)
+    nvars = arrays[0].shape[1]
     if engine == "blocks":
-        total = _count_blocks(F, exps, coeffs, offsets, blocks, s)
+        _charge(F, engine, cost, f"{sum(k for *_, k in classes)} variable blocks", budget)
+        total = _count_blocks(F, classes, nvars, len(arrays[2]) - 1, s)
     else:
-        total = sum(count_system_chart(F, exps, coeffs, offsets, chart, 0,
-                                       q ** (nvars - 1 - chart))
-                    for chart in range(nvars))
+        total = _scan(F, functools.partial(system_values, F, *arrays), nvars, budget)
     return (total, engine) if with_engine else total
 
 
@@ -353,11 +368,10 @@ def formula_y(q, n, d):
 
 
 class FamilyForm(NamedTuple):
-    """A family as its pair form: r forms of degree e, each the sum of one
-    pair form over `pairs` pairs of variables, plus u0^e when `u0` (Y).
-    `pair_values(pts)` gives the r pair forms at the rows of `pts` as
-    element indices, one row per form, and `build()` the forms as
-    polynomials; `params`, `formula` and `formula_alt` go to the report."""
+    """A family as its forms: r forms of degree e, each the sum of one pair
+    form over `pairs` pairs of variables, plus u0^e when `u0` (Y).
+    `forms(cols)` gives the r forms at the values `cols` of the variables,
+    u0 first for Y; `params`, `formula` and `formula_alt` go to the report."""
 
     params: dict
     formula: int | None
@@ -366,8 +380,7 @@ class FamilyForm(NamedTuple):
     e: int
     pairs: int
     u0: bool
-    pair_values: Callable
-    build: Callable
+    forms: Callable
 
 
 def _family_form(family, n, d, delta, F):
@@ -378,60 +391,42 @@ def _family_form(family, n, d, delta, F):
         return FamilyForm(
             {"n": n, "d": d}, formula_x2d(q, d) if n == 1 else formula_high_dim(q, n, d),
             formula_x2d_alt(q, d) if n == 1 else None, 1, 2 * d + 1, n + 1, False,
-            lambda pts: x_form(FieldArray.columns(F, pts), d).idx[None],
-            lambda: [build_x(n, d, F)])
+            lambda cols: [x_form(cols, d)])
     if family == "Y":
-        return FamilyForm(
-            {"n": n, "d": d}, formula_y(q, n, d), None, 2, 2 * d + 1, n, True,
-            lambda pts: np.stack(_pair_values(F, d, pts)), lambda: list(build_ab(n, d, F)))
+        return FamilyForm({"n": n, "d": d}, formula_y(q, n, d), None, 2, 2 * d + 1, n, True,
+                          lambda cols: ab_form(cols, d))
     if family == "Xdelta":
         if delta is None:
             raise ValueError("family Xdelta needs delta")
         e = x_d_delta_degree(d, delta)
         formula = projective_size(q, 2 * n) if gcd(d, q - 1) == gcd(e, q - 1) == 1 else None
-        return FamilyForm(
-            {"n": n, "d": d, "delta": delta}, formula, None, 1, e, n + 1, False,
-            lambda pts: x_form(FieldArray.columns(F, pts), delta, k=d).idx[None],
-            lambda: [build_x_d_delta(n, d, delta, F)])
+        return FamilyForm({"n": n, "d": d, "delta": delta}, formula, None, 1, e, n + 1, False,
+                          lambda cols: [x_form(cols, delta, k=d)])
     raise ValueError(f"unknown family {family!r}")
-
-
-def _count_pairs(F, form):
-    """The projective zeros of a family's forms (see `FamilyForm`), from
-    its pair form alone.  It is evaluated at the q + 1 points of P^1, for
-    every member of the pencil at once, and the u0 block takes the value
-    c_1 + ... + c_r at its one point; `line_orbit_counts` bins them, and
-    `_cone_count` raises the pair histogram to `pairs`."""
-    q, r, s = F.q, form.r, gcd(form.e, F.q - 1)
-    pencil = pencil_lines(F, r, s)
-    classes = [(np.ones((r, 1), np.int64), 1)] * form.u0 + [
-        (form.pair_values(_line_points(q, 2, 0, q + 1)), form.pairs)]
-    return _cone_count(F, [(orbit_histogram(F, line_orbit_counts(F, values, *pencil, s)), k)
-                           for values, k in classes], 2 * form.pairs + form.u0, r, s)
 
 
 def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
     """The report of one family's count against the paper's formula, where
-    it has one.  The count comes from the pair form (`_count_pairs`), and
-    from `count_zeros` on the built system only when q^r passes HIST_MAX."""
+    it has one, from its forms (see `FamilyForm`) with no polynomial built.
+    The block engine takes the pairs, the forms on the q + 1 points of P^1
+    (at u0 = 0 for Y), and Y's u0 block; the chart scan takes the forms
+    where q^r passes HIST_MAX."""
     t0 = time.perf_counter()
     q, form = F.q, _family_form(family, n, d, delta, F)
+    nvars = 2 * form.pairs + form.u0
+
+    def values(pts, zeros=0):
+        # Y's pair blocks are its forms at u0 = 0
+        return [v.idx for v in form.forms([0] * zeros + FieldArray.columns(F, pts))]
     if q ** form.r > HIST_MAX:
-        brute, engine = count_zeros(form.build(), F, budget=budget, with_engine=True)
+        brute, engine = _scan(F, values, nvars, budget), "scan"
     else:
-        # the work of `_count_pairs`: members x lines for each distinct
-        # block, (1 + s) q cells a member for each convolution and q for
-        # each read at 0, each cell `_cell_words` long, and the table
-        convolutions, reads = _convolutions([1] * form.u0 + [form.pairs])
-        cells = ((1 + gcd(form.e, q - 1)) * convolutions + reads) * q
-        cost = projective_size(q, form.r - 1) * (form.u0 + q + 1 + cells * _cell_words(
-            q, 2 * form.pairs + form.u0)) + exp_log_cells(F)
-        if cost > budget:
-            raise BudgetExceeded(
-                f"engine 'blocks' on {form.pairs} pair blocks{', the u0 block' * form.u0} "
-                f"and the field's exp/log table costs {abbreviate(cost)}, "
-                f"over budget {abbreviate(budget)}")
-        brute, engine = _count_pairs(F, form), "blocks"
+        s = gcd(form.e, q - 1)
+        classes = [(values, 1, 1)] * form.u0 + [
+            (functools.partial(values, zeros=form.u0), 2, form.pairs)]
+        _charge(F, "blocks", _block_cost(q, form.r, s, [(w, k) for _, w, k in classes], nvars),
+                f"{form.pairs} pair blocks" + ", the u0 block" * form.u0, budget)
+        brute, engine = _count_blocks(F, classes, nvars, form.r, s), "blocks"
     return CountReport(
         family=family, params=form.params,
         field_spec=F.spec.as_dict(),

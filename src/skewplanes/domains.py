@@ -17,6 +17,7 @@ Only the count kernels read a field's exp/log table (`index_exp_log`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -320,6 +321,7 @@ def _prime_divisors(m):
     return out
 
 
+@functools.cache
 def smallest_irreducible(p, m):
     """Monic irreducible of degree m over F_p, minimal in the integer encoding
     sum(c_i * p^i) of the lower coefficients, by Ben-Or's test on each

@@ -35,8 +35,8 @@ A_MINUS = (Fraction(1, 2), Fraction(-1, 2))  # (1 - xi)/2
 # Bound on the exponent cells (terms x variables) of X, Xdelta, (A, B) or
 # the line pencil, about 17 bytes each as built: 2^27 cells, some 2.3 GB,
 # admit X(300, 300) at 1.09 * 10^8.  No budget sees them, and X(1000, 1000)
-# would have 4.0 * 10^9.  `count` counts the families from their pair forms,
-# so these builders serve `families dump`, `verify` and the chart scan.
+# would have 4.0 * 10^9.  `count` counts the families from their forms, so
+# these builders serve `families dump` and `verify`.
 CELLS_MAX = 1 << 27
 
 

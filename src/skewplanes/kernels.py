@@ -8,10 +8,10 @@ polynomial).  Field elements are element indices; a vector over F_q is
 encoded as the base-q number of its entries, the first entry in the lowest
 place.  Points are decoded from linear indices, and each kernel walks one
 index range [start, stop); the counts or histograms of disjoint ranges add.
-Systems are evaluated by `system_values`, in the count engines on at most
-`_BLOCK` points at a time; `verify`'s roundtrips, the families' pair-form
-counts and `count.YChartZeros` apply the family forms to `FieldArray`
-columns.  Value rows are compared by `proportional_rows`.
+The count engines take forms as values(pts), on at most `_BLOCK` points at
+a time: `system_values` on a flattened system, or the family forms on
+`FieldArray` columns, as in `verify`'s roundtrips and `count.YChartZeros`.
+Value rows are compared by `proportional_rows`.
 
 The block engine's kernels take a batch axis, one row per member c.f of
 the pencil of r forms of degree e (`pencil_lines`, built once per count):
@@ -169,13 +169,14 @@ class FieldArray:
                           self.ops)
 
 
-def count_system_chart(F, exps, coeffs, offsets, chart, start, stop):
-    """Zeros of the system inside one chart's linear-index range."""
+def count_system_chart(F, values, nvars, chart, start, stop):
+    """Common zeros in one chart's linear-index range of P^(nvars-1) of the
+    forms that values(pts) yields, one at a time, at the rows of `pts`."""
     count = 0
     for lo in range(start, stop, _BLOCK):
-        pts = _chart_points(F.q, exps.shape[1], chart, lo, min(lo + _BLOCK, stop))
+        pts = _chart_points(F.q, nvars, chart, lo, min(lo + _BLOCK, stop))
         ok = np.ones(len(pts), bool)
-        for vals in system_values(F, exps, coeffs, offsets, pts):
+        for vals in values(pts):
             ok &= vals == 0
             if not ok.any():
                 break

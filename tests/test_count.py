@@ -1,5 +1,7 @@
 """Tests for exact point counting over finite fields."""
 
+import functools
+import re
 from math import gcd
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewplanes import count as count_module
-from skewplanes import kernels
+from skewplanes import families, kernels
 from skewplanes.count import (
     check_projection_bijection,
     count_family,
@@ -106,11 +108,11 @@ def test_count_zeros_rejects_inhomogeneous():
 
 
 def test_count_zeros_budget():
-    # the block engine charges X(1, 1) over F_1009 11106 (see below)
+    # the block engine charges X(1, 1) over F_1009 7063 (see below)
     F = field_create(1009)
     f = build_x(1, 1, F)
     with pytest.raises(BudgetExceeded):
-        count_zeros([f], F, budget=11105)
+        count_zeros([f], F, budget=7062)
 
 
 def test_hyperplane_slice_consistency():
@@ -242,13 +244,13 @@ def test_projection_bijection_valid_cases():
     F7 = field_create(7)
     rep2 = check_projection_bijection(fermat(("x0", "x1"), 5, F7), 2, 5, F7)
     assert rep2.passed and rep2.params["count"] == 8
-    # three one-line blocks cost 2 * 3 + 3 * 7 = 27 of the 57 points of P^2(F_7);
-    # over F_2 they cost 2 * 3 + 3 * 2 = 12 of 7
+    # two classes of one-line blocks cost 2 + 3 * 7 = 23 of the 57 points of
+    # P^2(F_7); over F_2 one class of three costs 1 + 3 * 2 = 7 of 7
     assert rep2.params["engine"] == "blocks"
     F2 = field_create(2)
     rep3 = check_projection_bijection(fermat(("x0", "x1"), 3, F2), 1, 3, F2)
     assert rep3.passed and rep3.params["count"] == 3
-    assert rep3.params["engine"] == "scan"
+    assert rep3.params["engine"] == "blocks"
 
 
 def test_projection_bijection_gated_case():
@@ -349,15 +351,14 @@ def _both_engines(polys, F):
     engine count_zeros would choose.  A system of forms of several degrees
     must go to the chart scan, and count_zeros stands in for the block
     engine."""
-    engine, _, exps, coeffs, offsets, blocks, s = count_module._plan(polys, F)
-    nvars = exps.shape[1]
-    scan = sum(kernels.count_system_chart(F, exps, coeffs, offsets, chart, 0,
-                                          F.q ** (nvars - 1 - chart))
-               for chart in range(nvars))
+    engine, _, (exps, coeffs, offsets), _, s = count_module._plan(polys, F)
+    scan = _chart_scan(polys, F)
     if s is None:
         assert engine == "scan"
         return count_zeros(polys, F), scan
-    return count_module._count_blocks(F, exps, coeffs, offsets, blocks, s), scan
+    classes = count_module._block_classes(F, exps, coeffs, offsets,
+                                          count_module._variable_blocks(exps))
+    return count_module._count_blocks(F, classes, exps.shape[1], len(polys), s), scan
 
 
 def _engine_systems(F):
@@ -521,26 +522,28 @@ def test_histograms_past_cap_are_scanned(monkeypatch):
 
 
 def test_budget_refusal_names_engine():
-    # X(1, 1) is the diagonal cubic: 4 one-variable blocks of one line each,
-    # evaluated and combined for the pencil of one form (2 * 4), 2
-    # convolutions of 1 + s = 4 cells of length 1009 and a 1009-term dot
-    # product: 8 + 9 * 1009, plus the 2 * 1009 - 1 cells of the exp/log
-    # table the block engine reads
+    # X(1, 1) is the diagonal cubic: one class of 4 one-variable blocks, its
+    # one line evaluated for the pencil of one form, the class squared once
+    # (1 + s = 4 cells of length 1009) and read at 0 (1009 cells): 1 + 5 * 1009,
+    # plus the 2 * 1009 - 1 cells of the exp/log table the block engine reads
     F = field_create(1009)
-    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 11106"):
-        count_zeros([build_x(1, 1, F)], F, budget=11105)
-    assert count_zeros([build_x(1, 1, F)], F, budget=11106) == formula_x2d(1009, 1)
-    # X(9, 1) over F_11, 20 one-variable blocks past int64 (11^20 > 2^63):
-    # 2 * 20 evaluations, then 18 convolutions of 2 cells and a read at 0
-    # of 11 each, in cells of 2 words, and 21 table cells
+    with pytest.raises(BudgetExceeded, match="'blocks'.*costs 7063"):
+        count_zeros([build_x(1, 1, F)], F, budget=7062)
+    assert count_zeros([build_x(1, 1, F)], F, budget=7063) == formula_x2d(1009, 1)
+    # X(9, 1) over F_11, one class of 20 one-variable blocks past int64
+    # (11^20 > 2^63): one line, then 4 convolutions of 2 cells and a read at
+    # 0 of 11 each, in cells of 2 words, and 21 table cells
     F = field_create(11)
-    with pytest.raises(BudgetExceeded, match="'blocks' on 20 variable blocks.*costs 875,"):
-        count_zeros([build_x(9, 1, F)], F, budget=874)
-    assert count_zeros([build_x(9, 1, F)], F, budget=875) == projective_size(11, 18)
-    # the chart scan over a prime field reads no table
+    with pytest.raises(BudgetExceeded, match="'blocks' on 20 variable blocks.*costs 220,"):
+        count_zeros([build_x(9, 1, F)], F, budget=219)
+    assert count_zeros([build_x(9, 1, F)], F, budget=220) == projective_size(11, 18)
+    # (A, B) of Y(1, 1) over F_2 scans: its 3 members on 1 + 3 lines and a
+    # read at 0 of 2 cells cost 18 against the 7 points of P^2, and the
+    # chart scan over a prime field reads no table
     F2 = field_create(2)
-    with pytest.raises(BudgetExceeded, match="'scan'.*costs 15"):
-        count_zeros([build_x(1, 1, F2)], F2, budget=14)
+    assert count_zeros(list(build_ab(1, 1, F2)), F2, with_engine=True) == (3, "scan")
+    with pytest.raises(BudgetExceeded, match="'scan' on P\\^2\\(F_2\\) costs 7,"):
+        count_zeros(list(build_ab(1, 1, F2)), F2, budget=6)
 
 
 @pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (31, 1), (5, 2), (7, 2)])
@@ -628,7 +631,8 @@ def _pencil_blocks(polys, F):
     system of forms of one degree, cut as `_count_blocks` cuts it, with the
     pencil as `kernels.pencil_lines` gives it: its points, built here from
     `enumerate_projective`, and the offsets of their rows of counts."""
-    _, _, exps, coeffs, offsets, blocks, s = count_module._plan(polys, F)
+    _, _, (exps, coeffs, offsets), _, s = count_module._plan(polys, F)
+    blocks = count_module._variable_blocks(exps)
     subs = [count_module._block_system(exps, coeffs, offsets, b) for b in blocks]
     points = np.array([[F.element_index(c) for c in pt]
                        for pt in enumerate_projective(F, len(polys) - 1)], np.int64)
@@ -716,18 +720,25 @@ def test_invariant_convolution_matches_convolve_histograms(q, d, n):
 def _chart_scan(polys, F):
     """The chart scan of the flattened system, the oracle that shares no
     code with the pair-form path."""
-    exps, coeffs, offsets = count_module._system_arrays(polys, F)
-    nvars = exps.shape[1]
-    return sum(kernels.count_system_chart(F, exps, coeffs, offsets, chart, 0,
-                                          F.q ** (nvars - 1 - chart))
+    arrays = count_module._system_arrays(polys, F)
+    nvars = arrays[0].shape[1]
+    values = functools.partial(kernels.system_values, F, *arrays)
+    return sum(kernels.count_system_chart(F, values, nvars, chart, 0, F.q ** (nvars - 1 - chart))
                for chart in range(nvars))
 
 
+def _built(family, n, d, delta, F):
+    """The family's system, from the builders that family counts never call."""
+    if family == "X":
+        return [build_x(n, d, F)]
+    if family == "Y":
+        return list(build_ab(n, d, F))
+    return [build_x_d_delta(n, d, delta, F)]
+
+
 def _assert_pair_form_matches_scan(family, n, d, delta, F):
-    form = count_module._family_form(family, n, d, delta, F)
-    scan = _chart_scan(form.build(), F)
-    assert count_module._count_pairs(F, form) == scan, (family, F.q, n, d, delta)
-    assert count_family(family, n, d, F, delta=delta).brute == scan
+    scan = _chart_scan(_built(family, n, d, delta, F), F)
+    assert count_family(family, n, d, F, delta=delta).brute == scan, (family, F.q, n, d, delta)
 
 
 def _pair_form_cases():
@@ -772,13 +783,19 @@ def test_pair_form_count_matches_chart_scan_drawn(case):
     _assert_pair_form_matches_scan(family, n, d, delta, F)
 
 
-@pytest.fixture
-def no_family_builds(monkeypatch):
-    # the pair-form path builds no polynomial
+def _refuse_builds(monkeypatch):
+    # family counts build no polynomial, wherever a builder is looked up
     def refuse(*args, **kwargs):
         raise AssertionError("built the family")
-    for name in ("build_x", "build_ab", "build_x_d_delta"):
-        monkeypatch.setattr(count_module, name, refuse)
+    for module in (families, count_module):
+        for name in ("build_x", "build_ab", "build_x_d_delta"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.fixture
+def no_family_builds(monkeypatch):
+    _refuse_builds(monkeypatch)
 
 
 @pytest.mark.parametrize("family,q,n,d,delta,expected", [
@@ -796,16 +813,22 @@ def test_family_count_builds_nothing(no_family_builds, family, q, n, d, delta, e
     assert expected is None or rep.brute == expected == rep.formula
 
 
-def test_family_count_falls_back_to_the_built_system(monkeypatch):
-    # q^r past HIST_MAX (Y past q = 1024) builds (A, B) and scans it
-    built = []
-    real = count_module.build_ab
-    monkeypatch.setattr(count_module, "build_ab", lambda *a: built.append(a) or real(*a))
+@pytest.mark.parametrize("q,d", [(1031, 3), (2048, 1)])
+def test_family_count_past_hist_max_scans_its_forms(monkeypatch, q, d):
+    # q^r past HIST_MAX (Y past q = 1024) scans Y's forms with every builder
+    # made to raise, as count_zeros scans the built (A, B)
+    F = field_create(*prime_power(q))
+    built = count_zeros(list(build_ab(1, d, F)), F, with_engine=True)
+    _refuse_builds(monkeypatch)
+    rep = count_family("Y", 1, d, F)
+    assert (rep.brute, rep.engine) == built and built[1] == "scan"
+    assert "engine=scan" in rep.line()
+
+
+def test_family_count_scans_its_forms_past_a_lowered_cap(no_family_builds, monkeypatch):
     monkeypatch.setattr(count_module, "HIST_MAX", 100)
-    F = field_create(11)
-    rep = count_family("Y", 2, 1, F)
+    rep = count_family("Y", 2, 1, field_create(11))
     assert rep.brute == projective_size(11, 2) and rep.engine == "scan"
-    assert "engine=scan" in rep.line() and built == [(2, 1, F)]
 
 
 @pytest.mark.parametrize("family,q,n,d", [("X", 1013, 40, 1), ("X", 101, 1000, 1000),
@@ -826,6 +849,31 @@ def test_binary_factors_multiply_to_k(k):
     factors = count_module._binary_factors(k)
     assert factors == sorted(factors) and sum(2 ** i for i in factors) == k
     assert factors.count(factors[-1]) <= 2 and (k < 2 or len(factors) >= 2)
+
+
+def _refused_cost(count, *args, **kwargs):
+    """The cost that `count` names when it refuses at budget 0."""
+    with pytest.raises(BudgetExceeded) as refusal:
+        count(*args, budget=0, **kwargs)
+    return int(re.search(r"costs (\d+),", str(refusal.value)).group(1))
+
+
+@pytest.mark.parametrize("q", [7, 8, 13, 25, 101])
+def test_families_and_their_built_systems_pay_one_charge(q):
+    # where a family's variable blocks as a system are its pairs (X at
+    # d >= 2, Xdelta at delta >= 2, Y), count_zeros on the built system
+    # charges what count_family charges and counts the same.  Y(1, d) as a
+    # system scans: its q + 1 members cost more than the points of P^2.
+    F = field_create(*prime_power(q))
+    cases = [("X", n, d, None) for n in (1, 2, 3) for d in (2, 3)]
+    cases += [("Xdelta", n, 3, delta) for n in (1, 2, 3) for delta in (2, 3)]
+    cases += [("Y", n, d, None) for n in (2, 3) for d in (1, 2)]
+    for family, n, d, delta in cases:
+        polys = _built(family, n, d, delta, F)
+        rep = count_family(family, n, d, F, delta=delta)
+        assert count_zeros(polys, F, with_engine=True) == (rep.brute, "blocks")
+        assert _refused_cost(count_zeros, polys, F) == \
+            _refused_cost(count_family, family, n, d, F, delta=delta), (family, q, n, d, delta)
 
 
 def test_pair_form_budget_refusal():

@@ -67,6 +67,15 @@ def test_smallest_irreducible_known_moduli():
     assert smallest_irreducible(2, 5) == (1, 0, 1, 0, 0, 1)  # x^5 + x^2 + 1
 
 
+def test_field_create_finds_each_modulus_once(monkeypatch):
+    # the modulus of F_{p^m} is searched for once per (p, m), not per field
+    field_create(2, 6)
+    calls = []
+    real = domains._is_irreducible
+    monkeypatch.setattr(domains, "_is_irreducible", lambda *a: calls.append(a) or real(*a))
+    assert field_create(2, 6).modulus == smallest_irreducible(2, 6) and calls == []
+
+
 def test_smallest_irreducible_matches_exhaustive_scan():
     # brute-force re-derivation: the chosen modulus must be the monic
     # irreducible whose lower coefficients have the minimal integer encoding
