@@ -16,12 +16,13 @@ pairs, plus a u0 block for Y, so its classes are the pair form on the
 q + 1 points of P^1 and u0.  Their forms are scanned where q^r passes
 HIST_MAX.  A custom system goes to `count_zeros`, which flattens it and
 sorts its blocks into classes; the block engine runs when there are two
-blocks or more and it costs no more than the scan (`_plan`).
+blocks or more and it costs less than the scan, each with the table it
+reads (`_plan`).
 
 The zeros of Y = {A = B = 0} as points come by rank, with no scan, from the
 histogram of its pair block on the chart u0 = 1 (`YChartZeros`): `verify`
-samples Y's generic points from it, and Y0 (n = 1) lists every rank and
-adds the zeros on the line u0 = 0 (`y0_zeros`).
+samples Y's generic points from it.  Y0 (n = 1) is counted as Y(1, d), and
+its two multiple points are read from (A, B) expanded there by `ab_form`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domains import QQ, QQXI, exp_log_cells, prime_power, sqrt_of_minus_three
-from .families import ab_form, build_ab, x_d_delta_degree, x_form
+from .families import ab_form, u_context, x_d_delta_degree, x_form
 from .kernels import (
     _BLOCK,
     _affine_points,
@@ -50,7 +51,7 @@ from .kernels import (
     pencil_lines,
     system_values,
 )
-from .mpoly import MPoly, VarContext, multiplicity_at
+from .mpoly import MPoly, VarContext, local_multiplicity
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
 
 DEFAULT_BUDGET = 10 ** 9
@@ -149,7 +150,8 @@ def _plan(polys, F):
     offsets), classes the block classes (`_block_classes`) when the block
     engine runs, else None, and s = gcd(e, q - 1) when every nonzero form
     has degree e, else None.  The block engine costs `_block_cost` and runs
-    when that is at most the chart scan's |P^(nvars-1)(F_q)| points.  One
+    when that and its `_table_cells` are less than the chart scan's
+    |P^(nvars-1)(F_q)| points and its `_table_cells`.  One
     block, forms of several degrees, q^r > HIST_MAX or a constant term (which
     leaves the origin off the cone) send a system to the scan."""
     polys = list(polys)
@@ -171,7 +173,7 @@ def _plan(polys, F):
     if len(blocks) >= 2 and s is not None and q ** r <= HIST_MAX and exps.any(axis=1).all():
         classes = _block_classes(F, *arrays, blocks)
         cost = _block_cost(q, r, s, [(width, k) for _, width, k in classes], ctx.nvars)
-        if cost <= scan_cost:
+        if cost + _table_cells(F, "blocks") < scan_cost + _table_cells(F, "scan"):
             return "blocks", cost, arrays, classes, s
     return "scan", scan_cost, arrays, None, s
 
@@ -291,12 +293,18 @@ def _cone_count(F, classes, nvars, r, s):
     return (cone - 1) // (q - 1)
 
 
+def _table_cells(F, engine):
+    """The cells of the field's exp/log table where the engine reads it (the
+    block engine always, the chart scan over F_{p^m}), else 0."""
+    return exp_log_cells(F) if engine == "blocks" or F.m > 1 else 0
+
+
 def _charge(F, engine, cost, what, budget):
-    """Raise BudgetExceeded when the engine's `cost` on `what`, plus the
-    cells of the field's exp/log table where the engine reads it (the block
-    engine always, the chart scan over F_{p^m}), passes `budget`."""
-    if engine == "blocks" or F.m > 1:
-        cost += exp_log_cells(F)
+    """Raise BudgetExceeded when the engine's `cost` on `what`, plus its
+    `_table_cells`, passes `budget`."""
+    table = _table_cells(F, engine)
+    if table:
+        cost += table
         what += " and the field's exp/log table"
     if cost > budget:
         raise BudgetExceeded(f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
@@ -471,8 +479,8 @@ def check_projection_bijection(f, a, D, F, budget=DEFAULT_BUDGET):
         base += 1
     new_name = f"e{base}"
     ctx2 = VarContext(tuple(f.ctx.names) + (new_name,))
-    mapping = {nm: MPoly.variable(ctx2, F, nm) for nm in f.ctx.names}
-    g = fF.substitute(mapping) + (MPoly.variable(ctx2, F, new_name) ** D).scale(F.from_int(a))
+    g = MPoly(ctx2, F, {e + (0,): c for e, c in fF.terms.items()}) \
+        + (MPoly.variable(ctx2, F, new_name) ** D).scale(F.from_int(a))
     count, engine = count_zeros([g], F, budget=budget, with_engine=True)
     expected = projective_size(q, f.ctx.nvars - 1)
     params["count"] = count
@@ -489,20 +497,14 @@ def check_projection_bijection(f, a, D, F, budget=DEFAULT_BUDGET):
 # the zeros of Y on its chart u0 = 1, by rank
 
 
-def _pair_values(F, d, pts):
-    """(a, b) = `ab_form` at (0, v, w) for the rows (v, w) of `pts`, as
-    arrays of element indices: the terms of (A, B) in one pair block."""
-    a, b = ab_form([0, *FieldArray.columns(F, pts)], d)
-    return a.idx, b.idx
-
-
 class YChartZeros:
     """The zeros of Y = {A = B = 0} in P^{2n} with u0 = 1, ranked in
     `enumerate_projective` order without a scan.
 
     There A = 1 + sum_k a(x_k) and B = 1 + sum_k b(x_k) over the pair blocks
-    x_k = (u_{2k+1}, u_{2k+2}), with (a, b) from `_pair_values`, so a zero is
-    an n-tuple of pair points whose values sum to t = (-1, -1) in (F_q^2, +).
+    x_k = (u_{2k+1}, u_{2k+2}), with (a, b) = `ab_form` at (0, x_k), so a
+    zero is an n-tuple of pair points whose values sum to t = (-1, -1) in
+    (F_q^2, +).
     With H the histogram of (a, b) and S_k = H^{*(n-k)}, the zeros whose
     block-k point is x, given blocks 0..k-1, number S_(k+1)[t' - (a, b)(x)]
     for t' what is left of t.  Their cumulative sums over the pair points in
@@ -529,8 +531,8 @@ class YChartZeros:
         F, q = self.F, self.F.q
         size = q * q
         points = _affine_points(q, 2, 0, size)
-        a, b = _pair_values(F, self.d, points)
-        values = a + q * b
+        a, b = ab_form([0, *FieldArray.columns(F, points)], self.d)
+        values = a.idx + q * b.idx
         hist = np.bincount(values, minlength=size)
         hist = hist.astype(object) if q ** (2 * self.n) >= 2 ** 63 else hist
         suffix = [np.zeros_like(hist), hist]
@@ -571,18 +573,6 @@ class YChartZeros:
 # structure of Y0 = {A = B = 0} in P^2 (n = 1)
 
 
-def y0_zeros(d, F):
-    """The points of Y0 = {A = B = 0} in P^2, normalized, in
-    `enumerate_projective` order: every rank of `YChartZeros` at n = 1, then
-    the zeros of the pair values (a, b) on the q + 1 points of the line
-    u0 = 0, where A = a and B = b."""
-    chart, line = YChartZeros(1, d, F), _line_points(F.q, 2, 0, F.q + 1)
-    a, b = _pair_values(F, d, line)
-    rows = np.concatenate((chart.unrank(range(chart.pool)),
-                           np.insert(line[(a == 0) & (b == 0)], 0, 0, axis=1)))
-    return [tuple(map(F.element_from_index, row)) for row in rows.tolist()]
-
-
 def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     """Solve A = B = 0 in P^2 over a field where xi = sqrt(-3) exists and
     x^2 + 3 is separable (q = 1 mod 6): two points [0:±xi:1] whose local
@@ -590,40 +580,43 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     {u2 = 0, u0^{2d+1} + u1^{2d+1} = 0}, one for each root of x^{2d+1} = -1
     in F_q, so gcd(q - 1, 2d + 1) of them.  All 2d+1 lie in F_q when that
     equation splits, and the multiplicity-weighted total over the closure is
-    4d^2+4d+1."""
+    4d^2+4d+1.
+
+    The points are counted as Y(1, d) (`count_family`, charged `budget`),
+    and each multiple point [0:1:c] is read from `ab_form` at (u0, 1, u2 + c)."""
     t0 = time.perf_counter()
     q = F.q
     if q % 6 != 1:
         raise ValueError(f"xi absent or x^2+3 degenerate in {F.name} (need q = 1 mod 6)")
-    # y0_zeros evaluates the pair forms at the q^2 + q + 1 points of P^2,
-    # reading the exp/log table over F_{p^m}: charged before any other work
-    charge_projective(q, 2, budget)
+    total = count_family("Y", 1, d, F, budget=budget).brute
     xi = sqrt_of_minus_three(F)
-    A, B = build_ab(1, d, F)
-    pts = y0_zeros(d, F)
     # [0 : ±xi : 1], normalized
     points = tuple((F.zero, F.one, F.inv(s)) for s in (xi, F.neg(xi)))
-    mults = [multiplicity_at([A, B], pt) for pt in points]
-    simple = [pt for pt in pts if pt not in points]
-    for pt in simple:
-        # simple points all lie on {u2 = 0} with u0^{2d+1} = -u1^{2d+1}
-        if pt[2] != F.zero:
-            raise AssertionError(f"unexpected solution off u2 = 0: {pt}")
+    ctx = u_context(1)
+    u0, u2 = MPoly.variable(ctx, F, "u0"), MPoly.variable(ctx, F, "u2")
+    mults = [local_multiplicity(ab_form([u0, 1, u2 + MPoly.constant(ctx, F, c)], d))
+             for *_, c in points]
+    simple = total - sum(m["multiplicity"] > 0 for m in mults)
+    # simple points all lie on {u2 = 0}; a count cannot name a stray one
+    a, b = ab_form([*FieldArray.columns(F, _line_points(q, 2, 0, q + 1)), 0], d)
+    on_line = int(((a.idx == 0) & (b.idx == 0)).sum())
+    if on_line != simple:
+        raise AssertionError(f"{simple} simple points but {on_line} on u2 = 0")
     roots = gcd(q - 1, 2 * d + 1)
-    weighted = sum(m["multiplicity"] for m in mults) + len(simple)
+    weighted = sum(m["multiplicity"] for m in mults) + simple
     return {
         "d": d,
         "field": F.spec.as_dict(),
         "multiple_points": [{"point": [F.fmt(c) for c in pt], "multiplicity": m["multiplicity"],
                              "orders": m["orders"]} for pt, m in zip(points, mults)],
         "expected_multiplicity": 2 * d * d + d,
-        "simple_points": len(simple),
+        "simple_points": simple,
         "expected_simple": roots,
         "split": roots == 2 * d + 1,
         "weighted_total": weighted,
         "closed_form_total": 4 * d * d + 4 * d + 1,
         # a shared tangent means the product of orders may overcount
-        "match": len(simple) == roots
+        "match": simple == roots
         and all(m["multiplicity"] == 2 * d * d + d and m["shared_tangent"] is False
                 for m in mults),
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,

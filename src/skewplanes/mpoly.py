@@ -654,7 +654,12 @@ def multiplicity_at(gens, point):
             mapping[name] = MPoly.constant(ctx, dom, 1)
         else:
             mapping[name] = MPoly.variable(ctx, dom, name) + MPoly.constant(ctx, dom, 1).scale(pt[i])
-    local = [g.substitute(mapping) for g in gens]
+    return local_multiplicity([g.substitute(mapping) for g in gens])
+
+
+def local_multiplicity(local):
+    """`multiplicity_at` of generators already moved to the point: their
+    multiplicity at the origin, in the same dict."""
     for f in local:
         if f.is_zero():
             raise ValueError("a generator vanishes identically")

@@ -79,7 +79,7 @@ class CountReport:
     formula: int | None
     match: bool | None          # None when no formula applies
     formula_alt: int | None = None
-    engine: str = "scan"        # "blocks" or "scan": the count_zeros engine
+    engine: str = "scan"        # "blocks" or "scan": the engine that counted
     elapsed_ms: float = 0.0
 
     def as_dict(self):

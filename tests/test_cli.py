@@ -338,20 +338,21 @@ def test_count_y0_refuses_shared_tangent(capsys, monkeypatch):
     # a shared tangent means the product of orders may overcount
     from skewplanes import count as count_module
 
-    real = count_module.multiplicity_at
-    monkeypatch.setattr(count_module, "multiplicity_at",
-                        lambda gens, pt: {**real(gens, pt), "shared_tangent": True})
+    real = count_module.local_multiplicity
+    monkeypatch.setattr(count_module, "local_multiplicity",
+                        lambda gens: {**real(gens), "shared_tangent": True})
     code, out, _ = run_cli(["count", "--family", "Y0", "--d", "1", "--q", "7",
                             "--format", "json"], capsys)
     assert code == 2 and json.loads(out)["records"][0]["match"] is False
 
 
 def test_count_y0_honours_budget(capsys):
-    # Y0 is found by searching all 57 points of P^2(F_7)
+    # Y0 is counted as Y(1, 1): over F_7 its pair and u0 blocks and the
+    # field's table are charged 141
     argv = ["count", "--family", "Y0", "--d", "1", "--q", "7"]
-    code, out, err = run_cli(argv + ["--budget", "5"], capsys)
-    assert code == 4 and out == "" and "budget" in err
-    assert run_cli(argv + ["--budget", "57"], capsys)[0] == 0
+    code, out, err = run_cli(argv + ["--budget", "140"], capsys)
+    assert code == 4 and out == "" and "'blocks' on 1 pair blocks" in err and "141" in err
+    assert run_cli(argv + ["--budget", "141"], capsys)[0] == 0
 
 
 def test_count_rejects_bad_q(capsys):

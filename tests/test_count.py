@@ -1,5 +1,6 @@
 """Tests for exact point counting over finite fields."""
 
+import dataclasses
 import functools
 import re
 from math import gcd
@@ -24,11 +25,11 @@ from skewplanes.count import (
     prime_power,
     projective_size,
     reduce_poly,
-    y0_zeros,
+    YChartZeros,
 )
-from skewplanes.domains import QQ, QQXI, field_create
+from skewplanes.domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from skewplanes.families import build_ab, build_x, build_x_d_delta, x_context, u_context
-from skewplanes.mpoly import MPoly, VarContext
+from skewplanes.mpoly import MPoly, VarContext, local_multiplicity, multiplicity_at
 from skewplanes.reporting import BudgetExceeded
 
 GRID_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (23, 1),
@@ -244,13 +245,14 @@ def test_projection_bijection_valid_cases():
     F7 = field_create(7)
     rep2 = check_projection_bijection(fermat(("x0", "x1"), 5, F7), 2, 5, F7)
     assert rep2.passed and rep2.params["count"] == 8
-    # two classes of one-line blocks cost 2 + 3 * 7 = 23 of the 57 points of
-    # P^2(F_7); over F_2 one class of three costs 1 + 3 * 2 = 7 of 7
+    # two classes of one-line blocks cost 2 + 3 * 7 = 23 and a table of 13
+    # cells, 36 against the 57 points of P^2(F_7); over F_2 one class of
+    # three costs 1 + 3 * 2 = 7 and a table of 3, 10 against 7, so it scans
     assert rep2.params["engine"] == "blocks"
     F2 = field_create(2)
     rep3 = check_projection_bijection(fermat(("x0", "x1"), 3, F2), 1, 3, F2)
     assert rep3.passed and rep3.params["count"] == 3
-    assert rep3.params["engine"] == "blocks"
+    assert rep3.params["engine"] == "scan"
 
 
 def test_projection_bijection_gated_case():
@@ -305,9 +307,10 @@ def test_gcd_counts_the_roots_of_minus_one():
 
 
 @pytest.mark.parametrize("q, d", [(7, 1), (7, 2), (7, 3), (13, 2), (19, 4), (25, 1), (25, 2),
-                                  (31, 2), (43, 3), (49, 3), (61, 2)])
+                                  (31, 2), (43, 3), (49, 3), (61, 2), (7, 0), (25, 0)])
 def test_y0_simple_points_against_root_scan(q, d):
-    # where x^(2d+1) = -1 does not split, only its F_q-roots are points
+    # where x^(2d+1) = -1 does not split, only its F_q-roots are points; at
+    # d = 0 the points [0 : ±xi : 1] are off Y0, of multiplicity 0
     F = field_create(*prime_power(q))
     out = count_y0_structure(d, F)
     roots = _roots_of_minus_one(F, 2 * d + 1)
@@ -315,6 +318,31 @@ def test_y0_simple_points_against_root_scan(q, d):
     assert out["split"] == (roots == 2 * d + 1)
     assert out["closed_form_total"] == 4 * d * d + 4 * d + 1
     assert out["match"] is True
+
+
+@pytest.mark.parametrize("q", [7, 13, 19, 25, 31, 37, 43, 49, 61, 67, 73, 79, 97, 103, 109,
+                               121, 127, 169])
+def test_y0_local_forms_match_multiplicity_at_on_built_ab(q):
+    # ab_form at (u0, 1, u2 + c) is the built (A, B) moved to [0 : 1 : c]
+    F = field_create(*prime_power(q))
+    xi = sqrt_of_minus_three(F)
+    ctx = u_context(1)
+    u0, u2 = MPoly.variable(ctx, F, "u0"), MPoly.variable(ctx, F, "u2")
+    for d in (0, 1, 2, 3, 4, 5, 7, 10):
+        A, B = build_ab(1, d, F)
+        for c in (F.inv(xi), F.inv(F.neg(xi))):
+            local = families.ab_form([u0, 1, u2 + MPoly.constant(ctx, F, c)], d)
+            assert local_multiplicity(local) == multiplicity_at([A, B], (F.zero, F.one, c))
+
+
+def test_y0_stray_point_is_refused(monkeypatch):
+    # a point off u2 = 0 beside the two multiple points cannot be named by a
+    # count, so the two counts are reported
+    real = count_module.count_family
+    monkeypatch.setattr(count_module, "count_family", lambda *args, **kwargs:
+                        dataclasses.replace(real(*args, **kwargs), brute=8))
+    with pytest.raises(AssertionError, match="6 simple points but 3 on u2 = 0"):
+        count_y0_structure(1, field_create(7))
 
 
 def test_y0_structure_requires_split_field():
@@ -548,14 +576,22 @@ def test_budget_refusal_names_engine():
 
 @pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (31, 1), (5, 2), (7, 2)])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_y0_zeros_match_pointwise_walk(p, m, d):
-    # the ranks on u0 = 1, then the zeros on the line u0 = 0, against a walk
-    # of all of P^2 through MPoly.evaluate, in content and order
+def test_y_chart_zeros_and_y0_count_match_pointwise_walk(p, m, d):
+    # against a walk of all of P^2 through MPoly.evaluate: every rank of
+    # YChartZeros at n = 1 gives the walk's zeros with u0 = 1, in order, and
+    # Y0's simple points and its multiple points on Y0 are the walk's count
     F = field_create(p, m)
     A, B = build_ab(1, d, F)
     walk = [pt for pt in enumerate_projective(F, 2)
             if A.evaluate(pt) == F.zero and B.evaluate(pt) == F.zero]
-    assert y0_zeros(d, F) == walk
+    chart = YChartZeros(1, d, F)
+    ranked = [tuple(map(F.element_from_index, row))
+              for row in chart.unrank(range(chart.pool)).tolist()]
+    assert ranked == [pt for pt in walk if pt[0] == F.one]
+    if F.q % 6 == 1:
+        out = count_y0_structure(d, F)
+        assert out["simple_points"] + sum(
+            mp["multiplicity"] > 0 for mp in out["multiple_points"]) == len(walk)
 
 
 @pytest.mark.parametrize("q", [4, 7, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125,
@@ -823,6 +859,21 @@ def test_family_count_past_hist_max_scans_its_forms(monkeypatch, q, d):
     rep = count_family("Y", 1, d, F)
     assert (rep.brute, rep.engine) == built and built[1] == "scan"
     assert "engine=scan" in rep.line()
+
+
+@pytest.mark.parametrize("q,k,zeros", [(13, 2, 3), (3, 3, 4)])
+def test_custom_system_takes_blocks_only_when_cheaper_with_the_table(q, k, zeros):
+    # x0^3 + x1^3 over F_13 ties: one class of two one-line blocks costs the
+    # 14 points of P^1, and a table of 25 more.  x0^3 + x1^3 + x2^3 over F_3
+    # costs 10 on the blocks and a table of 5, against 13 points of P^2.
+    # Both scan, charged the points alone
+    F = field_create(q)
+    f = fermat(tuple(f"x{i}" for i in range(k)), 3, F)
+    points = projective_size(q, k - 1)
+    assert count_zeros([f], F, with_engine=True) == (zeros, "scan")
+    with pytest.raises(BudgetExceeded, match=f"'scan' on P\\^{k - 1}\\(F_{q}\\) costs {points},"):
+        count_zeros([f], F, budget=points - 1)
+    assert count_zeros([f], F, budget=points) == zeros
 
 
 def test_family_count_scans_its_forms_past_a_lowered_cap(no_family_builds, monkeypatch):

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from skewplanes import count, families
 from skewplanes.cli import main
+from skewplanes.mpoly import MPoly
 from skewplanes.reporting import strip_timing
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -79,6 +81,19 @@ def test_grid_is_recorded(golden):
 
 @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
 def test_output_matches_record(golden, argv):
+    assert _digest(argv) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", [run for run in RUNS if run[:3] == ["count", "--family", "Y0"]],
+                         ids=" ".join)
+def test_y0_builds_substitutes_and_lists_nothing(golden, monkeypatch, argv):
+    # Y0 is counted and expanded from the forms, wherever (A, B) is looked up
+    def refuse(*args, **kwargs):
+        raise AssertionError("Y0 built, substituted or listed")
+    for module in (families, count):
+        monkeypatch.setattr(module, "build_ab", refuse, raising=False)
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    monkeypatch.setattr(count.YChartZeros, "unrank", refuse)
     assert _digest(argv) == golden[" ".join(argv)]
 
 
