@@ -3,21 +3,21 @@ formulas, and their cross-validation.
 
 Counts have two engines, each charged before it runs (`_charge`).  The
 block engine (`_count_blocks`) counts r forms of one degree from the
-members c.f of their pencil, over blocks of variables that share no
-monomial: each class of blocks alike is evaluated at one point per line,
-binned by `line_orbit_counts`, and its histogram raised to the class size
-by squaring, then read at 0 and closed (`_cone_count`).  It costs
-`_block_cost`.  The chart scan (`_scan`), its oracle, walks affine charts
-(points normalized so the first nonzero coordinate is 1) in order.
+members c.f of their pencil, a chunk of members at a time, over blocks of
+variables that share no monomial: each class of blocks alike is evaluated
+at one point per line, binned by `line_orbit_counts`, and its histogram
+raised to the class size by squaring and read at 0 (`_cone_count`).  It
+costs `_block_cost`, and refuses q past HIST_MAX.  The chart scan
+(`_scan`), its oracle, walks affine charts (points normalized so the first
+nonzero coordinate is 1) in order.
 
-The families X, Xdelta and Y are counted from their forms (`count_family`),
-with no polynomial built: each is a sum of one two-variable form over its
-pairs, plus a u0 block for Y, so its classes are the pair form on the
-q + 1 points of P^1 and u0.  Their forms are scanned where q^r passes
-HIST_MAX.  A custom system goes to `count_zeros`, which flattens it and
-sorts its blocks into classes; the block engine runs when there are two
-blocks or more and it costs less than the scan, each with the table it
-reads (`_plan`).
+The families X, Xdelta and Y are counted from their forms on the block
+engine (`count_family`), with no polynomial built: each is a sum of one
+two-variable form over its pairs, plus a u0 block for Y, so its classes
+are the pair form on the q + 1 points of P^1 and u0.  A custom system goes
+to `count_zeros`, which flattens it and sorts its blocks into classes; the
+block engine runs when there are two blocks or more and it costs less than
+the scan, each with the table it reads (`_plan`).
 
 The zeros of Y = {A = B = 0} as points come by rank, with no scan, from the
 histogram of its pair block on the chart u0 = 1 (`YChartZeros`): `verify`
@@ -48,15 +48,14 @@ from .kernels import (
     count_system_chart,
     line_orbit_counts,
     orbit_histogram,
-    pencil_lines,
     system_values,
 )
 from .mpoly import MPoly, VarContext, local_multiplicity
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
 
 DEFAULT_BUDGET = 10 ** 9
-# Bound on q^r, about the cells of a block's pencil histograms.  The cost
-# bounds them only by the budget, and 10^9 cells do not fit in memory.
+# Bound on q, the cells of one of the block engine's histogram rows: past
+# it, a row of Python ints outgrows memory before the budget sees it.
 HIST_MAX = 1 << 20
 
 
@@ -152,7 +151,7 @@ def _plan(polys, F):
     has degree e, else None.  The block engine costs `_block_cost` and runs
     when that and its `_table_cells` are less than the chart scan's
     |P^(nvars-1)(F_q)| points and its `_table_cells`.  One
-    block, forms of several degrees, q^r > HIST_MAX or a constant term (which
+    block, forms of several degrees, q > HIST_MAX or a constant term (which
     leaves the origin off the cone) send a system to the scan."""
     polys = list(polys)
     if not polys:
@@ -170,7 +169,7 @@ def _plan(polys, F):
     degrees = {sum(map(int, exps[lo])) for lo, hi in zip(offsets, offsets[1:]) if lo < hi} or {1}
     s = gcd(min(degrees), q - 1) if len(degrees) == 1 else None
     scan_cost = projective_size(q, ctx.nvars - 1)
-    if len(blocks) >= 2 and s is not None and q ** r <= HIST_MAX and exps.any(axis=1).all():
+    if len(blocks) >= 2 and s is not None and q <= HIST_MAX and exps.any(axis=1).all():
         classes = _block_classes(F, *arrays, blocks)
         cost = _block_cost(q, r, s, [(width, k) for _, width, k in classes], ctx.nvars)
         if cost + _table_cells(F, "blocks") < scan_cost + _table_cells(F, "scan"):
@@ -200,21 +199,33 @@ def _block_classes(F, exps, coeffs, offsets, blocks):
 
 
 def _count_blocks(F, classes, nvars, r, s):
-    """`_cone_count` of r forms of degree e in `nvars` variables, with
+    """The common zeros in P^(nvars-1) of r forms of degree e, with
     s = gcd(e, q - 1), from the classes (values, width, k) of their blocks:
     values(pts) the r forms' element indices at rows of normalized points of
     P^(width-1), evaluated `_BLOCK` lines at a time and binned by
-    `line_orbit_counts`, and k the number of blocks alike."""
+    `line_orbit_counts`, and k the number of blocks alike.  The pencil's
+    C = |P^(r-1)(F_q)| members c go max(1, _BLOCK * 8 // q) rows at a time,
+    so no C x q array is alive.  Over all c in F_q^r, N_aff(c.f) counts a
+    common zero q^r times and any other point q^(r-1) times, and c and tc
+    cut the same zeros, so for N zeros on the affine cone
+    q^nvars + (q - 1) sum_[c] N_aff(c.f) = q^r N + q^(r-1) (q^nvars - N)."""
     q = F.q
-    pencil = pencil_lines(F, r, s)
-    hists = []
-    for values, width, k in classes:
-        lines = projective_size(q, width - 1)
-        counts = sum(line_orbit_counts(F, np.array(list(values(_line_points(
-            q, width, lo, min(lo + _BLOCK, lines))))), *pencil, s)
-            for lo in range(0, lines, _BLOCK))
-        hists.append((orbit_histogram(F, counts), k))
-    return _cone_count(F, hists, nvars, r, s)
+    members, step = projective_size(q, r - 1), max(1, (_BLOCK * 8) // q)
+    n_aff = 0
+    for lo in range(0, members, step):
+        pencil = _line_points(q, r, lo, min(lo + step, members))
+        hists = []
+        for values, width, k in classes:
+            lines = projective_size(q, width - 1)
+            counts = sum(line_orbit_counts(F, np.array(list(values(_line_points(
+                q, width, at, min(at + _BLOCK, lines))))), pencil, s)
+                for at in range(0, lines, _BLOCK))
+            hists.append((orbit_histogram(F, counts), k))
+        n_aff += _cone_count(F, hists, nvars, s)
+    cone, rem = divmod(q ** nvars + (q - 1) * n_aff - q ** (r - 1 + nvars),
+                       q ** r - q ** (r - 1))
+    assert rem == 0 and (cone - 1) % (q - 1) == 0
+    return (cone - 1) // (q - 1)
 
 
 def _binary_factors(k):
@@ -260,22 +271,17 @@ def _block_cost(q, r, s, classes, nvars):
         + ((1 + s) * convolutions + reads) * q * _cell_words(q, nvars))
 
 
-def _cone_count(F, classes, nvars, r, s):
-    """(N - 1) / (q - 1) for N common zeros on the affine cone of r forms
-    of degree e in `nvars` variables, with s = gcd(e, q - 1), from the
-    (hist, k) of their distinct blocks: hist the blocks' `orbit_histogram`
-    rows, one per member of the pencil (`pencil_lines`), k the number of
-    blocks alike.  Over all c in F_q^r, N_aff(c.f) counts a common zero q^r
-    times and any other point q^(r-1) times, and c and tc cut the same
-    zeros, so q^nvars + (q - 1) sum_[c] N_aff(c.f) = q^r N + q^(r-1) (q^nvars - N).
-
+def _cone_count(F, classes, nvars, s):
+    """The sum of N_aff(c.f), the zeros on the affine cone in `nvars`
+    variables, over a chunk of members c.f of a pencil of forms of degree e,
+    with s = gcd(e, q - 1), from the (hist, k) of their distinct blocks: hist
+    the blocks' `orbit_histogram` rows, one per member, k the blocks alike.
     N_aff(c.f) = H[0] of the convolution of c.f's block histograms, each
     constant on the cosets of (F_q^*)^e, of index s, as is every partial
     convolution.  A class's histogram is raised to k by squaring
     (`_binary_factors`).  Histograms hold Python ints once q^nvars reaches
-    the int64 range, and the sum over [c] is in Python ints."""
-    q = F.q
-    exact = q ** nvars >= 2 ** 63
+    the int64 range, and the sum is in Python ints."""
+    exact = F.q ** nvars >= 2 ** 63
     factors = []
     for hist, k in classes:
         hist, at = hist.astype(object) if exact else hist, 0
@@ -287,10 +293,7 @@ def _cone_count(F, classes, nvars, r, s):
     for factor in factors[1:-1]:
         total = convolve_invariant(F, total, factor, s)
     n_aff = convolution_at_zero(F, total, factors[-1]) if len(factors) > 1 else total[:, 0]
-    cone, rem = divmod(q ** nvars + (q - 1) * sum(map(int, n_aff)) - q ** (r - 1 + nvars),
-                       q ** r - q ** (r - 1))
-    assert rem == 0 and (cone - 1) % (q - 1) == 0
-    return (cone - 1) // (q - 1)
+    return sum(map(int, n_aff))
 
 
 def _table_cells(F, engine):
@@ -301,7 +304,11 @@ def _table_cells(F, engine):
 
 def _charge(F, engine, cost, what, budget):
     """Raise BudgetExceeded when the engine's `cost` on `what`, plus its
-    `_table_cells`, passes `budget`."""
+    `_table_cells`, passes `budget`, or when the block engine's histogram
+    rows of q cells pass its memory guard, HIST_MAX."""
+    if engine == "blocks" and F.q > HIST_MAX:
+        raise BudgetExceeded(f"engine 'blocks' on {what} has histogram rows of {F.q} "
+                             f"cells, over its memory guard of {HIST_MAX}")
     table = _table_cells(F, engine)
     if table:
         cost += table
@@ -415,10 +422,10 @@ def _family_form(family, n, d, delta, F):
 
 def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
     """The report of one family's count against the paper's formula, where
-    it has one, from its forms (see `FamilyForm`) with no polynomial built.
-    The block engine takes the pairs, the forms on the q + 1 points of P^1
-    (at u0 = 0 for Y), and Y's u0 block; the chart scan takes the forms
-    where q^r passes HIST_MAX."""
+    it has one, from its forms (see `FamilyForm`) with no polynomial built,
+    on the block engine at every q up to HIST_MAX: its classes are the
+    pairs, the forms on the q + 1 points of P^1 (at u0 = 0 for Y), and Y's
+    u0 block."""
     t0 = time.perf_counter()
     q, form = F.q, _family_form(family, n, d, delta, F)
     nvars = 2 * form.pairs + form.u0
@@ -426,21 +433,18 @@ def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
     def values(pts, zeros=0):
         # Y's pair blocks are its forms at u0 = 0
         return [v.idx for v in form.forms([0] * zeros + FieldArray.columns(F, pts))]
-    if q ** form.r > HIST_MAX:
-        brute, engine = _scan(F, values, nvars, budget), "scan"
-    else:
-        s = gcd(form.e, q - 1)
-        classes = [(values, 1, 1)] * form.u0 + [
-            (functools.partial(values, zeros=form.u0), 2, form.pairs)]
-        _charge(F, "blocks", _block_cost(q, form.r, s, [(w, k) for _, w, k in classes], nvars),
-                f"{form.pairs} pair blocks" + ", the u0 block" * form.u0, budget)
-        brute, engine = _count_blocks(F, classes, nvars, form.r, s), "blocks"
+    s = gcd(form.e, q - 1)
+    classes = [(values, 1, 1)] * form.u0 + [
+        (functools.partial(values, zeros=form.u0), 2, form.pairs)]
+    _charge(F, "blocks", _block_cost(q, form.r, s, [(w, k) for _, w, k in classes], nvars),
+            f"{form.pairs} pair blocks" + ", the u0 block" * form.u0, budget)
+    brute = _count_blocks(F, classes, nvars, form.r, s)
     return CountReport(
         family=family, params=form.params,
         field_spec=F.spec.as_dict(),
         brute=brute, formula=form.formula,
         match=None if form.formula is None else brute == form.formula,
-        formula_alt=form.formula_alt, engine=engine,
+        formula_alt=form.formula_alt, engine="blocks",
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 

@@ -32,11 +32,11 @@ from .reporting import BudgetExceeded, abbreviate
 
 A_PLUS = (Fraction(1, 2), Fraction(1, 2))    # (1 + xi)/2
 A_MINUS = (Fraction(1, 2), Fraction(-1, 2))  # (1 - xi)/2
-# Bound on the exponent cells (terms x variables) of X, Xdelta, (A, B) or
-# the line pencil, about 17 bytes each as built: 2^27 cells, some 2.3 GB,
-# admit X(300, 300) at 1.09 * 10^8.  No budget sees them, and X(1000, 1000)
-# would have 4.0 * 10^9.  `count` counts the families from their forms, so
-# these builders serve `families dump` and `verify`.
+# Bound on the exponent cells (terms x variables) of a family, map or ideal
+# that `_guard_cells` refuses before building, about 17 bytes each as built:
+# 2^27 cells, some 2.3 GB, admit X(300, 300) at 1.09 * 10^8.  No budget sees
+# them, and X(1000, 1000) would have 4.0 * 10^9.  `count` counts the families
+# from their forms, so these builders serve `families dump` and `verify`.
 CELLS_MAX = 1 << 27
 
 
@@ -183,7 +183,9 @@ def phibar_form(u, d, half):
 
 
 def build_phibar(n, d):
-    """Degree-(2d+2) parametrization P^{2n} --> X, built from (A, B)."""
+    """Degree-(2d+2) parametrization P^{2n} --> X, built from (A, B), which
+    share 1 + n(2d + 2) monomials; a component is v or w times the two."""
+    _guard_cells(f"phibar({n}, {d})", 2 * n + 2, 2 * (1 + n * (2 * d + 2)), 2 * n + 1)
     comps = phibar_form(_vars(u_context(n), QQ), d, lambda p: p.scale(Fraction(1, 2)))
     return RationalMap("phibar", comps)
 
@@ -239,9 +241,12 @@ def char_two_form(u, d):
 
 
 def build_char_two_maps(n, d, dom):
-    """`char_two_form` on the variables over the char-2 domain `dom`."""
+    """`char_two_form` on the variables over the char-2 domain `dom`: each
+    of P, Q and g's components has at most 3 times P's 1 + n(2d + 2) terms."""
     if dom.char != 2:
         raise ValueError("characteristic-2 construction needs a char-2 domain")
+    _guard_cells(f"the char-2 (P, Q, g) of ({n}, {d})", 2 * n + 4, 3 * (1 + n * (2 * d + 2)),
+                 2 * n + 1)
     P, Q, g = char_two_form(_vars(u_context(n), dom), d)
     return {"P": P, "Q": Q, "g": RationalMap("g", g)}
 
@@ -267,7 +272,9 @@ def build_cremona():
 
 
 def build_dnm(n, d):
-    """(D, N, M) of the pencil-root recurrence; D = 2M identically."""
+    """(D, N, M) of the pencil-root recurrence; D = 2M identically.  A block's
+    terms are fixed by their powers of t1 and t2, so each has n(2d + 3)^2."""
+    _guard_cells(f"(D, N, M) of ({n}, {d})", 3, n * (2 * d + 3) ** 2, 2 * n + 1)
     dom = QQ
     ctx = t_context(n)
     t1 = _v(ctx, dom, "t1")
@@ -326,8 +333,10 @@ def build_phitilde(n, d):
     third pencil root N/D: each component is (M*re_i + 3N*im_i) over the
     common denominator 2(t1^2+t1+1)*M.  The numerators all carry the factor
     2(t1^2+t1+1); it is divided out exactly and the result homogenized with
-    t0.  Component degree comes out 2d+2 for n = 1 and 4d+4 for n >= 2.
+    t0.  Component degree comes out 2d+2 for n = 1 and 4d+4 for n >= 2, and
+    each is charged 6 times the terms of M, a bound the tests check.
     """
+    _guard_cells(f"phitilde({n}, {d})", 2 * n + 2, 6 * n * (2 * d + 3) ** 2, 2 * n + 1)
     dom = QQ
     ctx = t_context(n)
     t1 = _v(ctx, dom, "t1")
@@ -495,9 +504,14 @@ def build_ideal(n, d, which, dom=QQ):
     Z / Zpm: the plane-pair loci in P^{2n} (Zpm adds the cross quadrics
     isolating one conjugate pair).  Y: {A = B = 0}.  T / U: base-locus pieces
     of the cubic/quadric systems; index families touching variables beyond
-    the ambient range are clamped to the valid range.
+    the ambient range are clamped to the valid range.  Hpm, Zpm, T and U
+    have quadratically many generators of at most 3, 2, 3 and 2 terms.
     """
     which = which.strip()
+    guards = {"Hpm": ((n + 1) ** 2, 3, 2 * n + 2), "Zpm": (n * n + 1, 2, 2 * n + 1),
+              "T": (n * n + n + 3, 3, 2 * n + 1), "U": (n * n - n + 4, 2, 2 * n + 1)}
+    if which in guards:
+        _guard_cells(f"the ideal {which} at n = {n}", *guards[which])
     if which == "Hpm":
         ctx = x_context(n)
         x = [_v(ctx, dom, f"x{i}") for i in range(2 * n + 2)]

@@ -14,14 +14,13 @@ a time: `system_values` on a flattened system, or the family forms on
 Value rows are compared by `proportional_rows`.
 
 The block engine's kernels take a batch axis, one row per member c.f of
-the pencil of r forms of degree e (`pencil_lines`, built once per count):
-`line_orbit_counts` takes the forms' values at one point per line, forms
-each member's values and bins them by discrete logarithm mod s, and
-`orbit_histogram` and `convolve_invariant` build, convolve and square
-histograms constant on the cosets of the e-th powers (tests' oracles:
-`block_histogram` and `convolve_histograms` over F_q^r).
-`convolve_histograms` also forms the suffix convolutions from which
-`count.YChartZeros` unranks Y's zeros.
+the pencil of r forms of degree e, for a chunk of the pencil's members at a
+time (`count._count_blocks`): `line_orbit_counts` takes the forms' values at
+one point per line, forms each member's values and bins them by discrete
+logarithm mod s, and `orbit_histogram` and `convolve_invariant` build,
+convolve and square histograms constant on the cosets of the e-th powers
+(tests' oracle: `convolve_histograms` over F_q^r), which also forms the
+suffix convolutions from which `count.YChartZeros` unranks Y's zeros.
 """
 
 from __future__ import annotations
@@ -199,17 +198,10 @@ def _line_points(q, k, start, stop):
     return np.concatenate(parts)
 
 
-def pencil_lines(F, r, s):
-    """(pencil, rows) for `line_orbit_counts`: the points c of P^{r-1}(F_q)
-    in line-index order, and the offset of each one's row of 1 + s counts."""
-    pencil = _line_points(F.q, r, 0, (F.q ** r - 1) // (F.q - 1))
-    return pencil, np.arange(0, len(pencil) * (1 + s), 1 + s)[:, None]
-
-
-def line_orbit_counts(F, values, pencil, rows, s):
+def line_orbit_counts(F, values, pencil, s):
     """[z, c_0, ..., c_{s-1}] for each member c.f of the pencil of r forms
-    of one degree, c through the rows of `pencil` (see `pencil_lines`,
-    which also gives `rows`), from the forms' values at one point of each
+    of one degree, c through the rows of `pencil` (normalized points of
+    P^{r-1}(F_q), any of them), from the forms' values at one point of each
     line: `values` holds element indices, one row per form and one column
     per line.  z counts the lines where c.f is zero, and c_i those where it
     takes a value whose discrete logarithm is i mod s.  The counts of
@@ -217,6 +209,7 @@ def line_orbit_counts(F, values, pencil, rows, s):
     add, mul = field_tables(F)
     _, log = index_exp_log(F)
     width = max(1, (_BLOCK * 8) // len(pencil))
+    rows = np.arange(len(pencil))[:, None] * (1 + s)
     counts = np.zeros(rows.size * (1 + s), np.int64)
     for at in range(0, values.shape[1], width):
         vals = functools.reduce(add, map(mul, pencil.T[:, :, None],
@@ -269,24 +262,8 @@ def convolution_at_zero(F, h1, h2):
 
 
 # ---------------------------------------------------------------------------
-# full block histograms over (F_q^r, +): the tests' oracles, and the
-# convolution `count.YChartZeros` unranks through
-
-
-def block_histogram(F, exps, coeffs, offsets, start, stop):
-    """Histogram over F_q^r (r = number of polynomials) of the system's value
-    vector at the points of F_q^k, k = exps.shape[1], with linear indices in
-    [start, stop)."""
-    q = F.q
-    hist = np.zeros(q ** (len(offsets) - 1), np.int64)
-    for lo in range(start, stop, _BLOCK):
-        pts = _affine_points(q, exps.shape[1], lo, min(lo + _BLOCK, stop))
-        key = np.zeros(len(pts), np.int64)
-        for j, vals in enumerate(system_values(F, exps, coeffs, offsets, pts)):
-            key += vals.astype(np.int64) * q ** j
-        values, counts = np.unique(key, return_counts=True)
-        hist[values] += counts
-    return hist
+# full convolution over (F_q^r, +): the tests' oracle, through which
+# `count.YChartZeros` unranks
 
 
 def convolve_histograms(F, h1, h2):

@@ -877,7 +877,7 @@ def no_family_forms(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("started the build")
-    for name in ("_vars", "x_form", "ab_form", "phibar_blocks"):
+    for name in ("_v", "_vars", "x_form", "ab_form", "phibar_blocks"):
         monkeypatch.setattr(families, name, refuse)
 
 
@@ -899,24 +899,63 @@ def no_family_forms(monkeypatch):
      "(A, B) of Y(300, 1000) has up"),
     (["families", "dump", "--family", "X", "--char", "2", "--n", "400", "--d", "300"],
      "X(400, 300) has up"),
+    # (2n + 2) 2(1 + n(2d + 2))(2n + 1) for phibar, 3 n(2d + 3)^2 (2n + 1) for
+    # (D, N, M), (2n + 2) 6n(2d + 3)^2 (2n + 1) for phitilde and
+    # (2n + 4) 3(1 + n(2d + 2))(2n + 1) for the char-2 maps
+    (["families", "dump", "--family", "phibar", "--n", "1000", "--d", "1"],
+     "phibar(1000, 1) has up to 32056028004 exponent cells"),
+    (["families", "dump", "--family", "phibar", "--n", "100", "--d", "100"],
+     "phibar(100, 100) has up to 1640402004 exponent cells"),
+    (["families", "dump", "--family", "dnm", "--n", "1000", "--d", "1"],
+     "(D, N, M) of (1000, 1) has up to 150075000 exponent cells"),
+    (["families", "dump", "--family", "dnm", "--n", "100", "--d", "100"],
+     "(D, N, M) of (100, 100) has up to 2484902700 exponent cells"),
+    (["families", "dump", "--family", "phitilde", "--n", "1000", "--d", "1"],
+     "phitilde(1000, 1) has up to 600900300000 exponent cells"),
+    (["families", "dump", "--family", "phitilde", "--n", "100", "--d", "100"],
+     "phitilde(100, 100) has up"),
+    (["families", "dump", "--family", "char2", "--char", "2", "--n", "1000", "--d", "1"],
+     "the char-2 (P, Q, g) of (1000, 1) has up to 48132078012 exponent cells"),
+    (["families", "dump", "--family", "g", "--char", "4", "--n", "100", "--d", "100"],
+     "the char-2 (P, Q, g) of (100, 100) has up"),
+    # (n + 1)^2 3 (2n + 2), (n^2 + 1) 2 (2n + 1), (n^2 + n + 3) 3 (2n + 1)
+    # and (n^2 - n + 4) 2 (2n + 1) for the ideals Hpm, Zpm, T and U
+    (["families", "dump", "--family", "Hpm", "--n", "1000"],
+     "the ideal Hpm at n = 1000 has up to 6018018006 exponent cells"),
+    (["families", "dump", "--family", "Zpm", "--n", "1000", "--char", "7"],
+     "the ideal Zpm at n = 1000 has up to 4002004002 exponent cells"),
+    (["families", "dump", "--family", "T", "--n", "1000"],
+     "the ideal T at n = 1000 has up to 6009021009 exponent cells"),
+    (["families", "dump", "--family", "U", "--n", "1000"],
+     "the ideal U at n = 1000 has up to 3998014008 exponent cells"),
 ])
 def test_builds_past_the_memory_guard_exit_4(no_family_forms, capsys, argv, wording):
+    t0 = time.perf_counter()
     code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - t0 < 1
     assert code == 4 and out == ""
     assert f"budget exceeded: {wording}" in err and "memory guard of 134217728" in err
 
 
 @pytest.mark.parametrize("argv, formula, seconds", [
     # past the memory guard as systems, counted from their pair forms in
-    # about 17 ms, 0.1 s and 13 ms on a 2-core host
+    # about 17 ms, 0.1 s and 13 ms on a 2-core host; Y(2, 1) over F_1031,
+    # past q = 1024, in about 0.1 s on the block engine alone
     (["--family", "X", "--q", "101", "--n", "1000", "--d", "1000"], projective_size(101, 2000),
      1),
     (["--family", "Y", "--q", "101", "--n", "200", "--d", "200"], projective_size(101, 398), 2),
     (["--family", "Xdelta", "--q", "101", "--n", "100", "--d", "997", "--delta", "10"],
      projective_size(101, 200), 1),
+    (["--family", "Y", "--q", "1031", "--n", "2", "--d", "1"], 1063993, 2),
 ])
-def test_large_family_counts_answer_without_building(no_family_forms, capsys, argv, formula,
-                                                     seconds):
+def test_large_family_counts_answer_without_building(no_family_forms, monkeypatch, capsys,
+                                                     argv, formula, seconds):
+    from skewplanes import count as count_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned the family")
+    monkeypatch.setattr(count_module, "_scan", refuse)
+    monkeypatch.setattr(count_module, "count_system_chart", refuse)
     t0 = time.perf_counter()
     code, out, _ = run_cli(["count", *argv, "--format", "json"], capsys)
     assert time.perf_counter() - t0 < seconds

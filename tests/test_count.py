@@ -665,17 +665,27 @@ def test_proportional_rows_matches_pairwise_minors(q, k):
 def _pencil_blocks(polys, F):
     """(s, pencil, blocks, [(exps, coeffs, offsets) of each block]) for a
     system of forms of one degree, cut as `_count_blocks` cuts it, with the
-    pencil as `kernels.pencil_lines` gives it: its points, built here from
-    `enumerate_projective`, and the offsets of their rows of counts."""
+    points of the whole pencil, built here from `enumerate_projective`, as
+    `kernels._line_points` gives them."""
     _, _, (exps, coeffs, offsets), _, s = count_module._plan(polys, F)
     blocks = count_module._variable_blocks(exps)
     subs = [count_module._block_system(exps, coeffs, offsets, b) for b in blocks]
-    points = np.array([[F.element_index(c) for c in pt]
+    pencil = np.array([[F.element_index(c) for c in pt]
                        for pt in enumerate_projective(F, len(polys) - 1)], np.int64)
-    pencil = points, np.arange(len(points))[:, None] * (1 + s)
-    assert [a.tolist() for a in kernels.pencil_lines(F, len(polys), s)] == \
-        [a.tolist() for a in pencil]
+    r = len(polys)
+    assert kernels._line_points(F.q, r, 0, projective_size(F.q, r - 1)).tolist() == \
+        pencil.tolist()
     return s, pencil, blocks, subs
+
+
+def _block_histogram(F, exps, coeffs, offsets):
+    """The histogram over F_q^r (r forms) of the system's value vector at
+    every point of F_q^k, k = exps.shape[1]."""
+    q, k = F.q, exps.shape[1]
+    values = kernels.system_values(F, exps, coeffs, offsets,
+                                   kernels._affine_points(q, k, 0, q ** k))
+    return np.bincount(sum(v * q ** j for j, v in enumerate(values)),
+                       minlength=q ** (len(offsets) - 1))
 
 
 def _orbit_histograms(F, arrays, s, pieces, pencil):
@@ -687,7 +697,7 @@ def _orbit_histograms(F, arrays, s, pieces, pencil):
     cuts = [lines * i // pieces for i in range(pieces + 1)]
     return kernels.orbit_histogram(F, sum(
         kernels.line_orbit_counts(F, np.array(list(kernels.system_values(
-            F, *arrays, kernels._line_points(F.q, width, lo, hi)))), *pencil, s)
+            F, *arrays, kernels._line_points(F.q, width, lo, hi)))), pencil, s)
         for lo, hi in zip(cuts, cuts[1:])))
 
 
@@ -698,10 +708,10 @@ def _assert_orbit_histograms(polys, F):
     zero = MPoly.zero(polys[0].ctx, F)
     for block, arrays in zip(blocks, subs):
         batches = [_orbit_histograms(F, arrays, s, pieces, pencil) for pieces in (1, 3)]
-        for c, *rows in zip(pencil[0].tolist(), *batches):
+        for c, *rows in zip(pencil.tolist(), *batches):
             member = sum((f.scale(F.element_from_index(ci)) for f, ci in zip(polys, c)), zero)
             sub = count_module._block_system(*count_module._system_arrays([member], F), block)
-            full = kernels.block_histogram(F, *sub, 0, F.q ** len(block))
+            full = _block_histogram(F, *sub)
             assert [row.tolist() for row in rows] == [full.tolist()] * 2, c
 
 
@@ -740,8 +750,7 @@ def test_line_orbit_termless_block(q):
 def test_invariant_convolution_matches_convolve_histograms(q, d, n):
     F = field_create(*prime_power(q))
     s, _, _, blocks = _pencil_blocks([build_x(n, d, F)], F)
-    hists = [kernels.block_histogram(F, *arrays, 0, q ** arrays[0].shape[1])
-             for arrays in blocks]
+    hists = [_block_histogram(F, *arrays) for arrays in blocks]
     full, invariant = hists[0], hists[0][None]
     for hist in hists[1:]:
         full = kernels.convolve_histograms(F, full, hist)
@@ -850,15 +859,16 @@ def test_family_count_builds_nothing(no_family_builds, family, q, n, d, delta, e
 
 
 @pytest.mark.parametrize("q,d", [(1031, 3), (2048, 1)])
-def test_family_count_past_hist_max_scans_its_forms(monkeypatch, q, d):
-    # q^r past HIST_MAX (Y past q = 1024) scans Y's forms with every builder
-    # made to raise, as count_zeros scans the built (A, B)
+def test_family_count_past_q_1024_takes_the_blocks(monkeypatch, q, d):
+    # Y past q = 1024, where q^2 passes 2^20, counts on the block engine a
+    # chunk of its pencil at a time, with every builder made to raise, what
+    # the chart scan counts on the built (A, B)
     F = field_create(*prime_power(q))
-    built = count_zeros(list(build_ab(1, d, F)), F, with_engine=True)
+    scan = _chart_scan(list(build_ab(1, d, F)), F)
     _refuse_builds(monkeypatch)
     rep = count_family("Y", 1, d, F)
-    assert (rep.brute, rep.engine) == built and built[1] == "scan"
-    assert "engine=scan" in rep.line()
+    assert (rep.brute, rep.engine) == (scan, "blocks")
+    assert "engine=blocks" in rep.line()
 
 
 @pytest.mark.parametrize("q,k,zeros", [(13, 2, 3), (3, 3, 4)])
@@ -876,10 +886,41 @@ def test_custom_system_takes_blocks_only_when_cheaper_with_the_table(q, k, zeros
     assert count_zeros([f], F, budget=points) == zeros
 
 
-def test_family_count_scans_its_forms_past_a_lowered_cap(no_family_builds, monkeypatch):
-    monkeypatch.setattr(count_module, "HIST_MAX", 100)
-    rep = count_family("Y", 2, 1, field_create(11))
-    assert rep.brute == projective_size(11, 2) and rep.engine == "scan"
+def test_family_count_past_a_lowered_cap_names_the_memory_guard(no_family_builds,
+                                                                monkeypatch):
+    # q past HIST_MAX, the cells of one histogram row, is refused by name
+    # before any work: the first kernel call fails the test at once
+    def refuse(*args):
+        raise AssertionError("started counting")
+    monkeypatch.setattr(count_module, "line_orbit_counts", refuse)
+    monkeypatch.setattr(count_module, "HIST_MAX", 10)
+    with pytest.raises(BudgetExceeded, match="'blocks' on 2 pair blocks, the u0 block has "
+                                             "histogram rows of 11 cells, over its memory "
+                                             "guard of 10$"):
+        count_family("Y", 2, 1, field_create(11))
+
+
+def test_counts_match_across_chunk_boundaries(monkeypatch):
+    # with _BLOCK = 2, a chunk of pencil members holds max(1, 16 // q) rows
+    # and a chunk of lines 2 lines, so that both split, the last chunk
+    # short, on the families' grid and on custom systems
+    fields = [field_create(*prime_power(q)) for q in (4, 7, 8, 9)]
+    systems = [(F, polys) for F in fields for polys in _engine_systems(F)]
+    cases = [(family, field_create(*prime_power(q)), n, d, delta)
+             for family, q, n, d, delta in _pair_form_cases()]
+    want = [count_zeros(polys, F, with_engine=True) for F, polys in systems]
+    want_families = [count_family(family, n, d, F, delta=delta).brute
+                     for family, F, n, d, delta in cases]
+    assert ("blocks" in {engine for _, engine in want}
+            and {engine for _, engine in want} != {"blocks"})
+    for module in (kernels, count_module):
+        monkeypatch.setattr(module, "_BLOCK", 2)
+    pencils = _spy(monkeypatch, "line_orbit_counts")
+    assert [count_zeros(polys, F, with_engine=True) for F, polys in systems] == want
+    assert [count_family(family, n, d, F, delta=delta).brute
+            for family, F, n, d, delta in cases] == want_families
+    members = {len(pencil) for _, values, pencil, _ in pencils}
+    assert 1 in members and len(members) > 2
 
 
 @pytest.mark.parametrize("family,q,n,d", [("X", 1013, 40, 1), ("X", 101, 1000, 1000),

@@ -773,3 +773,42 @@ def test_family_builders_registry():
     expected = {"X", "AB", "phibar", "theta", "h", "cremona", "dnm",
                 "alphabeta", "phitilde", "SD", "cox"}
     assert expected <= set(FAMILY_BUILDERS)
+
+
+# ---------------------------------------------------------------------------
+# the builders' memory guard against what they build
+
+
+def _built_pieces(name, n, d):
+    """The polynomials the builder of `name` returns at (n, d)."""
+    if name == "phibar":
+        return list(build_phibar(n, d).components)
+    if name == "dnm":
+        return list(build_dnm(n, d))
+    if name == "phitilde":
+        return list(build_phitilde(n, d).components)
+    if name == "char2":
+        maps = build_char_two_maps(n, d, field_create(2))
+        return [maps["P"], maps["Q"], *maps["g"].components]
+    return list(build_ideal(n, d, name).gens)
+
+
+@pytest.mark.parametrize("name", ["phibar", "dnm", "phitilde", "char2", "Hpm", "Zpm", "T", "U"])
+def test_guard_bounds_the_built_pieces(monkeypatch, name):
+    # the guard's first charge, before any work, bounds the pieces built:
+    # no more of them than it counts, none with more terms, in its variables
+    from skewplanes import families
+
+    charged = []
+    real = families._guard_cells
+    monkeypatch.setattr(families, "_guard_cells",
+                        lambda *args: (charged.append(args), real(*args)))
+    for n in (1, 2, 3, 4):
+        for d in (0, 1, 2, 3, 5):
+            charged.clear()
+            pieces = _built_pieces(name, n, d)
+            _, count, terms, nvars = charged[0]
+            assert len(pieces) <= count and max(len(p.terms) for p in pieces) <= terms
+            assert {p.ctx.nvars for p in pieces} == {nvars}, (name, n, d)
+            if name in ("Hpm", "Zpm", "T", "U"):
+                assert len(pieces) == count, (name, n)
