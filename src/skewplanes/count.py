@@ -14,10 +14,11 @@ nonzero coordinate is 1) in order.
 The families X, Xdelta and Y are counted from their forms on the block
 engine (`count_family`), with no polynomial built: each is a sum of one
 two-variable form over its pairs, plus a u0 block for Y, so its classes
-are the pair form on the q + 1 points of P^1 and u0.  A custom system goes
-to `count_zeros`, which flattens it and sorts its blocks into classes; the
-block engine runs when there are two blocks or more and it costs less than
-the scan, each with the table it reads (`_plan`).
+are the pair form on the q + 1 points of P^1 and u0.  A custom system over
+Q or F_q goes to `count_zeros`, which reduces it into F_q (`reduce_poly`),
+flattens it and sorts its blocks into classes; the block engine runs when
+there are two blocks or more and it costs less than the scan, each with the
+table it reads (`_plan`).
 
 The zeros of Y = {A = B = 0} as points come by rank, with no scan, from the
 histogram of its pair block on the chart u0 = 1 (`YChartZeros`): `verify`
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domains import QQ, QQXI, exp_log_cells, prime_power, sqrt_of_minus_three
+from .domains import QQ, exp_log_cells, prime_power, sqrt_of_minus_three
 from .families import ab_form, u_context, x_d_delta_degree, x_form
 from .kernels import (
     _BLOCK,
@@ -63,12 +64,6 @@ def projective_size(q, N):
     return (q ** (N + 1) - 1) // (q - 1)
 
 
-def charge_projective(q, N, budget):
-    """Raise BudgetExceeded when P^N(F_q) has more than `budget` points."""
-    if projective_size(q, N) > budget:
-        raise BudgetExceeded(f"|P^{N}(F_{q})| exceeds budget {abbreviate(budget)}")
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -77,7 +72,8 @@ def enumerate_projective(F, N, budget=DEFAULT_BUDGET):
     """Normalized points of P^N(F_q): charts by first-nonzero index ascending,
     remaining coordinates in field-element order, last coordinate fastest."""
     q = F.q
-    charge_projective(q, N, budget)
+    if projective_size(q, N) > budget:
+        raise BudgetExceeded(f"|P^{N}(F_{q})| exceeds budget {abbreviate(budget)}")
     for chart in range(N + 1):
         nfree = N - chart
         prefix = (F.zero,) * chart + (F.one,)
@@ -91,16 +87,11 @@ def enumerate_projective(F, N, budget=DEFAULT_BUDGET):
 
 
 def reduce_poly(f, F):
-    """Reduce a polynomial over Q, Q(xi), or F itself into F."""
+    """Reduce a polynomial over Q, or F itself, into F."""
     if f.dom is F:
         return f
     if f.dom is QQ:
         return f.map_domain(F, F.reduce_rational)
-    if f.dom is QQXI:
-        xi = sqrt_of_minus_three(F)
-        if xi is None:
-            raise ValueError(f"coefficients need xi but -3 is not a square in {F.name}")
-        return f.map_domain(F, lambda a: F.reduce_quadext(a, xi))
     raise ValueError(f"cannot reduce coefficients from {f.dom.name} into {F.name}")
 
 
@@ -441,7 +432,7 @@ def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
     brute = _count_blocks(F, classes, nvars, form.r, s)
     return CountReport(
         family=family, params=form.params,
-        field_spec=F.spec.as_dict(),
+        field_spec={"p": F.p, "m": F.m, "q": q},
         brute=brute, formula=form.formula,
         match=None if form.formula is None else brute == form.formula,
         formula_alt=form.formula_alt, engine="blocks",
@@ -453,7 +444,7 @@ def count_custom(polys, F, budget=DEFAULT_BUDGET):
     brute, engine = count_zeros(polys, F, budget=budget, with_engine=True)
     return CountReport(
         family="custom", params={"polys": len(polys)},
-        field_spec=F.spec.as_dict(),
+        field_spec={"p": F.p, "m": F.m, "q": F.q},
         brute=brute, formula=None, match=None, engine=engine,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
@@ -610,7 +601,7 @@ def count_y0_structure(d, F, budget=DEFAULT_BUDGET):
     weighted = sum(m["multiplicity"] for m in mults) + simple
     return {
         "d": d,
-        "field": F.spec.as_dict(),
+        "field": {"p": F.p, "m": F.m, "q": q},
         "multiple_points": [{"point": [F.fmt(c) for c in pt], "multiplicity": m["multiplicity"],
                              "orders": m["orders"]} for pt, m in zip(points, mults)],
         "expected_multiplicity": 2 * d * d + d,

@@ -7,6 +7,8 @@ otherwise, a Q(xi) payload is a pair of such rationals, and finite fields use
 ints / int tuples.  Every operation returns this canonical form, so integral
 work (nearly all of it here) runs on Python ints, and none returns a float.
 Polynomials carry a domain reference and delegate all coefficient work here.
+Only rationals reduce into a finite field (`FiniteField.reduce_rational`):
+Q(xi) is needed only for exact work on the conjugate planes, in char 0.
 For the polynomial product kernel a domain also lifts payloads to values over
 a common scale (integer numerators over Q and Q(xi)) and lowers them back.
 
@@ -18,9 +20,8 @@ Only the count kernels read a field's exp/log table (`index_exp_log`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import index
 
 import numpy as np
@@ -214,9 +215,6 @@ class QuadExt(Domain):
             return v
         return (_ratio(v[0], scale), _ratio(v[1], scale))
 
-    def conj(self, a):
-        return (a[0], -a[1])
-
     def fmt(self, a):
         re, im = a
         if im == 0:
@@ -338,19 +336,6 @@ def smallest_irreducible(p, m):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    p: int
-    m: int
-
-    @property
-    def q(self):
-        return self.p**self.m
-
-    def as_dict(self):
-        return {"p": self.p, "m": self.m, "q": self.q}
-
-
 _MAX_Q = 1 << 31
 
 
@@ -383,7 +368,6 @@ class FiniteField(Domain):
         self.m = m
         self.q = p**m
         self.char = p
-        self.spec = FieldSpec(p, m)
         if m == 1:
             self.modulus = None
             self.zero = 0
@@ -464,17 +448,6 @@ class FiniteField(Domain):
             raise ZeroDivisionError(
                 f"denominator {r.denominator} not invertible mod {self.p}")
         return self.mul(self.from_int(r.numerator), self.inv(self.from_int(r.denominator)))
-
-    def reduce_quadext(self, a, xi_image=None):
-        """Image of re + im*xi, sending xi to a chosen root of x^2 + 3."""
-        re, im = a
-        if im == 0:
-            return self.reduce_rational(re)
-        if xi_image is None:
-            xi_image = sqrt_of_minus_three(self)
-            if xi_image is None:
-                raise ValueError(f"-3 is not a square in {self.name}")
-        return self.add(self.reduce_rational(re), self.mul(self.reduce_rational(im), xi_image))
 
     def __repr__(self):
         return self.name

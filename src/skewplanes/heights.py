@@ -50,11 +50,6 @@ def reduced_representative(coords):
     return tuple(v // g for v in ints)
 
 
-def height_of(coords):
-    """max |coordinate| of the reduced representative."""
-    return max(abs(v) for v in reduced_representative(coords))
-
-
 def integer_root(B, k):
     """Largest t >= 0 with t^k <= B, by Newton's method in integers from
     2^ceil(bits(B)/k), which is above the root."""

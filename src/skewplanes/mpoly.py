@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over an exact coefficient domain.
 
-Terms live in a dict mapping exponent tuples to nonzero coefficient payloads;
-the variable set is fixed by a VarContext.  Printing and leading-term
-selection use graded lexicographic order, so every textual dump is
-deterministic.
+Terms live in a dict mapping exponent tuples to nonzero coefficient payloads,
+one entry per monomial, so polynomials are equal when their dicts are; the
+variable set is fixed by a VarContext.  An operation that sends two terms to
+one monomial (a sum, `homogenize`, a substitution) adds them and drops a zero
+sum.  Printing and leading-term selection use graded lexicographic order, so
+every textual dump is deterministic.
 
 Products and substitutions run in one packed-monomial kernel (Johnson 1974;
 Monagan-Pearce 2011): each exponent tuple is packed into one int, exponent i
@@ -306,26 +308,16 @@ class MPoly:
     # -- calculus / substitution ----------------------------------------------
 
     def partial(self, name):
-        """Formal partial derivative (characteristic-p coefficient kills apply)."""
+        """Formal partial derivative.  Terms with e_i > 0 have distinct
+        derivatives, so none merge; a coefficient e_i c may vanish mod p."""
         i = self.ctx.index[name]
         dom = self.dom
         out = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            nc = dom.mul(c, dom.from_int(e[i]))
-            if dom.is_zero(nc):
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            prev = out.get(ne)
-            if prev is None:
-                out[ne] = nc
-            else:
-                s = dom.add(prev, nc)
-                if dom.is_zero(s):
-                    del out[ne]
-                else:
-                    out[ne] = s
+            if e[i]:
+                nc = dom.mul(c, dom.from_int(e[i]))
+                if not dom.is_zero(nc):
+                    out[e[:i] + (e[i] - 1,) + e[i + 1:]] = nc
         return MPoly(self.ctx, dom, out)
 
     def substitute(self, mapping):
@@ -412,8 +404,9 @@ class MPoly:
 
     def homogenize(self, name, target=None):
         """Raise every term to total degree `target` (default: current max)
-        using the existing variable `name`."""
-        i = self.ctx.index[name]
+        using the existing variable `name`.  Terms that land on one monomial,
+        as x^2 and x*x do for x^2 + x, are added."""
+        i, dom = self.ctx.index[name], self.dom
         if target is None:
             target = self.total_degree() or 0
         out = {}
@@ -422,8 +415,8 @@ class MPoly:
             if t > target:
                 raise ValueError("degree above homogenization target")
             ne = e[:i] + (e[i] + target - t,) + e[i + 1:]
-            out[ne] = c
-        return MPoly(self.ctx, self.dom, out)
+            out[ne] = dom.add(out[ne], c) if ne in out else c
+        return MPoly(self.ctx, dom, {e: c for e, c in out.items() if not dom.is_zero(c)})
 
     def map_domain(self, new_dom, conv):
         """Convert coefficients with `conv`, dropping those that map to zero."""

@@ -8,8 +8,8 @@ nothing here is tolerance-based.  The singular locus is checked exactly over
 Q(xi), one plane at a time, by substitution.  Sampled checks run over F_q
 only: they draw from seeded generators, are bit-reproducible for a fixed
 seed, and evaluate all their samples at once: the roundtrips' forms on
-`kernels.FieldArray`s, the singular locus's partials by
-`kernels.system_values`.  Its generic points are drawn by rank and
+`kernels.FieldArray`s, the singular locus's partials over Q, reduced into
+F_q, by `kernels.system_values`.  Its generic points are drawn by rank and
 unranked from the histogram of Y's pair block (`count.YChartZeros`), in
 the order of a full scan, so no scan runs.
 """
@@ -220,6 +220,9 @@ def verify_composition(f, g, modulo=None):
     return _done("composition", params, None, t0)
 
 
+ROUNDTRIP_TRIALS = 100
+
+
 def _sample_point(rng, q, nvars):
     """Element indices of a random nonzero vector of F_q^nvars."""
     while True:
@@ -239,14 +242,15 @@ def _element_strs(F, row):
     return [str(F.element_from_index(i)) for i in row.tolist()]
 
 
-def verify_composition_numeric(f, g, F, nvars, trials=100, seed=42):
-    """Sample points of F_q^nvars, push them through g∘f, and require
-    projective equality with the input.  f and g are (name, form) pairs,
+def verify_composition_numeric(f, g, F, nvars, seed=42):
+    """Sample ROUNDTRIP_TRIALS points of F_q^nvars, push them through g∘f,
+    and require projective equality with the input.  f and g are (name, form) pairs,
     each form applied once to all samples as `kernels.FieldArray` columns.
     Samples before the first failing one where either map vanishes entirely
     are skipped and tallied; all samples degenerating is a failure."""
     t0 = time.perf_counter()
     (fname, f), (gname, g) = f, g
+    trials = ROUNDTRIP_TRIALS
     params = {"f": fname, "g": gname, "field": F.name,
               "trials": trials, "seed": seed}
     rng = random.Random(seed)
@@ -315,7 +319,8 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
     of Y with u0 = 1 over a prime field where xi exists and differs from
     -xi: `samples` of them, drawn by rank in the order of a full scan, are
     unranked from the histogram of Y's pair block (`count.YChartZeros`), and
-    their minors are evaluated there through the kernels' evaluator.  Before
+    their minors are evaluated there through the kernels' evaluator, on the
+    partials over Q (only the planes need xi).  Before
     any other work, `budget` is charged the sampler's pair points and cells
     (`YChartZeros.cost`), and on every plane each term of each
     partial (the substitution) and |dA_i||dB_j| + |dA_j||dB_i| coefficient
@@ -348,8 +353,8 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
             f"{abbreviate(products + cells)}, over budget {abbreviate(budget)}")
     params = {"n": n, "d": d, "samples": samples, "seed": seed,
               "generic_field": generic_field}
-    pa, pb = ([P.partial(nm).map_domain(QQXI, QQXI.from_rational) for nm in A.ctx.names]
-              for P in (A, B))
+    qa, qb = ([P.partial(nm) for nm in A.ctx.names] for P in (A, B))
+    pa, pb = ([p.map_domain(QQXI, QQXI.from_rational) for p in partials] for partials in (qa, qb))
     planes = [(s,) * n for s in (1, -1)] if d == 1 else product((1, -1), repeat=n)
     for signs in planes:
         minor = _plane_minor(pa, pb, signs)
@@ -362,7 +367,7 @@ def verify_singular_locus(n, d, samples=50, seed=0, generic_field=13, budget=DEF
         witness = {"reason": f"only {generic.pool} generic points available"}
         return _done("singular_locus", params, witness, t0)
     pts = generic.unrank(_sample_ranks(random.Random(seed), generic.pool, samples))
-    flat = proportional_rows(F, _values(pa, F, pts), _values(pb, F, pts))
+    flat = proportional_rows(F, _values(qa, F, pts), _values(qb, F, pts))
     if flat.any():
         witness = {"reason": "all minors vanish at a generic point of Y",
                    "point": _element_strs(F, pts[int(np.argmax(flat))])}
@@ -494,9 +499,6 @@ def _h_theta(n):
     return RationalMap("h.theta", h_form(theta_form(_vars(x_context(n), QQ))))
 
 
-ROUNDTRIP_TRIALS = 100
-
-
 def _roundtrip_cost(n, d):
     """(cost, wording) of either roundtrip: its samples times a bound on its
     forms' field operations on arrays.  Per pair of u they take at most 40
@@ -513,14 +515,13 @@ def _composition_roundtrip(n, d, seed, budget):
     half = (F.p + 1) // 2  # 1/2 in F_p
     return verify_composition_numeric(
         ("phibar", lambda u: phibar_form(u, d, lambda v: v * half)),
-        ("h.theta", lambda x: h_form(theta_form(x))), F, 2 * n + 1,
-        trials=ROUNDTRIP_TRIALS, seed=seed)
+        ("h.theta", lambda x: h_form(theta_form(x))), F, 2 * n + 1, seed=seed)
 
 
 def _composition_roundtrip_char2(n, d, seed, budget):
     return verify_composition_numeric(("g", lambda u: char_two_form(u, d)[2]),
                                       ("theta", theta_form), field_create(2, 5), 2 * n + 1,
-                                      trials=ROUNDTRIP_TRIALS, seed=seed)
+                                      seed=seed)
 
 
 class Check(NamedTuple):

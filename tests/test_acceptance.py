@@ -166,12 +166,11 @@ def test_c06_composition_roundtrips():
     phibar = ("phibar", lambda u: phibar_form(u, 1, lambda v: v * half))
     h_theta = ("h.theta", lambda x: h_form(theta_form(x)))
     F1009 = field_create(1009)
-    r3 = verify_composition_numeric(phibar, h_theta, F1009, 3, trials=100, seed=42)
-    r3b = verify_composition_numeric(phibar, h_theta, F1009, 3, trials=100, seed=42)
+    r3 = verify_composition_numeric(phibar, h_theta, F1009, 3, seed=42)
+    r3b = verify_composition_numeric(phibar, h_theta, F1009, 3, seed=42)
     deterministic = strip_timing(r3.as_dict()) == strip_timing(r3b.as_dict())
     r4 = verify_composition_numeric(("g", lambda u: char_two_form(u, 1)[2]),
-                                    ("theta", theta_form), field_create(2, 5), 3,
-                                    trials=100, seed=42)
+                                    ("theta", theta_form), field_create(2, 5), 3, seed=42)
     ok = (r1.passed and r2.passed and r3.passed and r4.passed
           and r3.params["skips"] < 10 and r4.params["skips"] < 10
           and deterministic)

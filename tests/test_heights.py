@@ -16,7 +16,6 @@ from skewplanes.heights import (
     _refuse_direct_scan,
     _refuse_parametrized_pass,
     direct_height_count,
-    height_of,
     height_report,
     height_scan,
     integer_root,
@@ -46,12 +45,6 @@ def test_reduced_representative_examples():
         (Fraction(1, 2), Fraction(1, 3), Fraction(1))
     ) == (3, 2, 6)
     assert reduced_representative((Fraction(1), Fraction(0), Fraction(0))) == (1, 0, 0)
-
-
-def test_height_of_examples():
-    assert height_of((Fraction(2), Fraction(-4), Fraction(6))) == 3
-    assert height_of((Fraction(1), Fraction(0), Fraction(0), Fraction(0))) == 1
-    assert height_of((Fraction(1, 2), Fraction(1, 3), Fraction(1))) == 6
 
 
 def test_reduced_representative_sign_normalization():

@@ -339,6 +339,15 @@ def test_homogenize_example():
     assert g.is_homogeneous() and g.total_degree() == 2
 
 
+def test_homogenize_adds_terms_that_meet():
+    # x^2 and x * x land on one monomial, as do x^2 and -(x * x)
+    x = MPoly.variable(XYZ, QQ, "x")
+    y = MPoly.variable(XYZ, QQ, "y")
+    assert (x ** 2 + x + y).homogenize("x", 2) == 2 * x ** 2 + x * y
+    assert (x ** 2 - x + y).homogenize("x", 2) == x * y
+    assert (x - 1).homogenize("x", 1).is_zero()
+
+
 def test_homogenize_target_too_small():
     y = MPoly.variable(XYZ, QQ, "y")
     f = y**3

@@ -257,23 +257,24 @@ def _phibar_then(g, n, d, q):
 
 
 def test_composition_numeric_roundtrip():
-    r = verify_composition_numeric(*_phibar_then(H_THETA, 1, 1, 1009), trials=100, seed=42)
+    r = verify_composition_numeric(*_phibar_then(H_THETA, 1, 1, 1009), seed=42)
     assert r.passed
     assert r.params["skips"] < 10
     # determinism: identical seeds give identical reports modulo timing
-    r2 = verify_composition_numeric(*_phibar_then(H_THETA, 1, 1, 1009), trials=100, seed=42)
+    r2 = verify_composition_numeric(*_phibar_then(H_THETA, 1, 1, 1009), seed=42)
     assert strip_timing(r.as_dict()) == strip_timing(r2.as_dict())
 
 
 def test_composition_numeric_char_two():
     r = verify_composition_numeric(("g", lambda u: char_two_form(u, 1)[2]), THETA,
-                                   field_create(2, 5), 3, trials=100, seed=42)
+                                   field_create(2, 5), 3, seed=42)
     assert r.passed
     assert r.params["skips"] < 10
 
 
 # outputs of the per-point evaluator the array evaluator replaced:
-# (maps, trials, seed, passed, skips, checked, witness)
+# (maps, trials, seed, passed, skips, checked, witness), the trials set as
+# ROUNDTRIP_TRIALS
 PINNED_NUMERIC = {
     "phibar-theta-F1009": (
         lambda: _phibar_then(THETA, 1, 1, 1009), 100, 3,
@@ -296,9 +297,11 @@ PINNED_NUMERIC = {
 
 
 @pytest.mark.parametrize("case", PINNED_NUMERIC)
-def test_composition_numeric_pinned(case):
+def test_composition_numeric_pinned(monkeypatch, case):
     maps, trials, seed, passed, skips, checked, witness = PINNED_NUMERIC[case]
-    r = verify_composition_numeric(*maps(), trials=trials, seed=seed)
+    monkeypatch.setattr(verify_mod, "ROUNDTRIP_TRIALS", trials)
+    r = verify_composition_numeric(*maps(), seed=seed)
+    assert r.params["trials"] == trials
     assert r.passed is passed
     assert r.params["skips"] == skips
     assert r.params.get("checked") == checked
@@ -438,6 +441,20 @@ def test_singular_locus_witness_is_the_scan_samples_point(monkeypatch):
         point = random.Random(seed).sample(pool, 50)[2]
         assert r.witness == {"reason": "all minors vanish at a generic point of Y",
                              "point": [str(c) for c in point]}
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 1)])
+def test_singular_locus_samples_the_rational_partials(monkeypatch, n, d):
+    # the generic points are read on the partials over Q; only the planes
+    # need xi
+    domains = []
+
+    def spy(polys, F):
+        domains.extend(p.dom for p in polys)
+        return count_mod._system_arrays(polys, F)
+    monkeypatch.setattr(verify_mod, "_system_arrays", spy)
+    assert verify_singular_locus(n, d).passed
+    assert len(domains) == 2 * (2 * n + 1) and all(dom is QQ for dom in domains)
 
 
 def _distinct_draws(seed, pool, k):
