@@ -8,15 +8,15 @@ variables that share no monomial: each class of blocks alike is evaluated
 at one point per line, binned by `line_orbit_counts`, and its histogram
 raised to the class size by squaring and read at 0 (`_cone_count`).  It
 costs `_block_cost`, and refuses q past HIST_MAX.  The chart scan
-(`_scan`), its oracle, walks affine charts (points normalized so the first
-nonzero coordinate is 1) in order.
+(`_scan`), its oracle, walks the normalized points (first nonzero
+coordinate 1) in order.
 
 The families X, Xdelta and Y are counted from their forms on the block
 engine (`count_family`), with no polynomial built: each is a sum of one
 two-variable form over its pairs, plus a u0 block for Y, so its classes
 are the pair form on the q + 1 points of P^1 and u0.  A custom system over
 Q or F_q goes to `count_zeros`, which reduces it into F_q (`reduce_poly`),
-flattens it and sorts its blocks into classes; the block engine runs when
+as term lists, and sorts its blocks into classes; the block engine runs when
 there are two blocks or more and it costs less than the scan, each with the
 table it reads (`_plan`).
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import time
+from itertools import compress
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -88,34 +89,18 @@ def enumerate_projective(F, N, budget=DEFAULT_BUDGET):
 
 def reduce_poly(f, F):
     """Reduce a polynomial over Q, or F itself, into F."""
-    if f.dom is F:
+    if f.dom == F:
         return f
-    if f.dom is QQ:
+    if f.dom == QQ:
         return f.map_domain(F, F.reduce_rational)
     raise ValueError(f"cannot reduce coefficients from {f.dom.name} into {F.name}")
 
 
-def _system_arrays(polys, F):
-    """Reduce polynomials into F (see `reduce_poly`) and flatten them into
-    (exps, coeffs, offsets) index arrays."""
-    nvars = polys[0].ctx.nvars
-    exps_rows = []
-    coeff_rows = []
-    offsets = [0]
-    for f in polys:
-        for e, c in sorted(reduce_poly(f, F).terms.items()):
-            exps_rows.append(e)
-            coeff_rows.append(F.element_index(c))
-        offsets.append(len(exps_rows))
-    exps = np.array(exps_rows, np.int64).reshape(len(exps_rows), nvars)
-    coeffs = np.array(coeff_rows, np.int64)
-    return exps, coeffs, np.array(offsets, np.int64)
-
-
-def _variable_blocks(exps):
+def _variable_blocks(systems, nvars):
     """Connected components of the graph joining two variables when they
-    share a monomial, each a sorted list, ordered by smallest variable."""
-    parent = list(range(exps.shape[1]))
+    share a monomial of a term list in `systems`, each a sorted list,
+    ordered by smallest variable."""
+    parent = list(range(nvars))
 
     def root(v):
         while parent[v] != v:
@@ -123,25 +108,26 @@ def _variable_blocks(exps):
             v = parent[v]
         return v
 
-    for row in exps:
-        support = np.flatnonzero(row)
-        for v in support[1:]:
-            parent[root(int(v))] = root(int(support[0]))
+    for terms in systems:
+        for exps, _ in terms:
+            support = list(compress(range(nvars), exps))
+            for v in support[1:]:
+                parent[root(v)] = root(support[0])
     blocks = {}
-    for v in range(len(parent)):
+    for v in range(nvars):
         blocks.setdefault(root(v), []).append(v)
     return sorted(blocks.values())
 
 
 def _plan(polys, F):
-    """Check and flatten a custom homogeneous system, then choose its engine.
+    """Check and reduce a custom homogeneous system, then choose its engine.
 
-    Returns (engine, cost, arrays, classes, s): arrays = (exps, coeffs,
-    offsets), classes the block classes (`_block_classes`) when the block
-    engine runs, else None, and s = gcd(e, q - 1) when every nonzero form
-    has degree e, else None.  The block engine costs `_block_cost` and runs
-    when that and its `_table_cells` are less than the chart scan's
-    |P^(nvars-1)(F_q)| points and its `_table_cells`.  One
+    Returns (engine, cost, systems, classes, s): systems the polynomials'
+    term lists over F, classes the block classes (`_block_classes`) when
+    the block engine runs, else None, and s = gcd(e, q - 1) when every
+    nonzero form has degree e, else None.  The block engine costs
+    `_block_cost` and runs when that and its `_table_cells` are less than
+    the chart scan's |P^(nvars-1)(F_q)| points and its `_table_cells`.  One
     block, forms of several degrees, q > HIST_MAX or a constant term (which
     leaves the origin off the cone) send a system to the scan."""
     polys = list(polys)
@@ -153,40 +139,40 @@ def _plan(polys, F):
             raise ValueError("system polynomials in mixed contexts")
         if not f.is_zero() and not f.is_homogeneous():
             raise ValueError("system polynomials must be homogeneous")
-    q, r = F.q, len(polys)
-    exps, coeffs, offsets = arrays = _system_arrays(polys, F)
-    blocks = _variable_blocks(exps)
-    # Python ints, as exponents may reach 2^63; zero forms alone take e = 1
-    degrees = {sum(map(int, exps[lo])) for lo, hi in zip(offsets, offsets[1:]) if lo < hi} or {1}
+    q, r, nvars = F.q, len(polys), ctx.nvars
+    systems = [list(reduce_poly(f, F).terms.items()) for f in polys]
+    # zero forms alone take e = 1
+    degrees = {sum(terms[0][0]) for terms in systems if terms} or {1}
     s = gcd(min(degrees), q - 1) if len(degrees) == 1 else None
-    scan_cost = projective_size(q, ctx.nvars - 1)
-    if len(blocks) >= 2 and s is not None and q <= HIST_MAX and exps.any(axis=1).all():
-        classes = _block_classes(F, *arrays, blocks)
-        cost = _block_cost(q, r, s, [(width, k) for _, width, k in classes], ctx.nvars)
-        if cost + _table_cells(F, "blocks") < scan_cost + _table_cells(F, "scan"):
-            return "blocks", cost, arrays, classes, s
-    return "scan", scan_cost, arrays, None, s
+    scan_cost = projective_size(q, nvars - 1)
+    if s is not None and q <= HIST_MAX and all(any(e) for terms in systems for e, _ in terms):
+        blocks = _variable_blocks(systems, nvars)
+        if len(blocks) >= 2:
+            classes = _block_classes(F, systems, blocks)
+            cost = _block_cost(q, r, s, [(width, k) for _, width, k in classes], nvars)
+            if cost + _table_cells(F, "blocks") < scan_cost + _table_cells(F, "scan"):
+                return "blocks", cost, systems, classes, s
+    return "scan", scan_cost, systems, None, s
 
 
-def _block_system(exps, coeffs, offsets, block):
-    """(exps, coeffs, offsets) of the system's terms in the block's
-    variables, restricted to its columns."""
-    cols = exps[:, block]
-    rows = np.flatnonzero(cols.any(axis=1))
-    return cols[rows], coeffs[rows], np.searchsorted(rows, offsets)
-
-
-def _block_classes(F, exps, coeffs, offsets, blocks):
+def _block_classes(F, systems, blocks):
     """The classes (values, width, k) of `_count_blocks`: the distinct
-    restricted systems of the blocks (see `_block_system`), in order of
-    first appearance, each evaluated by `system_values`, with the number k
-    of blocks alike."""
-    systems = {}
-    for block in blocks:
-        system = _block_system(exps, coeffs, offsets, block)
-        systems.setdefault(tuple((a.shape, a.tobytes()) for a in system), [system, 0])[1] += 1
-    return [(functools.partial(system_values, F, *system), system[0].shape[1], k)
-            for system, k in systems.values()]
+    systems of the blocks, each the term lists restricted to the block's
+    variables, in order of first appearance, each evaluated by
+    `system_values`, with the number k of blocks alike.  Every term is
+    filed under the block of its first variable."""
+    owner = {v: i for i, block in enumerate(blocks) for v in block}
+    cut = [[[] for _ in systems] for _ in blocks]
+    for i, terms in enumerate(systems):
+        for exps, c in terms:
+            b = owner[next(compress(range(len(exps)), exps))]
+            cut[b][i].append((tuple(exps[v] for v in blocks[b]), c))
+    classes = {}
+    for block, system in zip(blocks, cut):
+        key = len(block), tuple(tuple(sorted(terms)) for terms in system)
+        classes.setdefault(key, [system, len(block), 0])[2] += 1
+    return [(functools.partial(system_values, F, system), width, k)
+            for system, width, k in classes.values()]
 
 
 def _count_blocks(F, classes, nvars, r, s):
@@ -311,11 +297,10 @@ def _charge(F, engine, cost, what, budget):
 
 def _scan(F, values, nvars, budget):
     """The chart scan, charged |P^(nvars-1)(F_q)| points: the common zeros
-    of the forms `values` gives (see `count_system_chart`), chart by chart."""
-    q = F.q
-    _charge(F, "scan", projective_size(q, nvars - 1), f"P^{nvars - 1}(F_{q})", budget)
-    return sum(count_system_chart(F, values, nvars, chart, 0, q ** (nvars - 1 - chart))
-               for chart in range(nvars))
+    of the forms `values` gives (see `count_system_chart`)."""
+    size = projective_size(F.q, nvars - 1)
+    _charge(F, "scan", size, f"P^{nvars - 1}(F_{F.q})", budget)
+    return count_system_chart(F, values, nvars, 0, size)
 
 
 def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
@@ -323,13 +308,14 @@ def count_zeros(polys, F, budget=DEFAULT_BUDGET, with_engine=False):
     vanishes, by the engine `_plan` chooses.  `budget` caps its work (see
     `_charge`).  With `with_engine`, returns (count, engine name), so a
     report names its engine without a second plan."""
-    engine, cost, arrays, classes, s = _plan(polys, F)
-    nvars = arrays[0].shape[1]
+    polys = list(polys)
+    engine, cost, systems, classes, s = _plan(polys, F)
+    nvars = polys[0].ctx.nvars
     if engine == "blocks":
         _charge(F, engine, cost, f"{sum(k for *_, k in classes)} variable blocks", budget)
-        total = _count_blocks(F, classes, nvars, len(arrays[2]) - 1, s)
+        total = _count_blocks(F, classes, nvars, len(systems), s)
     else:
-        total = _scan(F, functools.partial(system_values, F, *arrays), nvars, budget)
+        total = _scan(F, functools.partial(system_values, F, systems), nvars, budget)
     return (total, engine) if with_engine else total
 
 

@@ -356,7 +356,7 @@ def prime_power(q):
 class FiniteField(Domain):
     """F_{p^m}.  Payloads: int residues when m == 1, little-endian int tuples
     of length m otherwise.  The modulus is the deterministic choice from
-    `smallest_irreducible`, so two fields with equal (p, m) are interchangeable.
+    `smallest_irreducible`, so two fields with equal (p, m) are equal.
     """
 
     def __init__(self, p, m=1):
@@ -451,6 +451,12 @@ class FiniteField(Domain):
 
     def __repr__(self):
         return self.name
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteField) and (self.p, self.m) == (other.p, other.m)
+
+    def __hash__(self):
+        return hash((self.p, self.m))
 
 
 def field_create(p, m=1):

@@ -2,14 +2,12 @@
 sampled verification over finite fields, and the tests' bounded-height scan
 oracle.
 
-Polynomial systems arrive as flat arrays: `exps` (terms x vars exponent
-matrix), `coeffs` (field-element indices), `offsets` (term ranges per
-polynomial).  Field elements are element indices; a vector over F_q is
-encoded as the base-q number of its entries, the first entry in the lowest
-place.  Points are decoded from linear indices, and each kernel walks one
-index range [start, stop); the counts or histograms of disjoint ranges add.
-The count engines take forms as values(pts), on at most `_BLOCK` points at
-a time: `system_values` on a flattened system, or the family forms on
+Field elements are element indices; a vector over F_q is encoded as the
+base-q number of its entries, the first entry in the lowest place.  Points
+are decoded from linear indices, and each kernel walks one index range
+[start, stop); the counts or histograms of disjoint ranges add.  The count
+engines take forms as values(pts), on at most `_BLOCK` points at a time:
+`system_values` on a system's term lists, or the family forms, both on
 `FieldArray` columns, as in `verify`'s roundtrips and `count.YChartZeros`.
 Value rows are compared by `proportional_rows`.
 
@@ -90,29 +88,19 @@ def _affine_points(q, width, start, stop):
     return pts
 
 
-def _chart_points(q, nvars, chart, start, stop):
-    """Normalized points of P^{nvars-1} whose first nonzero coordinate (equal
-    to 1) is at `chart`, with linear indices in [start, stop)."""
-    pts = np.zeros((stop - start, nvars), np.int64)
-    pts[:, chart] = 1
-    pts[:, chart + 1:] = _affine_points(q, nvars - 1 - chart, start, stop)
-    return pts
-
-
-def system_values(F, exps, coeffs, offsets, pts):
-    """Values of each polynomial of the flattened system at the rows of
-    `pts` (one column per column of `exps`), yielded one polynomial at a
-    time so that callers can stop early."""
-    add, mul = field_tables(F)
-    size = len(pts)
-    for i in range(len(offsets) - 1):
-        acc = np.zeros(size, np.int64)
-        for t in range(offsets[i], offsets[i + 1]):
-            term = np.full(size, coeffs[t], np.int64)
-            for v in np.flatnonzero(exps[t]):
-                term = mul(term, power(pts[:, v], int(exps[t, v]), mul))
-            acc = add(acc, term)
-        yield acc
+def _line_points(q, k, start, stop):
+    """Normalized points of P^{k-1}(F_q) (first nonzero coordinate 1) with
+    line indices in [start, stop): by the place of that 1 ascending, then
+    by the following coordinates, the last fastest."""
+    parts = []
+    for chart in range(k):
+        first, size = (q ** k - q ** (k - chart)) // (q - 1), q ** (k - 1 - chart)
+        lo = min(max(start - first, 0), size)
+        pts = np.zeros((max(lo, min(stop - first, size)) - lo, k), np.int64)
+        pts[:, chart] = 1
+        pts[:, chart + 1:] = _affine_points(q, k - 1 - chart, lo, lo + len(pts))
+        parts.append(pts)
+    return np.concatenate(parts)
 
 
 def proportional_rows(F, a, b):
@@ -168,12 +156,32 @@ class FieldArray:
                           self.ops)
 
 
-def count_system_chart(F, values, nvars, chart, start, stop):
-    """Common zeros in one chart's linear-index range of P^(nvars-1) of the
-    forms that values(pts) yields, one at a time, at the rows of `pts`."""
+def system_values(F, systems, pts):
+    """Values of each polynomial of `systems`, a list of term lists
+    [(exponents, payload), ...], at the rows of `pts` (one column per
+    exponent), yielded one polynomial at a time so that callers can stop
+    early: each term is its payload's element index times powers of the
+    `FieldArray` columns."""
+    cols = FieldArray.columns(F, pts)
+    ops = cols[0].ops
+    for terms in systems:
+        acc = FieldArray(np.zeros(len(pts), np.int64), ops)
+        for exps, c in terms:
+            term = FieldArray(F.element_index(c), ops)
+            for col, e in zip(cols, exps):
+                if e:
+                    term = term * col ** e
+            acc = acc + term
+        yield acc.idx
+
+
+def count_system_chart(F, values, nvars, start, stop):
+    """Common zeros among the points of P^(nvars-1) with line indices in
+    [start, stop) (see `_line_points`) of the forms that values(pts)
+    yields, one at a time, at the rows of `pts`."""
     count = 0
     for lo in range(start, stop, _BLOCK):
-        pts = _chart_points(F.q, nvars, chart, lo, min(lo + _BLOCK, stop))
+        pts = _line_points(F.q, nvars, lo, min(lo + _BLOCK, stop))
         ok = np.ones(len(pts), bool)
         for vals in values(pts):
             ok &= vals == 0
@@ -185,17 +193,6 @@ def count_system_chart(F, values, nvars, chart, start, stop):
 
 # ---------------------------------------------------------------------------
 # line orbits of a pencil of forms, and coset-invariant convolution
-
-
-def _line_points(q, k, start, stop):
-    """Normalized points of P^{k-1}(F_q) with line indices in [start, stop):
-    the charts in `_chart_points` order, chart 0 first."""
-    parts = []
-    for chart in range(k):
-        first, size = (q ** k - q ** (k - chart)) // (q - 1), q ** (k - 1 - chart)
-        lo = min(max(start - first, 0), size)
-        parts.append(_chart_points(q, k, chart, lo, max(lo, min(stop - first, size))))
-    return np.concatenate(parts)
 
 
 def line_orbit_counts(F, values, pencil, s):

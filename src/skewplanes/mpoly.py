@@ -166,7 +166,7 @@ class MPoly:
         return cls(ctx, dom, {tuple(e): dom.one})
 
     def _compatible(self, other):
-        if self.ctx != other.ctx or self.dom is not other.dom:
+        if self.ctx != other.ctx or self.dom != other.dom:
             raise ValueError("mixed polynomial contexts/domains")
 
     # -- ring operations ------------------------------------------------------
@@ -242,10 +242,10 @@ class MPoly:
         if isinstance(other, int):
             other = MPoly.constant(self.ctx, self.dom, other)
         return (isinstance(other, MPoly) and self.ctx == other.ctx
-                and self.dom is other.dom and self.terms == other.terms)
+                and self.dom == other.dom and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ctx, id(self.dom), frozenset(self.terms.items())))
+        return hash((self.ctx, self.dom, frozenset(self.terms.items())))
 
     def is_zero(self):
         return not self.terms
@@ -327,7 +327,7 @@ class MPoly:
             return self
         target = next(iter(mapping.values()))
         tctx, dom = target.ctx, target.dom
-        if dom is not self.dom:
+        if dom != self.dom:
             raise ValueError("substitute images must share the source domain")
         images = []
         for i, name in enumerate(self.ctx.names):

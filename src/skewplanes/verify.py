@@ -9,9 +9,9 @@ Q(xi), one plane at a time, by substitution.  Sampled checks run over F_q
 only: they draw from seeded generators, are bit-reproducible for a fixed
 seed, and evaluate all their samples at once: the roundtrips' forms on
 `kernels.FieldArray`s, the singular locus's partials over Q, reduced into
-F_q, by `kernels.system_values`.  Its generic points are drawn by rank and
-unranked from the histogram of Y's pair block (`count.YChartZeros`), in
-the order of a full scan, so no scan runs.
+F_q as term lists, by `kernels.system_values`.  Its generic points are
+drawn by rank and unranked from the histogram of Y's pair block
+(`count.YChartZeros`), in the order of a full scan, so no scan runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .count import DEFAULT_BUDGET, YChartZeros, _system_arrays
+from .count import DEFAULT_BUDGET, YChartZeros, reduce_poly
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
     _vars,
@@ -137,7 +137,7 @@ def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
         witness = {"reason": f"map has {len(rmap.components)} components but the "
                              f"hypersurface ambient space needs {need}"}
         return _done("membership", params, witness, t0)
-    if rmap.dom is not hypersurface.dom:
+    if rmap.dom != hypersurface.dom:
         witness = {"reason": "map and hypersurface over different domains"}
         return _done("membership", params, witness, t0)
     D = (hypersurface.total_degree() or 0) * max(c.total_degree() or 0 for c in rmap.components)
@@ -234,8 +234,8 @@ def _sample_point(rng, q, nvars):
 def _values(polys, F, pts):
     """Values of the polynomials, reduced into F, at the rows of `pts`, as
     the columns of an array of element indices."""
-    exps, coeffs, offsets = _system_arrays(polys, F)
-    return np.stack(list(system_values(F, exps, coeffs, offsets, pts)), axis=1)
+    systems = [list(reduce_poly(f, F).terms.items()) for f in polys]
+    return np.stack(list(system_values(F, systems, pts)), axis=1)
 
 
 def _element_strs(F, row):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import random
 import re
 from math import gcd
 
@@ -222,6 +223,16 @@ def test_reduce_poly_refuses_quadext():
             reduce_poly(fx, field_create(p))
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (3, 2)])
+def test_count_zeros_over_an_equal_field(p, m):
+    # fields with equal (p, m) are one field: x over one counts over another
+    F, G = field_create(p, m), field_create(p, m)
+    assert F is not G and F == G and hash(F) == hash(G) and F != field_create(5)
+    x = MPoly.variable(VarContext(("x", "y")), G, "x")
+    assert reduce_poly(x, F) is x
+    assert count_zeros([x], F) == 1
+
+
 # ---------------------------------------------------------------------------
 # projection bijection
 
@@ -373,18 +384,19 @@ def test_backend_forcing_reports():
 
 
 def _both_engines(polys, F):
-    """(block engine, chart scan) on the same flattened system, whichever
+    """(block engine, chart scan) on the same term lists, whichever
     engine count_zeros would choose.  A system of forms of several degrees
     must go to the chart scan, and count_zeros stands in for the block
     engine."""
-    engine, _, (exps, coeffs, offsets), _, s = count_module._plan(polys, F)
+    engine, _, systems, _, s = count_module._plan(polys, F)
     scan = _chart_scan(polys, F)
     if s is None:
         assert engine == "scan"
         return count_zeros(polys, F), scan
-    classes = count_module._block_classes(F, exps, coeffs, offsets,
-                                          count_module._variable_blocks(exps))
-    return count_module._count_blocks(F, classes, exps.shape[1], len(polys), s), scan
+    nvars = polys[0].ctx.nvars
+    classes = count_module._block_classes(F, systems,
+                                          count_module._variable_blocks(systems, nvars))
+    return count_module._count_blocks(F, classes, nvars, len(polys), s), scan
 
 
 def _engine_systems(F):
@@ -656,18 +668,63 @@ def test_proportional_rows_matches_pairwise_minors(q, k):
     assert want.any() and (k == 1 or not want.all())
 
 
+def _wide_payload_system(F, nvars, e, r, rng):
+    """r forms of degree e on the blocks {x0, x1}, {x2}, ..., every payload
+    of element index at least p, so not in F_p."""
+    ctx = VarContext(tuple(f"x{i}" for i in range(nvars)))
+    rest = (0,) * (nvars - 2)
+    monomials = [(a, e - a) + rest for a in range(e + 1)]
+    monomials += [tuple(e * (j == i) for j in range(nvars)) for i in range(2, nvars)]
+    polys = []
+    for _ in range(r):
+        terms = {mono: rng.randrange(F.p, F.q) for mono in monomials if rng.random() < 0.7}
+        terms[(1, e - 1) + rest] = rng.randrange(F.p, F.q)  # joins x0 and x1
+        polys.append(MPoly(ctx, F, {mono: F.element_from_index(c) for mono, c in terms.items()}))
+    return polys
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_custom_engines_match_pointwise_evaluation_off_the_prime_field(monkeypatch, q):
+    # the oracle, `enumerate_projective` and `MPoly.evaluate`, shares no
+    # code with the engines; each engine is forced in turn
+    F = field_create(*prime_power(q))
+    rng = random.Random(q)
+    nvars = 4 if q < 25 else 3
+    systems = [_wide_payload_system(F, nvars, e, r, rng) for e in (2, 3, 4) for r in (1, 2)]
+    want = [sum(all(f.evaluate(pt) == F.zero for f in polys)
+                for pt in enumerate_projective(F, nvars - 1)) for polys in systems]
+    for engine, attr, value in [("blocks", "_block_cost", lambda *args: 0),
+                                ("scan", "HIST_MAX", 1)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(count_module, attr, value)
+            got = [count_zeros(polys, F, with_engine=True) for polys in systems]
+        assert got == [(n, engine) for n in want]
+
+
 # ---------------------------------------------------------------------------
 # line-orbit mode of the block engine against the full block histograms
 
 
+def _term_lists(polys, F):
+    return [list(reduce_poly(f, F).terms.items()) for f in polys]
+
+
+def _restrict(systems, block):
+    """The term lists' terms in the block's variables, restricted to them:
+    a filter of every term against every block, not `_block_classes`'s one
+    pass."""
+    return [[(tuple(e[v] for v in block), c) for e, c in terms if any(e[v] for v in block)]
+            for terms in systems]
+
+
 def _pencil_blocks(polys, F):
-    """(s, pencil, blocks, [(exps, coeffs, offsets) of each block]) for a
-    system of forms of one degree, cut as `_count_blocks` cuts it, with the
-    points of the whole pencil, built here from `enumerate_projective`, as
+    """(s, pencil, blocks, [term lists of each block]) for a system of
+    forms of one degree, cut as `_count_blocks` cuts it, with the points of
+    the whole pencil, built here from `enumerate_projective`, as
     `kernels._line_points` gives them."""
-    _, _, (exps, coeffs, offsets), _, s = count_module._plan(polys, F)
-    blocks = count_module._variable_blocks(exps)
-    subs = [count_module._block_system(exps, coeffs, offsets, b) for b in blocks]
+    _, _, systems, _, s = count_module._plan(polys, F)
+    blocks = count_module._variable_blocks(systems, polys[0].ctx.nvars)
+    subs = [_restrict(systems, b) for b in blocks]
     pencil = np.array([[F.element_index(c) for c in pt]
                        for pt in enumerate_projective(F, len(polys) - 1)], np.int64)
     r = len(polys)
@@ -676,26 +733,24 @@ def _pencil_blocks(polys, F):
     return s, pencil, blocks, subs
 
 
-def _block_histogram(F, exps, coeffs, offsets):
-    """The histogram over F_q^r (r forms) of the system's value vector at
-    every point of F_q^k, k = exps.shape[1]."""
-    q, k = F.q, exps.shape[1]
-    values = kernels.system_values(F, exps, coeffs, offsets,
-                                   kernels._affine_points(q, k, 0, q ** k))
+def _block_histogram(F, system, k):
+    """The histogram over F_q^r of the value vector of the r term lists on
+    k variables at every point of F_q^k."""
+    q = F.q
+    values = kernels.system_values(F, system, kernels._affine_points(q, k, 0, q ** k))
     return np.bincount(sum(v * q ** j for j, v in enumerate(values)),
-                       minlength=q ** (len(offsets) - 1))
+                       minlength=q ** len(system))
 
 
-def _orbit_histograms(F, arrays, s, pieces, pencil):
+def _orbit_histograms(F, system, width, s, pieces, pencil):
     """The orbit histograms from the lines cut into `pieces` consecutive
     ranges, whose counts add: the block's forms are evaluated at each
     range's line points and binned."""
-    width = arrays[0].shape[1]
     lines = projective_size(F.q, width - 1)
     cuts = [lines * i // pieces for i in range(pieces + 1)]
     return kernels.orbit_histogram(F, sum(
         kernels.line_orbit_counts(F, np.array(list(kernels.system_values(
-            F, *arrays, kernels._line_points(F.q, width, lo, hi)))), pencil, s)
+            F, system, kernels._line_points(F.q, width, lo, hi)))), pencil, s)
         for lo, hi in zip(cuts, cuts[1:])))
 
 
@@ -704,12 +759,12 @@ def _assert_orbit_histograms(polys, F):
     histogram of that pencil member c.f in the block's variables."""
     s, pencil, blocks, subs = _pencil_blocks(polys, F)
     zero = MPoly.zero(polys[0].ctx, F)
-    for block, arrays in zip(blocks, subs):
-        batches = [_orbit_histograms(F, arrays, s, pieces, pencil) for pieces in (1, 3)]
+    for block, system in zip(blocks, subs):
+        batches = [_orbit_histograms(F, system, len(block), s, pieces, pencil)
+                   for pieces in (1, 3)]
         for c, *rows in zip(pencil.tolist(), *batches):
             member = sum((f.scale(F.element_from_index(ci)) for f, ci in zip(polys, c)), zero)
-            sub = count_module._block_system(*count_module._system_arrays([member], F), block)
-            full = _block_histogram(F, *sub)
+            full = _block_histogram(F, _restrict(_term_lists([member], F), block), len(block))
             assert [row.tolist() for row in rows] == [full.tolist()] * 2, c
 
 
@@ -735,10 +790,10 @@ def test_line_orbit_termless_block(q):
     ctx = VarContext(("x0", "x1", "x2", "e0"))
     f = fermat(("x0", "x1", "x2"), 3, F).substitute(
         {v: MPoly.variable(ctx, F, v) for v in ("x0", "x1", "x2")})
-    s, pencil, _, blocks = _pencil_blocks([f], F)
-    assert len(blocks) == 4 and not len(blocks[3][0])
+    s, pencil, variables, blocks = _pencil_blocks([f], F)
+    assert len(blocks) == 4 and variables[3] == [3] and blocks[3] == [[]]
     _assert_orbit_histograms([f], F)
-    assert _orbit_histograms(F, blocks[3], s, 1, pencil).tolist() == [[q] + [0] * (q - 1)]
+    assert _orbit_histograms(F, blocks[3], 1, s, 1, pencil).tolist() == [[q] + [0] * (q - 1)]
     assert count_module._plan([f], F)[0] == "blocks"
     assert count_zeros([f], F) == count_zeros([fermat(("x0", "x1", "x2"), 3, F)], F) * q + 1
 
@@ -747,8 +802,8 @@ def test_line_orbit_termless_block(q):
 @pytest.mark.parametrize("q,d", [(7, 1), (13, 1), (13, 2), (16, 2), (25, 1), (27, 1)])
 def test_invariant_convolution_matches_convolve_histograms(q, d, n):
     F = field_create(*prime_power(q))
-    s, _, _, blocks = _pencil_blocks([build_x(n, d, F)], F)
-    hists = [_block_histogram(F, *arrays) for arrays in blocks]
+    s, _, variables, blocks = _pencil_blocks([build_x(n, d, F)], F)
+    hists = [_block_histogram(F, system, len(b)) for b, system in zip(variables, blocks)]
     full, invariant = hists[0], hists[0][None]
     for hist in hists[1:]:
         full = kernels.convolve_histograms(F, full, hist)
@@ -761,13 +816,16 @@ def test_invariant_convolution_matches_convolve_histograms(q, d, n):
 
 
 def _chart_scan(polys, F):
-    """The chart scan of the flattened system, the oracle that shares no
-    code with the pair-form path."""
-    arrays = count_module._system_arrays(polys, F)
-    nvars = arrays[0].shape[1]
-    values = functools.partial(kernels.system_values, F, *arrays)
-    return sum(kernels.count_system_chart(F, values, nvars, chart, 0, F.q ** (nvars - 1 - chart))
-               for chart in range(nvars))
+    """The chart scan of the term lists, the oracle that shares no code
+    with the pair-form path, chart by chart: the line indices of the chart
+    whose first nonzero coordinate is at c start at |P^(nvars-1)| -
+    |P^(nvars-1-c)|."""
+    nvars = polys[0].ctx.nvars
+    values = functools.partial(kernels.system_values, F, _term_lists(polys, F))
+    first = [projective_size(F.q, nvars - 1) - projective_size(F.q, nvars - 1 - c)
+             for c in range(nvars + 1)]
+    return sum(kernels.count_system_chart(F, values, nvars, lo, hi)
+               for lo, hi in zip(first, first[1:]))
 
 
 def _built(family, n, d, delta, F):

@@ -99,6 +99,14 @@ def test_evaluate_example():
     assert f.evaluate((F7.from_int(2), F7.from_int(3))) == F7.zero
 
 
+def test_polynomials_mix_across_equal_fields():
+    # fields with equal (p, m) are one field, so their polynomials add
+    x, y = MPoly.variable(XY, F7, "x"), MPoly.variable(XY, field_create(7), "y")
+    assert x + y == y + x == poly_f7(XY, [((1, 0), 1), ((0, 1), 1)])
+    assert hash(x + y) == hash(y + x)
+    assert x.substitute({"x": y}) == y
+
+
 def test_pow_matches_repeated_mul():
     rng = random.Random(7)
     f = random_poly(XY, QQ, rng)

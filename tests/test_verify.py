@@ -372,11 +372,11 @@ def _first_chart_walk(F, A, B, N):
 def _first_chart_scan(F, polys):
     """The zeros of the polynomials with first coordinate 1, as rows of
     indices, by one vectorized scan of that whole chart."""
-    exps, coeffs, offsets = count_mod._system_arrays(polys, F)
-    nvars = exps.shape[1]
-    pts = kernels_mod._chart_points(F.q, nvars, 0, 0, F.q ** (nvars - 1))
+    systems = [list(count_mod.reduce_poly(f, F).terms.items()) for f in polys]
+    nvars = polys[0].ctx.nvars
+    pts = kernels_mod._line_points(F.q, nvars, 0, F.q ** (nvars - 1))
     ok = np.ones(len(pts), bool)
-    for vals in kernels_mod.system_values(F, exps, coeffs, offsets, pts):
+    for vals in kernels_mod.system_values(F, systems, pts):
         ok &= vals == 0
     return pts[ok].tolist()
 
@@ -449,10 +449,10 @@ def test_singular_locus_samples_the_rational_partials(monkeypatch, n, d):
     # need xi
     domains = []
 
-    def spy(polys, F):
-        domains.extend(p.dom for p in polys)
-        return count_mod._system_arrays(polys, F)
-    monkeypatch.setattr(verify_mod, "_system_arrays", spy)
+    def spy(f, F):
+        domains.append(f.dom)
+        return count_mod.reduce_poly(f, F)
+    monkeypatch.setattr(verify_mod, "reduce_poly", spy)
     assert verify_singular_locus(n, d).passed
     assert len(domains) == 2 * (2 * n + 1) and all(dom is QQ for dom in domains)
 
@@ -849,12 +849,12 @@ def test_roundtrips_run_at_the_largest_sizes(capsys, name):
 @pytest.mark.parametrize("name", sorted(SAMPLED))
 def test_roundtrips_build_no_polynomial(monkeypatch, name):
     # the roundtrips evaluate the forms on arrays: no map is expanded,
-    # composed or flattened into the count engines' arrays
+    # composed or reduced into the count engines' term lists
     def refuse(*args, **kwargs):
         raise AssertionError("built a polynomial map")
     for module in (verify_mod, families_mod, mpoly_mod, count_mod):
         for attr in ("build_phibar", "build_theta", "build_h", "build_char_two_maps",
-                     "compose", "_system_arrays"):
+                     "compose", "reduce_poly"):
             monkeypatch.setattr(module, attr, refuse, raising=False)
     for n, d in [(1, 1), (2, 3), (3, 2)]:
         assert CHECKS[name].run(n, d, 42, DEFAULT_BUDGET).passed, (n, d)
