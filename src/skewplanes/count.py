@@ -6,10 +6,10 @@ block engine (`_count_blocks`) counts r forms of one degree from the
 members c.f of their pencil, a chunk of members at a time, over blocks of
 variables that share no monomial: each class of blocks alike is evaluated
 at one point per line, binned by `line_orbit_counts`, and its histogram
-raised to the class size by squaring and read at 0 (`_cone_count`).  It
-costs `_block_cost`, and refuses q past HIST_MAX.  The chart scan
-(`_scan`), its oracle, walks the normalized points (first nonzero
-coordinate 1) in order.
+raised to the class size by squaring and read at 0 (`_cone_count`), as
+coset vectors.  It costs `_block_cost`, and its one memory guard is its
+table's, domains.TABLE_MAX.  The chart scan (`_scan`), its oracle, walks
+the normalized points (first nonzero coordinate 1) in order.
 
 The families X, Xdelta and Y are counted from their forms on the block
 engine (`count_family`), with no polynomial built: each is a sum of one
@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import domains
 from .domains import QQ, exp_log_cells, prime_power, sqrt_of_minus_three
 from .families import ab_form, u_context, x_d_delta_degree, x_form
 from .kernels import (
@@ -49,16 +50,12 @@ from .kernels import (
     convolve_invariant,
     count_system_chart,
     line_orbit_counts,
-    orbit_histogram,
     system_values,
 )
 from .mpoly import MPoly, VarContext, local_multiplicity
 from .reporting import BudgetExceeded, CountReport, VerificationResult, abbreviate
 
 DEFAULT_BUDGET = 10 ** 9
-# Bound on q, the cells of one of the block engine's histogram rows: past
-# it, a row of Python ints outgrows memory before the budget sees it.
-HIST_MAX = 1 << 20
 
 
 def projective_size(q, N):
@@ -128,8 +125,8 @@ def _plan(polys, F):
     nonzero form has degree e, else None.  The block engine costs
     `_block_cost` and runs when that and its `_table_cells` are less than
     the chart scan's |P^(nvars-1)(F_q)| points and its `_table_cells`.  One
-    block, forms of several degrees, q > HIST_MAX or a constant term (which
-    leaves the origin off the cone) send a system to the scan."""
+    block, forms of several degrees, a table past TABLE_MAX or a constant
+    term (which leaves the origin off the cone) send a system to the scan."""
     polys = list(polys)
     if not polys:
         raise ValueError("empty system")
@@ -145,7 +142,8 @@ def _plan(polys, F):
     degrees = {sum(terms[0][0]) for terms in systems if terms} or {1}
     s = gcd(min(degrees), q - 1) if len(degrees) == 1 else None
     scan_cost = projective_size(q, nvars - 1)
-    if s is not None and q <= HIST_MAX and all(any(e) for terms in systems for e, _ in terms):
+    if (s is not None and _table_cells(F, "blocks") <= domains.TABLE_MAX
+            and all(any(e) for terms in systems for e, _ in terms)):
         blocks = _variable_blocks(systems, nvars)
         if len(blocks) >= 2:
             classes = _block_classes(F, systems, blocks)
@@ -180,11 +178,13 @@ def _count_blocks(F, classes, nvars, r, s):
     s = gcd(e, q - 1), from the classes (values, width, k) of their blocks:
     values(pts) the r forms' element indices at rows of normalized points of
     P^(width-1), evaluated `_BLOCK` lines at a time and binned by
-    `line_orbit_counts`, and k the number of blocks alike.  The pencil's
-    C = |P^(r-1)(F_q)| members c go max(1, _BLOCK * 8 // q) rows at a time,
-    so no C x q array is alive.  Over all c in F_q^r, N_aff(c.f) counts a
-    common zero q^r times and any other point q^(r-1) times, and c and tc
-    cut the same zeros, so for N zeros on the affine cone
+    `line_orbit_counts`, and k the number of blocks alike.  A line of value
+    v takes each value of v (F_q^*)^e s times, so each member's histogram
+    has the coset vector H(0) = 1 + (q - 1) z, H(g^i) = s c_i.  The pencil's
+    C = |P^(r-1)(F_q)| members c go max(1, _BLOCK * 8 // q) rows at a time.
+    Over all c in F_q^r, N_aff(c.f) counts a common zero q^r times and any
+    other point q^(r-1) times, and c and tc cut the same zeros, so for N
+    zeros on the affine cone
     q^nvars + (q - 1) sum_[c] N_aff(c.f) = q^r N + q^(r-1) (q^nvars - N)."""
     q = F.q
     members, step = projective_size(q, r - 1), max(1, (_BLOCK * 8) // q)
@@ -197,7 +197,9 @@ def _count_blocks(F, classes, nvars, r, s):
             counts = sum(line_orbit_counts(F, np.array(list(values(_line_points(
                 q, width, at, min(at + _BLOCK, lines))))), pencil, s)
                 for at in range(0, lines, _BLOCK))
-            hists.append((orbit_histogram(F, counts), k))
+            hist = s * counts
+            hist[:, 0] = 1 + (q - 1) * counts[:, 0]
+            hists.append((hist, k))
         n_aff += _cone_count(F, hists, nvars, s)
     cone, rem = divmod(q ** nvars + (q - 1) * n_aff - q ** (r - 1 + nvars),
                        q ** r - q ** (r - 1))
@@ -240,8 +242,8 @@ def _block_cost(q, r, s, classes, nvars):
     """The work of `_count_blocks` on classes of the given (width, k), in
     units of one cell: for each of the C = |P^(r-1)(F_q)| members of the
     pencil, one evaluation for each line of each class, (1 + s) q cells for
-    each convolution and q for each read at 0 (`_convolutions`), each cell
-    `_cell_words` long."""
+    each convolution and q for each read at 0 (`_convolutions`), an upper
+    bound on its 1 + s products, each cell `_cell_words` long."""
     convolutions, reads = _convolutions([k for _, k in classes])
     return projective_size(q, r - 1) * (
         sum(projective_size(q, width - 1) for width, _ in classes)
@@ -252,8 +254,8 @@ def _cone_count(F, classes, nvars, s):
     """The sum of N_aff(c.f), the zeros on the affine cone in `nvars`
     variables, over a chunk of members c.f of a pencil of forms of degree e,
     with s = gcd(e, q - 1), from the (hist, k) of their distinct blocks: hist
-    the blocks' `orbit_histogram` rows, one per member, k the blocks alike.
-    N_aff(c.f) = H[0] of the convolution of c.f's block histograms, each
+    the blocks' coset vectors, one row per member, k the blocks alike.
+    N_aff(c.f) = H(0) of the convolution of c.f's block histograms, each
     constant on the cosets of (F_q^*)^e, of index s, as is every partial
     convolution.  A class's histogram is raised to k by squaring
     (`_binary_factors`).  Histograms hold Python ints once q^nvars reaches
@@ -281,18 +283,16 @@ def _table_cells(F, engine):
 
 def _charge(F, engine, cost, what, budget):
     """Raise BudgetExceeded when the engine's `cost` on `what`, plus its
-    `_table_cells`, passes `budget`, or when the block engine's histogram
-    rows of q cells pass its memory guard, HIST_MAX."""
-    if engine == "blocks" and F.q > HIST_MAX:
-        raise BudgetExceeded(f"engine 'blocks' on {what} has histogram rows of {F.q} "
-                             f"cells, over its memory guard of {HIST_MAX}")
+    `_table_cells`, passes `budget`, or when those cells pass their memory
+    guard, domains.TABLE_MAX, whether or not the table is cached."""
     table = _table_cells(F, engine)
-    if table:
-        cost += table
-        what += " and the field's exp/log table"
-    if cost > budget:
-        raise BudgetExceeded(f"engine {engine!r} on {what} costs {abbreviate(cost)}, "
-                             f"over budget {abbreviate(budget)}")
+    if cost + table > budget:
+        tail = " and the field's exp/log table" if table else ""
+        raise BudgetExceeded(f"engine {engine!r} on {what}{tail} costs "
+                             f"{abbreviate(cost + table)}, over budget {abbreviate(budget)}")
+    if table > domains.TABLE_MAX:
+        raise BudgetExceeded(f"engine {engine!r} on {what}: the exp/log table of {F.name} "
+                             f"has {table} cells, over its memory guard of {domains.TABLE_MAX}")
 
 
 def _scan(F, values, nvars, budget):
@@ -400,9 +400,9 @@ def _family_form(family, n, d, delta, F):
 def count_family(family, n, d, F, delta=None, budget=DEFAULT_BUDGET):
     """The report of one family's count against the paper's formula, where
     it has one, from its forms (see `FamilyForm`) with no polynomial built,
-    on the block engine at every q up to HIST_MAX: its classes are the
-    pairs, the forms on the q + 1 points of P^1 (at u0 = 0 for Y), and Y's
-    u0 block."""
+    on the block engine at every q whose table passes `_charge`: its classes
+    are the pairs, the forms on the q + 1 points of P^1 (at u0 = 0 for Y),
+    and Y's u0 block."""
     t0 = time.perf_counter()
     q, form = F.q, _family_form(family, n, d, delta, F)
     nvars = 2 * form.pairs + form.u0

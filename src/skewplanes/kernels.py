@@ -15,10 +15,11 @@ The block engine's kernels take a batch axis, one row per member c.f of
 the pencil of r forms of degree e, for a chunk of the pencil's members at a
 time (`count._count_blocks`): `line_orbit_counts` takes the forms' values at
 one point per line, forms each member's values and bins them by discrete
-logarithm mod s, and `orbit_histogram` and `convolve_invariant` build,
-convolve and square histograms constant on the cosets of the e-th powers
-(tests' oracle: `convolve_histograms` over F_q^r), which also forms the
-suffix convolutions from which `count.YChartZeros` unranks Y's zeros.
+logarithm mod s.  A histogram constant on the s cosets of the e-th powers
+is held as its coset vector [H(0), H(g^0), ..., H(g^(s-1))], which
+`convolve_invariant` convolves and `convolution_at_zero` reads at 0 (tests'
+oracle: `convolve_histograms` over F_q^r, through which `count.YChartZeros`
+unranks Y's zeros).
 """
 
 from __future__ import annotations
@@ -195,6 +196,11 @@ def count_system_chart(F, values, nvars, start, stop):
 # line orbits of a pencil of forms, and coset-invariant convolution
 
 
+def _cell(log, v, s):
+    """The cell of a coset vector holding element v: 0, or 1 + log v mod s."""
+    return np.where(v != 0, 1 + log[v] % s, 0)
+
+
 def line_orbit_counts(F, values, pencil, s):
     """[z, c_0, ..., c_{s-1}] for each member c.f of the pencil of r forms
     of one degree, c through the rows of `pencil` (normalized points of
@@ -211,51 +217,44 @@ def line_orbit_counts(F, values, pencil, s):
     for at in range(0, values.shape[1], width):
         vals = functools.reduce(add, map(mul, pencil.T[:, :, None],
                                          values[:, None, at:at + width]))
-        key = rows + np.where(vals != 0, 1 + log[vals] % s, 0)
+        key = rows + _cell(log, vals, s)
         counts += np.bincount(key.ravel(), minlength=counts.size)
     return counts.reshape(len(pencil), 1 + s)
 
 
-def orbit_histogram(F, counts):
-    """Histograms over F_q of forms of degree e, one row per row of their
-    `line_orbit_counts` with s = gcd(e, q - 1).  As f(tp) = t^e f(p), the
-    line through a point of value v != 0 takes each value of the coset
-    v (F_q^*)^e s times, and a line of zeros adds q - 1 zeros to the
-    origin's: H[0] = 1 + (q - 1) z and H[v] = s c_(log v mod s)."""
-    q, s = F.q, counts.shape[1] - 1
-    _, log = index_exp_log(F)
-    hist = s * counts[:, 1 + log % s]
-    hist[:, 0] = 1 + (q - 1) * counts[:, 0]
-    return hist
-
-
 def convolve_invariant(F, h1, h2, s):
-    """Row by row, `convolve_histograms` over F_q for histograms constant on
-    the cosets of (F_q^*)^e, s = gcd(e, q - 1), whose convolution is
-    constant on them too: it is computed at 0 and at one representative g^j
-    of each coset (j < s), 1 + s dot products of length q a row, and
-    expanded through log mod s.  The result has the dtype of the inputs."""
+    """Row by row, the convolution over (F_q, +) of coset vectors, of
+    histograms constant on the cosets of (F_q^*)^e, s = gcd(e, q - 1), and
+    so constant on them too: 1 + s dot products of length q a row, at 0 and
+    each g^j, of h1 at x and h2 at g^j - x, a block of elements x at a time.
+    The result has the dtype of the inputs."""
     q = F.q
     exp, log = index_exp_log(F)
     reps = np.concatenate(([0], exp[:s]))
-    k = np.arange(q, dtype=np.int64)
-    at = np.empty((len(h1), 1 + s), h1.dtype)
-    step = max(1, (_BLOCK * 8) // q)
-    for lo in range(0, 1 + s, step):
-        idx = _digitwise(F.p, reps[lo:lo + step, None], k[None, :], -1, q)
-        rows = max(1, (_BLOCK * 8) // idx.size)
-        for row in range(0, len(h1), rows):
-            at[row:row + rows, lo:lo + step] = (
-                h2[row:row + rows, idx] @ h1[row:row + rows, :, None])[..., 0]
-    out = at[:, 1 + log % s]
-    out[:, 0] = at[:, 0]
+    out = np.zeros((len(h1), 1 + s), h1.dtype)
+    width = min(q, _BLOCK)
+    step = max(1, (_BLOCK * 8) // width)
+    for at in range(0, q, width):
+        x = np.arange(at, min(at + width, q), dtype=np.int64)
+        cells = _cell(log, x, s)
+        for lo in range(0, 1 + s, step):
+            rest = _cell(log, _digitwise(F.p, reps[lo:lo + step, None], x, -1, q), s)
+            rows = max(1, (_BLOCK * 8) // rest.size)
+            for row in range(0, len(h1), rows):
+                r = slice(row, row + rows)
+                out[r, lo:lo + step] += (h2[r][:, rest] @ h1[r][:, cells, None])[..., 0]
     return out
 
 
 def convolution_at_zero(F, h1, h2):
-    """Row by row, (h1 * h2)[0] = sum over i of h1[i] * h2[-i]."""
-    size = h1.shape[1]
-    return (h1 * h2[:, _digitwise(F.p, 0, np.arange(size), -1, size)]).sum(axis=1)
+    """Row by row, the convolution of two coset vectors (see
+    `convolve_invariant`) at 0, sum_x h1(x) h2(-x): as each coset holds
+    (q - 1)/s elements and -1, of element index p - 1, lies in the coset
+    l = log(-1) mod s, H1(0) H2(0) + ((q - 1)/s) sum_i H1(g^i) H2(g^(i+l))."""
+    s = h1.shape[1] - 1
+    _, log = index_exp_log(F)
+    turn = 1 + (np.arange(s) + log[F.p - 1]) % s
+    return h1[:, 0] * h2[:, 0] + (F.q - 1) // s * (h1[:, 1:] * h2[:, turn]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewplanes import count as count_module
-from skewplanes import families, kernels
+from skewplanes import domains, families, kernels
 from skewplanes.count import (
     check_projection_bijection,
     count_family,
@@ -551,10 +551,12 @@ def test_count_report_names_engine():
 
 
 def test_histograms_past_cap_are_scanned(monkeypatch):
+    # F_11's table has 21 cells; past its guard the system is scanned, and
+    # the scan over a prime field reads no table
     F = field_create(11)
     X = build_x(1, 2, F)
     assert count_module._plan([X], F)[0] == "blocks"
-    monkeypatch.setattr(count_module, "HIST_MAX", 10)
+    monkeypatch.setattr(domains, "TABLE_MAX", 20)
     assert count_module._plan([X], F)[0] == "scan"
     assert count_zeros([X], F) == GRID_EXPECTED[11][1]
 
@@ -694,7 +696,7 @@ def test_custom_engines_match_pointwise_evaluation_off_the_prime_field(monkeypat
     want = [sum(all(f.evaluate(pt) == F.zero for f in polys)
                 for pt in enumerate_projective(F, nvars - 1)) for polys in systems]
     for engine, attr, value in [("blocks", "_block_cost", lambda *args: 0),
-                                ("scan", "HIST_MAX", 1)]:
+                                ("scan", "_block_cost", lambda *args: float("inf"))]:
         with monkeypatch.context() as patch:
             patch.setattr(count_module, attr, value)
             got = [count_zeros(polys, F, with_engine=True) for polys in systems]
@@ -742,21 +744,54 @@ def _block_histogram(F, system, k):
                        minlength=q ** len(system))
 
 
+@functools.cache
+def _discrete_logs(F):
+    """{element index: discrete logarithm} of F_q^* to the base g of least
+    element index that generates it, found by walking powers with F.mul: an
+    oracle that shares no code with `kernels` or the exp/log table."""
+    for i in range(1, F.q):
+        g, x, logs = F.element_from_index(i), F.one, {}
+        for k in range(F.q - 1):
+            logs.setdefault(F.element_index(x), k)
+            x = F.mul(x, g)
+        if len(logs) == F.q - 1:
+            return logs
+
+
+def _expand(F, h):
+    """The q cells of the histogram whose coset vector is
+    h = [H(0), H(g^0), ..., H(g^(s-1))]: H(v) = h[1 + log v mod s]."""
+    h, logs = [int(c) for c in h], _discrete_logs(F)
+    return [h[0]] + [h[1 + logs[v] % (len(h) - 1)] for v in range(1, F.q)]
+
+
+def _coset_vector(F, hist, s):
+    """The coset vector of a q-cell histogram constant on the cosets of
+    the e-th powers, s = gcd(e, q - 1): its cells at 0 and at g^0, ...,
+    g^(s-1)."""
+    at = {k: v for v, k in _discrete_logs(F).items()}
+    h = np.array([hist[0]] + [hist[at[i]] for i in range(s)], hist.dtype)
+    assert _expand(F, h) == hist.tolist()
+    return h
+
+
 def _orbit_histograms(F, system, width, s, pieces, pencil):
-    """The orbit histograms from the lines cut into `pieces` consecutive
-    ranges, whose counts add: the block's forms are evaluated at each
-    range's line points and binned."""
+    """The orbit histograms' coset vectors, as `_count_blocks` forms them,
+    from the lines cut into `pieces` consecutive ranges, whose counts add:
+    the block's forms are evaluated at each range's line points and
+    binned."""
     lines = projective_size(F.q, width - 1)
     cuts = [lines * i // pieces for i in range(pieces + 1)]
-    return kernels.orbit_histogram(F, sum(
-        kernels.line_orbit_counts(F, np.array(list(kernels.system_values(
-            F, system, kernels._line_points(F.q, width, lo, hi)))), pencil, s)
-        for lo, hi in zip(cuts, cuts[1:])))
+    counts = sum(kernels.line_orbit_counts(F, np.array(list(kernels.system_values(
+        F, system, kernels._line_points(F.q, width, lo, hi)))), pencil, s)
+        for lo, hi in zip(cuts, cuts[1:]))
+    return np.column_stack([1 + (F.q - 1) * counts[:, 0], s * counts[:, 1:]])
 
 
 def _assert_orbit_histograms(polys, F):
-    """Each batch row of each block's orbit histograms is the full
-    histogram of that pencil member c.f in the block's variables."""
+    """Each batch row of each block's orbit histograms, expanded to q
+    cells, is the full histogram of that pencil member c.f in the block's
+    variables."""
     s, pencil, blocks, subs = _pencil_blocks(polys, F)
     zero = MPoly.zero(polys[0].ctx, F)
     for block, system in zip(blocks, subs):
@@ -765,7 +800,7 @@ def _assert_orbit_histograms(polys, F):
         for c, *rows in zip(pencil.tolist(), *batches):
             member = sum((f.scale(F.element_from_index(ci)) for f, ci in zip(polys, c)), zero)
             full = _block_histogram(F, _restrict(_term_lists([member], F), block), len(block))
-            assert [row.tolist() for row in rows] == [full.tolist()] * 2, c
+            assert [_expand(F, row) for row in rows] == [full.tolist()] * 2, c
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -793,22 +828,42 @@ def test_line_orbit_termless_block(q):
     s, pencil, variables, blocks = _pencil_blocks([f], F)
     assert len(blocks) == 4 and variables[3] == [3] and blocks[3] == [[]]
     _assert_orbit_histograms([f], F)
-    assert _orbit_histograms(F, blocks[3], 1, s, 1, pencil).tolist() == [[q] + [0] * (q - 1)]
+    assert [_expand(F, row) for row in _orbit_histograms(F, blocks[3], 1, s, 1, pencil)] == \
+        [[q] + [0] * (q - 1)]
     assert count_module._plan([f], F)[0] == "blocks"
     assert count_zeros([f], F) == count_zeros([fermat(("x0", "x1", "x2"), 3, F)], F) * q + 1
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("q,d", [(7, 1), (13, 1), (13, 2), (16, 2), (25, 1), (27, 1)])
-def test_invariant_convolution_matches_convolve_histograms(q, d, n):
+def _even_form(e, F):
+    """x0^e - x1^e + x2^e + x2 x3^(e-1) + c x4^e, c of element index q - 1,
+    on the blocks {x0}, {x1}, {x2, x3}, {x4}: x0^e - x1^e has zeros off the
+    origin only as -1 lies in the coset l."""
+    ctx = VarContext(tuple(f"x{i}" for i in range(5)))
+    x = [MPoly.variable(ctx, F, v) for v in ctx.names]
+    return (x[0] ** e - x[1] ** e + x[2] ** e + x[2] * x[3] ** (e - 1)
+            + (x[4] ** e).scale(F.element_from_index(F.q - 1)))
+
+
+@pytest.mark.parametrize("q,form", [(q, ("X", n, d)) for n in (2, 3) for q, d in [
+    (7, 1), (13, 1), (13, 2), (16, 2), (25, 1), (27, 1)]] + [
+    # even degrees: over q = 3 mod 4, -1 lies in the coset l = s/2
+    (q, ("even", e)) for q, e in [(7, 2), (7, 6), (11, 2), (11, 10), (27, 2), (27, 26),
+                                  (16, 2), (16, 6)]])
+def test_invariant_convolution_matches_convolve_histograms(q, form):
+    # each partial convolution of coset vectors, expanded to q cells, and
+    # its read at 0 against the next block, from the full histograms
     F = field_create(*prime_power(q))
-    s, _, variables, blocks = _pencil_blocks([build_x(n, d, F)], F)
+    polys = [build_x(*form[1:], F) if form[0] == "X" else _even_form(form[1], F)]
+    s, _, variables, blocks = _pencil_blocks(polys, F)
     hists = [_block_histogram(F, system, len(b)) for b, system in zip(variables, blocks)]
-    full, invariant = hists[0], hists[0][None]
+    full, invariant = hists[0], _coset_vector(F, hists[0], s)[None]
     for hist in hists[1:]:
+        h = _coset_vector(F, hist, s)[None]
+        assert kernels.convolution_at_zero(F, invariant, h).tolist() == \
+            [kernels.convolve_histograms(F, full, hist)[0]]
         full = kernels.convolve_histograms(F, full, hist)
-        invariant = kernels.convolve_invariant(F, invariant, hist[None], s)
-        assert invariant[0].tolist() == full.tolist()
+        invariant = kernels.convolve_invariant(F, invariant, h, s)
+        assert _expand(F, invariant[0]) == full.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +982,15 @@ def test_family_count_past_q_1024_takes_the_blocks(monkeypatch, q, d):
     assert "engine=blocks" in rep.line()
 
 
+@pytest.mark.parametrize("p,m", [(1048583, 1), (2, 21)])
+def test_family_count_past_q_2_to_the_20(monkeypatch, p, m):
+    # past 2^20 the block engine's only memory is its table, dropped after
+    monkeypatch.setattr(domains, "_LOG_TABLES", {})
+    F = field_create(p, m)
+    rep = count_family("X", 1, 1, F)
+    assert (rep.brute, rep.engine) == (formula_x2d(F.q, 1), "blocks") and rep.match
+
+
 @pytest.mark.parametrize("q,k,zeros", [(13, 2, 3), (3, 3, 4)])
 def test_custom_system_takes_blocks_only_when_cheaper_with_the_table(q, k, zeros):
     # x0^3 + x1^3 over F_13 ties: one class of two one-line blocks costs the
@@ -942,18 +1006,26 @@ def test_custom_system_takes_blocks_only_when_cheaper_with_the_table(q, k, zeros
     assert count_zeros([f], F, budget=points) == zeros
 
 
+@pytest.mark.parametrize("cached", [False, True])
 def test_family_count_past_a_lowered_cap_names_the_memory_guard(no_family_builds,
-                                                                monkeypatch):
-    # q past HIST_MAX, the cells of one histogram row, is refused by name
-    # before any work: the first kernel call fails the test at once
+                                                                monkeypatch, cached):
+    # a table past domains.TABLE_MAX, F_11's of 21 cells, is refused by
+    # name before any work, cached or not: the first kernel call fails the
+    # test at once
+    F = field_create(11)
+    monkeypatch.setattr(domains, "_LOG_TABLES", {})
+    if cached:
+        domains.index_exp_log(F)
+
     def refuse(*args):
         raise AssertionError("started counting")
     monkeypatch.setattr(count_module, "line_orbit_counts", refuse)
-    monkeypatch.setattr(count_module, "HIST_MAX", 10)
-    with pytest.raises(BudgetExceeded, match="'blocks' on 2 pair blocks, the u0 block has "
-                                             "histogram rows of 11 cells, over its memory "
-                                             "guard of 10$"):
-        count_family("Y", 2, 1, field_create(11))
+    monkeypatch.setattr(domains, "TABLE_MAX", 20)
+    with pytest.raises(BudgetExceeded, match="'blocks' on 2 pair blocks, the u0 block: the "
+                                             "exp/log table of GF\\(11\\) has 21 cells, over "
+                                             "its memory guard of 20$"):
+        count_family("Y", 2, 1, F)
+    assert list(domains._LOG_TABLES) == [(11, 1)] * cached
 
 
 def test_counts_match_across_chunk_boundaries(monkeypatch):
