@@ -63,6 +63,12 @@ def integer_root(B, k):
         t = s
 
 
+def _exact_dtype(bound):
+    """int64 for values of absolute value at most `bound` when it is below
+    2^63, else `object` (Python ints)."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
 def _refuse_direct_scan(B, d, budget):
     """Raise BudgetExceeded when the direct column at bound B is past the
     memory guard or would walk more than `budget` pairs."""
@@ -88,7 +94,7 @@ def _direct_rows(d, B, budget):
     _refuse_direct_scan(B, d, budget)
     a, b = np.subtract(np.triu_indices(2 * B + 1), B)
     # f is X at n = 0; only a takes `dtype`, so b's temporaries stay int64 (less peak RSS)
-    dtype = np.int64 if 2 * B * (3 * B * B) ** d < 2 ** 63 else object
+    dtype = _exact_dtype(2 * B * (3 * B * B) ** d)
     v = x_form([a.astype(dtype, copy=False), b], d)
     ring, w = np.maximum(abs(a), abs(b)), np.where(a == b, 1, 2)
     del a, b
@@ -135,15 +141,20 @@ def _parametrized_first_rows(d, bound, nrows, budget):
     """(rows, skip_rows) for a table of `nrows` rows: the row at which each
     image enters by `bound`, max(its height, h^(2d+2) for the least height h
     of its inputs), and the row from which each base-locus input is skipped.
-    Images are checked to lie on the hypersurface in Python ints, reduced by
-    gcd and sign, and lexsorted by (image, row) to read each first row."""
+    Images are checked to lie on the hypersurface, in int64 when a bound on
+    X at them allows it, reduced by gcd and sign, and lexsorted by (image,
+    row) to read each first row."""
     _refuse_parametrized_pass(d, bound, nrows, budget)
     k = 2 * d + 2
     u = integer_root(bound, k)
     pts = _primitive_inputs(u)
-    dtype = np.int64 if _phibar_bound(d, u) < 2 ** 63 else object
+    M = _phibar_bound(d, u)
+    dtype = _exact_dtype(M)
     img = np.stack(phibar_form(list(pts.T.astype(dtype)), d, lambda x: x // 2), axis=1)
-    off = np.flatnonzero(x_form(list(img.T.astype(object)), d) != 0)
+    # X at the images sums two pairs of at most 2M (3M^2)^d, over 2^d: testing
+    # d first builds no power of a huge d
+    check = _exact_dtype(4 * M * (3 * M * M) ** d) if d < 63 else object
+    off = np.flatnonzero(x_form(list(img.T.astype(check, copy=False)), d) != 0)
     if len(off):
         raise AssertionError(f"parametrized image off the hypersurface at {pts[off[0]].tolist()}")
     row = abs(pts).max(axis=1).astype(dtype) ** k

@@ -4,14 +4,17 @@ roundtrips, singular loci, Galois symmetry, Cox grading, and the dimension
 of the distinguished linear system.
 
 All symbolic checks are exact (the difference must be the zero polynomial);
-nothing here is tolerance-based.  The singular locus is checked exactly over
-Q(xi), one plane at a time, by substitution.  Sampled checks run over F_q
-only: they draw from seeded generators, are bit-reproducible for a fixed
-seed, and evaluate all their samples at once: the roundtrips' forms on
-`kernels.FieldArray`s, the singular locus's partials over Q, reduced into
-F_q as term lists, by `kernels.system_values`.  Its generic points are
-drawn by rank and unranked from the histogram of Y's pair block
-(`count.YChartZeros`), in the order of a full scan, so no scan runs.
+nothing here is tolerance-based.  That phibar lands on X is proved for every
+n >= 1 and d >= 1 by identities on one block (`_phibar_on_x`);
+`verify_membership` expands the composite of any map.  The singular locus
+is checked exactly over Q(xi), one plane at a time, by substitution.
+Sampled checks run over F_q only: they draw from seeded generators, are
+bit-reproducible for a fixed seed, and evaluate all their samples at once:
+the roundtrips' forms on `kernels.FieldArray`s, the singular locus's
+partials over Q, reduced into F_q as term lists, by
+`kernels.system_values`.  Its generic points are drawn by rank and unranked
+from the histogram of Y's pair block (`count.YChartZeros`), in the order of
+a full scan, so no scan runs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .count import DEFAULT_BUDGET, YChartZeros, reduce_poly
 from .domains import QQ, QQXI, field_create, sqrt_of_minus_three
 from .families import (
+    _alternating,
     _vars,
     ab_form,
     build_ab,
@@ -44,9 +48,7 @@ from .families import (
     phibar_form,
     sd_form,
     theta_form,
-    u_context,
     x_context,
-    x_form,
     y_context,
 )
 from .kernels import FieldArray, proportional_rows, system_values
@@ -148,13 +150,34 @@ def verify_membership(rmap, hypersurface, budget=DEFAULT_BUDGET):
 
 
 def _phibar_on_x(n, d, seed, budget):
-    """`verify_membership(build_phibar(n, d), build_x(n, d))` through the
-    forms, with the same record: `x_form` at `phibar_form` on the u-variables
-    is its residual, with no substitution into X's monomials."""
+    """`verify_membership(build_phibar(n, d), build_x(n, d))` by a block
+    certificate, with the same record, for every n >= 1 and d >= 1.  It
+    rests on the forms' structure, which the tests' expansion oracle guards:
+    `x_form` is a sum over the pairs (a, b) of (a + b) g_3(a, b)^d,
+    `phibar_form` is `phibar_blocks` at `ab_form`, and `ab_form` is a sum
+    over blocks.  With A and B free, phibar's block pair (P, Q) and last pair
+    (P0, Q0) satisfy, for N = v^2 + 3w^2,
+        P + Q = (3/2)((v - w)A - (v + 3w)B),  g_3(P, Q) = (3/4)(A^2 + 3B^2) N,
+        P0 + Q0 = (3/2) u0 (A - B),           g_3(P0, Q0) = (3/4)(A^2 + 3B^2) u0^2,
+    and a block of `ab_form` at d is (u0^(2d+1) + (v + 3w) N^d,
+    u0^(2d+1) + (v - w) N^d).  Summed over the pairs, X at phibar is
+    (3/2)(3/4)^d (A^2 + 3B^2)^d (A B - B A) = 0.  The witness of a failure
+    is the first nonzero residual of these identities."""
     t0 = time.perf_counter()
-    comps = phibar_form(_vars(u_context(n), QQ), d, lambda p: p.scale(Fraction(1, 2)))
-    witness = _residual_witness(("residual", x_form(comps, d)))
-    return _done("membership", {"map": "phibar", "components": len(comps)}, witness, t0)
+    A, B, u0, v, w = _vars(VarContext(["A", "B", "u0", "v", "w"]), QQ)
+    P, Q, P0, Q0 = phibar_blocks([u0, v, w], A, B, lambda p: p.scale(Fraction(1, 2)))
+    N = v * v + 3 * (w * w)
+    norm = (A * A + 3 * (B * B)).scale(Fraction(3, 4))
+    Ad, Bd = ab_form([u0, v, w], d)
+    head, Nd = u0 ** (2 * d + 1), N ** d
+    witness = _residual_witness(
+        ("block_sum", P + Q - ((v - w) * A - (v + 3 * w) * B).scale(Fraction(3, 2))),
+        ("block_norm", _alternating(P, Q, 3) - norm * N),
+        ("last_sum", P0 + Q0 - (u0 * (A - B)).scale(Fraction(3, 2))),
+        ("last_norm", _alternating(P0, Q0, 3) - norm * u0 * u0),
+        ("ab_block_A", Ad - head - (v + 3 * w) * Nd),
+        ("ab_block_B", Bd - head - (v - w) * Nd))
+    return _done("membership", {"map": "phibar", "components": 2 * n + 2}, witness, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +573,7 @@ CHECKS = {
         lambda n, d, seed, budget: verify_line_factorization(n, d),
         lambda n, d: n <= 2 and d <= 2),
     "membership": _charged(
-        "membership", "residual", lambda n, d: _dense(2 * n + 1, (2 * d + 1) * (2 * d + 2)),
+        "membership", "identity", lambda n, d: max(_dense(4, 4), _dense(3, 2 * d + 1)),
         _phibar_on_x),
     "composition_cremona": _charged(
         "composition_cremona", "composite", lambda n, d: _dense(3, 4),

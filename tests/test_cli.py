@@ -21,6 +21,7 @@ from skewplanes.reporting import BudgetExceeded, strip_timing
 from skewplanes.verify import CHECKS, Check
 from test_golden_outputs import RUNS
 from test_readme import readme_cli_examples
+from test_verify import _refuse_builders
 
 
 def run_cli(argv, capsys):
@@ -154,22 +155,27 @@ def test_verify_single_check(capsys, name):
     assert len(records) == 1 and records[0]["pass"]
 
 
-def test_verify_membership_honours_budget(capsys):
-    # phibar(1, 1) into X(1, 1): a residual of degree 3 * 4 in 3 variables,
-    # C(14, 2) = 91 dense monomials.  The suite is refused at its first
-    # check, line_factorization, charged 9472
+def test_verify_membership_honours_budget(monkeypatch, capsys):
+    # the membership certificate at (1, 1): g_3 at phibar's block pair, of
+    # degree 4 in (A, B, v, w), C(7, 3) = 35 dense monomials.  The suite is
+    # refused at its first check, line_factorization, charged 9472
     code, out, err = run_cli(["verify", "--n", "1", "--d", "1", "--budget", "1"], capsys)
     assert code == 4 and out == "" and "line_factorization: pencil" in err
     argv = ["verify", "--check", "membership", "--n", "1", "--d", "1"]
-    code, out, err = run_cli(argv + ["--budget", "1"], capsys)
-    assert code == 4 and out == "" and "membership" in err and "91 monomials" in err
-    assert run_cli(argv + ["--budget", "91"], capsys)[0] == 0
-    assert run_cli(argv + ["--budget", "90"], capsys)[0] == 4
-    # at (6, 6), C(194, 12) monomials: refused before substituting
+    assert run_cli(argv + ["--budget", "35"], capsys)[0] == 0
+    # at (6, 6), a block of ab_form of degree 13 in (u0, v, w): C(15, 2) = 105.
+    # The expansion was refused there
     t0 = time.perf_counter()
-    code, out, err = run_cli(["verify", "--check", "membership", "--n", "6", "--d", "6"], capsys)
-    assert code == 4 and out == "" and "4193002458968329488 monomials" in err
-    assert time.perf_counter() - t0 < 10
+    argv6 = ["verify", "--check", "membership", "--n", "6", "--d", "6"]
+    code, out, err = run_cli(argv6, capsys)
+    assert code == 0 and out.startswith("[PASS] membership")
+    assert time.perf_counter() - t0 < 1
+    assert run_cli(argv6 + ["--budget", "105"], capsys)[0] == 0
+    _refuse_builders(monkeypatch)
+    code, out, err = run_cli(argv + ["--budget", "34"], capsys)
+    assert code == 4 and out == "" and "membership" in err and "35 monomials" in err
+    code, out, err = run_cli(argv6 + ["--budget", "104"], capsys)
+    assert code == 4 and out == "" and "105 monomials" in err
 
 
 def test_verify_singular_locus_honours_budget(capsys):

@@ -13,6 +13,7 @@ from skewplanes import heights
 from skewplanes.count import DEFAULT_BUDGET
 from skewplanes.families import build_phibar, build_x
 from skewplanes.heights import (
+    _parametrized_first_rows,
     _refuse_direct_scan,
     _refuse_parametrized_pass,
     direct_height_count,
@@ -219,6 +220,38 @@ def test_parametrized_images_land_on_x():
     par, skips = parametrized_height_count(1, 50)
     assert par >= 1
     assert skips >= 0
+
+
+@pytest.mark.parametrize("d, bound, check", [
+    (1, 9 ** 4 - 1, np.int64),  # u = 8: 4M (3M^2) = 4.1 * 10^18 < 2^63, M = 170 * 8^4
+    (1, 9 ** 4, object),        # u = 9: 1.7 * 10^19
+    (2, 63, np.int64), (2, 64, object),
+])
+def test_parametrized_check_dtype_follows_the_bound(monkeypatch, d, bound, check):
+    # X at the images is checked in int64 while 4M (3M^2)^d < 2^63, M being
+    # _phibar_bound(d, u), and in Python ints past it.  The rows are those of
+    # the object path, and under either dtype an image pushed off X is caught
+    seen, x_form, phibar_form = [], heights.x_form, heights.phibar_form
+
+    def spy(x, d):
+        seen.append(x[0].dtype)
+        return x_form(x, d)
+
+    def pushed(u, d, half):
+        comps = phibar_form(u, d, half)
+        return [comps[0] + 1] + comps[1:]
+
+    monkeypatch.setattr(heights, "x_form", spy)
+    rows = _parametrized_first_rows(d, bound, 0, DEFAULT_BUDGET)
+    assert rows[0]
+    for exact in (heights._exact_dtype, lambda bound: object):
+        monkeypatch.setattr(heights, "_exact_dtype", exact)
+        assert _parametrized_first_rows(d, bound, 0, DEFAULT_BUDGET) == rows
+        with monkeypatch.context() as m:
+            m.setattr(heights, "phibar_form", pushed)
+            with pytest.raises(AssertionError, match="off the hypersurface"):
+                _parametrized_first_rows(d, bound, 0, DEFAULT_BUDGET)
+    assert seen == [np.dtype(check)] * 3 + [np.dtype(object)] * 2
 
 
 def _phibar_images(d, u):

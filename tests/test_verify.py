@@ -121,9 +121,70 @@ def test_membership_form_route_matches_substitution(n, d_map, d_x):
     want = verify_membership(build_phibar(n, d_map), build_x(n, d_x))
     assert _residual_witness(("residual", x_form(comps, d_x))) == want.witness
     assert (want.passed, len(comps)) == (d_map == d_x, 2 * n + 2)
-    if d_map == d_x:
-        got = CHECKS["membership"].run(n, d_map, 0, DEFAULT_BUDGET)
-        assert strip_timing(got.as_dict()) == strip_timing(want.as_dict())
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)])
+def test_membership_certificate_matches_expansion(n, d):
+    # the expansion oracle: substituting phibar into X
+    want = verify_membership(build_phibar(n, d), build_x(n, d))
+    got = CHECKS["membership"].run(n, d, 0, DEFAULT_BUDGET)
+    assert want.passed and strip_timing(got.as_dict()) == strip_timing(want.as_dict())
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (6, 6), (100, 1)])
+def test_membership_certificate_passes_past_the_expansion(n, d):
+    # the expansion took about 5 s at (3, 3) and was refused at (6, 6)
+    t0 = time.perf_counter()
+    r = CHECKS["membership"].run(n, d, 0, DEFAULT_BUDGET)
+    assert r.passed and r.params == {"map": "phibar", "components": 2 * n + 2}
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _phibar_blocks_with(entry, value):
+    """phibar_blocks with its component `entry` replaced by
+    value(components, u, A, B)."""
+    def blocks(u, A, B, half):
+        comps = phibar_blocks(u, A, B, half)
+        comps[entry] = value(comps, u, A, B)
+        return comps
+    return blocks
+
+
+def _ab_form_b_plus_w(u, d):
+    """ab_form with (v + w) for (v - w) in B's block term."""
+    A, B = ab_form(u, d)
+    for v, w in zip(u[1::2], u[2::2]):
+        B = B + 2 * w * (v * v + 3 * (w * w)) ** d
+    return A, B
+
+
+def _alternating_middle_plus(a, b, k):
+    """g_3 with its middle sign flipped: a^2 + ab + b^2."""
+    assert k == 3
+    return (a + b) * a + b * b
+
+
+MEMBERSHIP_MUTANTS = {
+    # a coefficient: vA - 3wB becomes 2vA - 3wB
+    "phibar_coefficient": ("phibar_blocks",
+                           _phibar_blocks_with(1, lambda c, u, A, B: c[1] + u[1] * A)),
+    "ab_block_v_plus_w": ("ab_form", _ab_form_b_plus_w),
+    "g3_middle_sign": ("_alternating", _alternating_middle_plus),
+    # u0(A - 3B)/2 loses its halving
+    "u0_pair_unhalved": ("phibar_blocks",
+                         _phibar_blocks_with(-2, lambda c, u, A, B: u[0] * (A - 3 * B))),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MEMBERSHIP_MUTANTS))
+def test_membership_mutants_fail_certificate_and_expansion(monkeypatch, mutant):
+    name, mutated = MEMBERSHIP_MUTANTS[mutant]
+    monkeypatch.setattr(families_mod, name, mutated)
+    monkeypatch.setattr(verify_mod, name, mutated)
+    for n, d in [(1, 1), (1, 2), (2, 1)]:
+        got = CHECKS["membership"].run(n, d, 0, DEFAULT_BUDGET)
+        assert not got.passed and got.witness, (mutant, n, d)
+        assert not verify_membership(build_phibar(n, d), build_x(n, d)).passed, (mutant, n, d)
 
 
 def test_form_checks_substitute_nothing(monkeypatch):
@@ -152,9 +213,9 @@ def _refuse_builders(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built before the charge")
     for name in ("build_phibar", "build_x", "build_line_pencil", "build_cremona",
-                 "build_alpha_beta", "build_cox_model", "_v_coordinates", "x_form",
-                 "phibar_form", "phibar_blocks", "theta_form", "h_form", "char_two_form",
-                 "sd_form"):
+                 "build_alpha_beta", "build_cox_model", "_v_coordinates", "_vars",
+                 "ab_form", "_alternating", "phibar_form", "phibar_blocks", "theta_form",
+                 "h_form", "char_two_form", "sd_form"):
         monkeypatch.setattr(verify_mod, name, refuse)
 
 
@@ -163,21 +224,24 @@ def no_builders(monkeypatch):
     _refuse_builders(monkeypatch)
 
 
-def test_membership_check_charges_before_building(no_builders, capsys):
-    # the registry entry charges C(2n + D, 2n), D = (2d + 1)(2d + 2), from
-    # (n, d) alone, with the message verify_membership gives
-    with pytest.raises(BudgetExceeded) as exc:
-        CHECKS["membership"].run(1, 1, 0, 90)
-    with pytest.raises(BudgetExceeded) as built:
-        verify_membership(build_phibar(1, 1), build_x(1, 1), budget=90)
-    assert str(exc.value) == str(built.value)
-    t0 = time.perf_counter()
-    for n, d in [(100, 1), (1000, 1000)]:
-        with pytest.raises(BudgetExceeded, match="membership: residual"):
-            CHECKS["membership"].run(n, d, 0, DEFAULT_BUDGET)
-        assert main(["verify", "--check", "membership", "--n", str(n), "--d", str(d)]) == 4
-    assert "12530699840199599786 monomials" in capsys.readouterr().err
-    assert time.perf_counter() - t0 < 5
+@pytest.mark.parametrize("n, d, degree, nvars, cost", [
+    (1, 1, 4, 4, 35), (100, 1, 4, 4, 35), (6, 6, 13, 3, 105), (1000, 1000, 2001, 3, 2005003)])
+def test_membership_check_charges_before_building(monkeypatch, capsys, n, d, degree, nvars,
+                                                  cost):
+    # the certificate is charged the dense monomials of its largest
+    # polynomial, from d alone: g_3 at phibar's block pair, of degree 4 in
+    # (A, B, v, w), C(7, 3) = 35, or a block of ab_form, of degree 2d + 1 in
+    # (u0, v, w), C(2d + 3, 2).  Its exact charge admits it, and one unit less
+    # refuses it before anything is built
+    assert CHECKS["membership"].run(n, d, 0, cost).passed
+    _refuse_builders(monkeypatch)
+    with pytest.raises(BudgetExceeded, match=rf"^membership: identity of degree {degree} in "
+                                             rf"{nvars} variables has up to {cost} monomials, "
+                                             rf"over budget {cost - 1}$"):
+        CHECKS["membership"].run(n, d, 0, cost - 1)
+    assert main(["verify", "--check", "membership", "--n", str(n), "--d", str(d),
+                 "--budget", str(cost - 1)]) == 4
+    assert f"up to {cost} monomials" in capsys.readouterr().err
 
 
 def test_membership_negative_control_perturbed_coefficient():
@@ -785,16 +849,16 @@ def test_cox_negative_control_wp_multiple():
 
 # the charges at (n, d) = (1, 1).  C(m - 1 + D, m - 1) dense monomials of
 # the polynomial of degree D in m variables that the check builds: the
-# residual X(phibar) (3, 12), the composites cr_inv(cr) (3, 4) and
-# beta(alpha) (3, 6), the cross minors on X (3, 9) and the condition forms
-# (3, 4).  For the BLOCK_SUMS checks, blocks^2 * m for the sums of the 2
+# membership certificate's g_3 at phibar's block pair (4, 4), the
+# composites cr_inv(cr) (3, 4) and beta(alpha) (3, 6), the cross minors on
+# X (3, 9) and the condition forms (3, 4).  For the BLOCK_SUMS checks, blocks^2 * m for the sums of the 2
 # (S, D) blocks in m variables: the Galois residuals in 4 and, with
 # coefficient variables, 8, and the Cox residuals in 6.  The SAMPLED
 # roundtrips, 100 samples through (n + 1)(40 + 4 bit_length(d)) = 88 field
 # operations.  line_factorization, the fit of its run time
 # 2 * 4 * (4 + 360 + 820)
 CHARGES_AT_1_1 = [
-    ("line_factorization", 9472), ("membership", 91), ("composition_cremona", 15),
+    ("line_factorization", 9472), ("membership", 35), ("composition_cremona", 15),
     ("composition_alphabeta", 28), ("composition_on_x", 55), ("composition_roundtrip", 8800),
     ("composition_roundtrip_char2", 8800), ("linear_system_dim", 15), ("galois", 16),
     ("galois_generalized", 32), ("cox_grading", 24),
