@@ -8,11 +8,12 @@ defined once, as a form on values (`x_form`, `ab_form`, `phibar_form`,
 `theta_form`, `h_form`, `char_two_form`, `sd_form`) that takes polynomials,
 ints, Fractions or arrays; the `build_*` constructors apply it to variables,
 the line pencil to its lines, the height engine to arrays, and `verify` to
-other coordinates or to `kernels.FieldArray` samples.  phibar is
-built block by block (`phibar_blocks`) from the values of A and B, and the
-line pencil is those blocks at A = 1, B = xi(2 lam - 1)/3.  Components
-follow the closed forms of the source construction, with two corrections that
-the composition identities force and that are pinned by tests:
+other coordinates or to `kernels.FieldArray` samples.  phibar is built
+block by block (`phibar_blocks`) from the values of A and B, and the line
+pencil is those blocks at A = 1, B = xi(2 lam - 1)/3 (`pencil_point`).
+Components follow the closed forms of the source construction, with two
+corrections that the composition identities force and that are pinned by
+tests:
 
 * the non-xi part of the even pencil lines, phibar's first block entry
   there, is (u_{2i+1} - 3u_{2i+2})/2;
@@ -377,16 +378,35 @@ def pencil_context(n):
     return VarContext(["lam"] + [f"u{i}" for i in range(1, 2 * n + 1)])
 
 
+def pencil_point(lam, xi):
+    """The point (A, B) = (1, beta), beta = xi(2 lam - 1)/3, at which
+    phibar's blocks are the pencil's lines; lam and xi are polynomials over
+    Q(xi), xi a constant."""
+    return 1, (xi * (2 * lam - 1)).scale(lam.dom.from_rational(Fraction(1, 3)))
+
+
+def pencil_factors(lam, xi, A, B):
+    """The two factors of X along the pencil, at the values A and B of
+    `ab_form`: the norm -3 lam (lam - 1), whose d-th power is the first, and
+    xi((A - xi B)/2 - lam A)."""
+    half = lam.dom.from_rational(Fraction(1, 2))
+    return -3 * (lam * (lam - 1)), xi * ((A - xi * B).scale(half) - lam * A)
+
+
 def build_line_pencil(n, d):
     """The family of lines L(lambda) joining conjugate plane points, the value
     F(lambda) = X(L(lambda)), and the factorized target
     xi * (-3)^d * lam^d (lam-1)^d * ((A - xi B)/2 - lam A).
 
     All over Q(xi) in variables (lam, u1..u_{2n}); the u_0 = 1 affine chart.
-    The lines are phibar's blocks (`phibar_blocks`) at A = 1 and
-    B = xi(2 lam - 1)/3, whose last entry u0 A = 1 is x_{2n+1}.  There
-    A^2 + 3B^2 = 4 lam (1 - lam), which makes the factor (3/4)^d (A^2 + 3B^2)^d
-    of X along phibar's blocks (-3)^d lam^d (lam - 1)^d.
+    The lines are phibar's blocks (`phibar_blocks`) at the point
+    (A, B) = (1, xi(2 lam - 1)/3) of `pencil_point`, whose last entry
+    u0 A = 1 is x_{2n+1}.  There A^2 + 3B^2 = 4 lam (1 - lam), which makes
+    the factor (3/4)^d (A^2 + 3B^2)^d of X along phibar's blocks
+    (-3)^d lam^d (lam - 1)^d.  The target is the product of
+    `pencil_factors`, the first to the d-th power.  `verify` proves F equals
+    it for every (n, d) without this expansion, which the tests keep as its
+    oracle.
 
     Refused by `_guard_cells` past CELLS_MAX: for each of the n + 1 pairs,
     F and the target have 2(d + 1)(d + 2) terms each, A and B 2d + 2 and
@@ -397,16 +417,14 @@ def build_line_pencil(n, d):
     ctx = pencil_context(n)
     lam, *u = _vars(ctx, dom)
     xi = MPoly.constant(ctx, dom, dom.xi)
-    half = dom.from_rational(Fraction(1, 2))
-    beta = (xi * (2 * lam - 1)).scale(dom.from_rational(Fraction(1, 3)))
-    ends = phibar_blocks([1] + u, 1, beta, lambda p: p.scale(half))
+    ends = phibar_blocks([1] + u, *pencil_point(lam, xi),
+                         lambda p: p.scale(dom.from_rational(Fraction(1, 2))))
     # affine hypersurface value along the line
     F = x_form(ends, d)
     # affine A, B in the pencil context
     A, B = ab_form([1] + u, d)
-    target = xi * MPoly.constant(ctx, dom, (-3) ** d) * lam ** d * (lam - 1) ** d \
-        * ((A - xi * B).scale(half) - lam * A)
-    return {"lines": ends[:-1], "F": F, "A": A, "B": B, "target": target}
+    norm, linear = pencil_factors(lam, xi, A, B)
+    return {"lines": ends[:-1], "F": F, "A": A, "B": B, "target": norm ** d * linear}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewplanes import domains
+from skewplanes import families as families_module
+from skewplanes import verify as verify_module
 from skewplanes.cli import IDEAL_LABELS, _table_parse, build_parser, main
 from skewplanes.count import formula_x2d, projective_size
 from skewplanes.families import FAMILY_BUILDERS, build_char_two_maps
@@ -158,9 +160,10 @@ def test_verify_single_check(capsys, name):
 def test_verify_membership_honours_budget(monkeypatch, capsys):
     # the membership certificate at (1, 1): g_3 at phibar's block pair, of
     # degree 4 in (A, B, v, w), C(7, 3) = 35 dense monomials.  The suite is
-    # refused at its first check, line_factorization, charged 9472
-    code, out, err = run_cli(["verify", "--n", "1", "--d", "1", "--budget", "1"], capsys)
-    assert code == 4 and out == "" and "line_factorization: pencil" in err
+    # refused at its first check, line_factorization, charged the same 35
+    code, out, err = run_cli(["verify", "--n", "1", "--d", "1", "--budget", "34"], capsys)
+    assert code == 4 and out == "" and "line_factorization: identity" in err
+    assert "35 monomials" in err
     argv = ["verify", "--check", "membership", "--n", "1", "--d", "1"]
     assert run_cli(argv + ["--budget", "35"], capsys)[0] == 0
     # at (6, 6), a block of ab_form of degree 13 in (u0, v, w): C(15, 2) = 105.
@@ -235,13 +238,14 @@ def test_verify_singular_locus_rejects_n1(capsys):
     assert code == 5
 
 
-def test_verify_budget_exceeded_is_exit_4(capsys):
-    # line_factorization at (4, 1) is charged 34480
-    code, _, err = run_cli(
-        ["verify", "--check", "line_factorization", "--n", "4", "--d", "1", "--budget", "34479"],
-        capsys,
-    )
-    assert code == 4 and "line_factorization: pencil" in err
+def test_verify_budget_exceeded_is_exit_4(monkeypatch, capsys):
+    # line_factorization at (4, 1) is charged 35, as membership is
+    argv = ["verify", "--check", "line_factorization", "--n", "4", "--d", "1", "--budget"]
+    assert run_cli(argv + ["35"], capsys)[0] == 0
+    _refuse_builders(monkeypatch)
+    code, out, err = run_cli(argv + ["34"], capsys)
+    assert code == 4 and out == "" and "line_factorization: identity" in err
+    assert "35 monomials" in err
 
 
 @pytest.mark.parametrize("n, d", [(4, 1), (1, 4)])
@@ -253,16 +257,26 @@ def test_verify_line_factorization_past_n_d_3(capsys, n, d):
 
 
 def test_verify_line_factorization_refused_before_building(capsys, monkeypatch):
-    from skewplanes import verify as verify_module
-
-    def refuse(n, d):
-        raise AssertionError("built the line pencil")
-    monkeypatch.setattr(verify_module, "build_line_pencil", refuse)
+    # the block certificate calls no builder at any size: (1000, 1) passes
+    # in under 1 s, where expanding the pencil took 20 s, and (1000, 1000),
+    # where that expansion was refused, passes too.  One unit under its
+    # charge, C(2003, 2) = 2005003, it is refused before anything is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a family or map")
+    for module in (verify_module, families_module):
+        for name in dir(module):
+            if name.startswith("build_"):
+                monkeypatch.setattr(module, name, refuse)
+    argv = ["verify", "--check", "line_factorization", "--n", "1000", "--d"]
     t0 = time.perf_counter()
-    code, out, err = run_cli(["verify", "--check", "line_factorization", "--n", "1000",
-                              "--d", "1000"], capsys)
-    assert code == 4 and out == "" and "line_factorization: pencil of 1001 blocks" in err
+    code, out, _ = run_cli(argv + ["1"], capsys)
+    assert code == 0 and out.startswith("[PASS] line_factorization")
     assert time.perf_counter() - t0 < 1
+    code, out, _ = run_cli(argv + ["1000"], capsys)
+    assert code == 0 and out.startswith("[PASS] line_factorization")
+    _refuse_builders(monkeypatch)
+    code, out, err = run_cli(argv + ["1000", "--budget", "2005002"], capsys)
+    assert code == 4 and out == "" and "up to 2005003 monomials" in err
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

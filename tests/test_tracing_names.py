@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from skewplanes.verify import run_all_checks
+import skewplanes.verify as verify_mod
+from skewplanes.verify import CHECKS, run_all_checks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -89,3 +90,20 @@ def test_suite_checks_match_the_benchmark(monkeypatch, n, d):
     workloads = _load_workloads(monkeypatch)
     got = Counter(r.check for r in run_all_checks(n, d))
     assert got == workloads._suite_checks(n, d)
+
+
+def test_line_factorization_is_looked_up_through_the_module(monkeypatch):
+    # the tracer times verify.line_factorization_s by swapping the module
+    # global verify_line_factorization; a registry entry that closed over the
+    # function would leave that span at 0 without any error
+    calls = []
+    check = verify_mod.verify_line_factorization
+
+    def spy(n, d):
+        calls.append((n, d))
+        return check(n, d)
+    monkeypatch.setattr(verify_mod, "verify_line_factorization", spy)
+    assert CHECKS["line_factorization"].run(1, 1, 0, 35).passed
+    assert calls == [(1, 1)]
+    assert all(r.passed for r in run_all_checks(2, 1))
+    assert calls == [(1, 1), (2, 1)]

@@ -24,6 +24,7 @@ from skewplanes.families import (
     build_cox_model,
     build_cremona,
     build_h,
+    build_line_pencil,
     build_phibar,
     build_theta,
     build_x,
@@ -31,6 +32,8 @@ from skewplanes.families import (
     build_phitilde,
     char_two_form,
     h_form,
+    pencil_factors,
+    pencil_point,
     phibar_blocks,
     phibar_form,
     sd_form,
@@ -67,24 +70,100 @@ from skewplanes.verify import (
 # line factorization
 
 
-def test_line_factorization_grid():
-    for n, d in [(1, 1), (1, 2), (2, 1)]:
-        r = verify_line_factorization(n, d)
-        assert r.passed, (n, d, r.witness)
-        assert r.mode == "symbolic"
-
-
 def test_line_factorization_budget(monkeypatch):
-    # (4, 1) and (1, 4) pass, where a cap of n, d <= 3 refused them; the
-    # charge is (n + 1)(d + 1)^2 ((d + 1)^2 + 180 (n + 1) + 820): 34480 at
-    # (4, 1), 60250 at (1, 4)
-    for n, d, cost in [(4, 1, 34480), (1, 4, 60250)]:
-        assert verify_line_factorization(n, d).passed
+    # the block certificate is charged as membership is, from d alone:
+    # C(7, 3) = 35 for g_3 at phibar's block pair, or C(2d + 3, 2) for a block
+    # of ab_form, 55 at d = 4.  The exact charge admits it, and one unit less
+    # refuses it before anything is built
+    sizes = [(4, 1, 4, 4, 35), (1, 4, 9, 3, 55)]
+    for n, d, _, _, cost in sizes:
         assert CHECKS["line_factorization"].run(n, d, 0, cost).passed
-        with pytest.raises(BudgetExceeded, match=rf"^line_factorization: pencil of {n + 1} "
-                                                 rf"blocks of degree {2 * d + 1} costs {cost}, "
-                                                 rf"over budget {cost - 1}$"):
+    _refuse_builders(monkeypatch)
+    for n, d, degree, nvars, cost in sizes:
+        with pytest.raises(BudgetExceeded, match=rf"^line_factorization: identity of degree "
+                                                 rf"{degree} in {nvars} variables has up to "
+                                                 rf"{cost} monomials, over budget {cost - 1}$"):
             CHECKS["line_factorization"].run(n, d, 0, cost - 1)
+
+
+def _pencil_expands_to_target(n, d):
+    """The expansion oracle: X along the pencil's lines equals the target."""
+    data = build_line_pencil(n, d)
+    return data["F"] == data["target"]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (1, 4), (3, 3)])
+def test_line_factorization_grid(n, d):
+    # the certificate passes where the expansion oracle does
+    r = verify_line_factorization(n, d)
+    assert r.passed and _pencil_expands_to_target(n, d)
+    assert (r.mode, r.params, r.witness) == ("symbolic", {"n": n, "d": d}, None)
+
+
+@pytest.mark.parametrize("n, d", [(6, 6), (100, 1)])
+def test_line_factorization_certificate_passes_past_the_expansion(n, d):
+    # the expansion took about 25 ms at (6, 6) and 0.24 s at (100, 1)
+    t0 = time.perf_counter()
+    assert CHECKS["line_factorization"].run(n, d, 0, DEFAULT_BUDGET).passed
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _phibar_blocks_with(entry, value):
+    """phibar_blocks with its component `entry` replaced by
+    value(components, u, A, B)."""
+    def blocks(u, A, B, half):
+        comps = phibar_blocks(u, A, B, half)
+        comps[entry] = value(comps, u, A, B)
+        return comps
+    return blocks
+
+
+def _pencil_point_minus_beta(lam, xi):
+    """pencil_point with beta's sign flipped."""
+    A, B = pencil_point(lam, xi)
+    return A, -B
+
+
+def _pencil_point_plus_one(lam, xi):
+    """pencil_point with beta = xi(2 lam + 1)/3."""
+    A, B = pencil_point(lam, xi)
+    return A, B + (2 * xi).scale(QQXI.from_rational(Fraction(1, 3)))
+
+
+def _pencil_factors_without_xi(lam, xi, A, B):
+    """pencil_factors with (A - xi B)/2 - lam A for its second factor."""
+    norm, _ = pencil_factors(lam, xi, A, B)
+    return norm, (A - xi * B).scale(QQXI.from_rational(Fraction(1, 2))) - lam * A
+
+
+def _pencil_factors_three_to_the_d(lam, xi, A, B):
+    """pencil_factors with the norm 3 lam (lam - 1), so the target's
+    (-3)^d becomes 3^d."""
+    norm, linear = pencil_factors(lam, xi, A, B)
+    return -norm, linear
+
+
+PENCIL_MUTANTS = {
+    "beta_sign": ("pencil_point", _pencil_point_minus_beta),
+    "beta_constant_sign": ("pencil_point", _pencil_point_plus_one),
+    "target_without_xi": ("pencil_factors", _pencil_factors_without_xi),
+    # (-3)^d and 3^d agree at even d, so the sizes below have odd d
+    "three_to_the_d": ("pencil_factors", _pencil_factors_three_to_the_d),
+    # vA - 3wB becomes 2vA - 3wB
+    "phibar_entry": ("phibar_blocks",
+                     _phibar_blocks_with(1, lambda c, u, A, B: c[1] + u[1] * A)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PENCIL_MUTANTS))
+def test_line_factorization_mutants_fail_certificate_and_expansion(monkeypatch, mutant):
+    name, mutated = PENCIL_MUTANTS[mutant]
+    monkeypatch.setattr(families_mod, name, mutated)
+    monkeypatch.setattr(verify_mod, name, mutated)
+    for n, d in [(1, 1), (2, 1), (1, 3)]:
+        got = CHECKS["line_factorization"].run(n, d, 0, DEFAULT_BUDGET)
+        assert not got.passed and got.witness, (mutant, n, d)
+        assert not _pencil_expands_to_target(n, d), (mutant, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +217,6 @@ def test_membership_certificate_passes_past_the_expansion(n, d):
     r = CHECKS["membership"].run(n, d, 0, DEFAULT_BUDGET)
     assert r.passed and r.params == {"map": "phibar", "components": 2 * n + 2}
     assert time.perf_counter() - t0 < 0.1
-
-
-def _phibar_blocks_with(entry, value):
-    """phibar_blocks with its component `entry` replaced by
-    value(components, u, A, B)."""
-    def blocks(u, A, B, half):
-        comps = phibar_blocks(u, A, B, half)
-        comps[entry] = value(comps, u, A, B)
-        return comps
-    return blocks
 
 
 def _ab_form_b_plus_w(u, d):
@@ -212,10 +281,10 @@ def _refuse_builders(monkeypatch):
     # a refused check must build nothing: every builder it could call raises
     def refuse(*args, **kwargs):
         raise AssertionError("built before the charge")
-    for name in ("build_phibar", "build_x", "build_line_pencil", "build_cremona",
-                 "build_alpha_beta", "build_cox_model", "_v_coordinates", "_vars",
-                 "ab_form", "_alternating", "phibar_form", "phibar_blocks", "theta_form",
-                 "h_form", "char_two_form", "sd_form"):
+    for name in ("build_phibar", "build_x", "build_cremona", "build_alpha_beta",
+                 "build_cox_model", "_v_coordinates", "_vars", "ab_form", "_alternating",
+                 "phibar_form", "phibar_blocks", "pencil_point", "pencil_factors",
+                 "theta_form", "h_form", "char_two_form", "sd_form"):
         monkeypatch.setattr(verify_mod, name, refuse)
 
 
@@ -245,8 +314,8 @@ def test_membership_check_charges_before_building(monkeypatch, capsys, n, d, deg
 
 
 def test_membership_negative_control_perturbed_coefficient():
-    # adding 1 to a single coefficient of the hypersurface must break both
-    # the membership identity and the pencil factorization route to it
+    # adding 1 to a single coefficient of the hypersurface must break the
+    # membership identity
     n, d = 1, 1
     X = build_x(n, d)
     exps = next(iter(X.terms))
@@ -855,10 +924,10 @@ def test_cox_negative_control_wp_multiple():
 # (S, D) blocks in m variables: the Galois residuals in 4 and, with
 # coefficient variables, 8, and the Cox residuals in 6.  The SAMPLED
 # roundtrips, 100 samples through (n + 1)(40 + 4 bit_length(d)) = 88 field
-# operations.  line_factorization, the fit of its run time
-# 2 * 4 * (4 + 360 + 820)
+# operations.  line_factorization, the same certificate charge as
+# membership
 CHARGES_AT_1_1 = [
-    ("line_factorization", 9472), ("membership", 35), ("composition_cremona", 15),
+    ("line_factorization", 35), ("membership", 35), ("composition_cremona", 15),
     ("composition_alphabeta", 28), ("composition_on_x", 55), ("composition_roundtrip", 8800),
     ("composition_roundtrip_char2", 8800), ("linear_system_dim", 15), ("galois", 16),
     ("galois_generalized", 32), ("cox_grading", 24),
@@ -871,7 +940,7 @@ SAMPLED = {"composition_roundtrip", "composition_roundtrip_char2"}
 def test_checks_charge_their_largest_polynomial(monkeypatch, name, cost):
     assert CHECKS[name].run(1, 1, 0, cost).passed
     _refuse_builders(monkeypatch)
-    costs = BLOCK_SUMS | SAMPLED | {"line_factorization"}
+    costs = BLOCK_SUMS | SAMPLED
     wording = f"costs {cost}" if name in costs else f"has up to {cost} monomials"
     with pytest.raises(BudgetExceeded, match=rf"^{name}: .* {wording}, over budget {cost - 1}$"):
         CHECKS[name].run(1, 1, 0, cost - 1)
