@@ -107,3 +107,17 @@ def test_line_factorization_is_looked_up_through_the_module(monkeypatch):
     assert calls == [(1, 1)]
     assert all(r.passed for r in run_all_checks(2, 1))
     assert calls == [(1, 1), (2, 1)]
+
+
+def test_composition_on_x_is_looked_up_through_the_module(monkeypatch):
+    # as for line_factorization: a tracer span on verify_composition_on_x
+    # sees the check only if the registry looks the global up when it runs
+    calls = []
+    check = verify_mod.verify_composition_on_x
+
+    def spy(n, d):
+        calls.append((n, d))
+        return check(n, d)
+    monkeypatch.setattr(verify_mod, "verify_composition_on_x", spy)
+    assert CHECKS["composition_on_x"].run(1, 2, 0, 462).passed
+    assert calls == [(1, 2)]

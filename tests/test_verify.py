@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from skewplanes.families import (
     sd_form,
     theta_form,
     u_context,
+    x_context,
     x_form,
 )
 from skewplanes.mpoly import MPoly, RationalMap, VarContext, compose
@@ -46,7 +48,6 @@ from skewplanes.reporting import BudgetExceeded, strip_timing
 from skewplanes.kernels import FieldArray, proportional_rows
 from skewplanes.verify import (
     CHECKS,
-    _h_theta,
     _plane_conditions,
     _plane_minor,
     _residual_witness,
@@ -257,14 +258,18 @@ def test_membership_mutants_fail_certificate_and_expansion(monkeypatch, mutant):
 
 
 def test_form_checks_substitute_nothing(monkeypatch):
-    # membership, galois and cox_grading evaluate the family forms: no
-    # substitution, and neither phibar nor X is built
+    # membership, composition_on_x, galois and cox_grading evaluate the
+    # family forms: no substitution, composition or division, and neither
+    # phibar nor X is built
     def refuse(*args, **kwargs):
-        raise AssertionError("substituted or built")
+        raise AssertionError("substituted, divided or built")
     monkeypatch.setattr(MPoly, "substitute", refuse)
-    monkeypatch.setattr(verify_mod, "build_x", refuse)
-    monkeypatch.setattr(verify_mod, "build_phibar", refuse)
-    for name in ("membership", "galois", "galois_generalized", "cox_grading"):
+    monkeypatch.setattr(MPoly, "try_div", refuse)
+    for module, name in [(verify_mod, "compose"), (mpoly_mod, "compose"),
+                         (families_mod, "build_x"), (families_mod, "build_phibar")]:
+        monkeypatch.setattr(module, name, refuse)
+    for name in ("membership", "composition_on_x", "galois", "galois_generalized",
+                 "cox_grading"):
         assert CHECKS[name].run(2, 2, 0, DEFAULT_BUDGET).passed, name
 
 
@@ -281,10 +286,10 @@ def _refuse_builders(monkeypatch):
     # a refused check must build nothing: every builder it could call raises
     def refuse(*args, **kwargs):
         raise AssertionError("built before the charge")
-    for name in ("build_phibar", "build_x", "build_cremona", "build_alpha_beta",
-                 "build_cox_model", "_v_coordinates", "_vars", "ab_form", "_alternating",
-                 "phibar_form", "phibar_blocks", "pencil_point", "pencil_factors",
-                 "theta_form", "h_form", "char_two_form", "sd_form"):
+    for name in ("build_cremona", "build_alpha_beta", "build_cox_model", "_v_coordinates",
+                 "_vars", "ab_form", "_alternating", "phibar_form", "phibar_blocks",
+                 "pencil_point", "pencil_factors", "theta_form", "h_form", "char_two_form",
+                 "sd_form"):
         monkeypatch.setattr(verify_mod, name, refuse)
 
 
@@ -353,29 +358,122 @@ def test_alpha_beta_composition_scalar():
     assert r1.passed and r1.params["scalar_degree"] == 3
 
 
+def _h_theta(n):
+    return compose(build_h(n), build_theta(n))
+
+
+def _composition_modulo(f, g, modulo):
+    """The expansion oracle of composition_on_x: g∘f is proportional to the
+    identity on the hypersurface `modulo`, each cross minor
+    c_i v_j - c_j v_i of the composite being an exact multiple of it.
+    Division by one polynomial is exact, so a minor it does not divide is
+    outside the ideal of the hypersurface and fails."""
+    t0 = time.perf_counter()
+    params = {"f": f.name, "g": g.name}
+    c = compose(g, f).components
+    vs = _vars(f.ctx, f.dom)
+    for i, j in combinations(range(len(vs)), 2):
+        minor = c[i] * vs[j] - c[j] * vs[i]
+        if not minor.is_zero() and minor.try_div(modulo) is None:
+            witness = {"reason": f"minor ({i},{j}) is not a multiple of the hypersurface"}
+            return verify_mod._done("composition", params, witness, t0)
+    params["modulo_degree"] = modulo.total_degree()
+    return verify_mod._done("composition", params, None, t0)
+
+
+def _inverse_on_x_by_expansion(n, d):
+    return _composition_modulo(_h_theta(n), build_phibar(n, d), build_x(n, d))
+
+
 def test_composition_on_x_modulo_ideal():
     n, d = 1, 1
-    h_theta = compose(build_h(n), build_theta(n))
-    h_theta.name = "h.theta"
-    r = verify_composition(h_theta, build_phibar(n, d), modulo=build_x(n, d))
+    r = _composition_modulo(_h_theta(n), build_phibar(n, d), build_x(n, d))
     assert r.passed
     assert r.params.get("modulo_degree") == 2 * d + 1
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_h_theta_forms_match_composition(n):
-    # composition_on_x takes h.theta as h_form at theta_form on the variables
-    h_theta = _h_theta(n)
-    assert h_theta.name == "h.theta"
-    assert h_theta.components == compose(build_h(n), build_theta(n)).components
 
 
 def test_composition_on_x_wrong_hypersurface_fails():
     # phibar(1, 2) inverts h.theta on X(1, 2), not on X(1, 1); a minor that
     # X(1, 1) does not divide is a failure, not a cue to sample
-    r = verify_composition(_h_theta(1), build_phibar(1, 2), modulo=build_x(1, 1))
+    r = _composition_modulo(_h_theta(1), build_phibar(1, 2), build_x(1, 1))
     assert not r.passed and r.mode == "symbolic"
     assert r.witness == {"reason": "minor (0,1) is not a multiple of the hypersurface"}
+
+
+def _support(p):
+    """The indices of the variables that p reads."""
+    return {i for e in p.terms for i, k in enumerate(e) if k}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_h_theta_forms_match_composition(n):
+    # what the certificate rests on: h_form at theta_form is h∘theta, its
+    # head reads only the last pair (s, t), and its block k reads only the
+    # pair k and (s, t) and is the one-block image with those renamed
+    x = _vars(x_context(n), QQ)
+    image = h_form(theta_form(x))
+    assert image == list(compose(build_h(n), build_theta(n)).components)
+    one = h_form(theta_form(_vars(x_context(1), QQ)))
+    last = {2 * n, 2 * n + 1}
+    assert _support(image[0]) == last
+    assert image[0] == one[0].substitute({"x2": x[2 * n], "x3": x[2 * n + 1]})
+    for k in range(n):
+        rename = {"x0": x[2 * k], "x1": x[2 * k + 1], "x2": x[2 * n], "x3": x[2 * n + 1]}
+        for p, q in zip(image[1 + 2 * k:3 + 2 * k], one[1:]):
+            assert _support(p) <= {2 * k, 2 * k + 1} | last, (n, k)
+            assert p == q.substitute(rename), (n, k)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (2, 3)])
+def test_composition_on_x_certificate_matches_expansion(n, d):
+    want = _inverse_on_x_by_expansion(n, d)
+    got = CHECKS["composition_on_x"].run(n, d, 0, DEFAULT_BUDGET)
+    assert want.passed and strip_timing(got.as_dict()) == strip_timing(want.as_dict())
+
+
+def _h_form_plus(u):
+    """h_form with 2a + b for 2a - b in each block."""
+    comps = h_form(u)
+    for i in range(1, len(comps), 2):
+        comps[i] = comps[i] + 2 * comps[i + 1]
+    return comps
+
+
+def _theta_form_plus_at(x):
+    """theta_form with as + at + bt for as - at + bt in each block."""
+    comps = theta_form(x)
+    for i, a in enumerate(x[:-2:2]):
+        comps[2 * i] = comps[2 * i] + 2 * (a * x[-1])
+    return comps
+
+
+def _theta_form_last_plus(x):
+    """theta_form with s^2 + st + t^2 for its last entry."""
+    comps = theta_form(x)
+    comps[-1] = comps[-1] + 2 * (x[-2] * x[-1])
+    return comps
+
+
+INVERSE_MUTANTS = {
+    # (families name, mutant, the label of the certificate's witness)
+    "h_form_2a_plus_b": ("h_form", _h_form_plus, "norm"),
+    "theta_plus_at": ("theta_form", _theta_form_plus_at, "norm"),
+    "theta_last_plus_st": ("theta_form", _theta_form_last_plus, "head"),
+    # vA - 3wB becomes 2vA - 3wB
+    "phibar_entry": ("phibar_blocks",
+                     _phibar_blocks_with(1, lambda c, u, A, B: c[1] + u[1] * A), "block_sum"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(INVERSE_MUTANTS))
+def test_composition_on_x_mutants_fail_certificate_and_expansion(monkeypatch, mutant):
+    name, mutated, label = INVERSE_MUTANTS[mutant]
+    monkeypatch.setattr(families_mod, name, mutated)
+    monkeypatch.setattr(verify_mod, name, mutated)
+    for n, d in [(1, 1), (2, 1), (1, 2)]:
+        got = CHECKS["composition_on_x"].run(n, d, 0, DEFAULT_BUDGET)
+        assert not got.passed and label in got.witness, (mutant, n, d)
+        assert not _inverse_on_x_by_expansion(n, d).passed, (mutant, n, d)
 
 
 THETA = ("theta", theta_form)
@@ -919,8 +1017,9 @@ def test_cox_negative_control_wp_multiple():
 # the charges at (n, d) = (1, 1).  C(m - 1 + D, m - 1) dense monomials of
 # the polynomial of degree D in m variables that the check builds: the
 # membership certificate's g_3 at phibar's block pair (4, 4), the
-# composites cr_inv(cr) (3, 4) and beta(alpha) (3, 6), the cross minors on
-# X (3, 9) and the condition forms (3, 4).  For the BLOCK_SUMS checks, blocks^2 * m for the sums of the 2
+# composites cr_inv(cr) (3, 4) and beta(alpha) (3, 6), composition_on_x's
+# residuals of degree at most 5 in 6 variables, homogenized (7, 5), and the
+# condition forms (3, 4).  For the BLOCK_SUMS checks, blocks^2 * m for the sums of the 2
 # (S, D) blocks in m variables: the Galois residuals in 4 and, with
 # coefficient variables, 8, and the Cox residuals in 6.  The SAMPLED
 # roundtrips, 100 samples through (n + 1)(40 + 4 bit_length(d)) = 88 field
@@ -928,7 +1027,7 @@ def test_cox_negative_control_wp_multiple():
 # membership
 CHARGES_AT_1_1 = [
     ("line_factorization", 35), ("membership", 35), ("composition_cremona", 15),
-    ("composition_alphabeta", 28), ("composition_on_x", 55), ("composition_roundtrip", 8800),
+    ("composition_alphabeta", 28), ("composition_on_x", 462), ("composition_roundtrip", 8800),
     ("composition_roundtrip_char2", 8800), ("linear_system_dim", 15), ("galois", 16),
     ("galois_generalized", 32), ("cox_grading", 24),
 ]
@@ -956,7 +1055,6 @@ def test_every_check_is_charged():
     ("galois", 1000, 1000), ("galois_generalized", 1000, 1000), ("cox_grading", 1000, 1000),
     ("composition_alphabeta", 300, 1), ("composition_roundtrip", 1000, 1000),
     ("composition_roundtrip_char2", 1000, 1000), ("linear_system_dim", 50, 50),
-    ("composition_on_x", 20, 20),
 ])
 def test_runaway_sizes_exit_4_at_once(no_builders, capsys, name, n, d):
     # each ran for over 13 s (most were stopped after 15 s) before it was
@@ -968,6 +1066,32 @@ def test_runaway_sizes_exit_4_at_once(no_builders, capsys, name, n, d):
                  "--budget", str(budget)]) == 4
     assert time.perf_counter() - t0 < 1
     assert f"budget exceeded: {name}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, d, degree, nvars, cost", [
+    (1, 1, 5, 7, 462), (20, 20, 41, 3, 903), (1000, 1000, 2001, 3, 2005003)])
+def test_composition_on_x_charges_before_building(monkeypatch, capsys, n, d, degree, nvars,
+                                                  cost):
+    # the dense count of the cross minors refused (20, 20) at once.  The
+    # certificate is charged from d alone, the larger of membership's charge
+    # and 462 = C(11, 6) for its residuals of degree at most 5 in 6
+    # variables.  Its exact charge admits it, and one unit less refuses it
+    # before anything is built
+    assert CHECKS["composition_on_x"].run(n, d, 0, cost).passed
+    _refuse_builders(monkeypatch)
+    argv = ["verify", "--check", "composition_on_x", "--n", str(n), "--d", str(d)]
+    assert main(argv + ["--budget", str(cost - 1)]) == 4
+    assert (f"composition_on_x: identity of degree {degree} in {nvars} variables has up to "
+            f"{cost} monomials, over budget {cost - 1}") in capsys.readouterr().err
+
+
+def test_composition_on_x_runs_past_the_expansion(capsys):
+    # the cross minors were refused at (10, 10) and took 1.1 s at (5, 5)
+    t0 = time.perf_counter()
+    assert main(["verify", "--check", "composition_on_x", "--n", "10", "--d", "10"]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().out.startswith("[PASS] composition f=h.theta g=phibar "
+                                              "modulo_degree=21 ")
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED))
